@@ -10,18 +10,21 @@ namespace gsls {
 
 AtomId GroundProgram::InternAtom(const Term* atom) {
   assert(atom->ground());
-  auto it = atom_ids_.find(atom);
-  if (it != atom_ids_.end()) return it->second;
+  const uint32_t found = atom_ids_.Find(
+      atom->hash(), [&](uint32_t id) { return atom_terms_[id] == atom; });
+  if (found != IdTable::kNone) return found;
   AtomId id = static_cast<AtomId>(atom_terms_.size());
   atom_terms_.push_back(atom);
-  atom_ids_.emplace(atom, id);
+  atom_ids_.Insert(atom->hash(), id,
+                   [&](uint32_t a) { return atom_terms_[a]->hash(); });
   return id;
 }
 
 std::optional<AtomId> GroundProgram::FindAtom(const Term* atom) const {
-  auto it = atom_ids_.find(atom);
-  if (it == atom_ids_.end()) return std::nullopt;
-  return it->second;
+  const uint32_t found = atom_ids_.Find(
+      atom->hash(), [&](uint32_t id) { return atom_terms_[id] == atom; });
+  if (found == IdTable::kNone) return std::nullopt;
+  return found;
 }
 
 namespace {
@@ -44,21 +47,30 @@ void NormalizeBody(GroundRule* rule) {
 }
 }  // namespace
 
+RuleId GroundProgram::FindNormalized(const GroundRule& rule,
+                                     uint64_t fp) const {
+  return rule_ids_.Find(fp, [&](uint32_t id) {
+    const GroundRule& existing = rules_[id];
+    return rule_fps_[id] == fp && existing.head == rule.head &&
+           existing.pos == rule.pos && existing.neg == rule.neg;
+  });
+}
+
 RuleId GroundProgram::AddRule(GroundRule rule) {
   NormalizeBody(&rule);
-  uint64_t fp = RuleFingerprint(rule);
-  auto& bucket = rule_dedup_[fp];
-  for (RuleId id : bucket) {
-    const GroundRule& existing = rules_[id];
-    if (existing.head == rule.head && existing.pos == rule.pos &&
-        existing.neg == rule.neg) {
-      return id;
-    }
-  }
+  const uint64_t fp = RuleFingerprint(rule);
+  const RuleId existing = FindNormalized(rule, fp);
+  if (existing != IdTable::kNone) return existing;
   RuleId id = static_cast<RuleId>(rules_.size());
-  bucket.push_back(id);
+  rule_fps_.push_back(fp);
+  rule_ids_.Insert(fp, id, [&](uint32_t r) { return rule_fps_[r]; });
   bool unit = rule.pos.empty() && rule.neg.empty();
-  if (unit) unit_rule_.emplace(rule.head, id);
+  if (unit) {
+    if (unit_rule_.size() <= rule.head) {
+      unit_rule_.resize(rule.head + 1, IdTable::kNone);
+    }
+    unit_rule_[rule.head] = id;
+  }
   // AddRule requires exclusive access, so the state transitions are plain
   // stores. A rule over already-indexed atoms only appends to existing
   // rows, which queues a cheap merge — the hot path for both
@@ -86,23 +98,17 @@ RuleId GroundProgram::AddRule(GroundRule rule) {
 }
 
 std::optional<RuleId> GroundProgram::FindUnitRule(AtomId atom) const {
-  auto it = unit_rule_.find(atom);
-  if (it == unit_rule_.end()) return std::nullopt;
-  return it->second;
+  if (atom >= unit_rule_.size() || unit_rule_[atom] == IdTable::kNone) {
+    return std::nullopt;
+  }
+  return unit_rule_[atom];
 }
 
 std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
   NormalizeBody(&rule);
-  auto it = rule_dedup_.find(RuleFingerprint(rule));
-  if (it == rule_dedup_.end()) return std::nullopt;
-  for (RuleId id : it->second) {
-    const GroundRule& existing = rules_[id];
-    if (existing.head == rule.head && existing.pos == rule.pos &&
-        existing.neg == rule.neg) {
-      return id;
-    }
-  }
-  return std::nullopt;
+  const RuleId id = FindNormalized(rule, RuleFingerprint(rule));
+  if (id == IdTable::kNone) return std::nullopt;
+  return id;
 }
 
 void GroundProgram::RebuildOccurrenceIndex() const {
@@ -236,6 +242,10 @@ std::string GroundProgram::ToString() const {
     out += ".\n";
   }
   return out;
+}
+
+void GroundProgram::MarkTruncated(const Term* head) {
+  if (truncated_set_.insert(head).second) truncated_.push_back(head);
 }
 
 bool GroundProgram::IsLocallyStratified() const {

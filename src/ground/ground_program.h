@@ -7,13 +7,14 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "lang/program.h"
 #include "term/term_store.h"
 #include "util/csr.h"
+#include "util/id_table.h"
 
 namespace gsls {
 
@@ -113,6 +114,19 @@ class GroundProgram {
   /// the paper's "acyclic programs" effectiveness class (Sec. 7).
   bool IsAtomAcyclic() const;
 
+  /// Records that the grounder dropped a rule instance with head `head`
+  /// at its depth cap (`GroundingOptions::max_atom_arg_depth`): the rule
+  /// set of that atom here is incomplete, so its well-founded value on
+  /// this fragment may be wrong. `head` need not be registered (a head
+  /// beyond the cap never is). Recording the same head twice is a no-op.
+  void MarkTruncated(const Term* head);
+
+  /// The heads recorded by `MarkTruncated`, in recording order. Empty for
+  /// every grounding that never hit the cap (all function-free ones).
+  /// `ground/truncation.h` turns them into the set of atoms whose answer
+  /// is `kUnknown`.
+  const std::vector<const Term*>& truncated() const { return truncated_; }
+
  private:
   enum class IndexState : uint8_t {
     kStale,        ///< full two-pass rebuild needed
@@ -128,14 +142,21 @@ class GroundProgram {
   void MergePendingRows() const;
   void RebuildOccurrenceIndex() const;  ///< caller holds `sync_->mu`
 
+  /// The rule identical to normalized `rule`, or `IdTable::kNone`.
+  RuleId FindNormalized(const GroundRule& rule, uint64_t fp) const;
+
   TermStore* store_;
   std::vector<const Term*> atom_terms_;
-  std::unordered_map<const Term*, AtomId> atom_ids_;
+  IdTable atom_ids_;  ///< keyed by `Term::hash`
   std::vector<GroundRule> rules_;
-  std::unordered_map<uint64_t, std::vector<RuleId>> rule_dedup_;
-  /// Unit rule per atom (at most one exists: `AddRule` deduplicates).
-  /// Maintained eagerly so fact deltas never touch the lazy index.
-  std::unordered_map<AtomId, RuleId> unit_rule_;
+  std::vector<uint64_t> rule_fps_;  ///< per rule: its dedup fingerprint
+  IdTable rule_ids_;                ///< keyed by `rule_fps_`
+  /// Unit rule per atom (at most one exists: `AddRule` deduplicates), or
+  /// `IdTable::kNone`. Maintained eagerly so fact deltas never touch the
+  /// lazy index.
+  std::vector<RuleId> unit_rule_;
+  std::vector<const Term*> truncated_;
+  std::unordered_set<const Term*> truncated_set_;
 
   // Lazy flat occurrence index (see `RulesFor`). Boxed synchronization
   // keeps `GroundProgram` movable (a moved-from program is unusable, and

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "obs/metrics.h"
 #include "serve/delta.h"
 
 namespace gsls {
@@ -44,8 +45,21 @@ Result<Session> Session::Open(const Program& program, SessionOptions opts) {
     // the layer's serve.* channels unless the caller split them.
     opts.serve.telemetry = sopts.telemetry;
   }
-  Result<GroundProgram> gp = GroundRelevant(program, opts.grounding);
+  CancelCtx cancel(sopts.cancel, sopts.deadline_ns, sopts.step_budget,
+                   sopts.fault);
+  CancelCtx* ctx = cancel.active() ? &cancel : nullptr;
+  GroundingStats stats;
+  Result<GroundProgram> gp =
+      GroundRelevant(program, opts.grounding, ctx, &stats);
   if (!gp.ok()) return gp.status();
+  if (sopts.telemetry != nullptr) {
+    obs::MetricsRegistry& m = sopts.telemetry->metrics;
+    m.GetCounter("ground.rules")->Add(gp->rule_count());
+    m.GetCounter("ground.atoms")->Add(gp->atom_count());
+    m.GetCounter("ground.join_candidates")->Add(stats.join_candidates);
+    m.GetCounter("ground.emitted")->Add(stats.emitted);
+    m.GetCounter("ground.truncated")->Add(stats.truncated);
+  }
   auto solver =
       std::make_unique<IncrementalSolver>(std::move(gp.value()), sopts);
   return Session(std::move(solver), std::move(opts));
@@ -87,11 +101,12 @@ bool Session::Retract(const Clause& rule) {
 }
 
 SessionAnswer Session::FromQueryAnswer(
-    const IncrementalSolver::QueryAnswer& qa) const {
+    const IncrementalSolver::QueryAnswer& qa, bool truncated) const {
   SessionAnswer out;
   out.value = qa.value;
   out.outcome = qa.outcome;
-  out.status = qa.outcome == SolveOutcome::kCompleted
+  out.truncated = truncated;
+  out.status = qa.outcome == SolveOutcome::kCompleted && !truncated
                    ? StatusFromValue(qa.value)
                    : GoalStatus::kUnknown;
   out.true_stage = qa.true_stage;
@@ -114,7 +129,8 @@ SessionAnswer Session::FromSnapshotAnswer(const serve::SnapshotAnswer& sa,
   SessionAnswer out;
   out.value = sa.value;
   out.outcome = SolveOutcome::kCompleted;  // only completed models publish
-  out.status = StatusFromValue(sa.value);
+  out.truncated = sa.truncated;
+  out.status = sa.truncated ? GoalStatus::kUnknown : StatusFromValue(sa.value);
   out.true_stage = sa.true_stage;
   out.false_stage = sa.false_stage;
   if (out.status == GoalStatus::kSuccessful && sa.true_stage > 0) {
@@ -135,7 +151,9 @@ SessionAnswer Session::Query(const Term* ground_atom) {
                                              &seq);
     return FromSnapshotAnswer(sa, epoch, seq);
   }
-  return FromQueryAnswer(direct_->QueryAtom(ground_atom));
+  const TruncationCone* cone = DirectTruncation();
+  return FromQueryAnswer(direct_->QueryAtom(ground_atom),
+                         cone != nullptr && cone->Contains(ground_atom));
 }
 
 SessionAnswer Session::Query(AtomId atom) {
@@ -143,7 +161,20 @@ SessionAnswer Session::Query(AtomId atom) {
     serve::EpochStore::ReadGuard g(server_->epochs(), reader_);
     return FromSnapshotAnswer(g->Query(atom), g.epoch(), g->seq());
   }
-  return FromQueryAnswer(direct_->QueryAtom(atom));
+  const TruncationCone* cone = DirectTruncation();
+  return FromQueryAnswer(direct_->QueryAtom(atom),
+                         cone != nullptr && cone->Contains(atom));
+}
+
+const TruncationCone* Session::DirectTruncation() {
+  if (direct_->program().truncated().empty()) return nullptr;
+  const uint64_t deltas = direct_->stats().deltas;
+  if (truncation_deltas_ != deltas) {
+    truncation_ =
+        TruncationCone::Build(direct_->program(), &direct_->disabled_mask());
+    truncation_deltas_ = deltas;
+  }
+  return truncation_.get();
 }
 
 void Session::Flush() {

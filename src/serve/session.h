@@ -8,6 +8,7 @@
 #include "core/engine.h"  // GoalStatus — the unified status vocabulary
 #include "core/ordinal.h"
 #include "ground/grounder.h"
+#include "ground/truncation.h"
 #include "serve/server.h"
 #include "solver/incremental.h"
 #include "util/status.h"
@@ -54,6 +55,10 @@ struct SessionAnswer {
   uint32_t resolved_components = 0;
   uint32_t memo_hits = 0;
   uint64_t cone_atoms = 0;
+  /// The grounder's depth cap dropped a rule instance this atom depends on
+  /// (`ground/truncation.h`): `status` is `kUnknown` and `value` is only
+  /// the bounded fragment's.
+  bool truncated = false;
 };
 
 /// The unified entry point to the system: open a program (or adopt a
@@ -78,6 +83,11 @@ struct SessionAnswer {
 class Session {
  public:
   /// Grounds `program` (relevant instantiation) and opens a session on it.
+  /// Grounding honors the cancellation options of `opts.solver` (`cancel`,
+  /// `deadline_ns`, `step_budget`, `fault`): a stopped grounding returns
+  /// `kCancelled` / `kDeadlineExceeded` and no session. With
+  /// `opts.solver.telemetry` set, the grounding's counters are published
+  /// as `ground.{rules,atoms,join_candidates,emitted,truncated}`.
   static Result<Session> Open(const Program& program,
                               SessionOptions opts = {});
 
@@ -113,7 +123,8 @@ class Session {
 
   /// Point query by hash-consed ground atom. Atoms outside the relevant
   /// instantiation are false (failed) at stage 1 — every surface shares
-  /// this convention now.
+  /// this convention now. Atoms in the truncation cone of a grounding
+  /// that hit its depth cap answer `kUnknown` (`SessionAnswer::truncated`).
   SessionAnswer Query(const Term* ground_atom);
   /// By already-known atom id (no hash lookup).
   SessionAnswer Query(AtomId atom);
@@ -148,8 +159,11 @@ class Session {
  private:
   Session(std::unique_ptr<IncrementalSolver> solver, SessionOptions opts);
 
-  SessionAnswer FromQueryAnswer(
-      const IncrementalSolver::QueryAnswer& qa) const;
+  SessionAnswer FromQueryAnswer(const IncrementalSolver::QueryAnswer& qa,
+                                bool truncated) const;
+  /// Direct mode: the truncation cone of the solver's current rule set,
+  /// rebuilt after deltas; null when the grounding never truncated.
+  const TruncationCone* DirectTruncation();
   SessionAnswer FromSnapshotAnswer(const serve::SnapshotAnswer& sa,
                                    uint64_t epoch, uint64_t seq) const;
 
@@ -163,6 +177,10 @@ class Session {
   /// single-threaded per Session; concurrent reader fleets register their
   /// own handles via `server()`.
   serve::EpochStore::ReaderHandle reader_;
+  /// Direct mode: `DirectTruncation`'s cache, keyed by the solver's delta
+  /// count.
+  std::shared_ptr<const TruncationCone> truncation_;
+  uint64_t truncation_deltas_ = UINT64_MAX;
 };
 
 }  // namespace gsls

@@ -97,6 +97,10 @@ std::shared_ptr<const Snapshot> SnapshotBuilder::Build(
     ++stats_.index_rebuilds;
   }
   snap->index_ = index_;
+  // Only a grounding that hit its depth cap has a cone; it is rebuilt per
+  // publish because rule deltas move it.
+  snap->truncation_ =
+      TruncationCone::Build(solver.program(), &solver.disabled_mask());
 
   prev_ = snap;
   return snap;

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ground/truncation.h"
 #include "solver/incremental.h"
 #include "wfs/interpretation.h"
 
@@ -57,6 +58,9 @@ struct SnapshotAnswer {
   uint32_t true_stage = 0;
   uint32_t false_stage = 0;
   bool registered = false;
+  /// The atom is in the epoch's `TruncationCone`: `value` is the bounded
+  /// fragment's, and the session answers `kUnknown`.
+  bool truncated = false;
 };
 
 /// One published epoch: an immutable, internally consistent image of the
@@ -91,6 +95,7 @@ class Snapshot {
       return out;
     }
     out.registered = true;
+    out.truncated = truncation_ != nullptr && truncation_->Contains(a);
     const Page& p = *pages_[a / kPageAtoms];
     const uint32_t i = a % kPageAtoms;
     out.value = static_cast<TruthValue>(p.values[i]);
@@ -110,6 +115,8 @@ class Snapshot {
       out.value = TruthValue::kFalse;
       out.false_stage = 1;
       out.registered = false;
+      out.truncated =
+          truncation_ != nullptr && truncation_->Contains(ground_atom);
       return out;
     }
     return Query(*id);
@@ -127,6 +134,8 @@ class Snapshot {
   bool has_levels_ = false;
   std::vector<std::shared_ptr<Page>> pages_;
   std::shared_ptr<const AtomIndex> index_;
+  /// Null unless the grounding hit its depth cap.
+  std::shared_ptr<const TruncationCone> truncation_;
 };
 
 /// Writer-owned snapshot factory. Clones exactly the pages the solver's

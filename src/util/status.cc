@@ -18,6 +18,10 @@ const char* StatusCodeName(StatusCode code) {
       return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kCancelled:
+      return "Cancelled";
+    case StatusCode::kDeadlineExceeded:
+      return "DeadlineExceeded";
   }
   return "Unknown";
 }

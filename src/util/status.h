@@ -19,6 +19,8 @@ enum class StatusCode {
   kResourceExhausted, ///< A budget (nodes, depth, memory) was exceeded.
   kUnimplemented,     ///< The feature is intentionally not supported.
   kInternal,          ///< Invariant violation inside the library.
+  kCancelled,         ///< A cancellation token (or injected fault) fired.
+  kDeadlineExceeded,  ///< A deadline or step budget ran out.
 };
 
 /// Stable human-readable name for `code` ("OK", "InvalidArgument"...).
@@ -52,6 +54,12 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status Cancelled(std::string msg) {
+    return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status DeadlineExceeded(std::string msg) {
+    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

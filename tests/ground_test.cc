@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "legacy_grounder.h"
 #include "test_support.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -120,6 +128,192 @@ TEST(GrounderTest, AgreesWithFullInstantiationOnWfs) {
           << src;
     }
   }
+}
+
+// --- the indexed semi-naive grounder against the legacy oracle ---
+
+/// A grounding as sets: rules with bodies normalized (sorted, deduped) and
+/// keyed by atom terms, so atom and rule id order do not matter.
+struct CanonicalGrounding {
+  using Rule = std::tuple<const Term*, std::vector<const Term*>,
+                          std::vector<const Term*>>;
+  std::set<Rule> rules;
+  std::set<const Term*> atoms;
+  std::set<const Term*> truncated;
+
+  explicit CanonicalGrounding(const GroundProgram& gp) {
+    auto terms = [&](const std::vector<AtomId>& ids) {
+      std::vector<const Term*> out;
+      for (AtomId a : ids) out.push_back(gp.AtomTerm(a));
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      return out;
+    };
+    for (const GroundRule& r : gp.rules()) {
+      rules.emplace(gp.AtomTerm(r.head), terms(r.pos), terms(r.neg));
+    }
+    for (AtomId a = 0; a < gp.atom_count(); ++a) atoms.insert(gp.AtomTerm(a));
+    truncated.insert(gp.truncated().begin(), gp.truncated().end());
+  }
+};
+
+/// Grounds `src` with both grounders and requires equal rule, atom and
+/// truncation sets, and that the new one emitted each distinct instance
+/// exactly once. Returns the new grounder's counters.
+GroundingStats ExpectMatchesOracle(const std::string& src,
+                                   uint32_t term_depth = 1) {
+  Fixture f(src);
+  GroundingOptions opts;
+  opts.universe.max_term_depth = term_depth;
+  testing::LegacyRelevantGrounder legacy(f.program, opts);
+  Result<GroundProgram> want = legacy.Run();
+  GroundingStats stats;
+  Result<GroundProgram> got = GroundRelevant(f.program, opts, nullptr, &stats);
+  EXPECT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_TRUE(got.ok()) << got.status().ToString();
+  if (!want.ok() || !got.ok()) return stats;
+  CanonicalGrounding w(*want);
+  CanonicalGrounding g(*got);
+  EXPECT_EQ(g.rules, w.rules) << src;
+  EXPECT_EQ(g.atoms, w.atoms) << src;
+  EXPECT_EQ(g.truncated, w.truncated) << src;
+  EXPECT_EQ(got->rule_count(), want->rule_count());
+  EXPECT_EQ(stats.emitted, legacy.distinct_instances()) << src;
+  return stats;
+}
+
+/// Small random programs over p/1, q/2, r/1 with the function symbol f/1,
+/// repeated variables (`q(X, X)`), negation, and non-range-restricted
+/// clauses (head or negative-literal variables no positive literal binds).
+std::string RandomClauseProgram(Rng& rng) {
+  const char* vars[] = {"X", "Y", "Z"};
+  auto ground_term = [&]() -> std::string {
+    switch (rng.UniformInt(0, 2)) {
+      case 0: return "a";
+      case 1: return "b";
+      default: return "f(a)";
+    }
+  };
+  auto term = [&]() -> std::string {
+    int k = rng.UniformInt(0, 5);
+    if (k == 0) return ground_term();
+    if (k == 1) return StrCat("f(", vars[rng.UniformInt(0, 2)], ")");
+    return vars[rng.UniformInt(0, 2)];
+  };
+  auto atom = [&](auto&& arg) -> std::string {
+    switch (rng.UniformInt(0, 2)) {
+      case 0: return StrCat("p(", arg(), ")");
+      case 1: return StrCat("q(", arg(), ", ", arg(), ")");
+      default: return StrCat("r(", arg(), ")");
+    }
+  };
+  std::string src;
+  for (int i = rng.UniformInt(2, 5); i > 0; --i) {
+    src += atom(ground_term) + ".\n";
+  }
+  for (int i = rng.UniformInt(2, 5); i > 0; --i) {
+    src += atom(term) + " :- ";
+    for (int b = rng.UniformInt(1, 3); b > 0; --b) {
+      if (rng.Chance(3, 10)) src += "not ";
+      src += atom(term);
+      src += b > 1 ? ", " : ".\n";
+    }
+  }
+  return src;
+}
+
+TEST(GrounderOracleTest, GameFamiliesEmitEachRuleOnce) {
+  Rng rng(2024);
+  std::vector<std::string> programs = {
+      workload::GameChain(40), workload::GameCycleWithTail(9, 6),
+      workload::GameGrid(7, 5)};
+  for (int i = 0; i < 6; ++i) {
+    programs.push_back(workload::RandomGame(rng, 24 + 4 * i, 10));
+    programs.push_back(workload::GameForest(rng, 3 + i, 8, 20));
+    programs.push_back(workload::ReachabilityWithNegation(rng, 6 + 2 * i, 25));
+  }
+  for (const std::string& src : programs) {
+    GroundingStats stats = ExpectMatchesOracle(src);
+    Fixture f(src);
+    EXPECT_EQ(stats.emitted, testing::MustGround(f.program).rule_count())
+        << src;
+    EXPECT_GT(stats.join_candidates, 0u);
+    EXPECT_EQ(stats.truncated, 0u);
+  }
+}
+
+TEST(GrounderOracleTest, RandomPropositionalPrograms) {
+  // Duplicate clauses (and bodies repeating an atom) make distinct
+  // instances collide after normalization, so emitted counts instances.
+  Rng rng(99);
+  for (int i = 0; i < 20; ++i) {
+    ExpectMatchesOracle(
+        workload::RandomPropositional(rng, 12 + i, 3 * (12 + i), 4));
+  }
+}
+
+TEST(GrounderOracleTest, PaperExamplesWithFunctionSymbols) {
+  for (uint32_t depth : {2u, 4u, 6u}) {
+    ExpectMatchesOracle(workload::VanGelderProgram(), depth);
+    ExpectMatchesOracle(workload::Example33Program(), depth);
+  }
+  ExpectMatchesOracle(workload::Example32Program());
+}
+
+TEST(GrounderOracleTest, RepeatedVariablesAndNestedPatterns) {
+  GroundingStats stats = ExpectMatchesOracle(
+      "e(a, a). e(a, b). e(b, f(b)).\n"
+      "loop(X) :- e(X, X).\n"
+      "step(X) :- e(X, f(X)).\n"
+      "pair(X, Y) :- e(X, Y), e(Y, X).\n"
+      "both(X) :- loop(X), loop(X), not step(X).\n",
+      2);
+  EXPECT_EQ(stats.truncated, 0u);
+  Fixture f("e(a, a). e(a, b). loop(X) :- e(X, X).\n");
+  GroundProgram gp = testing::MustGround(f.program);
+  EXPECT_TRUE(gp.FindAtom(MustParseTerm(f.store, "loop(a)")).has_value());
+  EXPECT_FALSE(gp.FindAtom(MustParseTerm(f.store, "loop(b)")).has_value());
+}
+
+TEST(GrounderOracleTest, RandomClausePrograms) {
+  Rng rng(31337);
+  uint64_t emitted = 0;
+  uint64_t truncated = 0;
+  for (int i = 0; i < 150; ++i) {
+    GroundingStats stats = ExpectMatchesOracle(RandomClauseProgram(rng), 2);
+    emitted += stats.emitted;
+    truncated += stats.truncated;
+  }
+  // The family really exercises joins beyond the facts and the depth cap.
+  EXPECT_GT(emitted, 150u * 10);
+  EXPECT_GT(truncated, 0u);
+}
+
+TEST(GrounderOracleTest, DepthCapRecordsDroppedHeads) {
+  // The instance for q(a) mentions s(f(a)), beyond the default cap: it is
+  // dropped, q(a) is recorded and still derived, so t(a) is grounded.
+  Fixture f("q(X) :- r(X), not s(f(X)).\nt(X) :- q(X).\nr(a).\n");
+  GroundingStats stats;
+  Result<GroundProgram> gp = GroundRelevant(f.program, {}, nullptr, &stats);
+  ASSERT_TRUE(gp.ok());
+  EXPECT_EQ(stats.truncated, 1u);
+  ASSERT_EQ(gp->truncated().size(), 1u);
+  EXPECT_EQ(gp->truncated()[0], MustParseTerm(f.store, "q(a)"));
+  auto q = gp->FindAtom(MustParseTerm(f.store, "q(a)"));
+  ASSERT_TRUE(q.has_value());
+  EXPECT_TRUE(gp->RulesFor(*q).empty());
+  EXPECT_TRUE(gp->FindAtom(MustParseTerm(f.store, "t(a)")).has_value());
+}
+
+TEST(GrounderOracleTest, CancelledRunReturnsNoProgram) {
+  Rng rng(5);
+  Fixture f(workload::ReachabilityWithNegation(rng, 14, 25));
+  CancelToken token;
+  token.Cancel();
+  CancelCtx ctx(&token, 0, 0, nullptr);
+  Result<GroundProgram> gp = GroundRelevant(f.program, {}, &ctx, nullptr);
+  ASSERT_FALSE(gp.ok());
+  EXPECT_EQ(gp.status().code(), StatusCode::kCancelled);
 }
 
 TEST(GrounderTest, RuleDeduplication) {

@@ -6,7 +6,10 @@
 // consolidated Assert/Retract clause vocabulary round-trips (including the
 // nonground InvalidArgument contract); the engines really are thin
 // adapters (their internal Session is observable); direct-mode snapshots
-// match the live model; serving-mode sessions answer with epoch tags.
+// match the live model; serving-mode sessions answer with epoch tags;
+// `Open` grounds under the solver's cancellation options and publishes the
+// grounding's telemetry; atoms a depth-capped grounding cannot decide
+// answer `kUnknown` in both modes, also after rule deltas.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +18,17 @@
 #include <utility>
 #include <vector>
 
+#include <sstream>
+
 #include "core/engine.h"
 #include "core/tabled.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
 #include "test_support.h"
 #include "util/strings.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -208,6 +216,206 @@ TEST(SessionTest, AdoptWrapsAnExistingSolver) {
   Session s = Session::Adopt(std::move(solver));
   EXPECT_EQ(s.Query(MustParseTerm(f.store, "p")).status,
             GoalStatus::kSuccessful);
+}
+
+// --- depth-cap truncation ---
+
+TEST(SessionTruncationTest, DroppedInstanceAnswersUnknownNotFailed) {
+  // `s(f(a))` is deeper than the default cap (constants only), so the one
+  // instance for q(a) is dropped — yet q(a) is true in the well-founded
+  // model (s(f(a)) has no rules). The bounded fragment must not answer
+  // kFailed.
+  Fixture f("q(X) :- r(X), not s(f(X)).\nr(a).\n");
+  Result<Session> opened = Session::Open(f.program);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  SessionAnswer q = opened.value().Query(MustParseTerm(f.store, "q(a)"));
+  EXPECT_EQ(q.status, GoalStatus::kUnknown);
+  EXPECT_TRUE(q.truncated);
+  EXPECT_EQ(opened.value().Query(MustParseTerm(f.store, "r(a)")).status,
+            GoalStatus::kSuccessful);
+}
+
+constexpr const char* kTruncatedProgram =
+    "q(X) :- r(X), not s(f(X)).\n"
+    "t(X) :- q(X).\n"
+    "u(X) :- r(X), not q(X).\n"
+    "w :- r(a).\n"
+    "r(a).\n";
+
+/// Statuses of the probe atoms of `kTruncatedProgram` plus the delta heads.
+void ExpectTruncationCone(Session& s, TermStore& store, bool z_in_cone) {
+  for (const char* open : {"q(a)", "t(a)", "u(a)"}) {
+    SessionAnswer a = s.Query(MustParseTerm(store, open));
+    EXPECT_EQ(a.status, GoalStatus::kUnknown) << open;
+    EXPECT_TRUE(a.truncated) << open;
+  }
+  for (const char* exact : {"r(a)", "w", "y"}) {
+    SessionAnswer a = s.Query(MustParseTerm(store, exact));
+    EXPECT_EQ(a.status, GoalStatus::kSuccessful) << exact;
+    EXPECT_FALSE(a.truncated) << exact;
+  }
+  SessionAnswer z = s.Query(MustParseTerm(store, "z"));
+  EXPECT_EQ(z.status,
+            z_in_cone ? GoalStatus::kUnknown : GoalStatus::kFailed);
+}
+
+void RunTruncationDeltas(bool serving) {
+  Fixture f(kTruncatedProgram);
+  SessionOptions opts;
+  opts.serving = serving;
+  Result<Session> opened = Session::Open(f.program, std::move(opts));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Session s = std::move(opened.value());
+  ASSERT_EQ(s.serving(), serving);
+
+  Program deltas = MustParseProgram(f.store, "z :- q(a).\ny :- r(a).\n");
+  ASSERT_TRUE(s.Assert(deltas.clauses()[0]).ok());
+  ASSERT_TRUE(s.Assert(deltas.clauses()[1]).ok());
+  s.Flush();
+  ExpectTruncationCone(s, f.store, /*z_in_cone=*/true);
+
+  // Retracting z's only rule takes it out of the cone: no rules, false.
+  EXPECT_TRUE(s.Retract(deltas.clauses()[0]));
+  s.Flush();
+  ExpectTruncationCone(s, f.store, /*z_in_cone=*/false);
+}
+
+TEST(SessionTruncationTest, ConeFollowsRuleDeltasInDirectMode) {
+  RunTruncationDeltas(/*serving=*/false);
+}
+
+TEST(SessionTruncationTest, ConeFollowsRuleDeltasInServingMode) {
+  RunTruncationDeltas(/*serving=*/true);
+}
+
+TEST(SessionTruncationTest, HeadBeyondTheCapAnswersUnknown) {
+  // even(s^k(z)) for k up to the universe bound; the instance whose head
+  // leaves the bound is recorded, and nothing below it depends on it.
+  Fixture f("even(z).\neven(s(X)) :- not even(X).\n");
+  SessionOptions opts;
+  opts.grounding.universe.max_term_depth = 3;
+  Result<Session> opened = Session::Open(f.program, std::move(opts));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Session s = std::move(opened.value());
+  EXPECT_EQ(s.Query(MustParseTerm(f.store, "even(s(s(z)))")).status,
+            GoalStatus::kSuccessful);
+  EXPECT_EQ(s.Query(MustParseTerm(f.store, "even(s(s(s(z))))")).status,
+            GoalStatus::kUnknown);
+}
+
+// --- grounding under cancellation ---
+
+std::string CancellableProgram() {
+  Rng rng(17);
+  return workload::ReachabilityWithNegation(rng, 16, 25);
+}
+
+/// Checkpoints a plain grounding of `program` polls: the up-front poll
+/// plus one per `kCancelStride` join candidates.
+uint64_t GroundingCheckpoints(const Program& program) {
+  FaultInjector counter;
+  counter.Arm(0);
+  CancelCtx ctx(nullptr, 0, 0, &counter);
+  EXPECT_TRUE(GroundRelevant(program, {}, &ctx, nullptr).ok());
+  return counter.checkpoints();
+}
+
+TEST(SessionCancelTest, PreExpiredDeadlineAbortsOpen) {
+  Fixture f(CancellableProgram());
+  SessionOptions opts;
+  opts.solver.deadline_ns = 1;  // long past
+  Result<Session> opened = Session::Open(f.program, std::move(opts));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(SessionCancelTest, FaultAtEveryGroundingCheckpointAbortsOpen) {
+  Fixture f(CancellableProgram());
+  const uint64_t checkpoints = GroundingCheckpoints(f.program);
+  ASSERT_GE(checkpoints, 3u);
+  for (uint64_t k = 1; k <= checkpoints; ++k) {
+    FaultInjector fault;
+    fault.Arm(k);
+    SessionOptions opts;
+    opts.solver.fault = &fault;
+    Result<Session> opened = Session::Open(f.program, std::move(opts));
+    ASSERT_FALSE(opened.ok()) << "checkpoint " << k;
+    EXPECT_EQ(opened.status().code(), StatusCode::kCancelled);
+    EXPECT_TRUE(fault.tripped());
+  }
+  // One past the grounding's checkpoints: the open itself completes.
+  FaultInjector late;
+  late.Arm(checkpoints + 1);
+  SessionOptions opts;
+  opts.solver.fault = &late;
+  EXPECT_TRUE(Session::Open(f.program, std::move(opts)).ok());
+}
+
+TEST(SessionCancelTest, TinyStepBudgetAbortsOpen) {
+  Fixture f(CancellableProgram());
+  ASSERT_GE(GroundingCheckpoints(f.program), 2u);
+  SessionOptions opts;
+  opts.solver.step_budget = 1;
+  Result<Session> opened = Session::Open(f.program, std::move(opts));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(SessionCancelTest, DetachedAndUnexpiredOpensGroundIdentically) {
+  Fixture f(CancellableProgram());
+  Result<GroundProgram> plain = GroundRelevant(f.program, {});
+  ASSERT_TRUE(plain.ok());
+  Result<Session> detached = Session::Open(f.program);
+  ASSERT_TRUE(detached.ok());
+  EXPECT_EQ(detached.value().solver().program().ToString(),
+            plain->ToString());
+
+  CancelToken token;
+  SessionOptions opts;
+  opts.solver.cancel = &token;
+  opts.solver.deadline_ns = DeadlineAfterNs(3'600'000'000'000ULL);
+  Result<Session> armed = Session::Open(f.program, std::move(opts));
+  ASSERT_TRUE(armed.ok());
+  EXPECT_EQ(armed.value().solver().program().ToString(), plain->ToString());
+}
+
+// --- grounding telemetry ---
+
+TEST(SessionTelemetryTest, OpenPublishesGroundCounters) {
+  Fixture f(CancellableProgram());
+  obs::Telemetry tele;
+  SessionOptions opts;
+  opts.solver.telemetry = &tele;
+  Result<Session> opened = Session::Open(f.program, std::move(opts));
+  ASSERT_TRUE(opened.ok());
+  const GroundProgram& gp = opened.value().solver().program();
+  obs::MetricsRegistry& m = tele.metrics;
+  EXPECT_EQ(m.GetCounter("ground.rules")->value(), gp.rule_count());
+  EXPECT_EQ(m.GetCounter("ground.atoms")->value(), gp.atom_count());
+  EXPECT_GT(m.GetCounter("ground.join_candidates")->value(), 0u);
+  // Each instance is emitted once: no duplicate reaches `AddRule`.
+  EXPECT_EQ(m.GetCounter("ground.emitted")->value(), gp.rule_count());
+  EXPECT_EQ(m.GetCounter("ground.truncated")->value(), 0u);
+
+  Fixture capped(kTruncatedProgram);
+  obs::Telemetry capped_tele;
+  SessionOptions capped_opts;
+  capped_opts.solver.telemetry = &capped_tele;
+  ASSERT_TRUE(Session::Open(capped.program, std::move(capped_opts)).ok());
+  EXPECT_EQ(capped_tele.metrics.GetCounter("ground.truncated")->value(), 1u);
+}
+
+TEST(SessionTelemetryTest, OpenEmitsGroundRelevantSpan) {
+  Fixture f("p :- not q.\n");
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.Enable();
+  ASSERT_TRUE(Session::Open(f.program).ok());
+  rec.Disable();
+  std::ostringstream os;
+  rec.WriteChromeTrace(os);
+  rec.Clear();
+  EXPECT_NE(os.str().find("ground.relevant"), std::string::npos);
 }
 
 }  // namespace
