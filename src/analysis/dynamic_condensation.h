@@ -71,7 +71,7 @@ struct CondensationRepair {
 /// component ids stay in dependency order (every enabled rule's body atom
 /// lies in a component with id <= its head's) across arbitrary
 /// `AssertRule`/`RetractRule` deltas — the invariant every downstream
-/// consumer (the sequential min-heap, the parallel DAG release, stage
+/// consumer (the cone pass's min-heap and DAG release, stage
 /// reconstruction) schedules by.
 ///
 /// Repairs are *localized*: a rule edge that respects the current order

@@ -750,22 +750,4 @@ GoalStatus GlobalSlsEngine::StatusOf(const Term* ground_atom) {
   return so.status;
 }
 
-GoalStatus GlobalSlsEngine::StatusOfRelevant(const Term* ground_atom) {
-  assert(ground_atom->ground());
-  if (OracleApplies()) {
-    // Build (or reuse) the persistent oracle, but do NOT seed the memo —
-    // the point of the relevance path is to skip the O(atoms) fill and
-    // the full-model solve behind it.
-    EnsureOracleBuilt();
-    if (oracle_session_ != nullptr) {
-      // The Session already applies the Thm 4.7 value→status mapping and
-      // reports `kUnknown` for an aborted down-cone pass (the pre-abort
-      // tape value may not be the atom's well-founded value; the next
-      // query resumes the cone's remaining components).
-      return oracle_session_->Query(ground_atom).status;
-    }
-  }
-  return StatusOf(ground_atom);  // oracle unavailable: plain search
-}
-
 }  // namespace gsls

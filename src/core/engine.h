@@ -141,24 +141,6 @@ class GlobalSlsEngine {
   /// Status of the ground goal `<- atom` (memoized across calls).
   GoalStatus StatusOf(const Term* ground_atom);
 
-  /// Deprecated spelling: prefer `gsls::Session::Query` (serve/session.h),
-  /// which returns the unified `SessionAnswer` (value + stage + outcome +
-  /// cost counters) instead of a bare status. This remains as a thin
-  /// adapter over the engine's internal `Session`.
-  ///
-  /// Goal-directed variant of `StatusOf`: when the bottom-up oracle
-  /// applies (see `EngineOptions::bottom_up_oracle`), answers from the
-  /// oracle's *down-cone* query mode (`IncrementalSolver::QueryAtom`) —
-  /// only the components the atom's truth depends on are solved, and the
-  /// full memo seed of `MaybeSeedOracle` (one entry per registered atom)
-  /// is skipped entirely. The status is exactly what `StatusOf` reports
-  /// (Thm. 4.7 on the relevant subprogram); the cost is proportional to
-  /// the relevant subprogram, and repeated queries hit the oracle's
-  /// per-component memo. Falls back to the plain memoized search when
-  /// the oracle does not apply (counterexample rules, function symbols,
-  /// over-budget grounding).
-  GoalStatus StatusOfRelevant(const Term* ground_atom);
-
   /// Clears the ground-subgoal memo table (the bottom-up oracle reseeds it
   /// on the next query when enabled). The oracle's `IncrementalSolver` and
   /// its solved model are retained, so reseeding costs one memo fill, not
@@ -182,9 +164,8 @@ class GlobalSlsEngine {
   /// (see `EngineOptions::bottom_up_oracle` and the exactness
   /// conditions), InvalidArgument for a nonground clause. The returned id
   /// is valid until the next oracle rebuild — retraction is therefore
-  /// *content*-addressed, see below. (Thin adapter over the internal
-  /// `Session::Assert(Clause)` — new code should open a `gsls::Session`
-  /// directly.)
+  /// *content*-addressed, see below. (Routes through the internal
+  /// `Session::Assert(Clause)`.)
   Result<RuleId> AssertRule(const Clause& rule);
 
   /// Retracts the ground rule identical to `rule` (from `AssertRule` or

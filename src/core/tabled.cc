@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "term/substitution.h"
-#include "util/strings.h"
 
 namespace gsls {
 
@@ -55,24 +54,6 @@ Result<TabledEngine> TabledEngine::CreateForQuery(const Program& program,
   return FinishCreate(program, RestrictToRelevant(gp.value(), roots), opts);
 }
 
-bool TabledEngine::AssertFact(const Term* fact) {
-  return session_->Assert(fact);
-}
-
-bool TabledEngine::RetractFact(const Term* fact) {
-  return session_->Retract(fact);
-}
-
-Result<RuleId> TabledEngine::AssertRule(const Clause& rule) {
-  // Own the check to keep this adapter's historical error message.
-  if (!rule.ground()) {
-    return Status::InvalidArgument(
-        StrCat("AssertRule requires a ground clause: ",
-               rule.ToString(program_->store())));
-  }
-  return session_->Assert(rule);
-}
-
 bool TabledEngine::RetractRule(RuleId r) {
   return incremental_->RetractRule(r);
 }
@@ -86,32 +67,7 @@ TruthValue TabledEngine::ValueOf(const Term* ground_atom) const {
 }
 
 GoalStatus TabledEngine::StatusOf(const Term* ground_atom) const {
-  switch (ValueOf(ground_atom)) {
-    case TruthValue::kTrue: return GoalStatus::kSuccessful;
-    case TruthValue::kFalse: return GoalStatus::kFailed;
-    case TruthValue::kUndefined: return GoalStatus::kIndeterminate;
-  }
-  return GoalStatus::kUnknown;
-}
-
-TabledEngine::RelevantAnswer TabledEngine::SolveRelevant(
-    const Term* ground_atom) const {
-  // Adapter: the Session applies the Thm 4.7 status mapping and the
-  // failed-at-stage-1 convention for atoms outside the relevant
-  // instantiation; repackage its answer into the historical shape.
-  SessionAnswer a = session_->Query(ground_atom);
-  RelevantAnswer out;
-  out.status = a.status;
-  out.level = a.level;
-  out.query.value = a.value;
-  out.query.outcome = a.outcome;
-  out.query.true_stage = a.true_stage;
-  out.query.false_stage = a.false_stage;
-  out.query.cone_components = a.cone_components;
-  out.query.resolved_components = a.resolved_components;
-  out.query.memo_hits = a.memo_hits;
-  out.query.cone_atoms = a.cone_atoms;
-  return out;
+  return session_->Query(ground_atom).status;
 }
 
 std::optional<Ordinal> TabledEngine::LevelOf(const Term* ground_atom) const {

@@ -22,7 +22,7 @@ struct TabledOptions {
   /// reconstructed from the SCC schedule (solver/stages.h) as each
   /// component is solved — not via the quadratic V_P iteration, which no
   /// production path runs anymore. Levels parallelize and survive
-  /// `AssertFact`/`RetractFact` deltas like the model itself. When off,
+  /// `session()` deltas like the model itself. When off,
   /// `LevelOf` has no level to report for registered atoms and answers
   /// carry `level_exact == false`; the solve skips every levels cost.
   bool compute_stages = true;
@@ -44,9 +44,9 @@ struct TabledOptions {
 ///
 /// Every engine runs on one persistent `IncrementalSolver`: the model (and,
 /// with `compute_stages`, the exact levels) comes from the near-linear
-/// SCC-stratified pipeline, and `AssertFact`/`RetractFact` ground deltas
-/// re-solve only the affected up-cone between queries — there is no
-/// separate "staged" engine mode anymore.
+/// SCC-stratified pipeline, and ground deltas through `session()` re-solve
+/// only the affected up-cone between queries — there is no separate
+/// "staged" engine mode anymore.
 ///
 /// Termination is guaranteed whenever the grounding fits the configured
 /// budgets — always achievable for function-free programs, where the
@@ -68,11 +68,18 @@ class TabledEngine {
                                              const Goal& query,
                                              TabledOptions opts = {});
 
-  /// Well-founded truth value of a ground atom. Atoms outside the relevant
-  /// instantiation are false.
+  /// Well-founded truth value of a ground atom in the full model (the
+  /// lazy `Refresh` every whole-model read performs). Atoms outside the
+  /// relevant instantiation are false. A raw model read: it does not apply
+  /// the truncation cone, so on a depth-capped grounding the value is only
+  /// the bounded fragment's — `StatusOf` reports those atoms `kUnknown`.
   TruthValue ValueOf(const Term* ground_atom) const;
 
-  /// Status of the goal `<- atom` under global SLS-resolution (Thm. 4.7).
+  /// Status of the goal `<- atom` under global SLS-resolution (Thm. 4.7):
+  /// `session().Query(atom).status`. Goal-directed — only the atom's
+  /// down-cone is solved — and `kUnknown` where no exact answer exists:
+  /// for atoms in the truncation cone of a depth-capped grounding
+  /// (`ground/truncation.h`) and when the pass was cancelled.
   GoalStatus StatusOf(const Term* ground_atom) const;
 
   /// Level of `<- atom`: the stage of the corresponding literal
@@ -80,67 +87,15 @@ class TabledEngine {
   /// registered atoms when the engine was created without stages.
   std::optional<Ordinal> LevelOf(const Term* ground_atom) const;
 
-  /// Outcome of a goal-directed (`SolveRelevant`) atom query.
-  struct RelevantAnswer {
-    GoalStatus status = GoalStatus::kUnknown;
-    /// Level of the determined goal (Cor. 4.6); empty for indeterminate
-    /// atoms and on engines created without `compute_stages`.
-    std::optional<Ordinal> level;
-    /// The underlying solver pass, including its cost counters
-    /// (cone size, components re-solved, memo hits).
-    IncrementalSolver::QueryAnswer query;
-  };
-
-  /// Goal-directed status of the ground goal `<- atom`: instead of
-  /// refreshing the whole model (`StatusOf`/`ValueOf` via `Model()`),
-  /// solves only the query atom's *down-cone* — the components its truth
-  /// can depend on — serving every still-valid component from the
-  /// solver's per-component memo (`IncrementalSolver::QueryAtom`). The
-  /// status and level are exactly what `StatusOf`/`LevelOf` would
-  /// report; the cost is proportional to the relevant subprogram, not
-  /// the program. Fact/rule deltas between calls invalidate exactly the
-  /// components they touch, so interleaving deltas, `SolveRelevant`, and
-  /// full `Solve`/`StatusOf` reads is always exact — see docs/serving.md
-  /// for the staleness contract. Atoms outside the relevant
-  /// instantiation are failed at level 1, with no solving.
-  ///
-  /// Deprecated spelling: a thin adapter over the engine's internal
-  /// `Session::Query` — prefer `gsls::Session` (serve/session.h), whose
-  /// `SessionAnswer` carries the same status/level/cost fields.
-  RelevantAnswer SolveRelevant(const Term* ground_atom) const;
-
   /// Evaluates a (possibly nonground) goal: enumerates every answer
   /// substitution grounding the goal into well-founded truth, with levels
   /// when stages were computed.
   QueryResult Solve(const Goal& goal) const;
 
-  /// Asserts/retracts a ground fact; the next read incrementally
-  /// re-solves the affected up-cone of components (`IncrementalSolver`) —
-  /// including its stage levels on engines created with `compute_stages`.
-  /// Returns true iff the fact base changed (false on a no-op delta: fact
-  /// already present/absent). Deltas are ground-level: they toggle unit
-  /// rules, they do not re-ground non-unit rules.
-  ///
-  /// Deprecated spellings: thin adapters over the engine's internal
-  /// `Session` — prefer `gsls::Session::Assert`/`Retract`
-  /// (serve/session.h), the consolidated delta vocabulary.
-  bool AssertFact(const Term* fact);
-  bool RetractFact(const Term* fact);
-
-  /// Asserts an arbitrary *ground* rule between queries: interns its
-  /// atoms, appends it to the tables (or re-enables the identical
-  /// retracted rule), and repairs the condensation locally
-  /// (analysis/dynamic_condensation.h) — components may merge, and only
-  /// the affected up-cone re-solves on the next read, stage levels
-  /// included. Returns the rule's id (the retraction handle), or
-  /// InvalidArgument for a nonground clause.
-  ///
-  /// Deprecated spelling: thin adapter over `Session::Assert(Clause)`.
-  Result<RuleId> AssertRule(const Clause& rule);
-
   /// Retracts rule `r` — from the base grounding or a previous
-  /// `AssertRule`. The head's component re-condenses if the rule held it
-  /// together (it may split). Returns true iff the rule was enabled.
+  /// `session().Assert(clause)`. The head's component re-condenses if the
+  /// rule held it together (it may split). Returns true iff the rule was
+  /// enabled.
   bool RetractRule(RuleId r);
 
   /// Refreshes the model — the lazy full-or-incremental solve every read
@@ -185,7 +140,9 @@ class TabledEngine {
   const IncrementalSolver& solver() const { return *incremental_; }
 
   /// The direct-mode `Session` every delta and goal-directed query of this
-  /// engine routes through — the unified facade (serve/session.h).
+  /// engine routes through — the unified facade (serve/session.h): fact
+  /// and ground-rule deltas (`Assert`/`Retract`) and point `Query`s with
+  /// status, level and cone cost.
   Session& session() { return *session_; }
   const Session& session() const { return *session_; }
 
@@ -225,8 +182,7 @@ class TabledEngine {
                       Fn&& on_complete) const;
 
   const Program* program_;
-  /// The facade owning the solver. Direct mode: zero extra threads; every
-  /// public delta/query adapter below delegates here.
+  /// The facade owning the solver. Direct mode: zero extra threads.
   std::unique_ptr<Session> session_;
   /// Cached view of `session_`'s solver for the inline diagnostics paths
   /// (stable across engine moves: both live behind unique_ptrs).

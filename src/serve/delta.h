@@ -11,10 +11,7 @@ namespace gsls::serve {
 /// The consolidated delta vocabulary. Everything the system can change
 /// between queries is one of these four shapes — a ground fact or a
 /// ground clause, asserted or retracted. The facade (`gsls::Session`),
-/// the serving writer, and the engines' adapters all speak this; the
-/// historical `AssertAtom`/`AssertFact`/`Assert(Term)`/id-based spellings
-/// are thin compatibility shims over it (see docs/serving.md for the
-/// migration table).
+/// the serving writer, and the engines all speak this.
 struct DeltaOp {
   enum class Kind : uint8_t {
     kAssertFact,

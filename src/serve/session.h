@@ -30,10 +30,8 @@ struct SessionOptions {
   serve::ServeOptions serve;
 };
 
-/// The one result struct every query surface now returns — value, Def. 2.4
-/// stage, outcome, and cost counters, replacing the three divergent shapes
-/// (`TabledEngine::RelevantAnswer`, `GlobalSlsEngine`'s `GoalStatus`,
-/// `IncrementalSolver::QueryAnswer`).
+/// The one result struct of a point query — value, Def. 2.4 stage,
+/// outcome, and cost counters.
 struct SessionAnswer {
   TruthValue value = TruthValue::kFalse;
   /// The Thm 4.7 correspondence applied to `value` — `kSuccessful` /
@@ -63,13 +61,10 @@ struct SessionAnswer {
 
 /// The unified entry point to the system: open a program (or adopt a
 /// solver), stream `Assert`/`Retract` deltas, point-`Query` atoms, and
-/// take whole-model `Snapshot`s — one API over what used to be three
-/// (`TabledEngine::SolveRelevant`, `GlobalSlsEngine::StatusOfRelevant`,
-/// raw `IncrementalSolver::QueryAtom`). Both engines are now thin
-/// adapters over this facade.
+/// take whole-model `Snapshot`s. Both engines keep their solver behind
+/// one of these (`TabledEngine::session()`, `GlobalSlsEngine::session()`).
 ///
-/// Delta vocabulary (the consolidated overload set — docs/serving.md has
-/// the migration table from the old `AssertAtom`/`AssertFact`/... zoo):
+/// Delta vocabulary:
 ///
 ///   session.Assert(fact);        // ground fact, hash-consed Term*
 ///   session.Retract(fact);

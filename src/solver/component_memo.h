@@ -39,8 +39,8 @@ namespace gsls::solver {
 /// The closure invariant that makes the laziness sound: a valid entry's
 /// tape values are correct *provided every invalid component below it is
 /// re-solved first (in dependency order) and dependents are invalidated
-/// whenever a re-solve changes values*. Both query and up-cone passes
-/// maintain exactly this discipline.
+/// whenever a re-solve changes values*. The cone pass maintains exactly
+/// this discipline in both directions (query and delta).
 ///
 /// Component ids are renumbered by recondensation windows
 /// (`DynamicCondensation`); `ApplyRepair` translates the validity map
@@ -51,9 +51,8 @@ namespace gsls::solver {
 /// its new id; merged and dirty members are dropped). Splits have no map
 /// and drop the window wholesale.
 ///
-/// Thread-safety: none. The parallel query/up-cone passes read validity
-/// before the barrier and write it after — see the call sites in
-/// incremental.cc.
+/// Thread-safety: none. The cone pass reads validity before its executor
+/// runs and writes it after — see `IncrementalSolver::RunConePass`.
 class ComponentMemo {
  public:
   /// Lifetime counters for diagnostics and the serving-layer telemetry.

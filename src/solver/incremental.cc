@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <functional>
 #include <ostream>
+#include <utility>
 
 #include "obs/trace.h"
 #include "solver/component_eval.h"
@@ -38,46 +40,84 @@ IncrementalSolver::IncrementalSolver(GroundProgram gp, SolverOptions opts)
     tele_.window_components = m.GetHistogram("condense.window_components");
     tele_.full_latency_us = m.GetHistogram("incremental.full.latency_us");
     tele_.diag = SolverDiagnostics::InternChannels(opts_.telemetry);
-    tele_.program_atoms = m.GetGauge("program.atoms");
-    tele_.program_rules = m.GetGauge("program.rules");
-    tele_.deltas = m.GetGauge("incremental.deltas");
-    tele_.full_solves = m.GetGauge("incremental.full_solves");
-    tele_.incremental_solves = m.GetGauge("incremental.incremental_solves");
-    tele_.components_resolved = m.GetGauge("incremental.components_resolved");
-    tele_.components_reused = m.GetGauge("incremental.components_reused");
-    tele_.cone_cutoffs = m.GetGauge("incremental.cone_cutoffs");
-    tele_.graph_components = m.GetGauge("graph.components");
-    tele_.cond_inserts = m.GetGauge("condense.inserts");
-    tele_.cond_removals = m.GetGauge("condense.removals");
-    tele_.cond_windows = m.GetGauge("condense.windows");
-    tele_.cond_window_atoms = m.GetGauge("condense.window_atoms");
-    tele_.cond_window_us = m.GetGauge("condense.window_us");
-    tele_.cond_merges = m.GetGauge("condense.merges");
-    tele_.cond_splits = m.GetGauge("condense.splits");
+    for (const GaugeSource& g : GaugeSources()) {
+      tele_.gauges.push_back(m.GetGauge(g.name));
+    }
     tele_.query_latency_us = m.GetHistogram("query.latency_us");
     tele_.query_cone_components = m.GetHistogram("query.cone_components");
     tele_.query_cone_atoms = m.GetHistogram("query.cone_atoms");
     tele_.query_resolved_components =
         m.GetHistogram("query.resolved_components");
     tele_.query_memo_hits = m.GetHistogram("query.memo_hits");
-    tele_.queries = m.GetGauge("query.count");
-    tele_.query_fastpaths = m.GetGauge("query.fastpaths");
-    tele_.memo_hits = m.GetGauge("query.memo.hits");
-    tele_.memo_misses = m.GetGauge("query.memo.misses");
-    tele_.memo_invalidations = m.GetGauge("query.memo.invalidations");
     tele_.cancel_aborts = m.GetCounter("cancel.aborts");
     tele_.cancel_deadline_exceeded = m.GetCounter("cancel.deadline_exceeded");
     tele_.cancel_resumes = m.GetCounter("cancel.resumes");
     tele_.cancel_checkpoints = m.GetCounter("cancel.checkpoints");
     tele_.cancel_resume_components =
         m.GetHistogram("cancel.resume_components");
-    tele_.interior_warm_hits = m.GetGauge("interior.warm_hits");
-    tele_.interior_cold_fallbacks = m.GetGauge("interior.cold_fallbacks");
     tele_.interior_seeded_flood_atoms =
         m.GetHistogram("interior.seeded_flood_atoms");
     tele_.interior_pk_region_components =
         m.GetHistogram("interior.pk_region_components");
   }
+}
+
+std::span<const IncrementalSolver::GaugeSource>
+IncrementalSolver::GaugeSources() {
+  using S = IncrementalSolver;
+  // Condensation rows read through `cond`: every publish follows a pass,
+  // and every pass builds the graph first.
+  static constexpr auto cond = [](const S& s) -> const auto& {
+    return s.cond_->stats();
+  };
+  static constexpr GaugeSource kRows[] = {
+      {"program.atoms",
+       [](const S& s) -> int64_t { return s.gp_.atom_count(); }},
+      {"program.rules",
+       [](const S& s) -> int64_t { return s.gp_.rule_count(); }},
+      {"incremental.deltas",
+       [](const S& s) -> int64_t { return s.stats_.deltas; }},
+      {"incremental.full_solves",
+       [](const S& s) -> int64_t { return s.stats_.full_solves; }},
+      {"incremental.incremental_solves",
+       [](const S& s) -> int64_t { return s.stats_.incremental_solves; }},
+      {"incremental.components_resolved",
+       [](const S& s) -> int64_t { return s.stats_.components_resolved; }},
+      {"incremental.components_reused",
+       [](const S& s) -> int64_t { return s.stats_.components_reused; }},
+      {"incremental.cone_cutoffs",
+       [](const S& s) -> int64_t { return s.stats_.cone_cutoffs; }},
+      {"query.count", [](const S& s) -> int64_t { return s.stats_.queries; }},
+      {"query.fastpaths",
+       [](const S& s) -> int64_t { return s.stats_.query_fastpaths; }},
+      {"interior.warm_hits",
+       [](const S& s) -> int64_t { return s.diag_.warm_hits; }},
+      {"interior.cold_fallbacks",
+       [](const S& s) -> int64_t { return s.diag_.warm_cold_fallbacks; }},
+      {"query.memo.hits",
+       [](const S& s) -> int64_t { return s.memo_.stats().hits; }},
+      {"query.memo.misses",
+       [](const S& s) -> int64_t { return s.memo_.stats().misses; }},
+      {"query.memo.invalidations",
+       [](const S& s) -> int64_t { return s.memo_.stats().invalidations; }},
+      {"graph.components",
+       [](const S& s) -> int64_t {
+         return s.cond_->graph().component_count();
+       }},
+      {"condense.inserts",
+       [](const S& s) -> int64_t { return cond(s).inserts; }},
+      {"condense.removals",
+       [](const S& s) -> int64_t { return cond(s).removals; }},
+      {"condense.windows",
+       [](const S& s) -> int64_t { return cond(s).windows; }},
+      {"condense.window_atoms",
+       [](const S& s) -> int64_t { return cond(s).window_atoms; }},
+      {"condense.window_us",
+       [](const S& s) -> int64_t { return cond(s).window_ns / 1000; }},
+      {"condense.merges", [](const S& s) -> int64_t { return cond(s).merges; }},
+      {"condense.splits", [](const S& s) -> int64_t { return cond(s).splits; }},
+  };
+  return kRows;
 }
 
 CancelCtx* IncrementalSolver::ConfigureCancel() {
@@ -321,7 +361,7 @@ void IncrementalSolver::EnsureParallelRuntime() {
 void IncrementalSolver::SyncMirror(uint32_t comp) {
   // SyncMirror runs for exactly the components a pass (re)finalized, so it
   // doubles as the resolve log's append point (always on the owner thread:
-  // parallel passes call it from the post-barrier merge loop).
+  // the cone pass calls it after its executor finished).
   const bool log = resolve_log_enabled_ && !resolve_log_.all_atoms;
   for (AtomId a : cond_->graph().Atoms(comp)) {
     if (log) {
@@ -422,48 +462,44 @@ const WfsModel& IncrementalSolver::Model() {
     const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
     EnsureGraph();
     CancelCtx* cancel = BeginCancelPass();
-    // Components left stale by query passes (invalidated out-of-cone
-    // dependents of re-solved changes) join the delta-dirty atoms: both
-    // are "re-solve me, my tape values may be wrong" markers, and the
-    // up-cone passes treat them identically.
-    dirty_.insert(dirty_.end(), stale_reps_.begin(), stale_reps_.end());
-    stale_reps_.clear();
-    memo_.Grow(cond_->graph().component_count());
-    const uint64_t resolved_before = stats_.components_resolved;
+    GrowTapes();
+    const AtomDependencyGraph& graph = cond_->graph();
+    const uint32_t ncomp = graph.component_count();
+    memo_.Grow(ncomp);
+    ++stats_.incremental_solves;
+    const uint64_t rounds_before = diag_.alternating_rounds;
     const uint64_t warm_hits_before = diag_.warm_hits;
     const uint64_t seeded_flood_before = diag_.seeded_flood_sizes.sum;
-    // The parallel cone schedules every component *reachable* from the
-    // deltas (pruned re-solves, but still a release per cone member),
-    // while the heap touches only components whose inputs actually
-    // moved. A single-component delta — the latency-critical streaming
-    // case — therefore always takes the heap; batched multi-component
-    // deltas have the width the pool can use.
-    bool multi_component = false;
-    uint32_t first = cond_->graph().ComponentOf(dirty_.front());
-    for (AtomId a : dirty_) {
-      if (cond_->graph().ComponentOf(a) != first) {
-        multi_component = true;
-        break;
-      }
-    }
-    if (threads_ > 1 && multi_component) {
-      ResolveUpConeParallel(cancel);
-    } else {
-      ResolveUpCone(cancel);
-    }
-    const bool aborted = cancel != nullptr && cancel->aborted();
-    if (!aborted) {
+    // The up-cone seeds: delta-dirty atoms and the components query passes
+    // left stale (invalidated out-of-cone dependents of re-solved
+    // changes) are both "re-solve me, my tape values may be wrong".
+    cone_.seeds.clear();
+    for (AtomId a : dirty_) cone_.seeds.push_back(graph.ComponentOf(a));
+    for (AtomId a : stale_reps_) cone_.seeds.push_back(graph.ComponentOf(a));
+    dirty_.clear();
+    stale_reps_.clear();
+    const ConePassCounts n = RunConePass(/*bounded=*/false, cancel);
+    stats_.components_reused += ncomp - n.resolved;
+    // Like a fresh solve, `iterations` reports this pass's alternating
+    // rounds, not a lifetime total (`diagnostics()` keeps the cumulative).
+    model_.iterations =
+        static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
+    if (cancel == nullptr || !cancel->aborted()) {
       // The pass re-solved every pending component and chased every
       // actual change; the tape is the full model again, so the memo is
-      // too. (On an abort the resolve pass already marked exactly the
-      // finalized components valid and queued the rest.)
+      // too. (On an abort the pass already marked exactly the finalized
+      // components valid and queued the rest.)
       memo_.MarkAllValid();
     }
     model_.outcome =
         cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;
-    NoteOutcome(cancel, stats_.components_resolved - resolved_before);
+    NoteOutcome(cancel, n.resolved);
     if (opts_.telemetry != nullptr) {
       tele_.delta_latency_us->Record((obs::NowNs() - t0) / 1000);
+      tele_.dirty_components->Record(n.seeds);
+      tele_.cone_components->Record(n.scheduled);
+      tele_.resolved_components->Record(n.resolved);
+      tele_.resolved_atoms->Record(n.resolved_atoms);
       if (diag_.warm_hits != warm_hits_before) {
         // What this pass's warm re-solves actually flooded, summed over
         // the pass — the per-delta "how much of the SCC did the seed
@@ -478,42 +514,24 @@ const WfsModel& IncrementalSolver::Model() {
   return model_;
 }
 
+void IncrementalSolver::GrowTapes() {
+  model_.model.Resize(gp_.atom_count());
+  tape_.Resize(gp_.atom_count());
+  if (opts_.compute_levels) {
+    stape_.Resize(gp_.atom_count());
+    model_.true_stage.resize(gp_.atom_count(), 0);
+    model_.false_stage.resize(gp_.atom_count(), 0);
+  }
+}
+
 void IncrementalSolver::PublishTelemetry() {
   if (opts_.telemetry == nullptr) return;
   // Interned-pointer stores only (see TelemetryChannels): this runs after
   // every delta, so it must not touch the registry's mutexed name maps.
   diag_.PublishTo(tele_.diag);
-  tele_.program_atoms->Set(static_cast<int64_t>(gp_.atom_count()));
-  tele_.program_rules->Set(static_cast<int64_t>(gp_.rule_count()));
-  tele_.deltas->Set(static_cast<int64_t>(stats_.deltas));
-  tele_.full_solves->Set(static_cast<int64_t>(stats_.full_solves));
-  tele_.incremental_solves->Set(
-      static_cast<int64_t>(stats_.incremental_solves));
-  tele_.components_resolved->Set(
-      static_cast<int64_t>(stats_.components_resolved));
-  tele_.components_reused->Set(
-      static_cast<int64_t>(stats_.components_reused));
-  tele_.cone_cutoffs->Set(static_cast<int64_t>(stats_.cone_cutoffs));
-  tele_.queries->Set(static_cast<int64_t>(stats_.queries));
-  tele_.query_fastpaths->Set(static_cast<int64_t>(stats_.query_fastpaths));
-  tele_.interior_warm_hits->Set(static_cast<int64_t>(diag_.warm_hits));
-  tele_.interior_cold_fallbacks->Set(
-      static_cast<int64_t>(diag_.warm_cold_fallbacks));
-  const solver::ComponentMemo::Stats& ms = memo_.stats();
-  tele_.memo_hits->Set(static_cast<int64_t>(ms.hits));
-  tele_.memo_misses->Set(static_cast<int64_t>(ms.misses));
-  tele_.memo_invalidations->Set(static_cast<int64_t>(ms.invalidations));
-  if (cond_ != nullptr) {
-    tele_.graph_components->Set(
-        static_cast<int64_t>(cond_->graph().component_count()));
-    const DynamicCondensation::Stats& cs = cond_->stats();
-    tele_.cond_inserts->Set(static_cast<int64_t>(cs.inserts));
-    tele_.cond_removals->Set(static_cast<int64_t>(cs.removals));
-    tele_.cond_windows->Set(static_cast<int64_t>(cs.windows));
-    tele_.cond_window_atoms->Set(static_cast<int64_t>(cs.window_atoms));
-    tele_.cond_window_us->Set(static_cast<int64_t>(cs.window_ns / 1000));
-    tele_.cond_merges->Set(static_cast<int64_t>(cs.merges));
-    tele_.cond_splits->Set(static_cast<int64_t>(cs.splits));
+  std::span<const GaugeSource> rows = GaugeSources();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    tele_.gauges[i]->Set(rows[i].read(*this));
   }
 }
 
@@ -543,12 +561,6 @@ WfsModel IncrementalSolver::SolveFresh(SolverDiagnostics* diag) const {
   AtomDependencyGraph graph(gp_, &disabled_);
   return solver::SolveAllComponents(gp_, graph, &disabled_,
                                     opts_.compute_levels, diag);
-}
-
-void IncrementalSolver::Mark(uint32_t comp) {
-  if (marked_[comp] != 0) return;
-  marked_[comp] = 1;
-  heap_.push(comp);
 }
 
 bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
@@ -598,11 +610,10 @@ bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
   return true;
 }
 
-/// The one copy of the per-component delta step shared by the sequential
-/// heap, the parallel cone, and the query passes: snapshot old values,
-/// re-solve (warm or cold), and invoke `flag(head_component)` for every
-/// component owning a rule that mentions an atom whose value moved.
-/// Returns whether anything moved.
+/// The one copy of the per-component delta step, shared by both executors
+/// of the cone pass: snapshot old values, re-solve (warm or cold), and
+/// invoke `flag(head_component)` for every component owning a rule that
+/// mentions an atom whose value moved. Returns whether anything moved.
 ///
 /// With `stages` non-null the snapshot/compare covers the stage levels
 /// too: a delta can advance a literal's stage without flipping any truth
@@ -679,261 +690,6 @@ bool IncrementalSolver::ResolveComponentDelta(
   return changed;
 }
 
-void IncrementalSolver::ResolveUpCone(CancelCtx* cancel) {
-  ++stats_.incremental_solves;
-  const uint64_t rounds_before = diag_.alternating_rounds;
-  const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  // `Assert` of new atoms grew the program (and forced a graph rebuild):
-  // the carried-over model keeps its values — atom ids are stable — and
-  // the new atoms start undefined.
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (stages != nullptr) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
-  }
-  // Zeros between passes (every mark is cleared by its pop); only a graph
-  // rebuild changes the component count.
-  if (marked_.size() != ncomp) marked_.assign(ncomp, 0);
-
-  for (AtomId a : dirty_) Mark(graph.ComponentOf(a));
-  dirty_.clear();
-  const uint64_t initial_marks = heap_.size();
-
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  std::vector<TruthValue> old_vals;
-  std::vector<uint32_t> old_stages;
-  while (!heap_.empty()) {
-    uint32_t c = heap_.top();
-    heap_.pop();
-    marked_[c] = 0;
-
-    // Change-pruned cone: dependents recompute only when some input of
-    // theirs actually moved. Dependent components always have a larger id
-    // (dependency order), so the heap never revisits a popped component.
-    bool aborted = false;
-    bool changed =
-        ResolveComponentDelta(c, stages, &old_vals, &old_stages, &diag_,
-                              cancel, &aborted,
-                              [&](uint32_t hc) { Mark(hc); });
-    if (aborted) {
-      // `c` was rolled back to its snapshot; it and every still-marked
-      // component queue (by stable representative atom) for the resume
-      // pass. Components already popped this pass are final and keep
-      // their per-component validity marks.
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-      while (!heap_.empty()) {
-        uint32_t d = heap_.top();
-        heap_.pop();
-        marked_[d] = 0;
-        memo_.Invalidate(d);
-        stale_reps_.push_back(graph.Atoms(d)[0]);
-      }
-      break;
-    }
-    ++resolved;
-    resolved_atoms += graph.Atoms(c).size();
-    if (cancel != nullptr) memo_.MarkValid(c);
-    SyncMirror(c);
-    if (!changed) ++stats_.cone_cutoffs;
-  }
-  stats_.components_resolved += resolved;
-  stats_.components_reused += ncomp - resolved;
-  // Like a fresh solve, `iterations` reports this pass's alternating
-  // rounds, not a lifetime total (`diagnostics()` keeps the cumulative).
-  model_.iterations =
-      static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-  if (opts_.telemetry != nullptr) {
-    tele_.dirty_components->Record(initial_marks);
-    // The heap visits exactly the components it re-solves, so the touched
-    // cone and the resolved set coincide on this path.
-    tele_.cone_components->Record(resolved);
-    tele_.resolved_components->Record(resolved);
-    tele_.resolved_atoms->Record(resolved_atoms);
-  }
-}
-
-namespace {
-
-/// One worker's accumulation for a parallel up-cone pass, cache-line
-/// padded: private diagnostics, the components it re-solved (for the
-/// mirror sync after the barrier), and scratch for old values.
-struct alignas(64) ConeWorker {
-  SolverDiagnostics diag;
-  std::vector<uint32_t> resolved;
-  uint64_t cutoffs = 0;
-  std::vector<TruthValue> old_vals;
-  std::vector<uint32_t> old_stages;
-  /// Query passes only: out-of-cone components this worker's re-solves
-  /// flagged as changed-input dependents; the memo writes are deferred to
-  /// the barrier (the memo is not thread-safe).
-  std::vector<uint32_t> flagged;
-};
-
-}  // namespace
-
-void IncrementalSolver::ResolveUpConeParallel(CancelCtx* cancel) {
-  ++stats_.incremental_solves;
-  const uint64_t rounds_before = diag_.alternating_rounds;
-  EnsureParallelRuntime();
-  const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (stages != nullptr) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
-  }
-  gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
-
-  // The potentially-affected cone: everything reachable from the dirty
-  // components in the condensation DAG, gathered breadth-first. The
-  // change pruning of the sequential path survives as a per-component
-  // flag: a released component re-solves only if it is dirty or some
-  // predecessor's atoms actually changed; otherwise it just releases its
-  // successors in turn. The per-component scratch persists across deltas
-  // (zeros between passes, cleared cone-entry-wise below); only a graph
-  // rebuild re-sizes it.
-  if (in_cone_.size() != ncomp) {
-    in_cone_.assign(ncomp, 0);
-    cone_dirty_.assign(ncomp, 0);
-    cone_pos_.assign(ncomp, 0);
-  }
-  std::vector<uint32_t>& cone = cone_;
-  std::vector<uint8_t>& in_cone = in_cone_;
-  std::vector<uint8_t>& is_dirty = cone_dirty_;
-  std::vector<uint32_t>& cone_pos = cone_pos_;
-  cone.clear();
-  for (AtomId a : dirty_) {
-    uint32_t c = graph.ComponentOf(a);
-    is_dirty[c] = 1;
-    if (!in_cone[c]) {
-      in_cone[c] = 1;
-      cone.push_back(c);
-    }
-  }
-  dirty_.clear();
-  const uint64_t initial_dirty = cone.size();
-  for (size_t i = 0; i < cone.size(); ++i) {
-    for (uint32_t s : dag_->Successors(cone[i])) {
-      if (!in_cone[s]) {
-        in_cone[s] = 1;
-        cone.push_back(s);
-      }
-    }
-  }
-
-  // Ready-release counters restricted to the cone: a component waits only
-  // for its in-cone predecessors (everything else is already final).
-  for (uint32_t i = 0; i < cone.size(); ++i) cone_pos[cone[i]] = i;
-  std::unique_ptr<std::atomic<uint32_t>[]> pending(
-      new std::atomic<uint32_t>[cone.size()]);
-  std::unique_ptr<std::atomic<uint8_t>[]> inputs_changed(
-      new std::atomic<uint8_t>[cone.size()]);
-  for (size_t i = 0; i < cone.size(); ++i) {
-    pending[i].store(0, std::memory_order_relaxed);
-    inputs_changed[i].store(0, std::memory_order_relaxed);
-  }
-  for (uint32_t c : cone) {
-    for (uint32_t s : dag_->Successors(c)) {
-      if (in_cone[s]) {
-        pending[cone_pos[s]].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  std::vector<uint32_t> seeds;
-  for (uint32_t i = 0; i < cone.size(); ++i) {
-    if (pending[i].load(std::memory_order_relaxed) == 0) {
-      seeds.push_back(cone[i]);
-    }
-  }
-
-  std::vector<ConeWorker> workers(pool_->size());
-  solver::RunReadyReleaseSchedule(
-      pool_.get(), seeds, pending.get(),
-      [&](unsigned worker, uint32_t c) {
-        ConeWorker& w = workers[worker];
-        bool needs =
-            is_dirty[c] != 0 ||
-            inputs_changed[cone_pos[c]].load(std::memory_order_relaxed);
-        if (!needs) return true;  // nothing moved below: release onwards
-        // Same per-atom marking as the sequential heap, sinking into the
-        // per-component flags. Relaxed is enough: the flag is read only
-        // after this component's acq_rel release edge in the shared
-        // scheduler.
-        bool aborted = false;
-        bool changed = ResolveComponentDelta(
-            c, stages, &w.old_vals, &w.old_stages, &w.diag, cancel, &aborted,
-            [&](uint32_t hc) {
-              inputs_changed[cone_pos[hc]].store(1,
-                                                 std::memory_order_relaxed);
-            });
-        if (aborted) return false;  // rolled back; successors unreleased
-        w.resolved.push_back(c);
-        if (!changed) ++w.cutoffs;
-        return true;
-      },
-      [&](uint32_t c) { return dag_->Successors(c); },
-      [&](uint32_t s) {
-        return in_cone[s] ? cone_pos[s] : solver::kNoScheduleSlot;
-      });
-
-  const bool aborted = cancel != nullptr && cancel->aborted();
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  std::vector<uint8_t> resolved_in_pass;
-  if (aborted) resolved_in_pass.assign(cone.size(), 0);
-  for (ConeWorker& w : workers) {
-    diag_.MergeFrom(w.diag);
-    resolved += w.resolved.size();
-    stats_.cone_cutoffs += w.cutoffs;
-    for (uint32_t c : w.resolved) {
-      resolved_atoms += graph.Atoms(c).size();
-      if (cancel != nullptr) memo_.MarkValid(c);
-      if (aborted) resolved_in_pass[cone_pos[c]] = 1;
-      SyncMirror(c);
-    }
-  }
-  if (aborted) {
-    // The abort drained the schedule mid-cone, and a processed-but-
-    // skipped (inputs unchanged) member is indistinguishable from one
-    // never released — so every cone member that did not finalize this
-    // pass is conservatively queued for the resume. Over-marking is
-    // sound: a re-solve against unchanged inputs reproduces its values
-    // and cuts the cone right there.
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (resolved_in_pass[i] != 0) continue;
-      uint32_t c = cone[i];
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-    }
-  }
-  stats_.components_resolved += resolved;
-  stats_.components_reused += ncomp - resolved;
-  model_.iterations =
-      static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-  if (opts_.telemetry != nullptr) {
-    tele_.dirty_components->Record(initial_dirty);
-    tele_.cone_components->Record(cone.size());
-    tele_.resolved_components->Record(resolved);
-    tele_.resolved_atoms->Record(resolved_atoms);
-  }
-
-  // Clear only what this pass touched, keeping the scratch zeroed for the
-  // next delta without a full sweep.
-  for (uint32_t c : cone) {
-    in_cone[c] = 0;
-    is_dirty[c] = 0;
-  }
-}
-
 void IncrementalSolver::FoldDirtyIntoPending() {
   if (dirty_.empty()) return;
   const AtomDependencyGraph& graph = cond_->graph();
@@ -948,14 +704,204 @@ void IncrementalSolver::FoldDirtyIntoPending() {
   dirty_.clear();
 }
 
+void IncrementalSolver::QueueStale(uint32_t comp) {
+  memo_.Invalidate(comp);
+  // By stable representative atom, like ApplyRepair: component ids may
+  // shift again before anything consumes this.
+  stale_reps_.push_back(cond_->graph().Atoms(comp)[0]);
+}
+
+namespace {
+
+/// One executor lane of a cone pass, cache-line padded: the components it
+/// finalized (mirrored after the pass), the non-members its re-solves
+/// flagged (queued after the pass — the memo is not thread-safe), and
+/// snapshot scratch. `diag` is the private accumulator of a pool worker;
+/// the inline lane writes the solver's diagnostics directly.
+struct alignas(64) ConeWorker {
+  SolverDiagnostics diag;
+  std::vector<uint32_t> resolved;
+  std::vector<uint32_t> outside;
+  uint64_t cutoffs = 0;
+  std::vector<TruthValue> old_vals;
+  std::vector<uint32_t> old_stages;
+};
+
+}  // namespace
+
+IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
+    bool bounded, CancelCtx* cancel) {
+  const AtomDependencyGraph& graph = cond_->graph();
+  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
+  std::vector<uint32_t>& seeds = cone_.seeds;
+  std::vector<uint32_t>& members = cone_.members;
+  std::vector<uint32_t>& slot = cone_.slot;
+  std::vector<uint8_t>& owed = cone_.owed;
+  cone_.Fit(graph.component_count());
+  ConePassCounts n;
+  std::erase_if(seeds, [&](uint32_t c) { return std::exchange(owed[c], 1); });
+  n.seeds = seeds.size();
+
+  // The pool pays a release per member, the heap only per component whose
+  // inputs moved: a single-seed pass — the latency-critical streaming
+  // case — always runs inline; wider passes have the width a pool can use.
+  const bool pool = threads_ > 1 && seeds.size() > 1;
+  std::vector<ConeWorker> workers(1);
+  if (pool) {
+    EnsureParallelRuntime();
+    gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
+    workers.resize(pool_->size());
+    if (!bounded) {
+      // The up-cone's members: everything reachable from the seeds in the
+      // scheduling DAG. Flags go to DAG successors, so they stay inside.
+      members = seeds;
+      for (uint32_t c : members) slot[c] = 1;
+      for (size_t i = 0; i < members.size(); ++i) {
+        for (uint32_t s : dag_->Successors(members[i])) {
+          if (slot[s] == 0) {
+            slot[s] = 1;
+            members.push_back(s);
+          }
+        }
+      }
+      for (uint32_t i = 0; i < members.size(); ++i) slot[members[i]] = i + 1;
+    }
+    // Ready-release counters restricted to the members: a member waits
+    // only for its member predecessors (everything else is final).
+    std::unique_ptr<std::atomic<uint32_t>[]> pending(
+        new std::atomic<uint32_t>[members.size()]);
+    for (size_t i = 0; i < members.size(); ++i) {
+      pending[i].store(0, std::memory_order_relaxed);
+    }
+    for (uint32_t c : members) {
+      for (uint32_t s : dag_->Successors(c)) {
+        if (slot[s] != 0) {
+          pending[slot[s] - 1].fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+    std::vector<uint32_t> ready;
+    for (uint32_t i = 0; i < members.size(); ++i) {
+      if (pending[i].load(std::memory_order_relaxed) == 0) {
+        ready.push_back(members[i]);
+      }
+    }
+    // `owed` entries are touched through atomic_ref while workers run:
+    // several predecessors may flag one member concurrently. Relaxed is
+    // enough — a member reads its flag only after the acq_rel release
+    // edge of every predecessor in the shared scheduler.
+    auto owe = [&](uint32_t c) { return std::atomic_ref<uint8_t>(owed[c]); };
+    solver::RunReadyReleaseSchedule(
+        pool_.get(), ready, pending.get(),
+        [&](unsigned worker, uint32_t c) {
+          if (owe(c).load(std::memory_order_relaxed) == 0) {
+            return true;  // nothing moved below: release onwards
+          }
+          ConeWorker& w = workers[worker];
+          bool aborted = false;
+          bool changed = ResolveComponentDelta(
+              c, stages, &w.old_vals, &w.old_stages, &w.diag, cancel,
+              &aborted, [&](uint32_t hc) {
+                if (slot[hc] != 0) {
+                  owe(hc).store(1, std::memory_order_relaxed);
+                } else {
+                  w.outside.push_back(hc);
+                }
+              });
+          if (aborted) return false;  // rolled back; successors unreleased
+          owe(c).store(0, std::memory_order_relaxed);
+          w.resolved.push_back(c);
+          if (!changed) ++w.cutoffs;
+          return true;
+        },
+        [&](uint32_t c) { return dag_->Successors(c); },
+        [&](uint32_t s) {
+          return slot[s] != 0 ? slot[s] - 1 : solver::kNoScheduleSlot;
+        });
+    for (ConeWorker& w : workers) diag_.MergeFrom(w.diag);
+    seeds.clear();  // from here on: what the pass still owes
+    for (uint32_t c : members) {
+      if (owed[c] != 0) seeds.push_back(c);
+    }
+    n.scheduled = members.size();
+  } else {
+    // Min-heap over component ids (= dependency order): each re-solve
+    // reads final lower values, including the ones this pass produced,
+    // and a flagged dependent always has a larger id than its flagger,
+    // so a popped component is never pushed again. What is left on the
+    // heap when a checkpoint stops the pass is what it still owes.
+    ConeWorker& w = workers[0];
+    std::vector<uint32_t>& heap = seeds;
+    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      const uint32_t c = heap.back();
+      heap.pop_back();
+      bool aborted = false;
+      bool changed = ResolveComponentDelta(
+          c, stages, &w.old_vals, &w.old_stages, &diag_, cancel, &aborted,
+          [&](uint32_t hc) {
+            if (bounded && slot[hc] == 0) {
+              w.outside.push_back(hc);
+            } else if (owed[hc] == 0) {
+              owed[hc] = 1;
+              heap.push_back(hc);
+              std::push_heap(heap.begin(), heap.end(), std::greater<>());
+            }
+          });
+      if (aborted) {
+        heap.push_back(c);  // rolled back; still owed
+        break;
+      }
+      owed[c] = 0;
+      w.resolved.push_back(c);
+      if (!changed) ++w.cutoffs;
+    }
+    n.scheduled = w.resolved.size();
+  }
+
+  for (ConeWorker& w : workers) {
+    stats_.cone_cutoffs += w.cutoffs;
+    for (uint32_t c : w.resolved) {
+      ++n.resolved;
+      n.resolved_atoms += graph.Atoms(c).size();
+      memo_.MarkValid(c);
+      SyncMirror(c);
+    }
+    // Flagged non-members: their inputs moved, so they are stale now.
+    // Pushed unconditionally (a component can be invalid without being
+    // queued — never solved), deduped per pass through `owed`.
+    for (uint32_t hc : w.outside) {
+      if (owed[hc] == 0) {
+        owed[hc] = 1;
+        QueueStale(hc);
+      }
+    }
+  }
+  stats_.components_resolved += n.resolved;
+  // A stopped pass leaves what it still owed — seeded or flagged, not
+  // finalized — to the next pass: the rolled-back component and every
+  // owed component after it. Components it never flagged saw no input
+  // move, so their memo entries stand.
+  for (uint32_t c : seeds) {
+    owed[c] = 0;
+    QueueStale(c);
+  }
+  for (ConeWorker& w : workers) {
+    for (uint32_t hc : w.outside) owed[hc] = 0;
+  }
+  for (uint32_t c : members) slot[c] = 0;
+  members.clear();
+  seeds.clear();
+  return n;
+}
+
 void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
                                       CancelCtx* cancel) {
   const AtomDependencyGraph& graph = cond_->graph();
-  const uint32_t ncomp = graph.component_count();
-  solver::StageTape* stages = opts_.compute_levels ? &stape_ : nullptr;
-  if (in_down_cone_.size() != ncomp) in_down_cone_.assign(ncomp, 0);
-  std::vector<uint32_t>& cone = down_cone_;
-  cone.clear();
+  std::vector<uint32_t>& cone = cone_.members;
+  std::vector<uint32_t>& slot = cone_.slot;
+  cone_.Fit(graph.component_count());
 
   // The down-cone: every component the query's truth can depend on,
   // gathered by walking body atoms of enabled rules for each member atom
@@ -965,18 +911,16 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
   // deep under a valid one must still be found and re-run.
   const uint32_t qc = graph.ComponentOf(atom);
   cone.push_back(qc);
-  in_down_cone_[qc] = 1;
-  uint32_t stale = 0;
+  slot[qc] = 1;
   for (size_t i = 0; i < cone.size(); ++i) {
-    if (!memo_.Valid(cone[i])) ++stale;
     for (AtomId a : graph.Atoms(cone[i])) {
       for (RuleId r : gp_.RulesFor(a)) {
         if (!RuleEnabled(r)) continue;
         const GroundRule& rule = gp_.rules()[r];
         auto visit = [&](AtomId b) {
           uint32_t bc = graph.ComponentOf(b);
-          if (in_down_cone_[bc] == 0) {
-            in_down_cone_[bc] = 1;
+          if (slot[bc] == 0) {
+            slot[bc] = 1;
             cone.push_back(bc);
           }
         };
@@ -987,176 +931,34 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
   }
   // Dependency (ascending-id) order; ranks double as schedule slots.
   std::sort(cone.begin(), cone.end());
-  for (uint32_t i = 0; i < cone.size(); ++i) in_down_cone_[cone[i]] = i + 1;
-
-  out->cone_components = static_cast<uint32_t>(cone.size());
+  cone_.seeds.clear();
   uint64_t cone_atoms = 0;
-  for (uint32_t c : cone) cone_atoms += graph.Atoms(c).size();
+  for (uint32_t i = 0; i < cone.size(); ++i) {
+    slot[cone[i]] = i + 1;
+    cone_atoms += graph.Atoms(cone[i]).size();
+    if (!memo_.Valid(cone[i])) cone_.seeds.push_back(cone[i]);
+  }
+  const uint64_t size = cone.size();
+  out->cone_components = static_cast<uint32_t>(size);
   out->cone_atoms = cone_atoms;
 
-  if (stale == 0) {
+  if (cone_.seeds.empty()) {
     // Cone-local fast path: every relevant component is memoized, the
     // answer is already on the tape (stale components elsewhere in the
     // program cannot affect it).
-    memo_.CountHits(cone.size());
-    out->memo_hits = static_cast<uint32_t>(cone.size());
-    stats_.components_reused += cone.size();
-    for (uint32_t c : cone) in_down_cone_[c] = 0;
+    for (uint32_t c : cone) slot[c] = 0;
+    cone.clear();
+    memo_.CountHits(size);
+    stats_.components_reused += size;
+    out->memo_hits = static_cast<uint32_t>(size);
     return;
   }
-
-  uint64_t resolved = 0;
-  uint64_t resolved_atoms = 0;
-  uint64_t cutoffs = 0;
-  // Per cone rank: finalized this pass. Only the abort path reads it (the
-  // conservative re-queue below), so it is built only under cancellation.
-  std::vector<uint8_t> resolved_in_pass;
-  if (cancel != nullptr) resolved_in_pass.assign(cone.size(), 0);
-  std::vector<uint32_t> flagged;  ///< out-of-cone comps, deduped per pass
-  auto flag_outside = [&](uint32_t hc) {
-    if (std::find(flagged.begin(), flagged.end(), hc) != flagged.end()) {
-      return;
-    }
-    flagged.push_back(hc);
-    memo_.Invalidate(hc);
-    // Pending marker by stable representative atom, like ApplyRepair:
-    // component ids may shift again before anything consumes this.
-    stale_reps_.push_back(graph.Atoms(hc)[0]);
-  };
-
-  if (threads_ > 1 && stale > 1) {
-    // Cone-restricted parallel pass: the shared ready-release schedule
-    // over the in-cone components, same discipline as the full parallel
-    // solve and the up-cone delta pass. Memo reads happen before the
-    // barrier (against the pre-pass state), memo writes after it — the
-    // in-pass staleness signal is the `inputs_changed` atomics, exactly
-    // like the up-cone's change pruning.
-    EnsureParallelRuntime();
-    gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
-    std::unique_ptr<std::atomic<uint32_t>[]> pending(
-        new std::atomic<uint32_t>[cone.size()]);
-    std::unique_ptr<std::atomic<uint8_t>[]> inputs_changed(
-        new std::atomic<uint8_t>[cone.size()]);
-    for (size_t i = 0; i < cone.size(); ++i) {
-      pending[i].store(0, std::memory_order_relaxed);
-      inputs_changed[i].store(0, std::memory_order_relaxed);
-    }
-    for (uint32_t c : cone) {
-      for (uint32_t s : dag_->Successors(c)) {
-        if (in_down_cone_[s] != 0) {
-          pending[in_down_cone_[s] - 1].fetch_add(1,
-                                                  std::memory_order_relaxed);
-        }
-      }
-    }
-    std::vector<uint32_t> seeds;
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (pending[i].load(std::memory_order_relaxed) == 0) {
-        seeds.push_back(cone[i]);
-      }
-    }
-    std::vector<ConeWorker> workers(pool_->size());
-    solver::RunReadyReleaseSchedule(
-        pool_.get(), seeds, pending.get(),
-        [&](unsigned worker, uint32_t c) {
-          ConeWorker& w = workers[worker];
-          bool needs = !memo_.Valid(c) ||
-                       inputs_changed[in_down_cone_[c] - 1].load(
-                           std::memory_order_relaxed) != 0;
-          if (!needs) return true;  // memo hit: just release successors
-          bool aborted = false;
-          bool changed = ResolveComponentDelta(
-              c, stages, &w.old_vals, &w.old_stages, &w.diag, cancel,
-              &aborted, [&](uint32_t hc) {
-                uint32_t pos = in_down_cone_[hc];
-                if (pos != 0) {
-                  inputs_changed[pos - 1].store(1, std::memory_order_relaxed);
-                } else {
-                  w.flagged.push_back(hc);  // memo write deferred to barrier
-                }
-              });
-          if (aborted) return false;  // rolled back; successors unreleased
-          w.resolved.push_back(c);
-          if (!changed) ++w.cutoffs;
-          return true;
-        },
-        [&](uint32_t c) { return dag_->Successors(c); },
-        [&](uint32_t s) {
-          return in_down_cone_[s] != 0 ? in_down_cone_[s] - 1
-                                       : solver::kNoScheduleSlot;
-        });
-    for (ConeWorker& w : workers) {
-      diag_.MergeFrom(w.diag);
-      cutoffs += w.cutoffs;
-      resolved += w.resolved.size();
-      for (uint32_t c : w.resolved) {
-        resolved_atoms += graph.Atoms(c).size();
-        memo_.MarkValid(c);
-        if (!resolved_in_pass.empty()) {
-          resolved_in_pass[in_down_cone_[c] - 1] = 1;
-        }
-        SyncMirror(c);
-      }
-      for (uint32_t hc : w.flagged) flag_outside(hc);
-    }
-    memo_.CountMisses(resolved);
-    memo_.CountHits(cone.size() - resolved);
-  } else {
-    // Sequential pass: ascending component ids are dependency order, so
-    // each re-solve reads final lower values — including the ones this
-    // pass just produced.
-    std::vector<uint8_t> inputs_changed(cone.size(), 0);
-    std::vector<TruthValue> old_vals;
-    std::vector<uint32_t> old_stages;
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      uint32_t c = cone[i];
-      if (memo_.Valid(c) && inputs_changed[i] == 0) {
-        memo_.CountHit();
-        continue;
-      }
-      memo_.CountMiss();
-      bool aborted = false;
-      bool changed = ResolveComponentDelta(
-          c, stages, &old_vals, &old_stages, &diag_, cancel, &aborted,
-          [&](uint32_t hc) {
-            uint32_t pos = in_down_cone_[hc];
-            if (pos != 0) {
-              inputs_changed[pos - 1] = 1;
-            } else {
-              flag_outside(hc);
-            }
-          });
-      if (aborted) break;  // c rolled back and still memo-invalid
-      ++resolved;
-      resolved_atoms += graph.Atoms(c).size();
-      memo_.MarkValid(c);
-      if (!resolved_in_pass.empty()) resolved_in_pass[i] = 1;
-      SyncMirror(c);
-      if (!changed) ++cutoffs;
-    }
-  }
-
-  if (cancel != nullptr && cancel->aborted()) {
-    // Same conservative re-queue as the aborted up-cone: any cone member
-    // not finalized this pass may have missed an inputs-changed signal
-    // the abort swallowed, so its memo entry cannot be trusted. Members
-    // finalized this pass (and their validity marks) stand.
-    for (uint32_t i = 0; i < cone.size(); ++i) {
-      if (resolved_in_pass[i] != 0) continue;
-      uint32_t c = cone[i];
-      memo_.Invalidate(c);
-      stale_reps_.push_back(graph.Atoms(c)[0]);
-    }
-  }
-
-  const uint64_t hits = cone.size() - resolved;
-  stats_.components_resolved += resolved;
-  stats_.components_reused += hits;
-  stats_.cone_cutoffs += cutoffs;
+  const uint64_t resolved = RunConePass(/*bounded=*/true, cancel).resolved;
+  memo_.CountMisses(resolved);
+  memo_.CountHits(size - resolved);
+  stats_.components_reused += size - resolved;
   out->resolved_components = static_cast<uint32_t>(resolved);
-  out->memo_hits = static_cast<uint32_t>(hits);
-
-  for (uint32_t c : cone) in_down_cone_[c] = 0;
+  out->memo_hits = static_cast<uint32_t>(size - resolved);
   // Everything this pass re-validated leaves the pending set; entries for
   // still-stale components (outside the cone) stay for the next query or
   // `Model()` to consume.
@@ -1171,15 +973,7 @@ IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
   const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
   ++stats_.queries;
   EnsureGraph();
-  // Same carry-over resizing as the up-cone passes: new atoms (interned
-  // by rule deltas since the last pass) enter undefined.
-  model_.model.Resize(gp_.atom_count());
-  tape_.Resize(gp_.atom_count());
-  if (opts_.compute_levels) {
-    stape_.Resize(gp_.atom_count());
-    model_.true_stage.resize(gp_.atom_count(), 0);
-    model_.false_stage.resize(gp_.atom_count(), 0);
-  }
+  GrowTapes();
   memo_.Grow(cond_->graph().component_count());
   FoldDirtyIntoPending();
 

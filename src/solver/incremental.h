@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -56,38 +55,39 @@ struct IncrementalStats {
 /// and the last solved `WfsModel`. `Assert(fact)` enables (adding it if
 /// needed) the unit rule `fact.`; `Retract(fact)` disables it via a
 /// per-`RuleId` mask, so the rule set never shrinks and every index stays
-/// valid. `Model()` then re-solves *only the up-cone of the changed atoms*
-/// in the condensation DAG:
+/// valid.
 ///
-///   1. The components of the dirty atoms enter a min-heap keyed by
-///      component id (= dependency order).
-///   2. Components pop in increasing order; each one's atoms are reset to
-///      undefined and the component is re-run through the exact same
-///      per-SCC pipeline as `SolveWfs` (direct 3-valued evaluation /
-///      watched-counter least fixpoint / alternating fixpoint with the
-///      source-pointer unfounded-set detector), reading already-final
-///      lower values — which now include the re-solved ones.
-///   3. If the component's values all come back unchanged, the cone is cut
-///      there: dependents are not marked (they would recompute from
-///      identical inputs). Otherwise the components of the rules in which
-///      a changed atom occurs are marked in turn.
+/// Every incremental pass is one *cone pass* over the condensation DAG. A
+/// delta's `Model()` seeds it with the components of the dirty atoms (and
+/// of the queued stale representatives) and lets it run up the unbounded
+/// *up*-cone; a `QueryAtom` seeds it with the stale members of the query
+/// atom's *down*-cone and bounds it there (the relevance property of
+/// Thm. 4.5/4.7: an atom's value depends on its down-cone only).
 ///
-/// Every component never reached by the marking keeps its statuses
-/// verbatim — that is the entire saving, and it is exact: components are
-/// final in dependency order, so a re-solved component sees the same
-/// inputs a fresh `SolveWfs` over the mutated program would see.
+/// The pass re-solves owed components in dependency order, each through
+/// the exact same per-SCC pipeline as `SolveWfs`, reading already-final
+/// lower values — which now include the re-solved ones. When a re-solved
+/// component's values (and, under `compute_levels`, stages) come back
+/// unchanged, the cone is cut there. Otherwise the head component of every
+/// enabled rule mentioning a moved atom is *flagged*: a member becomes
+/// owed in turn, a non-member is invalidated in the memo and queued for a
+/// later pass. Every component never flagged keeps its statuses verbatim —
+/// that is the entire saving, and it is exact: components are final in
+/// dependency order, so a re-solved component sees the same inputs a
+/// fresh `SolveWfs` over the mutated program would see.
 ///
-/// With `SolverOptions::num_threads != 1`, deltas touching more than one
-/// component replace the min-heap by the ready-release discipline of the
-/// parallel scheduler (solver/parallel.h): the affected cone is computed
-/// up front, every in-cone component is released once its in-cone
-/// predecessors finished, and a released component re-solves only if one
-/// of its inputs actually changed (the same change pruning, tracked by
-/// per-component flags instead of heap membership). Single-component
-/// deltas — the latency-critical streaming case, whose changes usually
-/// die within a few components — keep the heap even when threaded: the
-/// parallel cone pays a release per *reachable* component, the heap only
-/// per component whose inputs moved. The model is identical either way.
+/// Two executors run the pass, with identical results. *Inline* is a
+/// min-heap keyed by component id (= dependency order) over the seeds and
+/// the flagged members, so it pays only for components whose inputs moved
+/// — the latency-critical streaming case, whose changes usually die
+/// within a few components. *Pool* is the ready-release schedule of
+/// solver/parallel.h over the member set (the up direction gathers it by
+/// DAG reachability from the seeds), where a released member re-solves
+/// only if it was seeded or flagged. The pool runs iff
+/// `SolverOptions::num_threads != 1` and the seeds span more than one
+/// component. A pass stopped by a cancellation checkpoint invalidates and
+/// queues every component it still owed, so the next pass resumes exactly
+/// the remainder.
 ///
 /// Invalidation strategy: unit rules have no body, so fact deltas never
 /// add or remove *edges* of the dependency graph — only `Assert` of a
@@ -99,25 +99,17 @@ struct IncrementalStats {
 /// re-runs Tarjan over the affected id window, splicing merged or split
 /// components back in place. The repair names exactly the components
 /// whose compiled state (rule tables, tape values, stage slots) is stale;
-/// they are marked dirty and the next `Model()` re-solves just their
-/// change-pruned up-cone — the same pipeline fact deltas use. The
-/// scheduling DAG of the parallel path is patched by the matching
+/// they are marked dirty and the next pass re-solves them. The scheduling
+/// DAG of the pool executor is patched by the matching
 /// `ComponentDag::Splice` (or rebuilt lazily after a split). Atom ids are
 /// stable throughout, so the previous model always carries over.
 ///
-/// Goal-directed queries: `QueryAtom` is the relevance dual of the delta
-/// path. Where a delta re-solves the *up*-cone of the changed components
-/// (everything that can depend on them), a query solves only the
-/// *down*-cone of the query atom's component (everything its truth can
-/// depend on) — the well-founded value of an atom is fully determined by
-/// its relevant subprogram, so nothing outside the cone is ever touched
-/// and query latency is proportional to the relevant-subprogram size,
-/// not the program size. Solved components are memoized per component
-/// (`solver::ComponentMemo`) and the two modes compose: a delta
-/// invalidates exactly its dirty components, and the next query re-solves
-/// only `down-cone(query) ∩ stale` — see the class comment in
-/// solver/component_memo.h for the (lazy, change-pruned) invalidation
-/// discipline, and docs/serving.md for the staleness contract.
+/// Solved components are memoized per component (`solver::ComponentMemo`)
+/// and the two directions compose: a delta invalidates exactly its dirty
+/// components, and the next query re-solves only `down-cone(query) ∩
+/// stale` — see the class comment in solver/component_memo.h for the
+/// (lazy, change-pruned) invalidation discipline, and docs/serving.md for
+/// the staleness contract.
 class IncrementalSolver {
  public:
   /// Takes ownership of `gp`. Ground deltas — facts via
@@ -224,14 +216,11 @@ class IncrementalSolver {
 
   /// Goal-directed (down-cone) well-founded value of `atom`: walks the
   /// atoms/components the query's truth can depend on — the mirror image
-  /// of the delta path's up-cone — and solves, in dependency order, only
-  /// the cone members that are stale or were never solved; everything
-  /// else is served from the per-component memo. Values (and stages,
-  /// under `compute_levels`) are bit-identical to a full `Model()` solve
-  /// restricted to the cone, at any thread count: with
-  /// `SolverOptions::num_threads != 1` a multi-component cone runs on
-  /// the work-stealing scheduler restricted to the cone, under the same
-  /// ready-release discipline as the full parallel solve.
+  /// of the delta path's up-cone — and runs the cone pass (see the class
+  /// comment) seeded with the cone members that are stale or were never
+  /// solved; everything else is served from the per-component memo.
+  /// Values (and stages, under `compute_levels`) are bit-identical to a
+  /// full `Model()` solve restricted to the cone, at any thread count.
   ///
   /// Composition with deltas: `Assert`/`Retract`/`AssertRule`/
   /// `RetractRule` invalidate exactly the components whose rule set
@@ -334,7 +323,6 @@ class IncrementalSolver {
   void EnsureGraph();
   void EnsureParallelRuntime();  ///< scheduling DAG + worker pool
   void MarkDirty(AtomId atom);
-  void Mark(uint32_t comp);
   /// Sinks a condensation repair into the solver state: dirty components
   /// (by stable representative atom) and the scheduling-DAG patch.
   void ApplyRepair(const CondensationRepair& rep);
@@ -351,17 +339,18 @@ class IncrementalSolver {
   /// and the abort/resume counters. `resolved` is the pass's re-solved
   /// component count — the cost a resume pays.
   void NoteOutcome(CancelCtx* cancel, uint64_t resolved);
-  void ResolveUpCone(CancelCtx* cancel);
-  void ResolveUpConeParallel(CancelCtx* cancel);
-  /// The one copy of the per-component delta step, shared by the
-  /// sequential heap, the parallel up-cone, and both query-cone passes:
+  /// Grows the tape, stage tape and model mirror to the current atom
+  /// count: atoms interned by deltas since the last pass enter undefined,
+  /// and the carried-over entries keep their values (atom ids are stable).
+  void GrowTapes();
+  /// The one copy of the per-component delta step of the cone pass:
   /// snapshot old values/stages, re-solve — *warm* when the component
   /// carries persisted evaluation state (solver/warm_component.h), cold
   /// through `SolveComponent` otherwise — and invoke `flag(head_comp)`
   /// for every out-of-component rule head whose input moved. Returns
   /// whether anything moved; an abort restores the snapshot verbatim and
   /// sets `*aborted`. Defined in incremental.cc (all instantiations live
-  /// there). `diag` is per-caller (per-worker on the parallel paths).
+  /// there). `diag` is per-caller (per-worker on the pool executor).
   template <typename FlagFn>
   bool ResolveComponentDelta(uint32_t c, solver::StageTape* stages,
                              std::vector<TruthValue>* old_vals,
@@ -379,10 +368,28 @@ class IncrementalSolver {
   /// pending stale set, so query and model passes see one uniform
   /// "stale components" representation. Requires the graph.
   void FoldDirtyIntoPending();
-  /// Solves the stale part of `atom`'s down-cone (sequential or
-  /// cone-restricted parallel), marking re-solved components valid and
-  /// invalidating dependents of actual changes. Fills `out`'s cost
-  /// fields.
+
+  /// What one cone pass did, for the callers' stats and telemetry.
+  struct ConePassCounts {
+    uint64_t seeds = 0;           ///< distinct seed components
+    uint64_t scheduled = 0;       ///< inline: re-solved; pool: members
+    uint64_t resolved = 0;        ///< components re-solved and finalized
+    uint64_t resolved_atoms = 0;  ///< atoms across those components
+  };
+  /// The cone pass (see the class comment). Seeds are `cone_.seeds`;
+  /// `bounded` makes `cone_.members` the member set (the down-cone),
+  /// otherwise every component is a member (the up-cone). Re-solves the
+  /// seeds and every flagged member in dependency order, marks each one
+  /// memo-valid and mirrors it, invalidates and queues flagged
+  /// non-members, and — when a checkpoint stops the pass — invalidates
+  /// and queues every component still owed. Accounts
+  /// `components_resolved` and `cone_cutoffs`; leaves `cone_` zeroed.
+  ConePassCounts RunConePass(bool bounded, CancelCtx* cancel);
+  /// Invalidates `comp` in the memo and queues it, by stable
+  /// representative atom, for a later pass.
+  void QueueStale(uint32_t comp);
+  /// Solves the stale part of `atom`'s down-cone through `RunConePass`.
+  /// Fills `out`'s cost fields.
   void SolveDownCone(AtomId atom, QueryAnswer* out, CancelCtx* cancel);
   /// Copies the tape values of `comp`'s atoms into the `model_` mirror.
   void SyncMirror(uint32_t comp);
@@ -453,35 +460,39 @@ class IncrementalSolver {
   /// `ResolveLog` contract). Only populated after `EnableResolveLog`.
   ResolveLog resolve_log_;
   bool resolve_log_enabled_ = false;
-  /// Scratch for SolveDownCone, persistent across queries like the
-  /// up-cone scratch: per-component membership cleared per pass.
-  std::vector<uint32_t> down_cone_;    ///< BFS order, then sorted ascending
-  /// Per component: 0 = outside the cone, else rank-in-`down_cone_` + 1
-  /// (one array doubles as membership flag and schedule-slot map).
-  std::vector<uint32_t> in_down_cone_;
-
-  // Up-cone worklist: marked components, popped in dependency order
-  // (sequential path).
-  std::vector<uint8_t> marked_;  ///< per component; mirrors heap membership
-  std::priority_queue<uint32_t, std::vector<uint32_t>,
-                      std::greater<uint32_t>>
-      heap_;
-
-  // Parallel up-cone scratch, persistent across deltas like `marked_` so
-  // a small delta never pays Theta(component_count) re-zeroing: only the
-  // entries of the previous pass's cone are cleared after each pass.
-  std::vector<uint32_t> cone_;       ///< BFS order of the affected cone
-  std::vector<uint8_t> in_cone_;     ///< per component
-  std::vector<uint8_t> cone_dirty_;  ///< per component: holds a dirty atom
-  std::vector<uint32_t> cone_pos_;   ///< per component: rank within cone_
+  /// Scratch of `RunConePass`, persistent across passes and all-zero
+  /// between them (a pass clears only the entries it touched), so a small
+  /// pass never pays Theta(component_count) re-zeroing.
+  struct ConeScratch {
+    /// The pass's seeds; the inline executor turns them into its min-heap.
+    std::vector<uint32_t> seeds;
+    /// The listed member set: the down-cone, ascending (dependency order),
+    /// or the up-cone's DAG reachability when the pool executor runs.
+    std::vector<uint32_t> members;
+    /// Per component: rank in `members` + 1; 0 = not listed.
+    std::vector<uint32_t> slot;
+    /// Per component: owed a re-solve (seeded or flagged) and not yet
+    /// finalized; after the pass, the dedupe mark of queued non-members.
+    std::vector<uint8_t> owed;
+    /// Sizes the per-component arrays; only a changed component count
+    /// touches them.
+    void Fit(uint32_t ncomp) {
+      if (owed.size() == ncomp) return;
+      owed.assign(ncomp, 0);
+      slot.assign(ncomp, 0);
+    }
+  };
+  ConeScratch cone_;
 
   IncrementalStats stats_;
   SolverDiagnostics diag_;
 
   /// Registry channels recorded by the solve passes, interned once at
-  /// construction (the registry's look-up-once contract: a per-delta map
-  /// lookup would be measurable at streaming latencies). All null when
-  /// `opts_.telemetry` is null — the hot paths guard on the sink pointer.
+  /// construction (the registry's look-up-once contract: a registry map
+  /// lookup is mutexed, and a streaming delta publishes ~40 values, which
+  /// would otherwise cost multiples of the solve itself at sub-microsecond
+  /// latencies). All null/empty when `opts_.telemetry` is null — the hot
+  /// paths guard on the sink pointer.
   struct TelemetryChannels {
     obs::Histogram* delta_latency_us = nullptr;
     obs::Histogram* dirty_components = nullptr;
@@ -490,38 +501,15 @@ class IncrementalSolver {
     obs::Histogram* resolved_atoms = nullptr;
     obs::Histogram* window_components = nullptr;
     obs::Histogram* full_latency_us = nullptr;
-    // Gauges set by PublishTelemetry after every pass — interned here for
-    // the same reason as the histograms: a registry map lookup is mutexed
-    // and a streaming delta publishes ~27 values, which would otherwise
-    // cost multiples of the solve itself at sub-microsecond latencies.
     SolverDiagnostics::Channels diag;
-    obs::Gauge* program_atoms = nullptr;
-    obs::Gauge* program_rules = nullptr;
-    obs::Gauge* deltas = nullptr;
-    obs::Gauge* full_solves = nullptr;
-    obs::Gauge* incremental_solves = nullptr;
-    obs::Gauge* components_resolved = nullptr;
-    obs::Gauge* components_reused = nullptr;
-    obs::Gauge* cone_cutoffs = nullptr;
-    obs::Gauge* graph_components = nullptr;
-    obs::Gauge* cond_inserts = nullptr;
-    obs::Gauge* cond_removals = nullptr;
-    obs::Gauge* cond_windows = nullptr;
-    obs::Gauge* cond_window_atoms = nullptr;
-    obs::Gauge* cond_window_us = nullptr;
-    obs::Gauge* cond_merges = nullptr;
-    obs::Gauge* cond_splits = nullptr;
+    /// One gauge per `GaugeSources()` row, in row order.
+    std::vector<obs::Gauge*> gauges;
     // Query-mode channels (the goal-directed serving surface).
     obs::Histogram* query_latency_us = nullptr;
     obs::Histogram* query_cone_components = nullptr;
     obs::Histogram* query_cone_atoms = nullptr;
     obs::Histogram* query_resolved_components = nullptr;
     obs::Histogram* query_memo_hits = nullptr;
-    obs::Gauge* queries = nullptr;
-    obs::Gauge* query_fastpaths = nullptr;
-    obs::Gauge* memo_hits = nullptr;
-    obs::Gauge* memo_misses = nullptr;
-    obs::Gauge* memo_invalidations = nullptr;
     // Cancellation channels: abort counts, checkpoint volume, and what a
     // resume pass paid (re-solved components) to finish the interrupted
     // work.
@@ -531,16 +519,22 @@ class IncrementalSolver {
     obs::Counter* cancel_checkpoints = nullptr;
     obs::Histogram* cancel_resume_components = nullptr;
     // Warm-interior channels (intra-component incremental evaluation):
-    // how often dirty components re-solved from persisted state vs fell
-    // back cold, how much of a component each seeded flood actually
-    // touched (per delta pass), and how narrow the Pearce–Kelly affected
-    // region stayed (per cycle-closing recondensation).
-    obs::Gauge* interior_warm_hits = nullptr;
-    obs::Gauge* interior_cold_fallbacks = nullptr;
+    // how much of a component each seeded flood actually touched (per
+    // delta pass), and how narrow the Pearce–Kelly affected region stayed
+    // (per cycle-closing recondensation).
     obs::Histogram* interior_seeded_flood_atoms = nullptr;
     obs::Histogram* interior_pk_region_components = nullptr;
   };
   TelemetryChannels tele_;
+
+  /// One gauge `PublishTelemetry` sets after every pass: its metric name
+  /// and the solver state it mirrors.
+  struct GaugeSource {
+    const char* name;
+    int64_t (*read)(const IncrementalSolver&);
+  };
+  /// The gauge table, interned into `tele_.gauges` at construction.
+  static std::span<const GaugeSource> GaugeSources();
 };
 
 }  // namespace gsls

@@ -76,7 +76,7 @@ unsigned ResolveThreadCount(unsigned requested);
 inline constexpr uint32_t kNoScheduleSlot = UINT32_MAX;
 
 /// The ready-release engine shared by `ParallelSolveAllComponentsInto`
-/// and the incremental up-cone re-solve — the one copy of the
+/// and the incremental cone pass's pool executor — the one copy of the
 /// race-sensitive discipline. Starting from `seeds` (components whose
 /// scheduled predecessors are all final), each worker runs
 /// `process(worker, comp)` — returning true iff the component finalized —

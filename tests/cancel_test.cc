@@ -247,7 +247,7 @@ TEST(TabledEngineCancelTest, CancelAndResumeOutOfTheBox) {
   TruthValue before = e.ValueOf(MustParseTerm(f.store, "b"));
   // Cancel, then dirty the model so the next refresh has work to abort.
   e.Cancel();
-  e.AssertFact(MustParseTerm(f.store, "d"));
+  e.session().Assert(MustParseTerm(f.store, "d"));
   EXPECT_EQ(e.Refresh(), SolveOutcome::kCancelled);
   e.ResetCancel();
   EXPECT_EQ(e.Refresh(), SolveOutcome::kCompleted);
@@ -262,7 +262,7 @@ TEST(TabledEngineCancelTest, DeadlineSetterHonoured) {
   ASSERT_TRUE(engine.ok());
   TabledEngine& e = engine.value();
   e.SetDeadlineNs(1);  // long expired
-  e.AssertFact(MustParseTerm(f.store, "zz"));
+  e.session().Assert(MustParseTerm(f.store, "zz"));
   EXPECT_EQ(e.Refresh(), SolveOutcome::kDeadlineExceeded);
   e.SetDeadlineNs(0);
   EXPECT_EQ(e.Refresh(), SolveOutcome::kCompleted);
@@ -270,15 +270,29 @@ TEST(TabledEngineCancelTest, DeadlineSetterHonoured) {
 
 TEST(GlobalSlsEngineCancelTest, CancelledOracleReportsUnknownNeverWrong) {
   Fixture f(kProgram);
+  const Term* b = MustParseTerm(f.store, "b");
+  // The oracle's facade: a cancelled down-cone pass answers kUnknown,
+  // never the pre-abort tape value.
+  CancelToken token;
+  SessionOptions opts;
+  opts.solver.cancel = &token;
+  Result<Session> session = Session::Open(f.program, opts);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  token.Cancel();
+  EXPECT_EQ(session.value().Query(b).status, GoalStatus::kUnknown);
+  token.Reset();
+  EXPECT_EQ(session.value().Query(b).status, GoalStatus::kSuccessful);
+
+  // The engine: a cancelled oracle seeds nothing, so the plain search
+  // answers — never from the partial model.
   GlobalSlsEngine engine(f.program);
   engine.Cancel();
-  EXPECT_EQ(engine.StatusOfRelevant(MustParseTerm(f.store, "b")),
-            GoalStatus::kUnknown);
+  EXPECT_EQ(engine.StatusOf(b), GoalStatus::kSuccessful);
+  ASSERT_NE(engine.oracle_solver(), nullptr);
+  EXPECT_GT(engine.oracle_solver()->stats().aborted_passes, 0u);
   engine.ResetCancel();
-  EXPECT_EQ(engine.StatusOfRelevant(MustParseTerm(f.store, "b")),
-            GoalStatus::kSuccessful);
-  EXPECT_EQ(engine.StatusOf(MustParseTerm(f.store, "b")),
-            GoalStatus::kSuccessful);
+  EXPECT_EQ(engine.StatusOf(b), GoalStatus::kSuccessful);
+  EXPECT_EQ(engine.oracle_solver()->stats().resumed_passes, 1u);
 }
 
 TEST(AuditTest, CleanOnHealthySolverAcrossDeltas) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
+#include "cone_oracle.h"
 #include "core/engine.h"
 #include "core/tabled.h"
 #include "solver/solver.h"
@@ -248,10 +251,10 @@ TEST(IncrementalTest, TabledEngineFactDeltas) {
   EXPECT_EQ(engine->ValueOf(win_b), TruthValue::kTrue);
 
   // Retracting move(b, c) strands b, flipping win(a).
-  ASSERT_TRUE(engine->RetractFact(MustParseTerm(f.store, "move(b, c)")));
+  ASSERT_TRUE(engine->session().Retract(MustParseTerm(f.store, "move(b, c)")));
   // No-op deltas report no change.
-  EXPECT_FALSE(engine->RetractFact(MustParseTerm(f.store, "move(b, c)")));
-  EXPECT_FALSE(engine->RetractFact(MustParseTerm(f.store, "win(a)")));
+  EXPECT_FALSE(engine->session().Retract(MustParseTerm(f.store, "move(b, c)")));
+  EXPECT_FALSE(engine->session().Retract(MustParseTerm(f.store, "win(a)")));
   EXPECT_EQ(engine->ValueOf(win_a), TruthValue::kTrue);
   EXPECT_EQ(engine->ValueOf(win_b), TruthValue::kFalse);
   // Levels are unavailable without stages; statuses still exact.
@@ -263,8 +266,8 @@ TEST(IncrementalTest, TabledEngineFactDeltas) {
   // delta/level matrix lives in stages_test.cc.
   Result<TabledEngine> staged = TabledEngine::Create(f.program);
   ASSERT_TRUE(staged.ok());
-  EXPECT_TRUE(staged->RetractFact(MustParseTerm(f.store, "move(b, c)")));
-  EXPECT_FALSE(staged->RetractFact(MustParseTerm(f.store, "move(b, c)")));
+  EXPECT_TRUE(staged->session().Retract(MustParseTerm(f.store, "move(b, c)")));
+  EXPECT_FALSE(staged->session().Retract(MustParseTerm(f.store, "move(b, c)")));
   EXPECT_EQ(staged->ValueOf(win_a), TruthValue::kTrue);
   EXPECT_TRUE(staged->LevelOf(win_a).has_value());
 }
@@ -304,6 +307,51 @@ TEST(IncrementalTest, EngineOracleRebuildsAfterProgramMutation) {
   EXPECT_EQ(engine.StatusOf(MustParseTerm(f.store, "p")),
             GoalStatus::kFailed);
 }
+
+// The cone pass's cost, pinned: after a batch of fact toggles the delta
+// pass re-solves exactly the components the models say it owes — those
+// holding a dirty atom, plus the head component of every enabled rule
+// that mentions a moved atom of another component — at every thread
+// count, so the pool executor keeps the heap's change pruning.
+class DeltaConeCostTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(DeltaConeCostTest, ResolvesExactlyTheOwedComponents) {
+  const unsigned threads = GetParam();
+  Rng rng(0xC0FFEEu);
+  int multi_seed_batches = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    Fixture f(trial % 2 == 0 ? workload::GameForest(rng, 6, 8, 25)
+                             : workload::RandomGame(rng, 14, 18));
+    SolverOptions opts;
+    opts.num_threads = threads;
+    opts.compute_levels = true;
+    IncrementalSolver inc(MustGround(f.program), opts);
+    inc.EnableResolveLog();
+    inc.Model();
+    inc.TakeResolveLog();
+    for (int batch = 0; batch < 10; ++batch) {
+      const std::string context =
+          StrCat("threads ", threads, " trial ", trial, " batch ", batch);
+      WfsModel before = inc.SolveFresh();
+      std::vector<AtomId> dirty = testing::ToggleRandomFacts(inc, rng);
+      WfsModel after = inc.SolveFresh();
+      const uint64_t resolved_before = inc.stats().components_resolved;
+      ASSERT_EQ(inc.Model().model, after.model) << context;
+      std::set<uint32_t> owed = testing::OwedComponents(
+          inc, dirty, testing::MovedAtoms(before, after));
+      EXPECT_EQ(testing::ResolvedComponents(inc), owed) << context;
+      EXPECT_EQ(inc.stats().components_resolved - resolved_before, owed.size())
+          << context;
+      std::set<uint32_t> seeds;
+      for (AtomId a : dirty) seeds.insert(inc.graph()->ComponentOf(a));
+      if (seeds.size() > 1) ++multi_seed_batches;
+    }
+  }
+  EXPECT_GT(multi_seed_batches, 20);  // the pool executor ran when threaded
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, DeltaConeCostTest,
+                         ::testing::Values(1u, 2u, 4u));
 
 }  // namespace
 }  // namespace gsls

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
+#include "cone_oracle.h"
 #include "core/engine.h"
 #include "core/tabled.h"
 #include "solver/incremental.h"
@@ -352,7 +354,7 @@ TEST(QueryTest, InterleavedDeltasAndQueriesAgree) {
   }
 }
 
-TEST(QueryTest, TabledEngineSolveRelevant) {
+TEST(QueryTest, TabledEngineSessionQuery) {
   Fixture f(workload::GameChain(48));
   TabledOptions opts;
   Result<TabledEngine> engine = TabledEngine::Create(f.program, opts);
@@ -360,20 +362,21 @@ TEST(QueryTest, TabledEngineSolveRelevant) {
   TabledEngine& eng = engine.value();
 
   const Term* last = MustParseTerm(f.store, "win(n48)");
-  TabledEngine::RelevantAnswer rel = eng.SolveRelevant(last);
+  SessionAnswer rel = eng.session().Query(last);
   EXPECT_EQ(rel.status, GoalStatus::kFailed);
-  EXPECT_LE(rel.query.cone_components, 4u);  // goal-directed, not full
+  EXPECT_LE(rel.cone_components, 4u);  // goal-directed, not full
   ASSERT_TRUE(rel.level.has_value());
 
-  // Status and level match the full-solve surfaces, here and after a
+  // Value and level match the full-solve surfaces, here and after a
   // delta that flips the whole chain.
+  EXPECT_EQ(rel.value, eng.ValueOf(last));
   EXPECT_EQ(rel.status, eng.StatusOf(last));
   EXPECT_EQ(*rel.level, *eng.LevelOf(last));
-  ASSERT_TRUE(eng.RetractFact(MustParseTerm(f.store, "move(n47, n48)")));
+  ASSERT_TRUE(eng.session().Retract(MustParseTerm(f.store, "move(n47, n48)")));
   for (const char* q : {"win(n1)", "win(n24)", "win(n47)", "win(n48)"}) {
     const Term* t = MustParseTerm(f.store, q);
-    TabledEngine::RelevantAnswer a = eng.SolveRelevant(t);
-    EXPECT_EQ(a.status, eng.StatusOf(t)) << q;
+    SessionAnswer a = eng.session().Query(t);
+    EXPECT_EQ(a.value, eng.ValueOf(t)) << q;
     if (a.level.has_value()) {
       ASSERT_TRUE(eng.LevelOf(t).has_value()) << q;
       EXPECT_EQ(*a.level, *eng.LevelOf(t)) << q;
@@ -381,36 +384,103 @@ TEST(QueryTest, TabledEngineSolveRelevant) {
   }
 
   // Outside the relevant instantiation: failed at level 1.
-  TabledEngine::RelevantAnswer none =
-      eng.SolveRelevant(MustParseTerm(f.store, "win(nowhere)"));
+  SessionAnswer none =
+      eng.session().Query(MustParseTerm(f.store, "win(nowhere)"));
   EXPECT_EQ(none.status, GoalStatus::kFailed);
   EXPECT_EQ(*none.level, Ordinal::Finite(1));
   EXPECT_GT(eng.solver().stats().queries, 0u);
 }
 
-TEST(QueryTest, GlobalSlsEngineStatusOfRelevant) {
+TEST(QueryTest, SessionQueryMatchesGlobalSlsEngine) {
   Fixture f(workload::GameChain(32));
-  GlobalSlsEngine relevant(f.program);
+  Result<Session> opened = Session::Open(f.program);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Session& relevant = opened.value();
   GlobalSlsEngine full(f.program);
   for (const char* q : {"win(n1)", "win(n16)", "win(n31)", "win(n32)"}) {
     const Term* t = MustParseTerm(f.store, q);
-    EXPECT_EQ(relevant.StatusOfRelevant(t), full.StatusOf(t)) << q;
+    EXPECT_EQ(relevant.Query(t).status, full.StatusOf(t)) << q;
   }
-  // The relevance path must have used the oracle's query mode, not the
-  // full memo seed.
-  ASSERT_NE(relevant.oracle_solver(), nullptr);
-  EXPECT_GT(relevant.oracle_solver()->stats().queries, 0u);
-  EXPECT_EQ(relevant.oracle_solver()->stats().full_solves, 0u);
+  // The session answered from the down-cone query mode, never a full
+  // solve.
+  EXPECT_GT(relevant.solver().stats().queries, 0u);
+  EXPECT_EQ(relevant.solver().stats().full_solves, 0u);
 
-  // Counterexample rules disable the oracle: the relevance path falls
-  // back to the plain search and still answers.
+  // Counterexample rules disable the engine's oracle: `StatusOf` answers
+  // by the plain search.
   EngineOptions copts;
   copts.selection = SelectionMode::kNegativesFirst;
   Fixture g("a. b :- not a.");
   GlobalSlsEngine fallback(g.program, copts);
-  EXPECT_EQ(fallback.StatusOfRelevant(MustParseTerm(g.store, "a")),
+  EXPECT_EQ(fallback.StatusOf(MustParseTerm(g.store, "a")),
             GoalStatus::kSuccessful);
+  EXPECT_EQ(fallback.oracle_solver(), nullptr);
 }
+
+// The cone pass's cost on the query side: after a batch of fact toggles,
+// each query re-solves exactly the owed components (see cone_oracle.h)
+// inside its down-cone that no earlier query of the batch settled, and
+// the following `Model()` exactly the rest — at every thread count.
+class QueryConeCostTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(QueryConeCostTest, ResolvesExactlyTheOwedPartOfTheCone) {
+  const unsigned threads = GetParam();
+  Rng rng(0x5EED5u);
+  int multi_stale_queries = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    Fixture f(trial % 2 == 0 ? workload::GameForest(rng, 6, 8, 25)
+                             : workload::RandomGame(rng, 14, 18));
+    IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+    inc.EnableResolveLog();
+    inc.Model();
+    inc.TakeResolveLog();
+    const int natoms = static_cast<int>(inc.program().atom_count());
+    for (int batch = 0; batch < 6; ++batch) {
+      WfsModel before = inc.SolveFresh();
+      std::vector<AtomId> dirty = testing::ToggleRandomFacts(inc, rng);
+      WfsModel after = inc.SolveFresh();
+      const std::set<uint32_t> owed = testing::OwedComponents(
+          inc, dirty, testing::MovedAtoms(before, after));
+      std::set<uint32_t> stale;  // owed and not yet re-solved
+      for (AtomId a : dirty) stale.insert(inc.graph()->ComponentOf(a));
+      std::set<uint32_t> settled;
+      for (int q = 0; q < 5; ++q) {
+        const AtomId atom = static_cast<AtomId>(rng.UniformInt(0, natoms - 1));
+        const std::string context =
+            StrCat("threads ", threads, "/", trial, "/", batch, "/", q);
+        const std::set<uint32_t> cone = testing::DownCone(inc, atom);
+        std::set<uint32_t> expected;
+        int stale_members = 0;
+        for (uint32_t c : cone) {
+          if (owed.count(c) != 0 && settled.count(c) == 0) expected.insert(c);
+          if (stale.count(c) != 0 || !inc.memo().Valid(c)) ++stale_members;
+        }
+        if (stale_members > 1) ++multi_stale_queries;
+        IncrementalSolver::QueryAnswer ans = inc.QueryAtom(atom);
+        ASSERT_EQ(ans.value, after.model.Value(atom)) << context;
+        EXPECT_EQ(testing::ResolvedComponents(inc), expected) << context;
+        EXPECT_EQ(ans.resolved_components, expected.size()) << context;
+        EXPECT_EQ(ans.memo_hits + ans.resolved_components, ans.cone_components)
+            << context;
+        if (ans.cone_components != 0) {
+          EXPECT_EQ(ans.cone_components, cone.size()) << context;
+        }
+        settled.insert(expected.begin(), expected.end());
+      }
+      // `Model()` settles exactly what the queries left.
+      std::set<uint32_t> rest;
+      for (uint32_t c : owed) {
+        if (settled.count(c) == 0) rest.insert(c);
+      }
+      ASSERT_EQ(inc.Model().model, after.model);
+      EXPECT_EQ(testing::ResolvedComponents(inc), rest);
+    }
+  }
+  EXPECT_GT(multi_stale_queries, 20);  // the pool executor ran when threaded
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, QueryConeCostTest,
+                         ::testing::Values(1u, 2u, 4u));
 
 }  // namespace
 }  // namespace gsls

@@ -395,7 +395,7 @@ TEST(RuleDeltaTest, TabledEngineRuleDeltas) {
 
   // Nonground clauses are rejected.
   Program nonground = MustParseProgram(f.store, "s(X) :- t(X).");
-  EXPECT_FALSE(e.AssertRule(nonground.clauses()[0]).ok());
+  EXPECT_FALSE(e.session().Assert(nonground.clauses()[0]).ok());
 
   // Retract the loop breaker through the engine; levels must follow.
   RuleId r = MustFindRule(e.solver(), f.store, "q", {"r"}, {});
@@ -406,7 +406,7 @@ TEST(RuleDeltaTest, TabledEngineRuleDeltas) {
 
   // Assert a ground clause making p win outright.
   Program ground = MustParseProgram(f.store, "p :- r.");
-  Result<RuleId> added = e.AssertRule(ground.clauses()[0]);
+  Result<RuleId> added = e.session().Assert(ground.clauses()[0]);
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   EXPECT_EQ(e.ValueOf(p), TruthValue::kTrue);
   EXPECT_EQ(e.ValueOf(q), TruthValue::kFalse);

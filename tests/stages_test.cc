@@ -300,8 +300,8 @@ TEST(StagesTest, TabledEngineFactDeltasWorkWithStages) {
 
   // Retract: changed-bit true, then a no-op returns false (symmetry with
   // Assert below — neither direction is a silent no-op anymore).
-  ASSERT_TRUE(engine->RetractFact(move_bc));
-  EXPECT_FALSE(engine->RetractFact(move_bc));
+  ASSERT_TRUE(engine->session().Retract(move_bc));
+  EXPECT_FALSE(engine->session().Retract(move_bc));
   EXPECT_EQ(engine->ValueOf(win_a), TruthValue::kTrue);
   EXPECT_EQ(engine->ValueOf(win_b), TruthValue::kFalse);
   // Levels re-derived through the up-cone: win(b) strands at stage 1,
@@ -309,8 +309,8 @@ TEST(StagesTest, TabledEngineFactDeltasWorkWithStages) {
   EXPECT_EQ(engine->LevelOf(win_b), Ordinal::Finite(1));
   EXPECT_EQ(engine->LevelOf(win_a), Ordinal::Finite(2));
 
-  ASSERT_TRUE(engine->AssertFact(move_bc));
-  EXPECT_FALSE(engine->AssertFact(move_bc));
+  ASSERT_TRUE(engine->session().Assert(move_bc));
+  EXPECT_FALSE(engine->session().Assert(move_bc));
   EXPECT_EQ(engine->ValueOf(win_a), TruthValue::kFalse);
   EXPECT_EQ(engine->LevelOf(win_a), Ordinal::Finite(3));
 
@@ -333,7 +333,7 @@ TEST(StagesTest, TabledEngineLevelsMatchOracleAfterChurn) {
       AtomId a = static_cast<AtomId>(rng.UniformInt(
           0, static_cast<int>(gp.atom_count()) - 1));
       const Term* atom = gp.AtomTerm(a);
-      if (!engine->RetractFact(atom)) engine->AssertFact(atom);
+      if (!engine->session().Retract(atom)) engine->session().Assert(atom);
     }
     // ...then every served level must equal the V_P oracle over the
     // enabled rules of the engine's solver.

@@ -192,5 +192,20 @@ TEST(TabledTest, FunctionSymbolsUpToDepthBound) {
             GoalStatus::kSuccessful);
 }
 
+// The default depth cap drops the rule instance for `q(a)` (its body
+// mentions `f(a)`), so the raw model of the bounded fragment says `q(a)`
+// is false although no exact answer exists. `StatusOf` answers through the
+// session, which applies the truncation cone: `kUnknown`, never the
+// fragment's value.
+TEST(TabledTest, StatusOfAppliesTheTruncationCone) {
+  Fixture f("q(X) :- r(X), not s(f(X)). r(a).");
+  TabledEngine t = MustCreate(f.program);
+  const Term* q = MustParseTerm(f.store, "q(a)");
+  EXPECT_EQ(t.session().Query(q).status, GoalStatus::kUnknown);
+  EXPECT_EQ(t.StatusOf(q), GoalStatus::kUnknown);
+  EXPECT_EQ(t.StatusOf(MustParseTerm(f.store, "r(a)")),
+            GoalStatus::kSuccessful);
+}
+
 }  // namespace
 }  // namespace gsls
