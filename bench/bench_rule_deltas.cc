@@ -7,16 +7,21 @@
 // The headline is chain(2048): a rule toggle whose edges respect the
 // dependency order repairs the condensation in O(rule) and re-solves only
 // the change-pruned up-cone, so the per-delta cost must sit far below a
-// fresh `SolveWfs` (target >= 10x; measured ~100x+). Any disagreement
+// fresh `SolveWfs` (target >= 10x; measured ~100x+). A scaling row then
+// times a cycle-closing rule pair on a forest of 1000 vs 16000 small
+// chains: the pair's cost must stay within 2x, because a repair touches
+// its affected region only. Any disagreement or a scaling ratio above 2x
 // makes the process exit nonzero — this table is a hard CI gate.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ground/grounder.h"
@@ -212,6 +217,88 @@ bool TimeFamily(const char* name, const std::string& src) {
   return agree;
 }
 
+/// K independent 4-node game chains n<k>_0 -> n<k>_1 -> n<k>_2 -> n<k>_3.
+std::string ChainForest(int chains) {
+  std::string src = "win(X) :- move(X, Y), not win(Y).\n";
+  for (int k = 0; k < chains; ++k) {
+    for (int i = 0; i < 3; ++i) {
+      src += StrCat("move(n", k, "_", i, ", n", k, "_", i + 1, ").\n");
+    }
+  }
+  return src;
+}
+
+/// The rule-delta scaling probe: asserts and retracts one cycle-closing
+/// ground rule `win(n0_3) :- not win(n0_0).` in chain 0 of a chain
+/// forest, with a point query on win(n0_0) after each step. The affected
+/// region is chain 0's 4 win atoms at every K, so a pair's cost must not
+/// grow with the program.
+struct ScalingProbe {
+  ScalingProbe(int chains, unsigned threads)
+      : inc(GroundOf(ChainForest(chains), store), Options(threads)) {
+    closing.head = Atom("win(n0_3)");
+    closing.neg = {Atom("win(n0_0)")};
+    inc.Model();
+  }
+  static SolverOptions Options(unsigned threads) {
+    SolverOptions opts;
+    opts.num_threads = threads;
+    opts.compute_levels = true;
+    return opts;
+  }
+  AtomId Atom(std::string_view src) {
+    return *inc.program().FindAtom(MustParseTerm(store, src));
+  }
+  /// assert + query + retract + query.
+  void Pair() {
+    RuleId r = inc.AssertRule(closing);
+    benchmark::DoNotOptimize(inc.QueryAtom(closing.neg[0]).value);
+    inc.RetractRule(r);
+    benchmark::DoNotOptimize(inc.QueryAtom(closing.neg[0]).value);
+  }
+
+  TermStore store;
+  IncrementalSolver inc;
+  GroundRule closing;
+};
+
+/// Median wall time of one probe pair, in microseconds.
+double MedianPairUs(int chains, unsigned threads) {
+  ScalingProbe probe(chains, threads);
+  for (int i = 0; i < 200; ++i) probe.Pair();
+  std::vector<double> us(1500);
+  for (double& t : us) {
+    auto start = std::chrono::steady_clock::now();
+    probe.Pair();
+    t = std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+  }
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  return us[us.size() / 2];
+}
+
+/// Hard gate: a rule pair at K=16000 chains costs at most 2x the pair at
+/// K=1000, at 1 and 2 threads — a rule delta costs its affected region,
+/// not the program.
+bool VerifyScaling() {
+  std::printf("=== rule-delta scaling gate (assert+query+retract+query) ===\n");
+  std::printf("%-8s %8s %12s %12s %8s  %s\n", "threads", "K", "pair(us)",
+              "K=1000(us)", "ratio", "gate<=2x");
+  bool ok = true;
+  for (unsigned threads : {1u, 2u}) {
+    const double small = MedianPairUs(1000, threads);
+    const double large = MedianPairUs(16000, threads);
+    const double ratio = large / (small > 0 ? small : 1e-9);
+    const bool pass = ratio <= 2.0;
+    ok = ok && pass;
+    std::printf("%-8u %8d %12.2f %12.2f %7.2fx  %s\n", threads, 16000, large,
+                small, ratio, pass ? "ok" : "FAIL");
+  }
+  std::printf("\n");
+  return ok;
+}
+
 bool PrintVerification() {
   std::printf(
       "=== rule-delta agreement gate (values + levels, 1 and 2 threads) "
@@ -269,7 +356,7 @@ bool PrintVerification() {
       "condensation in O(rule) (win=windows stays low on stratified\n"
       "families) while the fresh solve pays Tarjan + a full sweep. The\n"
       "cycle family shows real merges/splits per toggle.\n\n");
-  return ok;
+  return VerifyScaling() && ok;
 }
 
 void BM_RuleDelta_Chain(benchmark::State& state) {
@@ -349,6 +436,18 @@ void BM_RuleDelta_RandomGame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RuleDelta_RandomGame)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_RuleDeltaScaling(benchmark::State& state) {
+  ScalingProbe probe(static_cast<int>(state.range(0)),
+                     static_cast<unsigned>(state.range(1)));
+  for (auto _ : state) probe.Pair();
+}
+BENCHMARK(BM_RuleDeltaScaling)
+    ->ArgNames({"K", "threads"})
+    ->Args({1000, 1})
+    ->Args({1000, 2})
+    ->Args({16000, 1})
+    ->Args({16000, 2});
 
 }  // namespace
 

@@ -44,7 +44,6 @@ AtomDependencyGraph::AtomDependencyGraph(
 
   comp_of_.assign(n, UINT32_MAX);
   local_of_.assign(n, 0);
-  comp_offsets_.assign(1, 0);
 
   // Iterative Tarjan. Components are completed callees-first, so numbering
   // them in emission order yields the dependency order documented in the
@@ -87,7 +86,8 @@ AtomDependencyGraph::AtomDependencyGraph(
             std::min(lowlink[frames.back().atom], lowlink[done]);
       }
       if (lowlink[done] == index[done]) {
-        uint32_t comp = static_cast<uint32_t>(comp_offsets_.size() - 1);
+        uint32_t comp = static_cast<uint32_t>(begin_.size());
+        begin_.push_back(static_cast<uint32_t>(comp_atoms_.size()));
         uint32_t rank = 0;
         while (true) {
           AtomId w = stack.back();
@@ -98,7 +98,8 @@ AtomDependencyGraph::AtomDependencyGraph(
           comp_atoms_.push_back(w);
           if (w == done) break;
         }
-        comp_offsets_.push_back(static_cast<uint32_t>(comp_atoms_.size()));
+        size_.push_back(rank);
+        label_.push_back(uint64_t{comp} << 32);
       }
     }
   }
@@ -106,7 +107,7 @@ AtomDependencyGraph::AtomDependencyGraph(
   internal_neg_.assign(component_count(), 0);
   recursive_.assign(component_count(), 0);
   for (uint32_t c = 0; c < component_count(); ++c) {
-    if (comp_offsets_[c + 1] - comp_offsets_[c] > 1) recursive_[c] = 1;
+    if (size_[c] > 1) recursive_[c] = 1;
   }
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;

@@ -28,11 +28,22 @@ class AtomDependencyGraph {
   explicit AtomDependencyGraph(const GroundProgram& gp,
                                const std::vector<uint8_t>* disabled = nullptr);
 
-  /// Number of strongly connected components. Every registered atom is in
-  /// exactly one component (isolated atoms form singletons).
+  /// Number of live strongly connected components. Every registered atom
+  /// is in exactly one component (isolated atoms form singletons).
   uint32_t component_count() const {
-    return static_cast<uint32_t>(comp_offsets_.size() - 1);
+    return static_cast<uint32_t>(size_.size() - free_.size());
   }
+
+  /// Exclusive bound on component ids: per-component arrays are sized by
+  /// this. A fresh build numbers its components densely (bound == count);
+  /// `DynamicCondensation` keeps ids stable across repairs, so ids freed by
+  /// merges leave holes (`free_ids()`) until a split or new atom reuses
+  /// them.
+  uint32_t id_bound() const { return static_cast<uint32_t>(size_.size()); }
+
+  /// Ids below `id_bound()` that hold no atoms (freed by a merge). Empty
+  /// on a fresh build.
+  std::span<const uint32_t> free_ids() const { return free_; }
 
   /// Number of atoms the graph was built over. A `GroundProgram` that has
   /// since interned more atoms makes this condensation stale (fact deltas
@@ -40,21 +51,29 @@ class AtomDependencyGraph {
   /// is exactly an atom-count mismatch and rebuilds can be lazy).
   size_t atom_count() const { return comp_of_.size(); }
 
-  /// Component of `atom`. Components are numbered in dependency order:
-  /// every body atom of a rule whose head lies in component c belongs to a
-  /// component with id <= c, with equality exactly for intra-component
-  /// recursion. Processing components in increasing id order therefore
-  /// sees every lower (callee) component decided first.
+  /// Component of `atom`. A fresh build numbers components in dependency
+  /// order: every body atom of a rule whose head lies in component c
+  /// belongs to a component with id <= c, with equality exactly for
+  /// intra-component recursion, so processing ids in increasing order sees
+  /// every lower (callee) component decided first. Under
+  /// `DynamicCondensation` repairs ids stay put and only `Label` keeps the
+  /// order.
   uint32_t ComponentOf(AtomId atom) const { return comp_of_[atom]; }
+
+  /// Topological order label of live component `c`: every cross-component
+  /// edge (body component -> head component) runs from a lower label to a
+  /// strictly higher one, and live labels are distinct. A fresh build sets
+  /// `Label(c) == c << 32`, leaving room for repairs to place split pieces
+  /// between existing labels.
+  uint64_t Label(uint32_t c) const { return label_[c]; }
 
   /// Rank of `atom` within `Atoms(ComponentOf(atom))`; gives each solver
   /// pass dense component-local ids for free.
   uint32_t LocalIndexOf(AtomId atom) const { return local_of_[atom]; }
 
-  /// Atoms of component `c`.
+  /// Atoms of component `c` (empty for a freed id).
   std::span<const AtomId> Atoms(uint32_t c) const {
-    return std::span<const AtomId>(comp_atoms_.data() + comp_offsets_[c],
-                                   comp_offsets_[c + 1] - comp_offsets_[c]);
+    return std::span<const AtomId>(comp_atoms_.data() + begin_[c], size_[c]);
   }
 
   /// True iff some rule has its head and a *negative* body atom both in
@@ -78,15 +97,19 @@ class AtomDependencyGraph {
 
  private:
   /// The dynamic-SCC layer repairs this condensation in place on rule
-  /// deltas (windowed re-Tarjan + splice) instead of reconstructing it.
+  /// deltas (affected-region relabel, single-component split) instead of
+  /// reconstructing it.
   friend class DynamicCondensation;
 
   AtomDependencyGraph() = default;  ///< for DynamicCondensation only
 
   std::vector<uint32_t> comp_of_;    ///< per atom
   std::vector<uint32_t> local_of_;   ///< per atom: rank within component
-  std::vector<uint32_t> comp_offsets_;  ///< CSR offsets into comp_atoms_
-  std::vector<AtomId> comp_atoms_;      ///< members, grouped by component
+  std::vector<uint32_t> begin_;       ///< per component: slice offset
+  std::vector<uint32_t> size_;        ///< per component: slice length
+  std::vector<uint64_t> label_;       ///< per component: order label
+  std::vector<uint32_t> free_;        ///< ids freed by merges
+  std::vector<AtomId> comp_atoms_;    ///< slices; may hold dead space
   std::vector<uint8_t> internal_neg_;   ///< per component
   std::vector<uint8_t> recursive_;      ///< per component
 };

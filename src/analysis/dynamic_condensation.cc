@@ -1,6 +1,7 @@
 #include "analysis/dynamic_condensation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "obs/trace.h"
@@ -8,88 +9,136 @@
 
 namespace gsls {
 
+namespace {
+
+/// Label interval width of a fresh build: `Label(c) == c << kFreshBits`.
+constexpr uint8_t kFreshBits = 32;
+
+}  // namespace
+
 std::string DynamicCondensation::Stats::ToString() const {
   return StrCat("inserts=", inserts, " removals=", removals,
                 " windows=", windows, " window_atoms=", window_atoms,
                 " window_us=", window_ns / 1000, " merges=", merges,
                 " splits=", splits, " pk_regions=", pk_regions,
-                " pk_region_comps=", pk_region_comps);
+                " pk_region_comps=", pk_region_comps,
+                " relabels=", relabels);
 }
 
 DynamicCondensation::DynamicCondensation(
-    const GroundProgram& gp, const std::vector<uint8_t>* disabled)
-    : graph_(gp, disabled) {}
+    const GroundProgram& gp, const std::vector<uint8_t>* disabled) {
+  Rebuild(gp, disabled);
+}
+
+void DynamicCondensation::Rebuild(const GroundProgram& gp,
+                                  const std::vector<uint8_t>* disabled) {
+  graph_ = AtomDependencyGraph(gp, disabled);
+  label_bits_.assign(graph_.id_bound(), kFreshBits);
+  label_end_ = uint64_t{graph_.id_bound()} << kFreshBits;
+  dead_atoms_ = 0;
+  repaired_ = false;
+}
+
+uint32_t DynamicCondensation::AllocId() {
+  AtomDependencyGraph& g = graph_;
+  if (!g.free_.empty()) {
+    uint32_t c = g.free_.back();
+    g.free_.pop_back();
+    return c;
+  }
+  g.begin_.push_back(0);
+  g.size_.push_back(0);
+  g.label_.push_back(0);
+  g.internal_neg_.push_back(0);
+  g.recursive_.push_back(0);
+  label_bits_.push_back(0);
+  return g.id_bound() - 1;
+}
 
 void DynamicCondensation::AddAtoms(size_t new_atom_count) {
   AtomDependencyGraph& g = graph_;
   for (AtomId a = static_cast<AtomId>(g.comp_of_.size()); a < new_atom_count;
        ++a) {
-    g.comp_of_.push_back(g.component_count());
+    const uint32_t c = AllocId();
+    g.comp_of_.push_back(c);
     g.local_of_.push_back(0);
+    g.begin_[c] = static_cast<uint32_t>(g.comp_atoms_.size());
+    g.size_[c] = 1;
     g.comp_atoms_.push_back(a);
-    g.comp_offsets_.push_back(static_cast<uint32_t>(g.comp_atoms_.size()));
-    g.internal_neg_.push_back(0);
-    g.recursive_.push_back(0);
+    g.internal_neg_[c] = 0;
+    g.recursive_[c] = 0;
+    g.label_[c] = label_end_;
+    label_bits_[c] = kFreshBits;
+    label_end_ += uint64_t{1} << kFreshBits;
   }
 }
 
-void DynamicCondensation::RecondenseWindow(
-    const GroundProgram& gp, const std::vector<uint8_t>* disabled,
-    uint32_t lo, uint32_t hi, CondensationRepair* out, CancelCtx* cancel) {
+void DynamicCondensation::Relabel() {
+  AtomDependencyGraph& g = graph_;
+  std::vector<uint32_t> order;
+  order.reserve(g.component_count());
+  for (uint32_t c = 0; c < g.id_bound(); ++c) {
+    if (g.size_[c] != 0) order.push_back(c);
+  }
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return g.label_[x] < g.label_[y];
+  });
+  for (uint32_t i = 0; i < order.size(); ++i) {
+    g.label_[order[i]] = uint64_t{i} << kFreshBits;
+    label_bits_[order[i]] = kFreshBits;
+  }
+  label_end_ = uint64_t{order.size()} << kFreshBits;
+  ++stats_.relabels;
+}
+
+void DynamicCondensation::CompactAtoms() {
+  AtomDependencyGraph& g = graph_;
+  std::vector<AtomId> atoms;
+  atoms.reserve(g.comp_of_.size());
+  for (uint32_t c = 0; c < g.id_bound(); ++c) {
+    const uint32_t begin = static_cast<uint32_t>(atoms.size());
+    atoms.insert(atoms.end(), g.comp_atoms_.begin() + g.begin_[c],
+                 g.comp_atoms_.begin() + g.begin_[c] + g.size_[c]);
+    g.begin_[c] = begin;
+  }
+  g.comp_atoms_ = std::move(atoms);
+  dead_atoms_ = 0;
+}
+
+void DynamicCondensation::SplitComponent(
+    const GroundProgram& gp, const std::vector<uint8_t>* disabled, uint32_t c,
+    CondensationRepair* out, CancelCtx* cancel) {
   // Latch-only cancellation: the ticks below poll the ctx (latching the
   // outcome and counting toward fault/step budgets) but their return value
-  // is deliberately ignored — a window must always complete structurally,
-  // since a half-spliced condensation has no consistent rollback state.
+  // is deliberately ignored — a repair must always complete structurally,
+  // since a half-written condensation has no consistent rollback state.
   // The latched abort takes effect at the caller's next solve checkpoint.
   StridedCheckpoint tick(cancel);
   AtomDependencyGraph& g = graph_;
-  const uint32_t old_k = hi - lo + 1;
-  const uint32_t abegin = g.comp_offsets_[lo];
-  const uint32_t aend = g.comp_offsets_[hi + 1];
-  const uint32_t w = aend - abegin;
+  const uint32_t abegin = g.begin_[c];
+  const uint32_t w = g.size_[c];
 
   GSLS_TRACE_SPAN("condense.window", w);
   const uint64_t t0 = obs::NowNs();
 
   out->recondensed = true;
-  out->window_lo = lo;
-  out->old_window_size = old_k;
-  out->old_to_new.assign(old_k, UINT32_MAX);
   ++stats_.windows;
   stats_.window_atoms += w;
 
   old_window_atoms_.assign(g.comp_atoms_.begin() + abegin,
-                           g.comp_atoms_.begin() + aend);
+                           g.comp_atoms_.begin() + abegin + w);
 
-  // Window-local dense index of an atom: its component's slice offset plus
-  // its rank inside the component. Valid only against the pre-repair
-  // arrays, so the whole local adjacency is materialized before anything
-  // mutates.
-  auto local_index = [&](AtomId b) {
-    return g.comp_offsets_[g.comp_of_[b]] - abegin + g.local_of_[b];
-  };
-  auto in_window = [&](AtomId b) {
-    uint32_t c = g.comp_of_[b];
-    return c >= lo && c <= hi;
-  };
-
-  // Induced-subgraph adjacency (two counting passes, window-local ids).
-  // Edges to atoms below the window are final dependencies and cannot lie
-  // on a window cycle; edges above the window cannot exist — every enabled
-  // rule except the delta respects the order, and the delta's endpoints
-  // define the window.
+  // Induced-subgraph adjacency over the component's ranks (two counting
+  // passes). Edges leaving the component are final dependencies and
+  // cannot lie on a cycle inside it.
   std::vector<uint32_t> adj_off(w + 1, 0);
   for (uint32_t i = 0; i < w; ++i) {
     (void)tick.Tick();
     for (RuleId rid : gp.RulesFor(old_window_atoms_[i])) {
       if (!RuleEnabledIn(disabled, rid)) continue;
       const GroundRule& r = gp.rules()[rid];
-      for (AtomId b : r.pos) {
-        if (in_window(b)) ++adj_off[i + 1];
-      }
-      for (AtomId b : r.neg) {
-        if (in_window(b)) ++adj_off[i + 1];
-      }
+      for (AtomId b : r.pos) adj_off[i + 1] += g.comp_of_[b] == c;
+      for (AtomId b : r.neg) adj_off[i + 1] += g.comp_of_[b] == c;
     }
   }
   for (uint32_t i = 0; i < w; ++i) adj_off[i + 1] += adj_off[i];
@@ -101,19 +150,17 @@ void DynamicCondensation::RecondenseWindow(
       if (!RuleEnabledIn(disabled, rid)) continue;
       const GroundRule& r = gp.rules()[rid];
       for (AtomId b : r.pos) {
-        if (in_window(b)) adj_tgt[cursor[i]++] = local_index(b);
+        if (g.comp_of_[b] == c) adj_tgt[cursor[i]++] = g.local_of_[b];
       }
       for (AtomId b : r.neg) {
-        if (in_window(b)) adj_tgt[cursor[i]++] = local_index(b);
+        if (g.comp_of_[b] == c) adj_tgt[cursor[i]++] = g.local_of_[b];
       }
     }
   }
 
-  // Iterative Tarjan over the window-local graph — the same callees-first
-  // emission as the full builder, so new ids lo.. are in dependency order
-  // among themselves (and relative to the untouched outside: everything a
-  // window component depends on outside the window sits below `lo`,
-  // everything depending on it sits above `hi`).
+  // Iterative Tarjan over the local graph — the same callees-first
+  // emission as the full builder, so the pieces come out in dependency
+  // order among themselves.
   new_atoms_.clear();
   new_offsets_.assign(1, 0);
   std::vector<uint32_t> index(w, UINT32_MAX);
@@ -126,12 +173,6 @@ void DynamicCondensation::RecondenseWindow(
   };
   std::vector<Frame> frames;
   uint32_t counter = 0;
-  uint32_t ncomp = 0;
-  // Membership-change tracking: a new component that merges several old
-  // ones, or an old one split across several new ones, must be re-solved.
-  std::vector<uint8_t> changed;
-  std::vector<uint32_t> first_old;
-
   for (uint32_t root = 0; root < w; ++root) {
     if (index[root] != UINT32_MAX) continue;
     index[root] = lowlink[root] = counter++;
@@ -160,32 +201,11 @@ void DynamicCondensation::RecondenseWindow(
             std::min(lowlink[frames.back().node], lowlink[done]);
       }
       if (lowlink[done] == index[done]) {
-        uint32_t nc = ncomp++;
-        changed.push_back(0);
-        first_old.push_back(UINT32_MAX);
-        uint32_t rank = 0;
         while (true) {
           uint32_t v = stack.back();
           stack.pop_back();
           on_stack[v] = false;
-          AtomId atom = old_window_atoms_[v];
-          uint32_t oldc = g.comp_of_[atom];
-          if (first_old[nc] == UINT32_MAX) {
-            first_old[nc] = oldc;
-          } else if (first_old[nc] != oldc) {
-            changed[nc] = 1;  // merged atoms of distinct old components
-          }
-          uint32_t& slot = out->old_to_new[oldc - lo];
-          if (slot == UINT32_MAX) {
-            slot = lo + nc;
-          } else if (slot != lo + nc) {
-            // The old component split across new ones: both sides changed.
-            changed[nc] = 1;
-            changed[slot - lo] = 1;
-          }
-          g.comp_of_[atom] = lo + nc;
-          g.local_of_[atom] = rank++;
-          new_atoms_.push_back(atom);
+          new_atoms_.push_back(old_window_atoms_[v]);
           if (v == done) break;
         }
         new_offsets_.push_back(static_cast<uint32_t>(new_atoms_.size()));
@@ -193,52 +213,45 @@ void DynamicCondensation::RecondenseWindow(
     }
   }
 
-  const uint32_t new_k = ncomp;
-  out->new_window_size = new_k;
-  const int64_t delta = static_cast<int64_t>(new_k) - old_k;
-  if (delta < 0) ++stats_.merges;
-  if (delta > 0) ++stats_.splits;
+  // Labels: the pieces cut `c`'s own interval into evenly spaced slots,
+  // the first keeping Label(c). The interval lies strictly between every
+  // external body label and every external head label of the pieces, and
+  // no other live label enters it, so the slots are order-correct and
+  // distinct. Too narrow an interval relabels everything first.
+  const uint32_t pieces = static_cast<uint32_t>(new_offsets_.size() - 1);
+  const uint32_t cut = std::bit_width(pieces - 1);  // ceil(log2(pieces))
+  if (cut > label_bits_[c]) Relabel();
+  const uint8_t bits = static_cast<uint8_t>(label_bits_[c] - cut);
+  const uint64_t base = g.label_[c];
 
-  // Splice: rewrite the window slice (same atoms, new grouping), resize
-  // the per-component arrays by `delta`, and shift the component ids of
-  // every atom above the window. Offsets above the window keep their
-  // values — the window's atom total is unchanged.
+  // Write the pieces back into the old slice; the first keeps id `c`.
   std::copy(new_atoms_.begin(), new_atoms_.end(),
             g.comp_atoms_.begin() + abegin);
-  if (delta < 0) {
-    g.comp_offsets_.erase(g.comp_offsets_.begin() + lo + 1 + new_k,
-                          g.comp_offsets_.begin() + lo + 1 + old_k);
-    g.internal_neg_.erase(g.internal_neg_.begin() + lo + new_k,
-                          g.internal_neg_.begin() + lo + old_k);
-    g.recursive_.erase(g.recursive_.begin() + lo + new_k,
-                       g.recursive_.begin() + lo + old_k);
-  } else if (delta > 0) {
-    g.comp_offsets_.insert(g.comp_offsets_.begin() + lo + 1 + old_k,
-                           static_cast<size_t>(delta), 0);
-    g.internal_neg_.insert(g.internal_neg_.begin() + lo + old_k,
-                           static_cast<size_t>(delta), 0);
-    g.recursive_.insert(g.recursive_.begin() + lo + old_k,
-                        static_cast<size_t>(delta), 0);
-  }
-  for (uint32_t i = 1; i <= new_k; ++i) {
-    g.comp_offsets_[lo + i] = abegin + new_offsets_[i];
-  }
-  if (delta != 0) {
-    for (size_t p = aend; p < g.comp_atoms_.size(); ++p) {
-      g.comp_of_[g.comp_atoms_[p]] =
-          static_cast<uint32_t>(g.comp_of_[g.comp_atoms_[p]] + delta);
+  for (uint32_t i = 0; i < pieces; ++i) {
+    const uint32_t id = i == 0 ? c : AllocId();
+    g.begin_[id] = abegin + new_offsets_[i];
+    g.size_[id] = new_offsets_[i + 1] - new_offsets_[i];
+    g.label_[id] = base + (uint64_t{i} << bits);
+    label_bits_[id] = bits;
+    g.internal_neg_[id] = 0;
+    g.recursive_[id] = g.size_[id] > 1 ? 1 : 0;
+    uint32_t rank = 0;
+    for (AtomId a : g.Atoms(id)) {
+      g.comp_of_[a] = id;
+      g.local_of_[a] = rank++;
     }
+    if (pieces > 1) out->dirty.push_back(id);
+  }
+  out->written = pieces;
+  if (pieces > 1) {
+    ++stats_.splits;
+    repaired_ = true;
   }
 
-  // Exact flags for the new window components (the builder's rule, window
-  // heads only — intra-component edges are all that flags describe).
-  for (uint32_t i = 0; i < new_k; ++i) {
-    g.internal_neg_[lo + i] = 0;
-    g.recursive_[lo + i] =
-        (new_offsets_[i + 1] - new_offsets_[i] > 1) ? 1 : 0;
-  }
+  // Exact flags for the pieces (the builder's rule, piece heads only —
+  // intra-component edges are all that flags describe).
   for (AtomId a : new_atoms_) {
-    uint32_t hc = g.comp_of_[a];
+    const uint32_t hc = g.comp_of_[a];
     for (RuleId rid : gp.RulesFor(a)) {
       if (!RuleEnabledIn(disabled, rid)) continue;
       const GroundRule& r = gp.rules()[rid];
@@ -253,31 +266,23 @@ void DynamicCondensation::RecondenseWindow(
       }
     }
   }
-
-  for (uint32_t nc = 0; nc < new_k; ++nc) {
-    if (changed[nc]) out->dirty.push_back(lo + nc);
-  }
   stats_.window_ns += obs::NowNs() - t0;
 }
 
 void DynamicCondensation::NarrowedInsertRepair(
     const GroundProgram& gp, const std::vector<uint8_t>* disabled, RuleId r,
     uint32_t ch, uint32_t cmax, CondensationRepair* out, CancelCtx* cancel) {
-  // Latch-only cancellation, as in RecondenseWindow: the repair always
+  // Latch-only cancellation, as in SplitComponent: the repair always
   // completes structurally.
   StridedCheckpoint tick(cancel);
   AtomDependencyGraph& g = graph_;
-  const uint32_t old_k = cmax - ch + 1;
-  const uint32_t abegin = g.comp_offsets_[ch];
-  const uint32_t aend = g.comp_offsets_[cmax + 1];
+  const uint64_t lo = g.label_[ch];
+  const uint64_t hi = g.label_[cmax];
 
-  GSLS_TRACE_SPAN("condense.pk_region", old_k);
+  GSLS_TRACE_SPAN("condense.pk_region", ch);
   const uint64_t t0 = obs::NowNs();
 
   out->recondensed = true;
-  out->window_lo = ch;
-  out->old_window_size = old_k;
-  out->old_to_new.assign(old_k, UINT32_MAX);
   ++stats_.windows;
   ++stats_.pk_regions;
 
@@ -287,28 +292,25 @@ void DynamicCondensation::NarrowedInsertRepair(
     pk_epoch_ = 1;
   }
   const uint32_t epoch = pk_epoch_;
-  if (pk_f_.size() < g.component_count()) pk_f_.resize(g.component_count(), 0);
-  if (pk_b_.size() < g.component_count()) pk_b_.resize(g.component_count(), 0);
+  if (pk_f_.size() < g.id_bound()) pk_f_.resize(g.id_bound(), 0);
+  if (pk_b_.size() < g.id_bound()) pk_b_.resize(g.id_bound(), 0);
 
   const GroundRule& rule = gp.rules()[r];
 
   // Forward frontier F: components reachable from `ch` through enabled
-  // rules other than `r`, restricted to ids <= cmax. Ids only ascend along
-  // dependency edges, so F sits inside [ch, cmax] by construction.
-  pk_stack_.clear();
+  // rules other than `r`, restricted to labels <= Label(cmax). Labels only
+  // ascend along dependency edges, so F's labels lie in [lo, hi].
+  pk_seq_f_.assign(1, ch);
   pk_f_[ch] = epoch;
-  pk_stack_.push_back(ch);
-  while (!pk_stack_.empty()) {
+  for (size_t i = 0; i < pk_seq_f_.size(); ++i) {
     (void)tick.Tick();
-    uint32_t c = pk_stack_.back();
-    pk_stack_.pop_back();
-    for (AtomId a : g.Atoms(c)) {
+    for (AtomId a : g.Atoms(pk_seq_f_[i])) {
       auto visit_head = [&](RuleId rid) {
         if (rid == r || !RuleEnabledIn(disabled, rid)) return;
-        uint32_t hc = g.comp_of_[gp.rules()[rid].head];
-        if (hc <= cmax && pk_f_[hc] != epoch) {
+        const uint32_t hc = g.comp_of_[gp.rules()[rid].head];
+        if (g.label_[hc] <= hi && pk_f_[hc] != epoch) {
           pk_f_[hc] = epoch;
-          pk_stack_.push_back(hc);
+          pk_seq_f_.push_back(hc);
         }
       };
       for (RuleId rid : gp.PositiveOccurrences(a)) visit_head(rid);
@@ -317,68 +319,61 @@ void DynamicCondensation::NarrowedInsertRepair(
   }
 
   // Backward frontier B: components reaching a violating body component of
-  // `r` (body ids > ch) through enabled rules other than `r`, restricted to
-  // ids >= ch. All seeds are <= cmax and ids ascend along edges, so B sits
-  // inside [ch, cmax] too — and cmax itself is a seed, so the affected
-  // region spans exactly the classical window's id range; the narrowing is
-  // in *work* (no Tarjan over window atoms) and *membership churn* (only
-  // F ∩ B merges), not in the id span.
-  pk_stack_.clear();
-  auto seed_b = [&](AtomId b) {
-    uint32_t cb = g.comp_of_[b];
-    if (cb > ch && pk_b_[cb] != epoch) {
+  // `r` (labels > lo) through enabled rules other than `r`, restricted to
+  // labels >= lo. All seeds are labelled <= hi and labels descend along
+  // reversed edges, so B's labels lie in [lo, hi] too.
+  pk_seq_b_.clear();
+  auto visit_body = [&](AtomId b, uint64_t floor) {
+    const uint32_t cb = g.comp_of_[b];
+    if (g.label_[cb] >= floor && pk_b_[cb] != epoch) {
       pk_b_[cb] = epoch;
-      pk_stack_.push_back(cb);
+      pk_seq_b_.push_back(cb);
     }
   };
-  for (AtomId b : rule.pos) seed_b(b);
-  for (AtomId b : rule.neg) seed_b(b);
-  while (!pk_stack_.empty()) {
+  for (AtomId b : rule.pos) visit_body(b, lo + 1);
+  for (AtomId b : rule.neg) visit_body(b, lo + 1);
+  for (size_t i = 0; i < pk_seq_b_.size(); ++i) {
     (void)tick.Tick();
-    uint32_t c = pk_stack_.back();
-    pk_stack_.pop_back();
-    for (AtomId a : g.Atoms(c)) {
+    for (AtomId a : g.Atoms(pk_seq_b_[i])) {
       for (RuleId rid : gp.RulesFor(a)) {
         if (rid == r || !RuleEnabledIn(disabled, rid)) continue;
         const GroundRule& rr = gp.rules()[rid];
-        auto visit_body = [&](AtomId b) {
-          uint32_t cb = g.comp_of_[b];
-          if (cb >= ch && pk_b_[cb] != epoch) {
-            pk_b_[cb] = epoch;
-            pk_stack_.push_back(cb);
-          }
-        };
-        for (AtomId b : rr.pos) visit_body(b);
-        for (AtomId b : rr.neg) visit_body(b);
+        for (AtomId b : rr.pos) visit_body(b, lo);
+        for (AtomId b : rr.neg) visit_body(b, lo);
       }
     }
   }
 
-  // Classify the window's ids. Every new cycle passes through the new
+  // Classify the region F ∪ B. Every new cycle passes through the new
   // edges' shared head component `ch`, so the merged SCC — if any — is
   // exactly M = F ∩ B at component granularity, every member absorbed
   // whole; membership outside M is untouched and no Tarjan run is needed.
-  pk_seq_b_.clear();
+  pk_labels_.clear();
   pk_seq_m_.clear();
-  pk_seq_f_.clear();
-  for (uint32_t c = ch; c <= cmax; ++c) {
-    const bool in_f = pk_f_[c] == epoch;
-    const bool in_b = pk_b_[c] == epoch;
-    if (in_f && in_b) {
-      pk_seq_m_.push_back(c);
-    } else if (in_b) {
-      pk_seq_b_.push_back(c);
-    } else if (in_f) {
-      pk_seq_f_.push_back(c);
-    }
-    if (in_f || in_b) {
-      stats_.window_atoms += g.Atoms(c).size();
-    }
+  auto by_label = [&](uint32_t x, uint32_t y) {
+    return g.label_[x] < g.label_[y];
+  };
+  for (uint32_t c : pk_seq_f_) {
+    if (pk_b_[c] == epoch) pk_seq_m_.push_back(c);
   }
+  for (uint32_t c : pk_seq_f_) {
+    pk_labels_.emplace_back(g.label_[c], label_bits_[c]);
+    stats_.window_atoms += g.size_[c];
+  }
+  for (uint32_t c : pk_seq_b_) {
+    if (pk_f_[c] == epoch) continue;
+    pk_labels_.emplace_back(g.label_[c], label_bits_[c]);
+    stats_.window_atoms += g.size_[c];
+  }
+  std::erase_if(pk_seq_f_, [&](uint32_t c) { return pk_b_[c] == epoch; });
+  std::erase_if(pk_seq_b_, [&](uint32_t c) { return pk_f_[c] == epoch; });
+  std::sort(pk_seq_f_.begin(), pk_seq_f_.end(), by_label);
+  std::sort(pk_seq_b_.begin(), pk_seq_b_.end(), by_label);
+  std::sort(pk_seq_m_.begin(), pk_seq_m_.end(), by_label);
+  std::sort(pk_labels_.begin(), pk_labels_.end());
   const uint32_t k = static_cast<uint32_t>(pk_seq_b_.size());
   const uint32_t m = static_cast<uint32_t>(pk_seq_f_.size());
-  const uint32_t region =
-      k + m + static_cast<uint32_t>(pk_seq_m_.size());
+  const uint32_t region = static_cast<uint32_t>(pk_labels_.size());
   out->pk_region_components = region;
   stats_.pk_region_comps += region;
   const bool merge = !pk_seq_m_.empty();
@@ -388,98 +383,55 @@ void DynamicCondensation::NarrowedInsertRepair(
   assert(!merge || pk_seq_m_.size() >= 2);
   assert(pk_seq_m_.empty() || pk_seq_m_.front() == ch);
 
-  // Renumber by walking the window's id slots in ascending order. Region
-  // slots are refilled from the queue [sorted(B \ M), merged M,
-  // sorted(F \ M)] with B∪M entries at the earliest region slots and F
-  // entries at the *latest* region slots (the |M|-1 freed slots collapse
-  // in the middle); non-region slots re-emit their own component. This
-  // placement keeps every edge class order-valid: B members only move
-  // earlier (j-th smallest B id lands on the j-th smallest region id),
-  // F members only move later, in-window successors of F∪M members are
-  // again in F (forward closure) and in-window predecessors of B∪M
-  // members are again in B (backward closure), so a non-region component
-  // only ever feeds F members placed at later slots or consumes B members
-  // placed at earlier ones.
-  new_atoms_.clear();
-  new_offsets_.assign(1, 0);
-  pk_neg_.clear();
-  pk_rec_.clear();
-  uint32_t emitted = 0;
-  uint32_t merged_new = UINT32_MAX;
-  auto emit_single = [&](uint32_t oldc) {
-    out->old_to_new[oldc - ch] = ch + emitted;
-    for (AtomId a : g.Atoms(oldc)) new_atoms_.push_back(a);
-    new_offsets_.push_back(static_cast<uint32_t>(new_atoms_.size()));
-    pk_neg_.push_back(g.internal_neg_[oldc]);
-    pk_rec_.push_back(g.recursive_[oldc]);
-    ++emitted;
+  // Hand the region's sorted labels to [B \ M, merged M, F \ M]: B∪M take
+  // the lowest, F the highest, and the |M|-1 labels in between are
+  // dropped with the merged-away ids. B members only move earlier (the
+  // j-th smallest B label becomes the j-th smallest region label) and F
+  // members only later; in-region successors of F∪M members are again in
+  // F (forward closure) and in-region predecessors of B∪M members again
+  // in B (backward closure), so a component outside the region only ever
+  // feeds F members, which moved later, or consumes B members, which
+  // moved earlier.
+  auto place = [&](uint32_t c, uint32_t slot) {
+    g.label_[c] = pk_labels_[slot].first;
+    label_bits_[c] = pk_labels_[slot].second;
   };
-  uint32_t region_seen = 0;
-  for (uint32_t c = ch; c <= cmax; ++c) {
-    (void)tick.Tick();
-    if (pk_f_[c] != epoch && pk_b_[c] != epoch) {
-      emit_single(c);
-      continue;
-    }
-    ++region_seen;
-    if (region_seen <= k) {
-      emit_single(pk_seq_b_[region_seen - 1]);
-    } else if (region_seen > region - m) {
-      emit_single(pk_seq_f_[region_seen - (region - m) - 1]);
-    } else if (region_seen == k + 1 && merge) {
-      // The merged component, in ascending old-id order (each old
-      // component is an atom-level SCC and the new edges close a cycle
-      // through all of them, so the concatenation is one SCC).
-      merged_new = ch + emitted;
-      for (uint32_t oldc : pk_seq_m_) {
-        out->old_to_new[oldc - ch] = merged_new;
-        for (AtomId a : g.Atoms(oldc)) new_atoms_.push_back(a);
+  for (uint32_t i = 0; i < k; ++i) place(pk_seq_b_[i], i);
+  for (uint32_t j = 0; j < m; ++j) place(pk_seq_f_[j], region - m + j);
+  out->written = k + m;
+
+  if (merge) {
+    // The merged component keeps ch's id; its atoms, in ascending label
+    // order of the members (each an atom-level SCC the new edges close a
+    // cycle through), are appended to the atom array.
+    place(ch, k);
+    const uint32_t begin = static_cast<uint32_t>(g.comp_atoms_.size());
+    for (uint32_t oldc : pk_seq_m_) {
+      (void)tick.Tick();
+      for (uint32_t p = g.begin_[oldc]; p < g.begin_[oldc] + g.size_[oldc];
+           ++p) {
+        g.comp_atoms_.push_back(g.comp_atoms_[p]);
       }
-      new_offsets_.push_back(static_cast<uint32_t>(new_atoms_.size()));
-      pk_neg_.push_back(0);  // recomputed below, post-splice
-      pk_rec_.push_back(1);  // >= 2 merged components: cycle by definition
-      ++emitted;
+      dead_atoms_ += g.size_[oldc];
+      if (oldc != ch) {
+        g.size_[oldc] = 0;
+        g.begin_[oldc] = 0;
+        g.internal_neg_[oldc] = 0;
+        g.recursive_[oldc] = 0;
+        g.free_.push_back(oldc);
+      }
     }
-    // Remaining middle region slots are the |M|-1 ids freed by the merge.
-  }
-
-  const uint32_t new_k = emitted;
-  out->new_window_size = new_k;
-  const int64_t delta = static_cast<int64_t>(new_k) - old_k;
-  assert(delta <= 0);  // insertions only merge, never split
-  if (delta < 0) ++stats_.merges;
-
-  // Splice, as in RecondenseWindow: same atoms in the window slice under a
-  // new grouping, per-component arrays resized by `delta`, component ids
-  // above the window shifted.
-  std::copy(new_atoms_.begin(), new_atoms_.end(),
-            g.comp_atoms_.begin() + abegin);
-  if (delta < 0) {
-    g.comp_offsets_.erase(g.comp_offsets_.begin() + ch + 1 + new_k,
-                          g.comp_offsets_.begin() + ch + 1 + old_k);
-    g.internal_neg_.erase(g.internal_neg_.begin() + ch + new_k,
-                          g.internal_neg_.begin() + ch + old_k);
-    g.recursive_.erase(g.recursive_.begin() + ch + new_k,
-                       g.recursive_.begin() + ch + old_k);
-  }
-  for (uint32_t i = 1; i <= new_k; ++i) {
-    g.comp_offsets_[ch + i] = abegin + new_offsets_[i];
-  }
-  for (uint32_t i = 0; i < new_k; ++i) {
-    g.internal_neg_[ch + i] = pk_neg_[i];
-    g.recursive_[ch + i] = pk_rec_[i];
+    g.begin_[ch] = begin;
+    g.size_[ch] = static_cast<uint32_t>(g.comp_atoms_.size()) - begin;
     uint32_t rank = 0;
-    for (uint32_t p = new_offsets_[i]; p < new_offsets_[i + 1]; ++p) {
-      g.comp_of_[new_atoms_[p]] = ch + i;
-      g.local_of_[new_atoms_[p]] = rank++;
+    for (AtomId a : g.Atoms(ch)) {
+      g.comp_of_[a] = ch;
+      g.local_of_[a] = rank++;
     }
+    ++out->written;
+    ++stats_.merges;
   }
-  if (delta != 0) {
-    for (size_t p = aend; p < g.comp_atoms_.size(); ++p) {
-      g.comp_of_[g.comp_atoms_[p]] =
-          static_cast<uint32_t>(g.comp_of_[g.comp_atoms_[p]] + delta);
-    }
-  }
+  repaired_ = true;
 
   // Non-merged components carried their flags verbatim — valid for every
   // pre-existing rule (membership is unchanged), but the new rule itself
@@ -487,34 +439,33 @@ void DynamicCondensation::NarrowedInsertRepair(
   // in the head's own component, next to the violating higher body), so
   // tighten those flags here exactly like the order-respecting branch of
   // InsertRule does.
-  {
-    const uint32_t hc = g.comp_of_[rule.head];
-    for (AtomId b : rule.pos) {
-      if (g.comp_of_[b] == hc) g.recursive_[hc] = 1;
-    }
-    for (AtomId b : rule.neg) {
-      if (g.comp_of_[b] == hc) {
-        g.internal_neg_[hc] = 1;
-        g.recursive_[hc] = 1;
-      }
+  for (AtomId b : rule.pos) {
+    if (g.comp_of_[b] == ch) g.recursive_[ch] = 1;
+  }
+  for (AtomId b : rule.neg) {
+    if (g.comp_of_[b] == ch) {
+      g.internal_neg_[ch] = 1;
+      g.recursive_[ch] = 1;
     }
   }
 
   // Exact flags for the merged component (the new rule `r` included —
   // its neg body atoms may be the very edge that makes the merge
-  // negation-recursive). Non-merged components carried their flags.
+  // negation-recursive).
   if (merge) {
     uint8_t neg = 0;
-    for (AtomId a : g.Atoms(merged_new)) {
+    for (AtomId a : g.Atoms(ch)) {
       for (RuleId rid : gp.RulesFor(a)) {
         if (!RuleEnabledIn(disabled, rid)) continue;
         for (AtomId b : gp.rules()[rid].neg) {
-          if (g.comp_of_[b] == merged_new) neg = 1;
+          if (g.comp_of_[b] == ch) neg = 1;
         }
       }
     }
-    g.internal_neg_[merged_new] = neg;
-    out->dirty.push_back(merged_new);
+    g.recursive_[ch] = 1;  // >= 2 merged components: cycle by definition
+    g.internal_neg_[ch] = neg;
+    out->dirty.push_back(ch);
+    if (dead_atoms_ > g.comp_of_.size()) CompactAtoms();
   }
   stats_.window_ns += obs::NowNs() - t0;
 }
@@ -527,22 +478,23 @@ CondensationRepair DynamicCondensation::InsertRule(
   const GroundRule& rule = gp.rules()[r];
   AtomDependencyGraph& g = graph_;
   assert(rule.head < g.comp_of_.size());
-  uint32_t ch = g.comp_of_[rule.head];
+  const uint32_t ch = g.comp_of_[rule.head];
   uint32_t cmax = ch;
-  for (AtomId b : rule.pos) cmax = std::max(cmax, g.comp_of_[b]);
-  for (AtomId b : rule.neg) cmax = std::max(cmax, g.comp_of_[b]);
-  if (cmax > ch) {
-    // The delta's head now depends on a component ordered after it — the
-    // one way a rule insertion can close a cycle or break the id order.
-    // Any closing path descends through ids in [ch, cmax], but only the
-    // Pearce–Kelly affected region (forward frontier of ch ∩ backward
-    // frontier of the violating bodies) can actually change membership;
-    // the narrowed repair renumbers without re-running Tarjan and leaves
-    // every component outside the region untouched.
+  auto widen = [&](AtomId b) {
+    if (g.label_[g.comp_of_[b]] > g.label_[cmax]) cmax = g.comp_of_[b];
+  };
+  for (AtomId b : rule.pos) widen(b);
+  for (AtomId b : rule.neg) widen(b);
+  if (cmax != ch) {
+    // The delta's head now depends on a component labelled after it — the
+    // one way a rule insertion can close a cycle or break the order. Only
+    // the Pearce–Kelly affected region (forward frontier of ch ∩ backward
+    // frontier of the violating bodies) can change membership or labels;
+    // every component outside it stays untouched.
     NarrowedInsertRepair(gp, disabled, r, ch, cmax, &out, cancel);
   } else {
-    // Order-respecting edges: membership and ids hold everywhere; only the
-    // head component's recursion flags can tighten.
+    // Order-respecting edges: membership and labels hold everywhere; only
+    // the head component's recursion flags can tighten.
     for (AtomId b : rule.pos) {
       if (g.comp_of_[b] == ch) g.recursive_[ch] = 1;
     }
@@ -553,20 +505,7 @@ CondensationRepair DynamicCondensation::InsertRule(
       }
     }
   }
-
-  uint32_t hc = g.comp_of_[rule.head];
-  out.dirty.push_back(hc);
-  for (AtomId b : rule.pos) {
-    uint32_t bc = g.comp_of_[b];
-    if (bc != hc) out.new_edges.emplace_back(bc, hc);
-  }
-  for (AtomId b : rule.neg) {
-    uint32_t bc = g.comp_of_[b];
-    if (bc != hc) out.new_edges.emplace_back(bc, hc);
-  }
-  std::sort(out.new_edges.begin(), out.new_edges.end());
-  out.new_edges.erase(std::unique(out.new_edges.begin(), out.new_edges.end()),
-                      out.new_edges.end());
+  out.dirty.push_back(g.comp_of_[rule.head]);
   return out;
 }
 
@@ -578,7 +517,7 @@ CondensationRepair DynamicCondensation::RemoveRule(
   const GroundRule& rule = gp.rules()[r];
   AtomDependencyGraph& g = graph_;
   assert(!RuleEnabledIn(disabled, r));
-  uint32_t ch = g.comp_of_[rule.head];
+  const uint32_t ch = g.comp_of_[rule.head];
   bool intra = false;
   for (AtomId b : rule.pos) intra = intra || g.comp_of_[b] == ch;
   for (AtomId b : rule.neg) intra = intra || g.comp_of_[b] == ch;
@@ -587,7 +526,7 @@ CondensationRepair DynamicCondensation::RemoveRule(
     // component may no longer be strongly connected. Removing
     // cross-component edges, by contrast, never changes membership and
     // only relaxes order constraints, which stay satisfied.
-    RecondenseWindow(gp, disabled, ch, ch, &out, cancel);
+    SplitComponent(gp, disabled, ch, &out, cancel);
   }
   out.dirty.push_back(g.comp_of_[rule.head]);
   return out;

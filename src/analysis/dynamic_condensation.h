@@ -13,80 +13,62 @@
 namespace gsls {
 
 /// What one rule-level repair did to the condensation — enough for
-/// `IncrementalSolver` to mark exactly the affected components dirty and
-/// for `ComponentDag::Splice` to patch the scheduling DAG without a
-/// from-scratch rebuild.
+/// `IncrementalSolver` to mark exactly the affected components dirty.
+/// Component ids are stable, so nothing here needs translating: a
+/// component the repair did not name keeps its id, atoms, flags and label.
 struct CondensationRepair {
-  /// A window of component ids was re-condensed (local Tarjan). When
-  /// false, membership and ids are untouched everywhere.
+  /// The repair rewrote membership or labels (a merge, a split, or a
+  /// Pearce–Kelly relabel). When false, only flags of the head component
+  /// may have tightened.
   bool recondensed = false;
-  uint32_t window_lo = 0;        ///< first id of the window (unchanged)
-  uint32_t old_window_size = 0;  ///< components in the window before
-  uint32_t new_window_size = 0;  ///< components in the window after
 
-  /// Per old window id `window_lo + i`: the new id of the component its
-  /// atoms landed in. Well defined for insertions (edges only merge
-  /// components, never split them); on a split (`new_window_size >
-  /// old_window_size`) the old component fans out and this map is not
-  /// produced — the scheduling DAG must rebuild instead of splice.
-  std::vector<uint32_t> old_to_new;
+  /// Components whose atoms or labels the repair wrote. Feeds the
+  /// `condense.window_components` telemetry histogram.
+  uint32_t written = 0;
 
-  /// Cross-component dependency edges introduced by the rule, as
-  /// (body component, head component) pairs in *final* ids. Always
-  /// descending (`first < second`); empty for removals.
-  std::vector<std::pair<uint32_t, uint32_t>> new_edges;
-
-  /// Components (final ids) whose values may have changed and must be
-  /// re-solved: the rule's head component plus every component whose
-  /// membership changed (merged or split). Dependents are *not* listed —
-  /// the solver's change-pruned cone discovers them. This same set drives
-  /// the query memo's invalidation (`solver::ComponentMemo`): fact and
-  /// rule deltas compose with goal-directed queries for free because both
-  /// consumers key off this one dirty set.
+  /// Components whose values may have changed and must be re-solved: the
+  /// rule's head component plus every component whose membership changed
+  /// (merged or split). Dependents are *not* listed — the solver's
+  /// change-pruned cone discovers them. This same set drives the query
+  /// memo's invalidation (`solver::ComponentMemo`): fact and rule deltas
+  /// compose with goal-directed queries for free because both consumers
+  /// key off this one dirty set.
   std::vector<uint32_t> dirty;
 
   /// Components in the Pearce–Kelly affected region of a cycle-closing
-  /// insertion — the true forward/backward frontier re-Tarjaned instead of
-  /// the whole id window (see `InsertRule`). 0 when the repair did not
-  /// narrow (edge-only inserts, removals). Feeds the `interior.pk_region`
+  /// insertion (see `InsertRule`). 0 when the repair did not narrow
+  /// (edge-only inserts, removals). Feeds the `interior.pk_region`
   /// telemetry histogram.
   uint32_t pk_region_components = 0;
-
-  bool split() const { return new_window_size > old_window_size; }
-  bool merged() const { return new_window_size < old_window_size; }
-
-  /// Signed shift applied to every component id above the window
-  /// (merge-negative, split-positive). Consumers holding per-component
-  /// state outside the window — the scheduling DAG's rows, the query
-  /// memo's validity map (`solver::ComponentMemo::ApplyRepair`) —
-  /// translate their ids by exactly this.
-  int64_t id_shift() const {
-    return static_cast<int64_t>(new_window_size) -
-           static_cast<int64_t>(old_window_size);
-  }
 };
 
 /// Dynamic SCC maintenance over a `GroundProgram` that changes one rule at
-/// a time: the mutable owner of an `AtomDependencyGraph` whose dense
-/// component ids stay in dependency order (every enabled rule's body atom
-/// lies in a component with id <= its head's) across arbitrary
-/// `AssertRule`/`RetractRule` deltas — the invariant every downstream
-/// consumer (the cone pass's min-heap and DAG release, stage
-/// reconstruction) schedules by.
+/// a time: the mutable owner of an `AtomDependencyGraph` whose component
+/// ids are *stable* across arbitrary `AssertRule`/`RetractRule` deltas.
+/// The dependency order lives in per-component labels
+/// (`AtomDependencyGraph::Label`): every enabled rule's body component
+/// carries a lower label than its head's — the invariant every downstream
+/// consumer (the cone pass's min-heap, stage reconstruction) schedules by.
 ///
 /// Repairs are *localized*: a rule edge that respects the current order
-/// (body component <= head component) costs O(rule); only an order
-/// violation — a body component above the head's, the one way a delta can
-/// create or extend a cycle — triggers a re-run of Tarjan over the id
-/// window [head component, max body component], whose atoms sit in one
-/// contiguous slice of the component CSR. Any path closing a cycle through
-/// the new edge descends through ids inside that window, so components
-/// outside it keep membership and id verbatim; the window's components are
-/// renumbered in the local Tarjan emission order and spliced back, and
-/// ids above shift by the (merge-negative, split-positive) size delta in
-/// one linear pass. Retracting a rule can only split the head's own
-/// component (removing cross-component edges relaxes order constraints but
-/// never changes membership), so its window is that single component.
+/// (body label <= head label) costs O(rule); only an order violation — a
+/// body component labelled above the head's, the one way a delta can
+/// create or extend a cycle — runs the Pearce–Kelly repair over the
+/// affected region, which re-hands the region's own labels and merges the
+/// new cycle (if any) into the head's id. Retracting a rule can only split
+/// the head's own component (removing cross-component edges relaxes order
+/// constraints but never changes membership), so its repair is a Tarjan
+/// run over that single component.
+///
+/// Ids: a merge keeps the head component's id and frees the others; a
+/// split keeps the old id for its first piece and takes the others from
+/// the free list (or appends). Labels: each label owns a private interval
+/// [label, label + 2^bits) that no other live label enters; a split cuts
+/// its component's interval into evenly spaced pieces, and when the
+/// interval is too narrow every live component is relabelled in label
+/// order (`Stats::relabels`). Atoms: each component is an (offset, size)
+/// slice of one array; a split rewrites its slice in place, a merge
+/// appends, and the array is compacted once dead space exceeds live.
 ///
 /// The condensation tracks the *enabled* subprogram: callers flip the
 /// per-`RuleId` disabled mask first and then report the delta here.
@@ -100,27 +82,36 @@ class DynamicCondensation {
   DynamicCondensation(const GroundProgram& gp,
                       const std::vector<uint8_t>* disabled);
 
-  /// The live condensation. Ids remain in dependency order after every
+  /// The live condensation. Labels remain in dependency order after every
   /// repair; the reference is stable, its contents change under repairs.
   const AtomDependencyGraph& graph() const { return graph_; }
 
-  /// Appends singleton components for atoms [graph().atom_count(),
+  /// True once a repair moved ids or labels off the fresh build's dense
+  /// numbering (a merge, a split or a relabel): ascending id order is then
+  /// no longer a dependency order, and holes may exist.
+  bool repaired() const { return repaired_; }
+
+  /// Replaces the condensation by a fresh build of the enabled subprogram
+  /// (dense ids in dependency order, `repaired()` false). Stats are kept.
+  void Rebuild(const GroundProgram& gp, const std::vector<uint8_t>* disabled);
+
+  /// Adds singleton components for atoms [graph().atom_count(),
   /// new_atom_count) — atoms interned since the last repair. They carry no
-  /// rules yet, so a trailing id is always order-correct; a later
-  /// `InsertRule` mentioning them repairs the order if needed.
+  /// rules yet, so any fresh label is order-correct; a later `InsertRule`
+  /// mentioning them repairs the order if needed.
   void AddAtoms(size_t new_atom_count);
 
   /// Repairs the condensation after rule `r` of `gp` was enabled (newly
   /// added, or its disabled-mask byte cleared). Every atom of the rule
   /// must already be covered (`AddAtoms`).
   ///
-  /// Cancellation (`cancel` non-null): a recondensation window polls the
-  /// ctx every `kCancelStride` steps, but — unlike the solve loops — it
-  /// always *completes structurally*: a half-spliced condensation has no
+  /// Cancellation (`cancel` non-null): a repair polls the ctx every
+  /// `kCancelStride` steps, but — unlike the solve loops — it always
+  /// *completes structurally*: a half-repaired condensation has no
   /// consistent state to roll back to, so the checkpoints latch the
-  /// outcome (and count toward fault/step budgets) while the window runs
+  /// outcome (and count toward fault/step budgets) while the repair runs
   /// to the end. The abort then lands at the next solve-side checkpoint;
-  /// windows are O(affected slice), so the added latency is bounded by
+  /// repairs are O(affected region), so the added latency is bounded by
   /// the repair the caller already asked for.
   CondensationRepair InsertRule(const GroundProgram& gp,
                                 const std::vector<uint8_t>* disabled,
@@ -128,7 +119,7 @@ class DynamicCondensation {
 
   /// Repairs the condensation after rule `r` of `gp` was disabled. Only
   /// the head's component can change (it may split). Cancellation as in
-  /// `InsertRule`: latch-only, the window always completes.
+  /// `InsertRule`: latch-only, the repair always completes.
   CondensationRepair RemoveRule(const GroundProgram& gp,
                                 const std::vector<uint8_t>* disabled,
                                 RuleId r, CancelCtx* cancel = nullptr);
@@ -137,68 +128,82 @@ class DynamicCondensation {
   struct Stats {
     uint64_t inserts = 0;        ///< InsertRule calls
     uint64_t removals = 0;       ///< RemoveRule calls
-    uint64_t windows = 0;        ///< repairs that re-ran Tarjan
+    uint64_t windows = 0;        ///< recondensing repairs (split or PK)
     uint64_t window_atoms = 0;   ///< atoms visited across all windows
-    uint64_t window_ns = 0;      ///< wall time inside re-Tarjan windows
+    uint64_t window_ns = 0;      ///< wall time inside those repairs
     uint64_t merges = 0;         ///< windows that merged components
     uint64_t splits = 0;         ///< windows that split a component
     uint64_t pk_regions = 0;       ///< inserts repaired by PK narrowing
     uint64_t pk_region_comps = 0;  ///< components across all PK regions
+    uint64_t relabels = 0;       ///< splits that relabelled every component
 
     std::string ToString() const;
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Re-runs Tarjan over the induced subgraph of components [lo, hi]
-  /// (enabled rules only, edges leaving the window ignored), splices the
-  /// resulting components back into ids lo.., shifts ids above by the size
-  /// delta, and recomputes the window's recursion/negation flags.
-  void RecondenseWindow(const GroundProgram& gp,
-                        const std::vector<uint8_t>* disabled, uint32_t lo,
-                        uint32_t hi, CondensationRepair* out,
-                        CancelCtx* cancel);
+  /// Re-runs Tarjan over component `c` (enabled rules only, edges leaving
+  /// it ignored) after a retraction removed one of its internal edges.
+  /// One piece: flags are recomputed in place. Several: the pieces are
+  /// written back into `c`'s slice in callee-first order, the first keeps
+  /// id `c`, and they take evenly spaced labels from `c`'s interval.
+  void SplitComponent(const GroundProgram& gp,
+                      const std::vector<uint8_t>* disabled, uint32_t c,
+                      CondensationRepair* out, CancelCtx* cancel);
 
-  /// Pearce–Kelly narrowed repair for a cycle-closing insertion of rule
-  /// `r` with head component `ch` and max body component `cmax > ch`.
-  /// Instead of re-Tarjaning the whole id window [ch, cmax], computes the
-  /// true affected region: F = components forward-reachable from `ch`
-  /// within ids <= cmax, B = components backward-reachable from the rule's
-  /// violating body components within ids >= ch (the new rule's own edges
+  /// Pearce–Kelly repair for a cycle-closing insertion of rule `r` with
+  /// head component `ch` and highest-labelled body component `cmax`
+  /// (`Label(cmax) > Label(ch)`). Computes the affected region: F =
+  /// components forward-reachable from `ch` with labels <= Label(cmax),
+  /// B = components backward-reachable from the rule's violating body
+  /// components with labels >= Label(ch) (the new rule's own edges
   /// excluded from both searches). Every new cycle passes through the new
   /// edge, hence through `ch`, so the merged SCC — if any — is exactly
-  /// F ∩ B at component granularity, with every member component absorbed
-  /// whole; no Tarjan run is needed. The region is renumbered as
-  /// [sorted(B \ M), merged M, sorted(F \ M)] over the region's own id
-  /// slots — a placement every mixed edge tolerates, since F members only
-  /// move later and B members only earlier — and components outside the
-  /// region keep membership and id verbatim, which is what lets the
-  /// solver's per-component warm state (`solver::WarmComponent`) survive
-  /// repairs that the full-window rewrite would have evicted.
+  /// M = F ∩ B at component granularity, every member absorbed whole; no
+  /// Tarjan run is needed. The region's own labels, sorted, go to
+  /// [B \ M, merged M, F \ M] — a placement every mixed edge tolerates,
+  /// since B members only move earlier and F members only later — and
+  /// components outside the region keep id, atoms, flags and label, which
+  /// is what lets the solver's per-component warm state
+  /// (`solver::WarmComponent`) survive the repair.
   void NarrowedInsertRepair(const GroundProgram& gp,
                             const std::vector<uint8_t>* disabled, RuleId r,
                             uint32_t ch, uint32_t cmax,
                             CondensationRepair* out, CancelCtx* cancel);
 
+  /// A free id, or a new one appended to every per-component array.
+  uint32_t AllocId();
+  /// Relabels every live component in label order with fresh spacing.
+  void Relabel();
+  /// Drops the dead space merges left in the atom array.
+  void CompactAtoms();
+
   AtomDependencyGraph graph_;
+  /// Per component id: log2 of the width of the label interval
+  /// [Label(c), Label(c) + 2^bits) that `c` owns; 32 after a fresh build.
+  std::vector<uint8_t> label_bits_;
+  /// End of the highest owned interval: where `AddAtoms` labels start.
+  uint64_t label_end_ = 0;
+  /// Atoms in the array not covered by a live slice (merged-away slices).
+  size_t dead_atoms_ = 0;
+  bool repaired_ = false;
 
-  // Window scratch, reused across repairs. All Tarjan state is local to
-  // the window (dense window-local atom indices), so no per-atom global
-  // array needs resetting between repairs.
-  std::vector<AtomId> old_window_atoms_;  ///< pre-repair window slice
-  std::vector<AtomId> new_atoms_;         ///< re-grouped window slice
-  std::vector<uint32_t> new_offsets_;     ///< prefix sizes of new comps
+  // Split scratch, reused across repairs. All Tarjan state is local to
+  // the component (dense ranks), so no per-atom global array needs
+  // resetting between repairs.
+  std::vector<AtomId> old_window_atoms_;  ///< pre-repair slice
+  std::vector<AtomId> new_atoms_;         ///< re-grouped slice
+  std::vector<uint32_t> new_offsets_;     ///< prefix sizes of the pieces
 
-  // Pearce–Kelly frontier scratch. Epoch-stamped marks over *component*
-  // ids (a repair touches one in-window region; stamping beats clearing).
+  // Pearce–Kelly frontier scratch. Epoch-stamped marks over component ids
+  // (stamping beats clearing).
   std::vector<uint32_t> pk_f_;      ///< forward-mark epoch per component
   std::vector<uint32_t> pk_b_;      ///< backward-mark epoch per component
-  std::vector<uint32_t> pk_stack_;  ///< BFS worklist of component ids
-  std::vector<uint32_t> pk_seq_b_;  ///< region ids in B \ M, ascending
-  std::vector<uint32_t> pk_seq_m_;  ///< region ids in M = F ∩ B, ascending
-  std::vector<uint32_t> pk_seq_f_;  ///< region ids in F \ M, ascending
-  std::vector<uint8_t> pk_neg_;     ///< per emitted comp: internal_neg flag
-  std::vector<uint8_t> pk_rec_;     ///< per emitted comp: recursive flag
+  std::vector<uint32_t> pk_seq_f_;  ///< F in discovery order, then F \ M
+  std::vector<uint32_t> pk_seq_b_;  ///< B in discovery order, then B \ M
+  std::vector<uint32_t> pk_seq_m_;  ///< M = F ∩ B
+  /// The region's (label, label bits) pairs, sorted.
+  std::vector<std::pair<uint64_t, uint8_t>> pk_labels_;
   uint32_t pk_epoch_ = 0;
 
   Stats stats_;

@@ -1,5 +1,6 @@
 #include "check/audit.h"
 
+#include <algorithm>
 #include <cstddef>
 
 #include "analysis/atom_dependency_graph.h"
@@ -42,31 +43,61 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
   if (s.cond_ == nullptr) return report;  // nothing built, nothing to break
   const AtomDependencyGraph& g = s.cond_->graph();
   const GroundProgram& gp = s.gp_;
-  const uint32_t ncomp = g.component_count();
+  const uint32_t bound = g.id_bound();
   const size_t covered = g.atom_count();
 
-  // -- 2. CSR well-formedness of the maintained condensation ------------
+  // -- 2. Slice well-formedness and stable-id bookkeeping ---------------
   if (covered > gp.atom_count()) {
     Fail(&report, StrCat("graph covers ", covered, " atoms but the program "
                          "registers only ", gp.atom_count()));
   }
+  std::vector<uint8_t> freed(bound, 0);
+  for (uint32_t c : g.free_ids()) {
+    if (c >= bound || freed[c] != 0) {
+      Fail(&report, StrCat("free list entry ", c, " out of range or "
+                           "repeated"));
+      continue;
+    }
+    freed[c] = 1;
+  }
   size_t member_total = 0;
-  for (uint32_t c = 0; c < ncomp; ++c) member_total += g.Atoms(c).size();
+  std::vector<uint32_t> live;
+  for (uint32_t c = 0; c < bound; ++c) {
+    const size_t size = g.Atoms(c).size();
+    member_total += size;
+    if ((size == 0) != (freed[c] != 0)) {
+      Fail(&report, StrCat("component ", c, " holds ", size, " atoms but is ",
+                           freed[c] != 0 ? "" : "not ", "on the free list"));
+    }
+    if (size != 0) live.push_back(c);
+  }
   if (member_total != covered) {
     Fail(&report, StrCat("component slices hold ", member_total,
                          " atoms, graph covers ", covered));
   }
   for (AtomId a = 0; a < covered; ++a) {
     const uint32_t c = g.ComponentOf(a);
-    if (c >= ncomp) {
-      Fail(&report, StrCat("atom ", a, ": component ", c, " out of range"));
+    if (c >= bound || freed[c] != 0) {
+      Fail(&report, StrCat("atom ", a, ": component ", c,
+                           " out of range or freed"));
       continue;
     }
     const std::span<const AtomId> atoms = g.Atoms(c);
     const uint32_t rank = g.LocalIndexOf(a);
     if (rank >= atoms.size() || atoms[rank] != a) {
-      Fail(&report, StrCat("atom ", a, ": CSR slice of component ", c,
+      Fail(&report, StrCat("atom ", a, ": slice of component ", c,
                            " does not list it at rank ", rank));
+    }
+  }
+  std::vector<uint32_t> by_label = live;
+  std::sort(by_label.begin(), by_label.end(), [&](uint32_t x, uint32_t y) {
+    return g.Label(x) < g.Label(y);
+  });
+  for (size_t i = 1; i < by_label.size(); ++i) {
+    if (g.Label(by_label[i - 1]) == g.Label(by_label[i])) {
+      Fail(&report, StrCat("components ", by_label[i - 1], " and ",
+                           by_label[i], " share label ",
+                           g.Label(by_label[i])));
     }
   }
 
@@ -77,17 +108,13 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
   if (covered == gp.atom_count()) {
     report.graph_audited = true;
     AtomDependencyGraph fresh(gp, &s.disabled_);
-    if (fresh.component_count() != ncomp) {
-      Fail(&report, StrCat("maintained condensation has ", ncomp,
+    if (fresh.component_count() != live.size()) {
+      Fail(&report, StrCat("maintained condensation has ", live.size(),
                            " components, fresh Tarjan finds ",
                            fresh.component_count()));
     } else {
-      for (uint32_t c = 0; c < ncomp; ++c) {
+      for (uint32_t c : live) {
         const std::span<const AtomId> atoms = g.Atoms(c);
-        if (atoms.empty()) {
-          Fail(&report, StrCat("component ", c, " is empty"));
-          continue;
-        }
         const uint32_t fc = fresh.ComponentOf(atoms[0]);
         if (fresh.Atoms(fc).size() != atoms.size()) {
           Fail(&report, StrCat("component ", c, " has ", atoms.size(),
@@ -113,33 +140,31 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
         }
       }
     }
-    // Maintained ids must be *a* dependency order (not necessarily the
-    // fresh one): every enabled rule's body sits at or below its head.
+    // Maintained labels must be *a* dependency order (not necessarily the
+    // fresh one): every enabled cross-component edge runs from a lower
+    // label to a higher one.
     const std::vector<GroundRule>& rules = gp.rules();
     for (RuleId r = 0; r < rules.size(); ++r) {
       if (!RuleEnabledIn(&s.disabled_, r)) continue;
       const uint32_t hc = g.ComponentOf(rules[r].head);
-      for (AtomId b : rules[r].pos) {
-        if (g.ComponentOf(b) > hc) {
-          Fail(&report, StrCat("rule ", r, ": positive body atom ", b,
-                               " in component ", g.ComponentOf(b),
-                               " above head component ", hc));
+      auto check = [&](AtomId b, const char* sign) {
+        const uint32_t bc = g.ComponentOf(b);
+        if (bc != hc && g.Label(bc) >= g.Label(hc)) {
+          Fail(&report, StrCat("rule ", r, ": ", sign, " body atom ", b,
+                               " in component ", bc, " (label ", g.Label(bc),
+                               ") not below head component ", hc, " (label ",
+                               g.Label(hc), ")"));
         }
-      }
-      for (AtomId b : rules[r].neg) {
-        if (g.ComponentOf(b) > hc) {
-          Fail(&report, StrCat("rule ", r, ": negative body atom ", b,
-                               " in component ", g.ComponentOf(b),
-                               " above head component ", hc));
-        }
-      }
+      };
+      for (AtomId b : rules[r].pos) check(b, "positive");
+      for (AtomId b : rules[r].neg) check(b, "negative");
     }
   }
 
   // -- 4. Memo / stale-set consistency ----------------------------------
-  if (s.memo_.size() > ncomp) {
+  if (s.memo_.size() > bound) {
     Fail(&report, StrCat("memo tracks ", s.memo_.size(), " components, "
-                         "condensation has ", ncomp));
+                         "condensation ids end at ", bound));
   }
   for (AtomId rep : s.stale_reps_) {
     if (rep >= covered) {
@@ -195,7 +220,7 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
   // set — legitimately so, because every read path folds first. The
   // audit's fixpoint check must treat those components (and components
   // fed by them) as pending, not corrupted.
-  std::vector<uint8_t> pending(ncomp, 0);
+  std::vector<uint8_t> pending(bound, 0);
   for (AtomId a : s.dirty_) {
     if (a < covered) pending[g.ComponentOf(a)] = 1;
   }
@@ -208,7 +233,7 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
   solver::TruthTape scratch_tape = s.tape_;
   solver::StageTape scratch_stages = s.stape_;
   SolverDiagnostics scratch_diag;
-  for (uint32_t c = 0; c < ncomp; ++c) {
+  for (uint32_t c : live) {
     if (!effectively_valid(c)) continue;
     const std::span<const AtomId> atoms = g.Atoms(c);
     bool in_bounds = true;

@@ -61,13 +61,16 @@ struct AuditReport {
 ///
 /// Invariants verified:
 ///  1. Condensation vs fresh Tarjan over the same enabled subprogram:
-///     identical atom partition and per-component flags, and the
-///     maintained ids form a valid dependency order (every enabled rule's
-///     body component <= its head component). Numbering itself may differ
-///     — both are topological orders of the same DAG.
-///  2. CSR well-formedness of the maintained condensation: `ComponentOf`,
-///     `LocalIndexOf`, and the component slices form a bijection over the
-///     covered atoms.
+///     identical atom partition over the live components and identical
+///     per-component flags, and the maintained labels form a valid
+///     dependency order (every enabled cross-component edge runs from a
+///     lower label to a higher one). Ids and labels themselves may differ
+///     from the fresh build's — both order the same DAG.
+///  2. Slice well-formedness of the maintained condensation:
+///     `ComponentOf`, `LocalIndexOf`, and the live components' slices form
+///     a bijection over the covered atoms; an id is on the free list
+///     exactly when it holds no atoms, and no atom maps to one; live
+///     labels are distinct.
 ///  3. Fixpoint on clean components: every memo-valid component whose
 ///     inputs are all valid is independently re-solved on a scratch tape;
 ///     values (and V_P stages, under `compute_levels`) must come back

@@ -119,6 +119,16 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
   bool any_success = false;
   bool any_undefined = false;
   bool any_floundered = false;
+  // A depth-capped grounding leaves the truncation cone's answers open: a
+  // positive literal that could match a cone atom (registered or not), or
+  // an instance reading one, rules out an exact failure.
+  const TruncationCone* cone = session_->DirectTruncation();
+  bool any_truncated = false;
+  for (const Literal& l : goal) {
+    if (cone != nullptr && l.positive && cone->Overlaps(l.atom)) {
+      any_truncated = true;
+    }
+  }
   Ordinal min_success;
   bool have_min = false;
 
@@ -129,9 +139,16 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
     // Evaluate the instance three-valued.
     bool instance_true = true;
     bool instance_false = false;
+    bool instance_truncated = false;
     Ordinal level;  // max stage over the literals (Thm. 4.5)
     for (const Literal& l : goal) {
       const Term* atom = subst.Apply(store, l.atom);
+      if (cone != nullptr && atom->ground() && cone->Contains(atom)) {
+        // The bounded fragment's value is not the program's: only the
+        // other literals can still decide this instance (to false).
+        instance_truncated = true;
+        continue;
+      }
       if (l.positive) {
         std::optional<AtomId> id = ground().FindAtom(atom);
         // Positive literals were matched against registered atoms.
@@ -170,6 +187,10 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
       if (instance_false) break;
     }
     if (instance_false) return;
+    if (instance_truncated) {
+      any_truncated = true;
+      return;
+    }
     if (!instance_true) {
       any_undefined = true;
       return;
@@ -211,6 +232,8 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
     result.level_exact = has_stages();
   } else if (any_floundered) {
     result.status = GoalStatus::kFloundered;
+  } else if (any_truncated) {
+    result.status = GoalStatus::kUnknown;
   } else if (any_undefined) {
     result.status = GoalStatus::kIndeterminate;
   } else {

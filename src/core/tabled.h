@@ -89,7 +89,12 @@ class TabledEngine {
 
   /// Evaluates a (possibly nonground) goal: enumerates every answer
   /// substitution grounding the goal into well-founded truth, with levels
-  /// when stages were computed.
+  /// when stages were computed. Applies the truncation cone like
+  /// `StatusOf`: an instance reading a cone atom is neither an answer nor
+  /// a failure, and when such an instance exists — or a positive literal
+  /// unifies with a cone atom, registered or not — the status is
+  /// `kUnknown` unless an exact answer succeeded (or the goal
+  /// floundered), never `kFailed`.
   QueryResult Solve(const Goal& goal) const;
 
   /// Retracts rule `r` — from the base grounding or a previous

@@ -34,7 +34,7 @@ struct GroundRule {
 /// True iff rule `r` is enabled under an optional per-`RuleId` disabled
 /// mask (nonzero byte = retracted; out-of-range ids are enabled). The one
 /// definition of the mask convention `IncrementalSolver` maintains and
-/// every masked consumer (condensation, scheduling DAG, per-SCC
+/// every masked consumer (condensation, ready-release schedule, per-SCC
 /// evaluation) reads.
 inline bool RuleEnabledIn(const std::vector<uint8_t>* disabled, RuleId r) {
   return disabled == nullptr || r >= disabled->size() || (*disabled)[r] == 0;

@@ -1,5 +1,7 @@
 #include "ground/truncation.h"
 
+#include "term/substitution.h"
+
 namespace gsls {
 
 std::shared_ptr<const TruncationCone> TruncationCone::Build(
@@ -34,6 +36,14 @@ std::shared_ptr<const TruncationCone> TruncationCone::Build(
     }
   }
   return cone;
+}
+
+bool TruncationCone::Overlaps(const Term* pattern) const {
+  for (const Term* atom : terms_) {
+    Substitution subst;
+    if (Unify(pattern, atom, &subst)) return true;
+  }
+  return false;
 }
 
 }  // namespace gsls

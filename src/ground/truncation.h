@@ -32,6 +32,10 @@ class TruncationCone {
   /// By hash-consed term; also covers recorded heads beyond the cap,
   /// which are never registered.
   bool Contains(const Term* atom) const { return terms_.count(atom) != 0; }
+  /// True iff some atom of the cone (registered or not) unifies with
+  /// `pattern`: a goal literal that could be answered by such an atom has
+  /// no exact failure. Linear in the cone.
+  bool Overlaps(const Term* pattern) const;
 
  private:
   std::vector<uint8_t> by_id_;

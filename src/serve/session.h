@@ -145,6 +145,9 @@ class Session {
     return server_ != nullptr ? *server_solver_ : *direct_;
   }
   serve::ServingSolver* server() { return server_.get(); }
+  /// Direct mode: the truncation cone of the solver's current rule set,
+  /// rebuilt after deltas; null when the grounding never truncated.
+  const TruncationCone* DirectTruncation();
 
   /// Cancellation passthrough (direct mode; see docs/serving.md for the
   /// serving-mode interaction).
@@ -156,9 +159,6 @@ class Session {
 
   SessionAnswer FromQueryAnswer(const IncrementalSolver::QueryAnswer& qa,
                                 bool truncated) const;
-  /// Direct mode: the truncation cone of the solver's current rule set,
-  /// rebuilt after deltas; null when the grounding never truncated.
-  const TruncationCone* DirectTruncation();
   SessionAnswer FromSnapshotAnswer(const serve::SnapshotAnswer& sa,
                                    uint64_t epoch, uint64_t seq) const;
 

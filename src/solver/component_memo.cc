@@ -1,7 +1,5 @@
 #include "solver/component_memo.h"
 
-#include <algorithm>
-
 #include "util/strings.h"
 
 namespace gsls::solver {
@@ -9,66 +7,6 @@ namespace gsls::solver {
 std::string ComponentMemo::Stats::ToString() const {
   return StrCat("hits=", hits, " misses=", misses,
                 " invalidations=", invalidations);
-}
-
-void ComponentMemo::ApplyRepair(const CondensationRepair& rep,
-                                uint32_t new_component_count) {
-  if (!rep.recondensed) {
-    for (uint32_t c : rep.dirty) Invalidate(c);
-    return;
-  }
-  // The repair renumbered ids: below the window verbatim, the window
-  // translated through `old_to_new` when the repair produced a total map
-  // (insertions: merges and pure permutations — membership of a non-dirty
-  // window member is unchanged, so its tape bytes are still final and its
-  // validity rides along to the new id; a merged target carries validity
-  // only if every source did, and is in `rep.dirty` anyway), dropped
-  // wholesale otherwise (splits fan out and have no map), above the
-  // window shifted by the size delta.
-  std::vector<uint8_t> valid(new_component_count, 0);
-  std::vector<uint64_t> stamp(new_component_count, 0);
-  const uint32_t lo = rep.window_lo;
-  for (uint32_t c = 0; c < lo && c < valid_.size(); ++c) {
-    valid[c] = valid_[c];
-    stamp[c] = stamp_[c];
-  }
-  if (!rep.split() && rep.old_to_new.size() == rep.old_window_size) {
-    std::vector<uint8_t> seen(rep.new_window_size, 0);
-    for (uint32_t i = 0;
-         i < rep.old_window_size && lo + i < valid_.size(); ++i) {
-      const uint32_t nc = rep.old_to_new[i];
-      if (nc == UINT32_MAX || nc < lo || nc >= lo + rep.new_window_size) {
-        continue;
-      }
-      if (!seen[nc - lo]) {
-        seen[nc - lo] = 1;
-        valid[nc] = valid_[lo + i];
-        stamp[nc] = stamp_[lo + i];
-      } else {
-        valid[nc] &= valid_[lo + i];
-        stamp[nc] = std::min(stamp[nc], stamp_[lo + i]);
-      }
-    }
-  }
-  const int64_t shift = rep.id_shift();
-  for (uint32_t c = lo + rep.old_window_size; c < valid_.size(); ++c) {
-    const int64_t nc = static_cast<int64_t>(c) + shift;
-    valid[nc] = valid_[c];
-    stamp[nc] = stamp_[c];
-  }
-  uint32_t invalid = 0;
-  for (uint32_t c = 0; c < new_component_count; ++c) {
-    if (valid[c] == 0) ++invalid;
-  }
-  stats_.invalidations +=
-      (size() - invalid_count_) > (new_component_count - invalid)
-          ? (size() - invalid_count_) - (new_component_count - invalid)
-          : 0;
-  valid_ = std::move(valid);
-  stamp_ = std::move(stamp);
-  invalid_count_ = invalid;
-  ++epoch_;
-  for (uint32_t c : rep.dirty) Invalidate(c);
 }
 
 }  // namespace gsls::solver

@@ -42,14 +42,12 @@ namespace gsls::solver {
 /// whenever a re-solve changes values*. The cone pass maintains exactly
 /// this discipline in both directions (query and delta).
 ///
-/// Component ids are renumbered by recondensation windows
-/// (`DynamicCondensation`); `ApplyRepair` translates the validity map
-/// through a repair — ids below the window keep their entries, ids above
-/// shift by the window's size delta, and the window's entries follow
-/// `CondensationRepair::old_to_new` when the repair produced a total map
-/// (a window member whose membership didn't change keeps its validity at
-/// its new id; merged and dirty members are dropped). Splits have no map
-/// and drop the window wholesale.
+/// Component ids are stable under condensation repairs
+/// (`DynamicCondensation`), so an entry stays attached to its component
+/// across deltas; `ApplyRepair` only drops the repair's dirty components.
+/// An id freed by a merge and later reused by a split piece or a new atom
+/// is dirty (or seeded) at its reuse, so no stale entry survives the
+/// reuse.
 ///
 /// Thread-safety: none. The cone pass reads validity before its executor
 /// runs and writes it after — see `IncrementalSolver::RunConePass`.
@@ -81,13 +79,22 @@ class ComponentMemo {
   /// path: a query can answer from the tape without walking its cone.
   bool AllValid() const { return invalid_count_ == 0; }
 
-  /// Grows to `component_count` entries; new trailing components (spliced
-  /// singletons for freshly interned atoms) start invalid.
-  void Grow(uint32_t component_count) {
-    if (component_count <= valid_.size()) return;
-    invalid_count_ += component_count - static_cast<uint32_t>(valid_.size());
-    valid_.resize(component_count, 0);
-    stamp_.resize(component_count, 0);
+  /// Grows to `id_bound` entries; new components (fresh ids of split
+  /// pieces or newly interned atoms) start invalid.
+  void Grow(uint32_t id_bound) {
+    if (id_bound <= valid_.size()) return;
+    invalid_count_ += id_bound - static_cast<uint32_t>(valid_.size());
+    valid_.resize(id_bound, 0);
+    stamp_.resize(id_bound, 0);
+  }
+
+  /// Resizes to exactly `id_bound` entries, all invalid — the ids of a
+  /// rebuilt condensation name different components.
+  void Reset(uint32_t id_bound) {
+    InvalidateAll();
+    valid_.assign(id_bound, 0);
+    stamp_.assign(id_bound, 0);
+    invalid_count_ = id_bound;
   }
 
   /// Records that `c` was solved against the current program in the
@@ -134,15 +141,12 @@ class ComponentMemo {
     invalid_count_ = static_cast<uint32_t>(valid_.size());
   }
 
-  /// Translates the validity map through a condensation repair: ids below
-  /// `rep.window_lo` are untouched, ids above the old window shift by
-  /// `rep.id_shift()`, and window entries ride `rep.old_to_new` when the
-  /// map is total (merged targets AND their sources' validity; `rep.dirty`
-  /// is dropped at the end regardless) or are dropped wholesale on a
-  /// split. `new_component_count` is the post-repair count. On a
-  /// non-recondensing repair only `rep.dirty` is dropped.
-  void ApplyRepair(const CondensationRepair& rep,
-                   uint32_t new_component_count);
+  /// Drops the entries of `rep.dirty`: the components whose rule set or
+  /// membership the repair changed. Every other id names the same
+  /// component as before, so its entry stands.
+  void ApplyRepair(const CondensationRepair& rep) {
+    for (uint32_t c : rep.dirty) Invalidate(c);
+  }
 
   void CountHit() { ++stats_.hits; }
   void CountMiss() { ++stats_.misses; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <functional>
 #include <ostream>
 #include <utility>
 
@@ -261,101 +260,61 @@ void IncrementalSolver::MarkDirty(AtomId atom) {
 
 void IncrementalSolver::ApplyRepair(const CondensationRepair& rep) {
   const AtomDependencyGraph& g = cond_->graph();
-  // Translate the query memo through the repair (id shifts, window drop,
-  // dirty invalidations) — but only once queries made it track anything.
-  if (memo_.size() != 0) memo_.ApplyRepair(rep, g.component_count());
+  // Ids are stable: the memo only drops the repair's dirty components —
+  // but only once queries made it track anything.
+  if (memo_.size() != 0) memo_.ApplyRepair(rep);
   if (rep.recondensed && tele_.window_components != nullptr) {
-    tele_.window_components->Record(rep.new_window_size);
+    tele_.window_components->Record(rep.written);
     if (rep.pk_region_components != 0) {
       tele_.interior_pk_region_components->Record(rep.pk_region_components);
     }
   }
-  if (rep.recondensed && !warm_.empty()) {
-    // A recondensation renumbered/re-grouped the window: warm interior
-    // state is keyed by representative atom, so entries whose key no
-    // longer leads its component (or whose component changed size) are
-    // provably stale — discard them now rather than leaking them. Same-
-    // key same-size survivors are re-checked atom-for-atom by
-    // `BindingValid` on their next touch.
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    std::erase_if(warm_, [&](const auto& kv) {
-      std::span<const AtomId> atoms = g.Atoms(g.ComponentOf(kv.first));
-      bool keep = !atoms.empty() && atoms[0] == kv.first &&
-                  atoms.size() == kv.second->atom_count();
-      if (!keep) ++diag_.warm_cold_fallbacks;
-      return !keep;
-    });
-  }
-  // Components are marked through a stable representative atom: later
-  // deltas may renumber components again before `Model()` resolves them.
+  if (rep.recondensed) DropStaleWarm();
+  // Components are marked through a representative atom, like every
+  // other pending marker (`dirty_` is atom-keyed).
   for (uint32_t c : rep.dirty) {
     std::span<const AtomId> atoms = g.Atoms(c);
     if (!atoms.empty()) dirty_.push_back(atoms[0]);
   }
-  if (dag_ == nullptr) return;
-  if (!rep.recondensed) {
-    // Edge-only delta — the streaming common case. Queue the edges; one
-    // merge pass patches the DAG when the parallel path next reads it,
-    // so a burst of N order-respecting deltas pays one splice, not N.
-    pending_dag_edges_.insert(pending_dag_edges_.end(),
-                              rep.new_edges.begin(), rep.new_edges.end());
-    return;
-  }
-  // The repair renumbered component ids: queued edges (in pre-repair
-  // ids) must land before the remap.
-  FlushPendingDagEdges();
-  if (rep.split()) {
-    // A split fans one old id out to several; remapping rows is no longer
-    // well defined, so the scheduling DAG rebuilds lazily.
-    dag_.reset();
-  } else {
-    dag_->Splice(gp_, g, &disabled_, rep);
-  }
 }
 
-void IncrementalSolver::FlushPendingDagEdges() {
-  if (pending_dag_edges_.empty()) return;
-  if (dag_ != nullptr) {
-    CondensationRepair edges_only;
-    edges_only.new_edges = std::move(pending_dag_edges_);
-    dag_->Splice(gp_, cond_->graph(), &disabled_, edges_only);
-  }
-  pending_dag_edges_.clear();
+void IncrementalSolver::DropStaleWarm() {
+  if (warm_.empty()) return;
+  // Warm interior state is keyed by representative atom, so entries whose
+  // key no longer leads its component (or whose component changed size)
+  // are provably stale — discard them now rather than leaking them. Same-
+  // key same-size survivors are re-checked atom-for-atom by
+  // `BindingValid` on their next touch.
+  const AtomDependencyGraph& g = cond_->graph();
+  std::lock_guard<std::mutex> lock(warm_mu_);
+  std::erase_if(warm_, [&](const auto& kv) {
+    std::span<const AtomId> atoms = g.Atoms(g.ComponentOf(kv.first));
+    bool keep = !atoms.empty() && atoms[0] == kv.first &&
+                atoms.size() == kv.second->atom_count();
+    if (!keep) ++diag_.warm_cold_fallbacks;
+    return !keep;
+  });
 }
 
 void IncrementalSolver::EnsureGraph() {
   if (cond_ == nullptr) {
     cond_ = std::make_unique<DynamicCondensation>(gp_, &disabled_);
-    dag_.reset();
     return;
   }
   if (cond_->graph().atom_count() == gp_.atom_count()) return;
-  // Atoms interned since the last repair become trailing singleton
-  // components — no rebuild, and the scheduling DAG just grows nodes.
-  // They enter the tape undefined, so their components must solve once
-  // (to false, until some delta derives them): mark them dirty.
+  // Atoms interned since the last repair become singleton components — no
+  // rebuild. They enter the tape undefined, so their components must
+  // solve once (to false, until some delta derives them): mark them dirty.
   ++stats_.graph_rebuilds;
   for (AtomId a = static_cast<AtomId>(cond_->graph().atom_count());
        a < gp_.atom_count(); ++a) {
     dirty_.push_back(a);
   }
   cond_->AddAtoms(gp_.atom_count());
-  if (dag_ != nullptr) {
-    dag_->AppendIsolated(cond_->graph().component_count());
-  }
 }
 
-void IncrementalSolver::EnsureParallelRuntime() {
-  if (dag_ == nullptr) {
-    dag_ = std::make_unique<solver::ComponentDag>(gp_, cond_->graph(),
-                                                  &disabled_);
-    pending_dag_edges_.clear();  // a fresh build already covers them
-  } else {
-    FlushPendingDagEdges();
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<WorkStealingPool>(threads_);
-  }
+void IncrementalSolver::EnsurePool() {
+  if (pool_ == nullptr) pool_ = std::make_unique<WorkStealingPool>(threads_);
 }
 
 void IncrementalSolver::SyncMirror(uint32_t comp) {
@@ -381,6 +340,13 @@ const WfsModel& IncrementalSolver::Model() {
     GSLS_TRACE_SPAN("solve.full", gp_.atom_count());
     const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
     EnsureGraph();
+    if (cond_->repaired()) {
+      // The full solve walks ids in ascending order, which only a fresh
+      // build guarantees to be a dependency order.
+      cond_->Rebuild(gp_, &disabled_);
+      memo_.Reset(cond_->graph().id_bound());
+      DropStaleWarm();
+    }
     CancelCtx* cancel = BeginCancelPass();
     const uint64_t rounds_before = diag_.alternating_rounds;
     const uint32_t ncomp = cond_->graph().component_count();
@@ -389,10 +355,10 @@ const WfsModel& IncrementalSolver::Model() {
     memo_.Grow(ncomp);
     bool aborted = false;
     if (threads_ > 1) {
-      EnsureParallelRuntime();
+      EnsurePool();
       std::vector<uint8_t> solved_comps;
       solver::ParallelSolveAllComponentsInto(
-          gp_, cond_->graph(), *dag_, &disabled_, pool_.get(), &tape_, stages,
+          gp_, cond_->graph(), &disabled_, pool_.get(), &tape_, stages,
           &diag_, cancel, cancel != nullptr ? &solved_comps : nullptr);
       aborted = cancel != nullptr && cancel->aborted();
       if (aborted) {
@@ -465,7 +431,7 @@ const WfsModel& IncrementalSolver::Model() {
     GrowTapes();
     const AtomDependencyGraph& graph = cond_->graph();
     const uint32_t ncomp = graph.component_count();
-    memo_.Grow(ncomp);
+    memo_.Grow(graph.id_bound());
     ++stats_.incremental_solves;
     const uint64_t rounds_before = diag_.alternating_rounds;
     const uint64_t warm_hits_before = diag_.warm_hits;
@@ -675,17 +641,8 @@ bool IncrementalSolver::ResolveComponentDelta(
     if (!moved) continue;
     changed = true;
     // Retracted rules stay in the occurrence index; their heads do not
-    // depend on this atom anymore, so skip them instead of over-marking.
-    for (RuleId r : gp_.PositiveOccurrences(atoms[i])) {
-      if (!RuleEnabledIn(&disabled_, r)) continue;
-      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
-      if (hc != c) flag(hc);
-    }
-    for (RuleId r : gp_.NegativeOccurrences(atoms[i])) {
-      if (!RuleEnabledIn(&disabled_, r)) continue;
-      uint32_t hc = graph.ComponentOf(gp_.rules()[r].head);
-      if (hc != c) flag(hc);
-    }
+    // depend on this atom anymore, so the walk skips them.
+    solver::ForEachDependent(gp_, graph, &disabled_, atoms[i], c, flag);
   }
   return changed;
 }
@@ -694,8 +651,8 @@ void IncrementalSolver::FoldDirtyIntoPending() {
   if (dirty_.empty()) return;
   const AtomDependencyGraph& graph = cond_->graph();
   // Unconditional pushes: a component can be invalid without being
-  // pending (never solved, or conservatively dropped by a recondensation
-  // window), and `Invalidate`'s return value cannot tell those apart.
+  // pending (never solved), and `Invalidate`'s return value cannot tell
+  // those apart.
   // Duplicates are harmless — consumers dedupe by component.
   for (AtomId a : dirty_) {
     memo_.Invalidate(graph.ComponentOf(a));
@@ -706,8 +663,8 @@ void IncrementalSolver::FoldDirtyIntoPending() {
 
 void IncrementalSolver::QueueStale(uint32_t comp) {
   memo_.Invalidate(comp);
-  // By stable representative atom, like ApplyRepair: component ids may
-  // shift again before anything consumes this.
+  // By representative atom, like ApplyRepair: a later merge may free
+  // `comp` before anything consumes this.
   stale_reps_.push_back(cond_->graph().Atoms(comp)[0]);
 }
 
@@ -737,7 +694,7 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
   std::vector<uint32_t>& members = cone_.members;
   std::vector<uint32_t>& slot = cone_.slot;
   std::vector<uint8_t>& owed = cone_.owed;
-  cone_.Fit(graph.component_count());
+  cone_.Fit(graph.id_bound());
   ConePassCounts n;
   std::erase_if(seeds, [&](uint32_t c) { return std::exchange(owed[c], 1); });
   n.seeds = seeds.size();
@@ -748,21 +705,22 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
   const bool pool = threads_ > 1 && seeds.size() > 1;
   std::vector<ConeWorker> workers(1);
   if (pool) {
-    EnsureParallelRuntime();
+    EnsurePool();
     gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
     workers.resize(pool_->size());
     if (!bounded) {
       // The up-cone's members: everything reachable from the seeds in the
-      // scheduling DAG. Flags go to DAG successors, so they stay inside.
+      // condensation DAG. Flags go to DAG successors, so they stay inside.
       members = seeds;
       for (uint32_t c : members) slot[c] = 1;
       for (size_t i = 0; i < members.size(); ++i) {
-        for (uint32_t s : dag_->Successors(members[i])) {
-          if (slot[s] == 0) {
-            slot[s] = 1;
-            members.push_back(s);
-          }
-        }
+        solver::ForEachSuccessor(gp_, graph, &disabled_, members[i],
+                                 [&](uint32_t s) {
+                                   if (slot[s] == 0) {
+                                     slot[s] = 1;
+                                     members.push_back(s);
+                                   }
+                                 });
       }
       for (uint32_t i = 0; i < members.size(); ++i) slot[members[i]] = i + 1;
     }
@@ -774,11 +732,11 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
       pending[i].store(0, std::memory_order_relaxed);
     }
     for (uint32_t c : members) {
-      for (uint32_t s : dag_->Successors(c)) {
+      solver::ForEachSuccessor(gp_, graph, &disabled_, c, [&](uint32_t s) {
         if (slot[s] != 0) {
           pending[slot[s] - 1].fetch_add(1, std::memory_order_relaxed);
         }
-      }
+      });
     }
     std::vector<uint32_t> ready;
     for (uint32_t i = 0; i < members.size(); ++i) {
@@ -792,7 +750,7 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
     // edge of every predecessor in the shared scheduler.
     auto owe = [&](uint32_t c) { return std::atomic_ref<uint8_t>(owed[c]); };
     solver::RunReadyReleaseSchedule(
-        pool_.get(), ready, pending.get(),
+        pool_.get(), gp_, graph, &disabled_, ready, pending.get(),
         [&](unsigned worker, uint32_t c) {
           if (owe(c).load(std::memory_order_relaxed) == 0) {
             return true;  // nothing moved below: release onwards
@@ -814,7 +772,6 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
           if (!changed) ++w.cutoffs;
           return true;
         },
-        [&](uint32_t c) { return dag_->Successors(c); },
         [&](uint32_t s) {
           return slot[s] != 0 ? slot[s] - 1 : solver::kNoScheduleSlot;
         });
@@ -825,16 +782,19 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
     }
     n.scheduled = members.size();
   } else {
-    // Min-heap over component ids (= dependency order): each re-solve
+    // Min-heap over component labels (= dependency order): each re-solve
     // reads final lower values, including the ones this pass produced,
-    // and a flagged dependent always has a larger id than its flagger,
+    // and a flagged dependent always has a larger label than its flagger,
     // so a popped component is never pushed again. What is left on the
     // heap when a checkpoint stops the pass is what it still owes.
     ConeWorker& w = workers[0];
     std::vector<uint32_t>& heap = seeds;
-    std::make_heap(heap.begin(), heap.end(), std::greater<>());
+    auto later = [&](uint32_t x, uint32_t y) {
+      return graph.Label(x) > graph.Label(y);
+    };
+    std::make_heap(heap.begin(), heap.end(), later);
     while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+      std::pop_heap(heap.begin(), heap.end(), later);
       const uint32_t c = heap.back();
       heap.pop_back();
       bool aborted = false;
@@ -846,7 +806,7 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
             } else if (owed[hc] == 0) {
               owed[hc] = 1;
               heap.push_back(hc);
-              std::push_heap(heap.begin(), heap.end(), std::greater<>());
+              std::push_heap(heap.begin(), heap.end(), later);
             }
           });
       if (aborted) {
@@ -901,11 +861,11 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
   const AtomDependencyGraph& graph = cond_->graph();
   std::vector<uint32_t>& cone = cone_.members;
   std::vector<uint32_t>& slot = cone_.slot;
-  cone_.Fit(graph.component_count());
+  cone_.Fit(graph.id_bound());
 
   // The down-cone: every component the query's truth can depend on,
   // gathered by walking body atoms of enabled rules for each member atom
-  // (the reverse of the scheduling DAG's edges). The walk cannot prune at
+  // (the condensation edges, reversed). The walk cannot prune at
   // valid components: validity is conditional on everything below being
   // re-solved first (see solver/component_memo.h), so a stale component
   // deep under a valid one must still be found and re-run.
@@ -929,8 +889,8 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
       }
     }
   }
-  // Dependency (ascending-id) order; ranks double as schedule slots.
-  std::sort(cone.begin(), cone.end());
+  // Discovery ranks double as schedule slots; the executors order by
+  // label themselves.
   cone_.seeds.clear();
   uint64_t cone_atoms = 0;
   for (uint32_t i = 0; i < cone.size(); ++i) {
@@ -974,7 +934,7 @@ IncrementalSolver::QueryAnswer IncrementalSolver::QueryAtom(AtomId atom) {
   ++stats_.queries;
   EnsureGraph();
   GrowTapes();
-  memo_.Grow(cond_->graph().component_count());
+  memo_.Grow(cond_->graph().id_bound());
   FoldDirtyIntoPending();
 
   QueryAnswer out;

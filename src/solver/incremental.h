@@ -77,12 +77,12 @@ struct IncrementalStats {
 /// fresh `SolveWfs` over the mutated program would see.
 ///
 /// Two executors run the pass, with identical results. *Inline* is a
-/// min-heap keyed by component id (= dependency order) over the seeds and
+/// min-heap keyed by component label (= dependency order) over the seeds and
 /// the flagged members, so it pays only for components whose inputs moved
 /// — the latency-critical streaming case, whose changes usually die
 /// within a few components. *Pool* is the ready-release schedule of
 /// solver/parallel.h over the member set (the up direction gathers it by
-/// DAG reachability from the seeds), where a released member re-solves
+/// reachability from the seeds), where a released member re-solves
 /// only if it was seeded or flagged. The pool runs iff
 /// `SolverOptions::num_threads != 1` and the seeds span more than one
 /// component. A pass stopped by a cancellation checkpoint invalidates and
@@ -91,18 +91,20 @@ struct IncrementalStats {
 ///
 /// Invalidation strategy: unit rules have no body, so fact deltas never
 /// add or remove *edges* of the dependency graph — only `Assert` of a
-/// never-registered atom adds a (necessarily isolated) node, spliced in as
-/// a trailing singleton. Non-unit rule deltas (`AssertRule`/`RetractRule`)
+/// never-registered atom adds a (necessarily isolated) node as a new
+/// singleton component. Non-unit rule deltas (`AssertRule`/`RetractRule`)
 /// do change edges; the condensation is then repaired *locally* by the
 /// dynamic-SCC layer (analysis/dynamic_condensation.h): order-respecting
-/// edges cost O(rule), and only a delta that can close or break a cycle
-/// re-runs Tarjan over the affected id window, splicing merged or split
-/// components back in place. The repair names exactly the components
-/// whose compiled state (rule tables, tape values, stage slots) is stale;
-/// they are marked dirty and the next pass re-solves them. The scheduling
-/// DAG of the pool executor is patched by the matching
-/// `ComponentDag::Splice` (or rebuilt lazily after a split). Atom ids are
-/// stable throughout, so the previous model always carries over.
+/// edges cost O(rule), a cycle-closing insertion relabels and merges only
+/// its affected region, and a retraction re-runs Tarjan over the head's
+/// component alone. Component ids are stable across repairs, so every
+/// per-component structure (memo, warm state, cone scratch) stays keyed
+/// correctly; the repair names exactly the components whose compiled
+/// state (rule tables, tape values, stage slots) is stale, they are marked
+/// dirty and the next pass re-solves them. The pool executor reads its
+/// edges from the occurrence index, so there is no scheduling DAG to
+/// patch. Atom ids are stable throughout, so the previous model always
+/// carries over.
 ///
 /// Solved components are memoized per component (`solver::ComponentMemo`)
 /// and the two directions compose: a delta invalidates exactly its dirty
@@ -275,8 +277,8 @@ class IncrementalSolver {
   const std::vector<uint8_t>& disabled_mask() const { return disabled_; }
 
   /// Atoms whose tape/stage entries a pass may have rewritten since the
-  /// last `TakeResolveLog`, by stable atom id (component ids shift under
-  /// recondensation windows, atom ids never do); `all_atoms` replaces the
+  /// last `TakeResolveLog`, by atom id (a merge may free a component id,
+  /// atom ids never change); `all_atoms` replaces the
   /// list when a from-scratch solve rewrote everything. Conservative by
   /// design — a component re-solved to identical values still logs its
   /// atoms — so "not logged" always means "byte-identical since the last
@@ -321,13 +323,14 @@ class IncrementalSolver {
   friend class check::SolverAuditor;
 
   void EnsureGraph();
-  void EnsureParallelRuntime();  ///< scheduling DAG + worker pool
+  void EnsurePool();  ///< the pool executor's workers
   void MarkDirty(AtomId atom);
-  /// Sinks a condensation repair into the solver state: dirty components
-  /// (by stable representative atom) and the scheduling-DAG patch.
+  /// Sinks a condensation repair into the solver state: memo drops, warm
+  /// evictions, and dirty components (by representative atom).
   void ApplyRepair(const CondensationRepair& rep);
-  /// Merges the queued edge-only DAG patches in one `Splice` pass.
-  void FlushPendingDagEdges();
+  /// Discards warm entries whose key no longer leads a component of the
+  /// entry's size (after a recondensation or a rebuild).
+  void DropStaleWarm();
   /// Syncs `cancel_ctx_` from the current options; null when detached
   /// (every checkpoint downstream then stays a pointer test). A fault
   /// injector with no caller token borrows `owned_token_` so a trip
@@ -402,13 +405,7 @@ class IncrementalSolver {
   unsigned threads_;               ///< resolved worker count
   std::vector<uint8_t> disabled_;  ///< per RuleId; 1 = retracted
   std::unique_ptr<DynamicCondensation> cond_;  ///< live condensation
-  std::unique_ptr<solver::ComponentDag> dag_;  ///< parallel path only
   std::unique_ptr<WorkStealingPool> pool_;     ///< parallel path only
-  /// Cross-component edges from edge-only rule deltas, queued while the
-  /// DAG exists but is not being read: the streaming case patches the DAG
-  /// once per parallel use, not once per delta. Component ids in the
-  /// queue are kept current — a recondensing repair flushes it first.
-  std::vector<std::pair<uint32_t, uint32_t>> pending_dag_edges_;
 
   /// Primary truth store, persistent across deltas: the per-SCC pipeline
   /// reads and writes this flat tape; `model_` is the bit-packed mirror
@@ -435,8 +432,8 @@ class IncrementalSolver {
 
   /// Persisted intra-component evaluation state for the large recursive
   /// components (`WarmComponent::Eligible`), keyed by the component's
-  /// stable representative atom (`Atoms(c)[0]` — component ids shift
-  /// under recondensation, atom ids never do). Entries are created on a
+  /// representative atom (`Atoms(c)[0]`, which a split or merge may
+  /// change). Entries are created on a
   /// component's first delta re-solve, reused while `BindingValid`, and
   /// discarded on aborts, invalid bindings, recondensations touching
   /// them, and `InvalidateMemo`. The mutex guards only the map itself:
@@ -449,9 +446,9 @@ class IncrementalSolver {
   /// Per-component query memo: which components' tape values are final
   /// for the current program. Sized/repaired alongside the condensation.
   solver::ComponentMemo memo_;
-  /// Stale components awaiting re-solve, as stable representative atoms
-  /// (`Atoms(c)[0]` — component ids shift under recondensation windows,
-  /// atom ids never do). Fed by deltas (via FoldDirtyIntoPending) and by
+  /// Stale components awaiting re-solve, as representative atoms
+  /// (`Atoms(c)[0]` — a later merge may free the component's id, atom ids
+  /// never change). Fed by deltas (via FoldDirtyIntoPending) and by
   /// query passes that changed values out-of-cone dependents must see;
   /// consumed by both `Model()` (whole set) and `QueryAtom` (cone ∩ set).
   std::vector<AtomId> stale_reps_;
@@ -466,20 +463,20 @@ class IncrementalSolver {
   struct ConeScratch {
     /// The pass's seeds; the inline executor turns them into its min-heap.
     std::vector<uint32_t> seeds;
-    /// The listed member set: the down-cone, ascending (dependency order),
-    /// or the up-cone's DAG reachability when the pool executor runs.
+    /// The listed member set: the down-cone in discovery order, or the
+    /// up-cone's reachability when the pool executor runs.
     std::vector<uint32_t> members;
-    /// Per component: rank in `members` + 1; 0 = not listed.
+    /// Per component id: rank in `members` + 1; 0 = not listed.
     std::vector<uint32_t> slot;
-    /// Per component: owed a re-solve (seeded or flagged) and not yet
+    /// Per component id: owed a re-solve (seeded or flagged) and not yet
     /// finalized; after the pass, the dedupe mark of queued non-members.
     std::vector<uint8_t> owed;
-    /// Sizes the per-component arrays; only a changed component count
-    /// touches them.
-    void Fit(uint32_t ncomp) {
-      if (owed.size() == ncomp) return;
-      owed.assign(ncomp, 0);
-      slot.assign(ncomp, 0);
+    /// Grows the per-component arrays to the id bound (zero-filled, like
+    /// every entry between passes).
+    void Fit(uint32_t id_bound) {
+      if (owed.size() >= id_bound) return;
+      owed.resize(id_bound, 0);
+      slot.resize(id_bound, 0);
     }
   };
   ConeScratch cone_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <memory>
 #include <thread>
 
@@ -10,107 +9,6 @@
 #include "solver/component_eval.h"
 
 namespace gsls::solver {
-
-namespace {
-
-/// Packs a deduplicated (from, to) edge list into CSR successor rows plus
-/// indegrees — the shared tail of construction and splicing.
-void BuildFromEdges(std::vector<uint64_t>* edges, uint32_t ncomp,
-                    Csr<uint32_t>* succ, std::vector<uint32_t>* indegree) {
-  std::sort(edges->begin(), edges->end());
-  edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
-  indegree->assign(ncomp, 0);
-  succ->Reset(ncomp);
-  for (uint64_t e : *edges) succ->CountAt(static_cast<uint32_t>(e >> 32));
-  succ->FinishCounting();
-  for (uint64_t e : *edges) {
-    uint32_t to = static_cast<uint32_t>(e);
-    succ->Fill(static_cast<uint32_t>(e >> 32), to);
-    ++(*indegree)[to];
-  }
-  succ->FinishFilling();
-}
-
-}  // namespace
-
-ComponentDag::ComponentDag(const GroundProgram& gp,
-                           const AtomDependencyGraph& graph,
-                           const std::vector<uint8_t>* disabled) {
-  uint32_t ncomp = graph.component_count();
-  // Cross-component edges, deduplicated by one sort over packed
-  // (from, to) keys. Condensation order guarantees from < to.
-  std::vector<uint64_t> edges;
-  for (RuleId id = 0; id < gp.rule_count(); ++id) {
-    if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
-    uint32_t hc = graph.ComponentOf(r.head);
-    for (AtomId b : r.pos) {
-      uint32_t bc = graph.ComponentOf(b);
-      if (bc != hc) edges.push_back((uint64_t{bc} << 32) | hc);
-    }
-    for (AtomId b : r.neg) {
-      uint32_t bc = graph.ComponentOf(b);
-      if (bc != hc) edges.push_back((uint64_t{bc} << 32) | hc);
-    }
-  }
-  BuildFromEdges(&edges, ncomp, &succ_, &indegree_);
-}
-
-void ComponentDag::AppendIsolated(uint32_t new_component_count) {
-  if (new_component_count <= component_count()) return;
-  succ_.AppendEmptyRows(new_component_count - component_count());
-  indegree_.resize(new_component_count, 0);
-}
-
-void ComponentDag::Splice(const GroundProgram& gp,
-                          const AtomDependencyGraph& graph,
-                          const std::vector<uint8_t>* disabled,
-                          const CondensationRepair& rep) {
-  assert(!rep.split());
-  const uint32_t old_n = component_count();
-  const uint32_t lo = rep.window_lo;
-  const uint32_t old_hi = lo + rep.old_window_size;  // exclusive
-  const int64_t delta =
-      static_cast<int64_t>(rep.new_window_size) - rep.old_window_size;
-  const uint32_t new_n = static_cast<uint32_t>(old_n + delta);
-  auto remap = [&](uint32_t c) -> uint32_t {
-    if (c < lo) return c;
-    if (c >= old_hi) return static_cast<uint32_t>(c + delta);
-    return rep.old_to_new[c - lo];
-  };
-
-  // Kept rows (outside the window), remapped; merged targets collapse in
-  // the dedup. Window rows are recomputed from the occurrence index — the
-  // repair may have rewired them arbitrarily — and `new_edges` covers
-  // dependencies the rule added from components below the window.
-  std::vector<uint64_t> edges;
-  edges.reserve(succ_.size() + rep.new_edges.size());
-  for (uint32_t c = 0; c < old_n; ++c) {
-    if (c >= lo && c < old_hi) continue;
-    uint32_t from = remap(c);
-    for (uint32_t t : succ_.Row(c)) {
-      edges.push_back((uint64_t{from} << 32) | remap(t));
-    }
-  }
-  for (uint32_t c = lo; c < lo + rep.new_window_size; ++c) {
-    for (AtomId a : graph.Atoms(c)) {
-      for (RuleId rid : gp.PositiveOccurrences(a)) {
-        if (!RuleEnabledIn(disabled, rid)) continue;
-        uint32_t hc = graph.ComponentOf(gp.rules()[rid].head);
-        if (hc != c) edges.push_back((uint64_t{c} << 32) | hc);
-      }
-      for (RuleId rid : gp.NegativeOccurrences(a)) {
-        if (!RuleEnabledIn(disabled, rid)) continue;
-        uint32_t hc = graph.ComponentOf(gp.rules()[rid].head);
-        if (hc != c) edges.push_back((uint64_t{c} << 32) | hc);
-      }
-    }
-  }
-  for (const auto& [from, to] : rep.new_edges) {
-    edges.push_back((uint64_t{from} << 32) | to);
-  }
-  BuildFromEdges(&edges, new_n, &succ_, &indegree_);
-}
 
 unsigned ResolveThreadCount(unsigned requested) {
   if (requested != 0) return requested;
@@ -130,32 +28,36 @@ struct alignas(64) WorkerDiag {
 
 void ParallelSolveAllComponentsInto(const GroundProgram& gp,
                                     const AtomDependencyGraph& graph,
-                                    const ComponentDag& dag,
                                     const std::vector<uint8_t>* disabled,
                                     WorkStealingPool* pool, TruthTape* values,
                                     StageTape* stages, SolverDiagnostics* diag,
                                     CancelCtx* cancel,
                                     std::vector<uint8_t>* solved) {
-  GSLS_TRACE_SPAN("solve.parallel", dag.component_count());
+  const uint32_t ncomp = graph.component_count();
+  GSLS_TRACE_SPAN("solve.parallel", ncomp);
   // The lazy occurrence index must exist before workers read it
   // concurrently.
   gp.EnsureOccurrenceIndex();
   values->Assign(gp.atom_count());
   if (stages != nullptr) stages->Assign(gp.atom_count());
 
-  uint32_t ncomp = dag.component_count();
   std::unique_ptr<std::atomic<uint32_t>[]> pending(
       new std::atomic<uint32_t>[ncomp]);
+  std::vector<uint32_t> indegree(ncomp, 0);
+  for (uint32_t c = 0; c < ncomp; ++c) {
+    ForEachSuccessor(gp, graph, disabled, c,
+                     [&](uint32_t s) { ++indegree[s]; });
+  }
   std::vector<uint32_t> seeds;
   for (uint32_t c = 0; c < ncomp; ++c) {
-    pending[c].store(dag.indegrees()[c], std::memory_order_relaxed);
-    if (dag.indegrees()[c] == 0) seeds.push_back(c);
+    pending[c].store(indegree[c], std::memory_order_relaxed);
+    if (indegree[c] == 0) seeds.push_back(c);
   }
 
   if (solved != nullptr) solved->assign(ncomp, 0);
   std::vector<WorkerDiag> worker_diags(pool->size());
   RunReadyReleaseSchedule(
-      pool, seeds, pending.get(),
+      pool, gp, graph, disabled, seeds, pending.get(),
       [&](unsigned worker, uint32_t c) {
         SolverDiagnostics& wd = worker_diags[worker].diag;
         wd.max_component_size =
@@ -168,7 +70,6 @@ void ParallelSolveAllComponentsInto(const GroundProgram& gp,
         if (solved != nullptr) (*solved)[c] = 1;
         return true;
       },
-      [&](uint32_t c) { return dag.Successors(c); },
       [](uint32_t s) { return s; });
 
   for (const WorkerDiag& wd : worker_diags) diag->MergeFrom(wd.diag);

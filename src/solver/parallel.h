@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/atom_dependency_graph.h"
-#include "analysis/dynamic_condensation.h"
 #include "ground/ground_program.h"
 #include "solver/solver.h"
 #include "solver/stages.h"
@@ -16,57 +15,39 @@
 
 namespace gsls::solver {
 
-/// The condensation DAG in scheduling form: deduplicated successor lists
-/// (flat CSR) plus per-component indegrees. Components at the same depth
-/// share no edges and may run on different workers; a component is ready
-/// the moment its last predecessor is final.
-///
-/// With a `disabled` mask the DAG covers the enabled subprogram — it must,
-/// once rule retraction can leave a disabled rule's edge *ascending* under
-/// a repaired condensation (a cycle in scheduling order would deadlock the
-/// release counters). Fact deltas still reuse one DAG verbatim (unit rules
-/// have no body and hence no edges), and rule deltas patch it in place:
-/// `AppendIsolated` for newly interned atoms, `Splice` for a
-/// `DynamicCondensation` repair. Edges of rules retracted *after*
-/// construction may linger until the next splice touches them — they
-/// descend under every later renumbering, so they only add conservative
-/// ordering, never a cycle.
-class ComponentDag {
- public:
-  ComponentDag(const GroundProgram& gp, const AtomDependencyGraph& graph,
-               const std::vector<uint8_t>* disabled = nullptr);
-
-  uint32_t component_count() const {
-    return static_cast<uint32_t>(indegree_.size());
+/// Calls `fn(head_component)` once per enabled rule occurrence of `atom`
+/// (positive, then negative) whose head lies outside component `c`: the
+/// condensation edges leaving `atom`, with multiplicity. This one walk is
+/// both the cone pass's change-pruning flag source and the ready-release
+/// schedule's successor source, so the two see the same edges.
+template <typename Fn>
+void ForEachDependent(const GroundProgram& gp,
+                      const AtomDependencyGraph& graph,
+                      const std::vector<uint8_t>* disabled, AtomId atom,
+                      uint32_t c, Fn&& fn) {
+  for (RuleId r : gp.PositiveOccurrences(atom)) {
+    if (!RuleEnabledIn(disabled, r)) continue;
+    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    if (hc != c) fn(hc);
   }
-  /// Components with an edge from `c` (strictly larger ids, deduplicated).
-  std::span<const uint32_t> Successors(uint32_t c) const {
-    return succ_.Row(c);
+  for (RuleId r : gp.NegativeOccurrences(atom)) {
+    if (!RuleEnabledIn(disabled, r)) continue;
+    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    if (hc != c) fn(hc);
   }
-  /// Unique-predecessor counts; the scheduler's release counters start
-  /// here.
-  const std::vector<uint32_t>& indegrees() const { return indegree_; }
+}
 
-  /// Appends isolated components (no edges, indegree 0) so the DAG covers
-  /// ids up to `new_component_count` — the scheduling mirror of
-  /// `DynamicCondensation::AddAtoms`.
-  void AppendIsolated(uint32_t new_component_count);
-
-  /// Patches the DAG after a condensation repair, without rescanning the
-  /// rule set: rows of components outside the repair window are kept and
-  /// their targets remapped through `rep.old_to_new` (merged targets
-  /// dedup), rows of the window's new components are recomputed from the
-  /// occurrence index, and `rep.new_edges` are folded in. Requires
-  /// `!rep.split()` — a split fans one old id out to several and the
-  /// caller must rebuild instead.
-  void Splice(const GroundProgram& gp, const AtomDependencyGraph& graph,
-              const std::vector<uint8_t>* disabled,
-              const CondensationRepair& rep);
-
- private:
-  Csr<uint32_t> succ_;
-  std::vector<uint32_t> indegree_;
-};
+/// `ForEachDependent` over every atom of component `c`: its successors in
+/// the condensation DAG, as a multiset (one entry per rule occurrence).
+template <typename Fn>
+void ForEachSuccessor(const GroundProgram& gp,
+                      const AtomDependencyGraph& graph,
+                      const std::vector<uint8_t>* disabled, uint32_t c,
+                      Fn&& fn) {
+  for (AtomId a : graph.Atoms(c)) {
+    ForEachDependent(gp, graph, disabled, a, c, fn);
+  }
+}
 
 /// Turns a `SolverOptions::num_threads` request into an actual worker
 /// count (0 resolves to the hardware concurrency, minimum 1).
@@ -77,15 +58,17 @@ inline constexpr uint32_t kNoScheduleSlot = UINT32_MAX;
 
 /// The ready-release engine shared by `ParallelSolveAllComponentsInto`
 /// and the incremental cone pass's pool executor — the one copy of the
-/// race-sensitive discipline. Starting from `seeds` (components whose
-/// scheduled predecessors are all final), each worker runs
-/// `process(worker, comp)` — returning true iff the component finalized —
-/// then walks `successors(comp)`: a successor mapping to `kNoScheduleSlot`
-/// under `slot` is outside the schedule and skipped; otherwise its
-/// `pending[slot(s)]` counter is decremented, and the worker that takes it
-/// to zero owns the successor — continuing into the first such successor
-/// inline (a chain of tiny components runs as a tight loop, no queue
-/// round-trip) and queueing the rest.
+/// race-sensitive discipline. Successors come straight from the occurrence
+/// index (`ForEachSuccessor` over the enabled subprogram), so no
+/// scheduling DAG is built or maintained. Starting from `seeds`
+/// (components whose scheduled predecessors are all final), each worker
+/// runs `process(worker, comp)` — returning true iff the component
+/// finalized — then walks the component's successors: a successor mapping
+/// to `kNoScheduleSlot` under `slot` is outside the schedule and skipped;
+/// otherwise its `pending[slot(s)]` counter is decremented once per edge,
+/// and the worker that takes it to zero owns the successor — continuing
+/// into the first such successor inline (a chain of tiny components runs
+/// as a tight loop, no queue round-trip) and queueing the rest.
 ///
 /// A false return from `process` (a cancellation abort) releases nothing:
 /// the component's successors keep their pending counts and are never
@@ -99,21 +82,25 @@ inline constexpr uint32_t kNoScheduleSlot = UINT32_MAX;
 /// stores; the `acq_rel` on the decrement makes every such write visible
 /// to whichever worker releases (and later processes) the successor, and
 /// transitively to everything downstream. `pending` must start at each
-/// scheduled component's count of scheduled predecessors.
-template <typename Process, typename SuccessorsFn, typename SlotFn>
-void RunReadyReleaseSchedule(WorkStealingPool* pool,
+/// scheduled component's count of scheduled predecessor *edges* — counted
+/// with `ForEachSuccessor`, the same multiset the release walks. The
+/// occurrence index must be built (`EnsureOccurrenceIndex`) before the
+/// call: workers read it concurrently.
+template <typename Process, typename SlotFn>
+void RunReadyReleaseSchedule(WorkStealingPool* pool, const GroundProgram& gp,
+                             const AtomDependencyGraph& graph,
+                             const std::vector<uint8_t>* disabled,
                              std::span<const uint32_t> seeds,
                              std::atomic<uint32_t>* pending,
-                             Process&& process, SuccessorsFn&& successors,
-                             SlotFn&& slot) {
+                             Process&& process, SlotFn&& slot) {
   pool->Run(seeds, [&](unsigned worker, uint32_t task) {
     constexpr uint32_t kNone = UINT32_MAX;
     for (uint32_t c = task; c != kNone;) {
       if (!process(worker, c)) break;
       uint32_t next = kNone;
-      for (uint32_t s : successors(c)) {
+      ForEachSuccessor(gp, graph, disabled, c, [&](uint32_t s) {
         uint32_t ps = slot(s);
-        if (ps == kNoScheduleSlot) continue;
+        if (ps == kNoScheduleSlot) return;
         if (pending[ps].fetch_sub(1, std::memory_order_acq_rel) == 1) {
           if (next == kNone) {
             next = s;
@@ -121,7 +108,7 @@ void RunReadyReleaseSchedule(WorkStealingPool* pool,
             pool->Push(worker, s);
           }
         }
-      }
+      });
       c = next;
     }
   });
@@ -129,7 +116,8 @@ void RunReadyReleaseSchedule(WorkStealingPool* pool,
 
 /// Parallel SCC-stratified solve: every component solved exactly once by
 /// some worker, released to any idle worker the moment its predecessors in
-/// `dag` are final. Workers write decided values of their components into
+/// the condensation DAG are final. `graph` must be a fresh build (dense
+/// ids). Workers write decided values of their components into
 /// disjoint bytes of `*values` (re-sized and reset here) — no atom is
 /// written by two workers, and a component only reads atoms of components
 /// the DAG ordered before it, so plain byte loads/stores plus the
@@ -158,7 +146,6 @@ void RunReadyReleaseSchedule(WorkStealingPool* pool,
 /// before the releasing decrement, so they are as race-free as the values.
 void ParallelSolveAllComponentsInto(const GroundProgram& gp,
                                     const AtomDependencyGraph& graph,
-                                    const ComponentDag& dag,
                                     const std::vector<uint8_t>* disabled,
                                     WorkStealingPool* pool, TruthTape* values,
                                     StageTape* stages, SolverDiagnostics* diag,

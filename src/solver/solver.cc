@@ -147,11 +147,10 @@ WfsModel SolveWfs(const GroundProgram& gp, const SolverOptions& opts,
     out = solver::SolveAllComponents(gp, graph, /*disabled=*/nullptr,
                                      opts.compute_levels, diag, cancel);
   } else {
-    solver::ComponentDag dag(gp, graph);
     solver::TruthTape values;
     solver::StageTape stages;
     solver::ParallelSolveAllComponentsInto(
-        gp, graph, dag, /*disabled=*/nullptr, &CachedPool(threads), &values,
+        gp, graph, /*disabled=*/nullptr, &CachedPool(threads), &values,
         opts.compute_levels ? &stages : nullptr, diag, cancel);
     out.model = values.ToInterpretation();
     out.iterations = static_cast<uint32_t>(diag->alternating_rounds);

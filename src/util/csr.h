@@ -61,14 +61,6 @@ class Csr {
     offsets_[0] = 0;
   }
 
-  /// Appends `n` empty rows to a finished structure (used when trailing
-  /// rows gain ids but no payload yet — e.g. isolated components appended
-  /// to a scheduling DAG).
-  void AppendEmptyRows(size_t n) {
-    if (offsets_.empty()) offsets_.push_back(0);
-    offsets_.insert(offsets_.end(), n, offsets_.back());
-  }
-
   size_t rows() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   size_t size() const { return payload_.size(); }
 

@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "check/audit.h"
 #include "core/engine.h"
 #include "core/tabled.h"
 #include "solver/incremental.h"
@@ -505,6 +508,138 @@ TEST(RuleDeltaTest, DescendingDeltasSkipRecondensation) {
   ASSERT_NE(inc.condensation_stats(), nullptr);
   EXPECT_EQ(inc.condensation_stats()->windows, 0u);
   EXPECT_EQ(inc.stats().rule_deltas, 2u);
+}
+
+// --- Stable component ids ---------------------------------------------
+
+/// Where the live condensation puts each atom: (component id, label).
+std::vector<std::pair<uint32_t, uint64_t>> Placement(
+    const IncrementalSolver& inc) {
+  const AtomDependencyGraph& g = *inc.graph();
+  std::vector<std::pair<uint32_t, uint64_t>> out;
+  for (AtomId a = 0; a < g.atom_count(); ++a) {
+    out.emplace_back(g.ComponentOf(a), g.Label(g.ComponentOf(a)));
+  }
+  return out;
+}
+
+/// Applies one rule delta with head `head` and checks the stable-id
+/// contract after it: the auditor finds nothing, the model and levels
+/// equal a fresh solve, and every atom outside the repair's dirty
+/// components — the head's component before the delta (a split's pieces)
+/// and after it (a merge) — keeps its component id and, unless the delta
+/// relabelled everything, its label.
+template <typename Delta>
+void StableIdStep(IncrementalSolver& inc, AtomId head, Delta&& delta,
+                  const std::string& context) {
+  inc.Model();
+  const auto before = Placement(inc);
+  const uint64_t relabels = inc.condensation_stats()->relabels;
+  std::set<AtomId> dirty;
+  auto add_head_component = [&] {
+    const AtomDependencyGraph& g = *inc.graph();
+    for (AtomId a : g.Atoms(g.ComponentOf(head))) dirty.insert(a);
+  };
+  add_head_component();
+  delta();
+  add_head_component();
+  const auto after = Placement(inc);
+  const bool relabelled = inc.condensation_stats()->relabels != relabels;
+  for (AtomId a = 0; a < before.size(); ++a) {
+    if (dirty.count(a) != 0) continue;
+    ASSERT_EQ(after[a].first, before[a].first)
+        << context << ": atom " << a << " changed component id";
+    if (!relabelled) {
+      ASSERT_EQ(after[a].second, before[a].second)
+          << context << ": atom " << a << " changed label";
+    }
+  }
+  check::AuditReport report = check::AuditSolver(inc);
+  ASSERT_TRUE(report.ok()) << context << ":\n" << report.ToString();
+  const WfsModel& got = inc.Model();
+  WfsModel want = inc.SolveFresh();
+  ASSERT_EQ(got.model, want.model)
+      << context << "\n"
+      << DescribeModelDifference(inc.program(), got.model, want.model);
+  ASSERT_EQ(got.true_stage, want.true_stage) << context;
+  ASSERT_EQ(got.false_stage, want.false_stage) << context;
+  report = check::AuditSolver(inc);
+  ASSERT_TRUE(report.ok()) << context << " (after solve):\n"
+                           << report.ToString();
+}
+
+// Asserting and retracting the same cycle-closing rule merges and splits
+// one component over and over; the merge frees ids and the split takes
+// them back, so the id bound stops growing after the first pair.
+TEST(RuleDeltaTest, StableIdsReuseFreedIdsUnderCycleChurn) {
+  std::string src = "win(X) :- move(X, Y), not win(Y).\n";
+  for (int k = 0; k < 8; ++k) {
+    for (int i = 0; i < 3; ++i) {
+      src += StrCat("move(n", k, "_", i, ", n", k, "_", i + 1, ").\n");
+    }
+  }
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Fixture f(src);
+    IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+    inc.Model();
+    GroundRule closing;
+    closing.head = *inc.program().FindAtom(MustParseTerm(f.store, "win(n0_3)"));
+    closing.neg = {*inc.program().FindAtom(MustParseTerm(f.store, "win(n0_0)"))};
+    const uint32_t comps = inc.graph()->component_count();
+    uint32_t bound_after_first = 0;
+    for (int pair = 0; pair < 500; ++pair) {
+      const std::string ctx = StrCat("threads ", threads, " pair ", pair);
+      RuleId r = 0;
+      StableIdStep(inc, closing.head, [&] { r = inc.AssertRule(closing); },
+                   ctx + " assert");
+      ASSERT_EQ(inc.graph()->component_count(), comps - 3) << ctx;
+      StableIdStep(inc, closing.head, [&] { inc.RetractRule(r); },
+                   ctx + " retract");
+      ASSERT_EQ(inc.graph()->component_count(), comps) << ctx;
+      if (pair == 0) bound_after_first = inc.graph()->id_bound();
+    }
+    EXPECT_EQ(inc.graph()->id_bound(), bound_after_first);
+    EXPECT_GE(inc.condensation_stats()->merges, 500u);
+    EXPECT_GE(inc.condensation_stats()->splits, 500u);
+  }
+}
+
+// A ladder a0 <- a1 <- ... <- aN closed back into a0 by one rule per rung:
+// retracting the closing rules from the top splits the rung off the
+// remaining cycle, each split nested inside the previous one's label
+// interval, until the interval is exhausted and everything is relabelled.
+TEST(RuleDeltaTest, StableIdsNestedSplitsRelabel) {
+  constexpr int kRungs = 40;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Fixture f("seed.");
+    IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+    inc.Model();
+    std::vector<const Term*> rung;
+    for (int i = 0; i <= kRungs; ++i) {
+      rung.push_back(MustParseTerm(f.store, StrCat("a", i)));
+    }
+    auto atom = [&](int i) { return *inc.program().FindAtom(rung[i]); };
+    std::vector<const Term*> no_terms;
+    for (int i = 1; i <= kRungs; ++i) {
+      std::vector<const Term*> neg = {rung[i - 1]};
+      inc.AssertRule(rung[i], no_terms, neg);
+    }
+    std::vector<RuleId> closing(kRungs + 1);
+    for (int i = 1; i <= kRungs; ++i) {
+      GroundRule r;
+      r.head = atom(0);
+      r.neg = {atom(i)};
+      StableIdStep(inc, r.head, [&] { closing[i] = inc.AssertRule(r); },
+                   StrCat("threads ", threads, " close rung ", i));
+    }
+    for (int i = kRungs; i >= 1; --i) {
+      StableIdStep(inc, atom(0), [&] { inc.RetractRule(closing[i]); },
+                   StrCat("threads ", threads, " open rung ", i));
+    }
+    EXPECT_GE(inc.condensation_stats()->splits,
+              static_cast<uint64_t>(kRungs));
+    EXPECT_GE(inc.condensation_stats()->relabels, 1u);
+  }
 }
 
 }  // namespace

@@ -207,5 +207,20 @@ TEST(TabledTest, StatusOfAppliesTheTruncationCone) {
             GoalStatus::kSuccessful);
 }
 
+TEST(TabledTest, SolveAppliesTheTruncationCone) {
+  Fixture f("q(X) :- r(X), not s(f(X)). r(a).");
+  TabledEngine t = MustCreate(f.program);
+  for (const char* goal : {"q(a)", "q(X)"}) {
+    QueryResult r = t.Solve(MustParseQuery(f.store, goal));
+    EXPECT_EQ(r.status, GoalStatus::kUnknown) << goal;
+    EXPECT_TRUE(r.answers.empty()) << goal;
+  }
+  // Goals off the cone keep their exact answers.
+  EXPECT_EQ(t.Solve(MustParseQuery(f.store, "r(X)")).status,
+            GoalStatus::kSuccessful);
+  EXPECT_EQ(t.Solve(MustParseQuery(f.store, "r(b)")).status,
+            GoalStatus::kFailed);
+}
+
 }  // namespace
 }  // namespace gsls
