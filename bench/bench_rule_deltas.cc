@@ -9,8 +9,8 @@
 // the change-pruned up-cone, so the per-delta cost must sit far below a
 // fresh `SolveWfs` (target >= 10x; measured ~100x+). A scaling row then
 // times a cycle-closing rule pair on a forest of 1000 vs 16000 small
-// chains: the pair's cost must stay within 2x, because a repair touches
-// its affected region only. Any disagreement or a scaling ratio above 2x
+// chains: the pair's median and mean cost must stay within 2x, because a
+// repair touches its affected region only. Any disagreement or a scaling ratio above 2x
 // makes the process exit nonzero — this table is a hard CI gate.
 
 #include <benchmark/benchmark.h>
@@ -262,38 +262,68 @@ struct ScalingProbe {
   GroundRule closing;
 };
 
-/// Median wall time of one probe pair, in microseconds.
-double MedianPairUs(int chains, unsigned threads) {
+/// Wall time of one probe pair, in microseconds, over 1500 timed pairs,
+/// plus the label-block relabels those pairs ran.
+struct PairTimes {
+  double median = 0;
+  double mean = 0;
+  double p99 = 0;
+  uint64_t relabels = 0;
+};
+
+PairTimes TimePairs(int chains, unsigned threads) {
   ScalingProbe probe(chains, threads);
   for (int i = 0; i < 200; ++i) probe.Pair();
+  const uint64_t relabels = probe.inc.condensation_stats()->relabels;
   std::vector<double> us(1500);
+  double total = 0;
   for (double& t : us) {
     auto start = std::chrono::steady_clock::now();
     probe.Pair();
     t = std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
             .count();
+    total += t;
   }
-  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
-  return us[us.size() / 2];
+  PairTimes out;
+  out.mean = total / static_cast<double>(us.size());
+  std::sort(us.begin(), us.end());
+  out.median = us[us.size() / 2];
+  out.p99 = us[us.size() * 99 / 100];
+  out.relabels = probe.inc.condensation_stats()->relabels - relabels;
+  return out;
 }
 
 /// Hard gate: a rule pair at K=16000 chains costs at most 2x the pair at
-/// K=1000, at 1 and 2 threads — a rule delta costs its affected region,
-/// not the program.
+/// K=1000, at 1 and 2 threads, both in the median and in the mean — the
+/// mean is the amortized cost, so a rare whole-program step (one in every
+/// few pairs) would fail it even when the median cannot see it. A rule
+/// delta costs its affected region, not the program.
 bool VerifyScaling() {
   std::printf("=== rule-delta scaling gate (assert+query+retract+query) ===\n");
-  std::printf("%-8s %8s %12s %12s %8s  %s\n", "threads", "K", "pair(us)",
-              "K=1000(us)", "ratio", "gate<=2x");
+  std::printf("%-8s %6s %10s %10s %10s %9s  %-14s %s\n", "threads", "K",
+              "median(us)", "mean(us)", "p99(us)", "relabels", "ratio med/mean",
+              "gate<=2x");
   bool ok = true;
   for (unsigned threads : {1u, 2u}) {
-    const double small = MedianPairUs(1000, threads);
-    const double large = MedianPairUs(16000, threads);
-    const double ratio = large / (small > 0 ? small : 1e-9);
-    const bool pass = ratio <= 2.0;
+    const PairTimes small = TimePairs(1000, threads);
+    const PairTimes large = TimePairs(16000, threads);
+    auto ratio = [](double num, double den) {
+      return num / (den > 0 ? den : 1e-9);
+    };
+    const double median_ratio = ratio(large.median, small.median);
+    const double mean_ratio = ratio(large.mean, small.mean);
+    const bool pass = median_ratio <= 2.0 && mean_ratio <= 2.0;
     ok = ok && pass;
-    std::printf("%-8u %8d %12.2f %12.2f %7.2fx  %s\n", threads, 16000, large,
-                small, ratio, pass ? "ok" : "FAIL");
+    for (const auto& [k, t] : {std::pair{1000, small}, {16000, large}}) {
+      std::printf("%-8u %6d %10.2f %10.2f %10.2f %9lu", threads, k, t.median,
+                  t.mean, t.p99, static_cast<unsigned long>(t.relabels));
+      if (k == 16000) {
+        std::printf("  %5.2fx/%5.2fx  %s", median_ratio, mean_ratio,
+                    pass ? "ok" : "FAIL");
+      }
+      std::printf("\n");
+    }
   }
   std::printf("\n");
   return ok;

@@ -1,8 +1,8 @@
 #include "analysis/dynamic_condensation.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
+#include <cmath>
 
 #include "obs/trace.h"
 #include "util/strings.h"
@@ -11,8 +11,16 @@ namespace gsls {
 
 namespace {
 
-/// Label interval width of a fresh build: `Label(c) == c << kFreshBits`.
+/// Label stride of a fresh build: `Label(c) == c << kFreshBits`.
 constexpr uint8_t kFreshBits = 32;
+/// Labels live in [0, 2^kLabelBits).
+constexpr int kLabelBits = 63;
+constexpr uint64_t kLabelSpace = uint64_t{1} << kLabelBits;
+/// Density threshold base of the block relabel: a block of 2^i labels is
+/// sparse enough when it holds fewer than (2 / kDensity)^i components.
+constexpr double kDensity = 1.5;
+/// Anchor of a Pearce–Kelly slot that directly follows the previous slot.
+constexpr uint32_t kChained = UINT32_MAX - 1;
 
 }  // namespace
 
@@ -22,7 +30,7 @@ std::string DynamicCondensation::Stats::ToString() const {
                 " window_us=", window_ns / 1000, " merges=", merges,
                 " splits=", splits, " pk_regions=", pk_regions,
                 " pk_region_comps=", pk_region_comps,
-                " relabels=", relabels);
+                " relabels=", relabels, " relabel_comps=", relabel_comps);
 }
 
 DynamicCondensation::DynamicCondensation(
@@ -33,8 +41,15 @@ DynamicCondensation::DynamicCondensation(
 void DynamicCondensation::Rebuild(const GroundProgram& gp,
                                   const std::vector<uint8_t>* disabled) {
   graph_ = AtomDependencyGraph(gp, disabled);
-  label_bits_.assign(graph_.id_bound(), kFreshBits);
-  label_end_ = uint64_t{graph_.id_bound()} << kFreshBits;
+  const uint32_t n = graph_.id_bound();
+  prev_.resize(n);
+  next_.resize(n);
+  for (uint32_t c = 0; c < n; ++c) {
+    prev_[c] = c == 0 ? kNone : c - 1;
+    next_[c] = c + 1 == n ? kNone : c + 1;
+  }
+  first_ = n == 0 ? kNone : 0;
+  last_ = n == 0 ? kNone : n - 1;
   dead_atoms_ = 0;
   repaired_ = false;
 }
@@ -51,7 +66,8 @@ uint32_t DynamicCondensation::AllocId() {
   g.label_.push_back(0);
   g.internal_neg_.push_back(0);
   g.recursive_.push_back(0);
-  label_bits_.push_back(0);
+  prev_.push_back(kNone);
+  next_.push_back(kNone);
   return g.id_bound() - 1;
 }
 
@@ -67,28 +83,76 @@ void DynamicCondensation::AddAtoms(size_t new_atom_count) {
     g.comp_atoms_.push_back(a);
     g.internal_neg_[c] = 0;
     g.recursive_[c] = 0;
-    g.label_[c] = label_end_;
-    label_bits_[c] = kFreshBits;
-    label_end_ += uint64_t{1} << kFreshBits;
+    g.label_[c] = last_ == kNone ? 0 : g.label_[last_] + MakeRoom(last_, 1);
+    LinkAfter(last_, c);
   }
 }
 
-void DynamicCondensation::Relabel() {
-  AtomDependencyGraph& g = graph_;
-  std::vector<uint32_t> order;
-  order.reserve(g.component_count());
-  for (uint32_t c = 0; c < g.id_bound(); ++c) {
-    if (g.size_[c] != 0) order.push_back(c);
+void DynamicCondensation::LinkAfter(uint32_t pos, uint32_t c) {
+  const uint32_t after = pos == kNone ? first_ : next_[pos];
+  prev_[c] = pos;
+  next_[c] = after;
+  (pos == kNone ? first_ : next_[pos]) = c;
+  (after == kNone ? last_ : prev_[after]) = c;
+}
+
+void DynamicCondensation::Unlink(uint32_t c) {
+  (prev_[c] == kNone ? first_ : next_[prev_[c]]) = next_[c];
+  (next_[c] == kNone ? last_ : prev_[next_[c]]) = prev_[c];
+  prev_[c] = next_[c] = kNone;
+}
+
+uint64_t DynamicCondensation::RoomEnd(uint32_t c, uint32_t n) const {
+  if (next_[c] != kNone) return graph_.label_[next_[c]];
+  const uint64_t label = graph_.label_[c];
+  const uint64_t want = (uint64_t{n} + 1) << kFreshBits;
+  return kLabelSpace - label > want ? label + want : kLabelSpace;
+}
+
+uint64_t DynamicCondensation::MakeRoom(uint32_t c, uint32_t n) {
+  std::vector<uint64_t>& label = graph_.label_;
+  if (RoomEnd(c, n) - label[c] > n) {
+    return (RoomEnd(c, n) - label[c]) / (n + 1);
   }
-  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    return g.label_[x] < g.label_[y];
-  });
-  for (uint32_t i = 0; i < order.size(); ++i) {
-    g.label_[order[i]] = uint64_t{i} << kFreshBits;
-    label_bits_[order[i]] = kFreshBits;
-  }
-  label_end_ = uint64_t{order.size()} << kFreshBits;
+  // Grow an aligned block [lo, lo + 2^level) around Label(c) until it
+  // holds few enough components (counting the n to place), then spread
+  // them evenly over it, leaving n free slots after `c`. The members are
+  // exactly the list run whose labels fall in the block, so walking the
+  // list outward from `c` finds them and the relabel keeps the global
+  // order. Bender et al. show the relabelled run is O(log C) amortized
+  // per placement.
   ++stats_.relabels;
+  uint32_t left = c;
+  uint32_t right = c;
+  uint64_t members = 1;
+  uint64_t lo = 0;
+  int level = 1;
+  for (;; ++level) {
+    lo = label[c] >> level << level;
+    const uint64_t hi = lo + (uint64_t{1} << level);
+    while (prev_[left] != kNone && label[prev_[left]] >= lo) {
+      left = prev_[left];
+      ++members;
+    }
+    while (next_[right] != kNone && label[next_[right]] < hi) {
+      right = next_[right];
+      ++members;
+    }
+    if (level == kLabelBits ||
+        static_cast<double>(members + n) <
+            std::pow(2.0 / kDensity, level)) {
+      break;
+    }
+  }
+  stats_.relabel_comps += members;
+  const uint64_t step = (uint64_t{1} << level) / (members + n);
+  uint64_t slot = 0;
+  for (uint32_t x = left;; x = next_[x]) {
+    label[x] = lo + slot * step;
+    slot += x == c ? uint64_t{n} + 1 : 1;
+    if (x == right) break;
+  }
+  return (RoomEnd(c, n) - label[c]) / (n + 1);
 }
 
 void DynamicCondensation::CompactAtoms() {
@@ -213,26 +277,26 @@ void DynamicCondensation::SplitComponent(
     }
   }
 
-  // Labels: the pieces cut `c`'s own interval into evenly spaced slots,
-  // the first keeping Label(c). The interval lies strictly between every
-  // external body label and every external head label of the pieces, and
-  // no other live label enters it, so the slots are order-correct and
-  // distinct. Too narrow an interval relabels everything first.
+  // Labels: the first piece keeps Label(c); the others go evenly into
+  // the gap up to the next live label. Every external body component of
+  // the pieces is labelled below Label(c) and every external head
+  // component at or above that next label, so the pieces are
+  // order-correct, and no other label lies in the gap.
   const uint32_t pieces = static_cast<uint32_t>(new_offsets_.size() - 1);
-  const uint32_t cut = std::bit_width(pieces - 1);  // ceil(log2(pieces))
-  if (cut > label_bits_[c]) Relabel();
-  const uint8_t bits = static_cast<uint8_t>(label_bits_[c] - cut);
+  const uint64_t step = pieces > 1 ? MakeRoom(c, pieces - 1) : 0;
   const uint64_t base = g.label_[c];
 
   // Write the pieces back into the old slice; the first keeps id `c`.
   std::copy(new_atoms_.begin(), new_atoms_.end(),
             g.comp_atoms_.begin() + abegin);
+  uint32_t prev_piece = c;
   for (uint32_t i = 0; i < pieces; ++i) {
     const uint32_t id = i == 0 ? c : AllocId();
     g.begin_[id] = abegin + new_offsets_[i];
     g.size_[id] = new_offsets_[i + 1] - new_offsets_[i];
-    g.label_[id] = base + (uint64_t{i} << bits);
-    label_bits_[id] = bits;
+    g.label_[id] = base + i * step;
+    if (i > 0) LinkAfter(prev_piece, id);
+    prev_piece = id;
     g.internal_neg_[id] = 0;
     g.recursive_[id] = g.size_[id] > 1 ? 1 : 0;
     uint32_t rank = 0;
@@ -348,32 +412,29 @@ void DynamicCondensation::NarrowedInsertRepair(
   // edges' shared head component `ch`, so the merged SCC — if any — is
   // exactly M = F ∩ B at component granularity, every member absorbed
   // whole; membership outside M is untouched and no Tarjan run is needed.
-  pk_labels_.clear();
-  pk_seq_m_.clear();
   auto by_label = [&](uint32_t x, uint32_t y) {
     return g.label_[x] < g.label_[y];
   };
+  auto in_region = [&](uint32_t x) {
+    return x != kNone && (pk_f_[x] == epoch || pk_b_[x] == epoch);
+  };
+  pk_seq_m_.clear();
   for (uint32_t c : pk_seq_f_) {
     if (pk_b_[c] == epoch) pk_seq_m_.push_back(c);
   }
-  for (uint32_t c : pk_seq_f_) {
-    pk_labels_.emplace_back(g.label_[c], label_bits_[c]);
-    stats_.window_atoms += g.size_[c];
-  }
+  pk_region_ = pk_seq_f_;
   for (uint32_t c : pk_seq_b_) {
-    if (pk_f_[c] == epoch) continue;
-    pk_labels_.emplace_back(g.label_[c], label_bits_[c]);
-    stats_.window_atoms += g.size_[c];
+    if (pk_f_[c] != epoch) pk_region_.push_back(c);
   }
   std::erase_if(pk_seq_f_, [&](uint32_t c) { return pk_b_[c] == epoch; });
   std::erase_if(pk_seq_b_, [&](uint32_t c) { return pk_f_[c] == epoch; });
   std::sort(pk_seq_f_.begin(), pk_seq_f_.end(), by_label);
   std::sort(pk_seq_b_.begin(), pk_seq_b_.end(), by_label);
   std::sort(pk_seq_m_.begin(), pk_seq_m_.end(), by_label);
-  std::sort(pk_labels_.begin(), pk_labels_.end());
+  std::sort(pk_region_.begin(), pk_region_.end(), by_label);
   const uint32_t k = static_cast<uint32_t>(pk_seq_b_.size());
   const uint32_t m = static_cast<uint32_t>(pk_seq_f_.size());
-  const uint32_t region = static_cast<uint32_t>(pk_labels_.size());
+  const uint32_t region = static_cast<uint32_t>(pk_region_.size());
   out->pk_region_components = region;
   stats_.pk_region_comps += region;
   const bool merge = !pk_seq_m_.empty();
@@ -383,28 +444,47 @@ void DynamicCondensation::NarrowedInsertRepair(
   assert(!merge || pk_seq_m_.size() >= 2);
   assert(pk_seq_m_.empty() || pk_seq_m_.front() == ch);
 
-  // Hand the region's sorted labels to [B \ M, merged M, F \ M]: B∪M take
-  // the lowest, F the highest, and the |M|-1 labels in between are
-  // dropped with the merged-away ids. B members only move earlier (the
-  // j-th smallest B label becomes the j-th smallest region label) and F
-  // members only later; in-region successors of F∪M members are again in
-  // F (forward closure) and in-region predecessors of B∪M members again
-  // in B (backward closure), so a component outside the region only ever
-  // feeds F members, which moved later, or consumes B members, which
-  // moved earlier.
-  auto place = [&](uint32_t c, uint32_t slot) {
-    g.label_[c] = pk_labels_[slot].first;
-    label_bits_[c] = pk_labels_[slot].second;
+  // Take the region's slots (its sorted labels) out of the label-order
+  // list, remembering where each sat: after a component outside the
+  // region, or right after the previous slot.
+  pk_labels_.clear();
+  pk_anchor_.clear();
+  for (uint32_t c : pk_region_) {
+    stats_.window_atoms += g.size_[c];
+    pk_labels_.push_back(g.label_[c]);
+    pk_anchor_.push_back(in_region(prev_[c]) ? kChained : prev_[c]);
+  }
+  for (uint32_t c : pk_region_) Unlink(c);
+
+  // Hand the slots to [B \ M, merged M, F \ M]: B∪M take the lowest, F
+  // the highest, and the |M|-1 slots in between are dropped with the
+  // merged-away ids. B members only move earlier (the j-th smallest B
+  // label becomes the j-th smallest region label) and F members only
+  // later; in-region successors of F∪M members are again in F (forward
+  // closure) and in-region predecessors of B∪M members again in B
+  // (backward closure), so a component outside the region only ever feeds
+  // F members, which moved later, or consumes B members, which moved
+  // earlier. Relinking the slots in order restores the list.
+  auto occupant = [&](uint32_t slot) {
+    if (slot < k) return pk_seq_b_[slot];
+    if (slot >= region - m) return pk_seq_f_[slot - (region - m)];
+    return slot == k ? ch : kNone;
   };
-  for (uint32_t i = 0; i < k; ++i) place(pk_seq_b_[i], i);
-  for (uint32_t j = 0; j < m; ++j) place(pk_seq_f_[j], region - m + j);
+  uint32_t after = kNone;
+  for (uint32_t slot = 0; slot < region; ++slot) {
+    if (pk_anchor_[slot] != kChained) after = pk_anchor_[slot];
+    const uint32_t c = occupant(slot);
+    if (c == kNone) continue;
+    g.label_[c] = pk_labels_[slot];
+    LinkAfter(after, c);
+    after = c;
+  }
   out->written = k + m;
 
   if (merge) {
     // The merged component keeps ch's id; its atoms, in ascending label
     // order of the members (each an atom-level SCC the new edges close a
     // cycle through), are appended to the atom array.
-    place(ch, k);
     const uint32_t begin = static_cast<uint32_t>(g.comp_atoms_.size());
     for (uint32_t oldc : pk_seq_m_) {
       (void)tick.Tick();

@@ -12,6 +12,10 @@
 
 namespace gsls {
 
+namespace check {
+class SolverAuditor;
+}  // namespace check
+
 /// What one rule-level repair did to the condensation — enough for
 /// `IncrementalSolver` to mark exactly the affected components dirty.
 /// Component ids are stable, so nothing here needs translating: a
@@ -62,13 +66,17 @@ struct CondensationRepair {
 ///
 /// Ids: a merge keeps the head component's id and frees the others; a
 /// split keeps the old id for its first piece and takes the others from
-/// the free list (or appends). Labels: each label owns a private interval
-/// [label, label + 2^bits) that no other live label enters; a split cuts
-/// its component's interval into evenly spaced pieces, and when the
-/// interval is too narrow every live component is relabelled in label
-/// order (`Stats::relabels`). Atoms: each component is an (offset, size)
-/// slice of one array; a split rewrites its slice in place, a merge
-/// appends, and the array is compacted once dead space exceeds live.
+/// the free list (or appends). Labels: live components also form a list in
+/// label order. A merge's dropped labels become gaps; a split places its
+/// pieces evenly in the gap between its component's label and the next
+/// live label, and when that gap is too narrow it first relabels the
+/// smallest aligned label block around the component that is sparse
+/// enough (the order-maintenance scheme of Bender et al., "Two simplified
+/// algorithms for maintaining order in a list") — O(log C) labels
+/// amortized per placed piece, never a pass over the whole program
+/// (`Stats::relabels`). Atoms: each component is an (offset, size) slice
+/// of one array; a split rewrites its slice in place, a merge appends, and
+/// the array is compacted once dead space exceeds live.
 ///
 /// The condensation tracks the *enabled* subprogram: callers flip the
 /// per-`RuleId` disabled mask first and then report the delta here.
@@ -135,7 +143,8 @@ class DynamicCondensation {
     uint64_t splits = 0;         ///< windows that split a component
     uint64_t pk_regions = 0;       ///< inserts repaired by PK narrowing
     uint64_t pk_region_comps = 0;  ///< components across all PK regions
-    uint64_t relabels = 0;       ///< splits that relabelled every component
+    uint64_t relabels = 0;       ///< label blocks relabelled for room
+    uint64_t relabel_comps = 0;  ///< components across those blocks
 
     std::string ToString() const;
   };
@@ -146,7 +155,8 @@ class DynamicCondensation {
   /// it ignored) after a retraction removed one of its internal edges.
   /// One piece: flags are recomputed in place. Several: the pieces are
   /// written back into `c`'s slice in callee-first order, the first keeps
-  /// id `c`, and they take evenly spaced labels from `c`'s interval.
+  /// id `c` and its label, and the rest take evenly spaced labels in the
+  /// gap up to the next live label (`MakeRoom`).
   void SplitComponent(const GroundProgram& gp,
                       const std::vector<uint8_t>* disabled, uint32_t c,
                       CondensationRepair* out, CancelCtx* cancel);
@@ -173,17 +183,32 @@ class DynamicCondensation {
 
   /// A free id, or a new one appended to every per-component array.
   uint32_t AllocId();
-  /// Relabels every live component in label order with fresh spacing.
-  void Relabel();
+  /// Makes room for `n` labels right after live component `c` and returns
+  /// their spacing: the j-th goes at `Label(c) + j * step`, j = 1..n, all
+  /// below the next live label. A gap that is too narrow first relabels,
+  /// evenly and in order, the smallest aligned label block around `c`
+  /// whose density stays below a threshold that shrinks with the block's
+  /// size; the labels of the other live components keep their order.
+  uint64_t MakeRoom(uint32_t c, uint32_t n);
+  /// Exclusive bound for labels placed right after `c`: the next live
+  /// label, or past the last component `n + 1` fresh strides (capped at
+  /// the label space).
+  uint64_t RoomEnd(uint32_t c, uint32_t n) const;
+  /// Inserts `c` into the label-order list after `pos` (`kNone`: first).
+  void LinkAfter(uint32_t pos, uint32_t c);
+  void Unlink(uint32_t c);
   /// Drops the dead space merges left in the atom array.
   void CompactAtoms();
 
+  static constexpr uint32_t kNone = UINT32_MAX;
+
   AtomDependencyGraph graph_;
-  /// Per component id: log2 of the width of the label interval
-  /// [Label(c), Label(c) + 2^bits) that `c` owns; 32 after a fresh build.
-  std::vector<uint8_t> label_bits_;
-  /// End of the highest owned interval: where `AddAtoms` labels start.
-  uint64_t label_end_ = 0;
+  /// Live components as a doubly linked list in ascending label order
+  /// (per component id; `kNone` ends, and for freed ids).
+  std::vector<uint32_t> prev_;
+  std::vector<uint32_t> next_;
+  uint32_t first_ = kNone;
+  uint32_t last_ = kNone;
   /// Atoms in the array not covered by a live slice (merged-away slices).
   size_t dead_atoms_ = 0;
   bool repaired_ = false;
@@ -202,11 +227,17 @@ class DynamicCondensation {
   std::vector<uint32_t> pk_seq_f_;  ///< F in discovery order, then F \ M
   std::vector<uint32_t> pk_seq_b_;  ///< B in discovery order, then B \ M
   std::vector<uint32_t> pk_seq_m_;  ///< M = F ∩ B
-  /// The region's (label, label bits) pairs, sorted.
-  std::vector<std::pair<uint64_t, uint8_t>> pk_labels_;
+  /// The region F ∪ B sorted by label, those labels, and per slot the
+  /// list element it follows (`kChained`: the previous slot).
+  std::vector<uint32_t> pk_region_;
+  std::vector<uint64_t> pk_labels_;
+  std::vector<uint32_t> pk_anchor_;
   uint32_t pk_epoch_ = 0;
 
   Stats stats_;
+
+  /// The auditor checks the label-order list against the labels.
+  friend class check::SolverAuditor;
 };
 
 }  // namespace gsls

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "analysis/atom_dependency_graph.h"
+#include "analysis/dynamic_condensation.h"
 #include "serve/server.h"
 #include "solver/component_eval.h"
 #include "solver/stages.h"
@@ -99,6 +100,27 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
                            by_label[i], " share label ",
                            g.Label(by_label[i])));
     }
+  }
+  // The label-order list links exactly the live components, ascending.
+  const DynamicCondensation& cond = *s.cond_;
+  size_t linked = 0;
+  for (uint32_t c = cond.first_, prev = DynamicCondensation::kNone;
+       c != DynamicCondensation::kNone; prev = c, c = cond.next_[c]) {
+    if (c >= bound || freed[c] != 0 || linked == live.size()) {
+      Fail(&report, StrCat("label-order list reaches ", c,
+                           ", a freed or repeated id"));
+      break;
+    }
+    if (cond.prev_[c] != prev ||
+        (prev != DynamicCondensation::kNone && g.Label(prev) >= g.Label(c))) {
+      Fail(&report, StrCat("label-order list: component ", c,
+                           " does not follow ", prev, " in label order"));
+    }
+    ++linked;
+  }
+  if (linked != live.size()) {
+    Fail(&report, StrCat("label-order list links ", linked, " of ",
+                         live.size(), " live components"));
   }
 
   // -- 1. Condensation vs fresh Tarjan ----------------------------------

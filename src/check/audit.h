@@ -70,7 +70,8 @@ struct AuditReport {
 ///     `ComponentOf`, `LocalIndexOf`, and the live components' slices form
 ///     a bijection over the covered atoms; an id is on the free list
 ///     exactly when it holds no atoms, and no atom maps to one; live
-///     labels are distinct.
+///     labels are distinct, and the condensation's label-order list links
+///     exactly the live components in ascending label order.
 ///  3. Fixpoint on clean components: every memo-valid component whose
 ///     inputs are all valid is independently re-solved on a scratch tape;
 ///     values (and V_P stages, under `compute_levels`) must come back

@@ -115,6 +115,8 @@ IncrementalSolver::GaugeSources() {
        [](const S& s) -> int64_t { return cond(s).window_ns / 1000; }},
       {"condense.merges", [](const S& s) -> int64_t { return cond(s).merges; }},
       {"condense.splits", [](const S& s) -> int64_t { return cond(s).splits; }},
+      {"condense.relabels",
+       [](const S& s) -> int64_t { return cond(s).relabels; }},
   };
   return kRows;
 }
