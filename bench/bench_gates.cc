@@ -1,0 +1,390 @@
+// The wall-clock ratio gates, one table. Each row times one workload and
+// compares the measured value against its bound; any failing row makes
+// the binary exit 1. Rows marked `target` print a performance target
+// without gating it. The deterministic halves of these benches (model,
+// level and answer agreement, serving batching, the untouched model of a
+// pre-expired deadline) are tier-1 tests; this table only holds what a
+// clock decides.
+//
+// Run it alone on a quiet machine: ctest registers it RUN_SERIAL under the
+// `bench-gate` label, because core-sharing skews every ratio below.
+
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <limits>
+#include <mutex>
+#include <string>
+#include <vector>
+
+#include "bench_support.h"
+#include "obs/metrics.h"
+#include "util/cancel.h"
+
+using namespace gsls;
+using namespace gsls::bench;
+
+namespace {
+
+enum class Cmp { kLt, kLe, kGe, kGt };
+
+struct Row {
+  std::string name;
+  double value;
+  Cmp cmp;
+  double bound;
+  int attempts = 1;
+  bool gated = true;
+
+  bool Pass() const {
+    switch (cmp) {
+      case Cmp::kLt: return value < bound;
+      case Cmp::kLe: return value <= bound;
+      case Cmp::kGe: return value >= bound;
+      case Cmp::kGt: return value > bound;
+    }
+    return false;
+  }
+};
+
+const char* CmpName(Cmp c) {
+  switch (c) {
+    case Cmp::kLt: return "<";
+    case Cmp::kLe: return "<=";
+    case Cmp::kGe: return ">=";
+    case Cmp::kGt: return ">";
+  }
+  return "?";
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// Average seconds of `fn` over `reps` calls.
+template <typename F>
+double TimeEach(int reps, F&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < reps; ++i) fn();
+  return SecondsSince(start) / reps;
+}
+
+// --- query cone -------------------------------------------------------
+
+/// A point query deep in the program vs a full re-solve, all from the same
+/// invalidated memo: the cone stays under 10% of the program, a cold query
+/// is >= 10x faster than the re-solve, and a repeated memo-hit query is
+/// faster than the cold one.
+void QueryCone(const char* name, const std::string& src,
+               const char* query_text, std::vector<Row>& rows) {
+  TermStore store;
+  IncrementalSolver inc(GroundOf(src, store), Leveled(1));
+  inc.Model();
+  Rng rng(0x5EED);
+  const AtomId q =
+      query_text != nullptr
+          ? inc.program().FindAtom(MustParseTerm(store, query_text)).value()
+          : PickSmallConeAtom(inc, rng);
+  inc.InvalidateMemo();
+  const double cone = static_cast<double>(inc.QueryAtom(q).cone_atoms) /
+                      static_cast<double>(inc.program().atom_count());
+  // Timing starts after one fresh solve: without it the cold queries run
+  // on a cold heap and read up to 1.5x slower on chain(2048).
+  benchmark::DoNotOptimize(inc.SolveFresh().model.atom_count());
+  const double cold = TimeEach(2000, [&] {
+    inc.InvalidateMemo();
+    benchmark::DoNotOptimize(inc.QueryAtom(q).value);
+  });
+  inc.InvalidateMemo();
+  benchmark::DoNotOptimize(inc.QueryAtom(q).value);  // warm the cone
+  const double hit = TimeEach(20000, [&] {
+    benchmark::DoNotOptimize(inc.QueryAtom(q).memo_hits);
+  });
+  const double full = TimeEach(40, [&] {
+    inc.InvalidateMemo();
+    benchmark::DoNotOptimize(inc.Model().model.atom_count());
+  });
+  rows.push_back({StrCat("query ", name, ": cone share"), cone, Cmp::kLt,
+                  0.10});
+  rows.push_back({StrCat("query ", name, ": full/cold speedup"),
+                  full / cold, Cmp::kGe, 10.0});
+  rows.push_back({StrCat("query ", name, ": memo hit us vs cold us"),
+                  hit * 1e6, Cmp::kLt, cold * 1e6});
+}
+
+// --- delta speedup targets (printed, not gated) -----------------------
+
+/// Per-delta incremental re-solve vs per-delta fresh solve on identical
+/// toggle streams over chain(2048), for fact and for rule deltas.
+void DeltaTargets(std::vector<Row>& rows) {
+  for (bool rule_deltas : {false, true}) {
+    TermStore store;
+    IncrementalSolver inc(GroundOf(workload::GameChain(2048), store),
+                          rule_deltas ? Leveled(1) : SolverOptions{});
+    inc.Model();
+    std::vector<AtomId> facts = FactAtoms(inc.program());
+    std::vector<RuleId> rules = RulesOf(inc.program(), /*unit=*/false);
+    Rng rng(0x5EED);
+    auto toggle = [&] {
+      if (rule_deltas) {
+        ToggleRule(inc, rules[rng.Uniform(rules.size())]);
+      } else {
+        ToggleFact(inc, facts[rng.Uniform(facts.size())]);
+      }
+    };
+    const double incremental = TimeEach(400, [&] {
+      toggle();
+      benchmark::DoNotOptimize(inc.Model().model.atom_count());
+    });
+    const double fresh = TimeEach(rule_deltas ? 30 : 40, [&] {
+      toggle();
+      // Timing starts after one fresh solve: without it the cold queries run
+  // on a cold heap and read up to 1.5x slower on chain(2048).
+  benchmark::DoNotOptimize(inc.SolveFresh().model.atom_count());
+    });
+    rows.push_back({rule_deltas ? "rule delta chain(2048): fresh/inc"
+                                : "fact delta chain(2048): fresh/inc",
+                    fresh / incremental, Cmp::kGe, 10.0, 1, false});
+  }
+}
+
+// --- rule-delta scaling -----------------------------------------------
+
+/// Median and mean wall time (us) of 1500 probe pairs after 200 warm-up
+/// pairs. The mean is the amortized cost: a rare whole-program step fails
+/// it even where the median cannot see it.
+std::pair<double, double> PairTimes(int chains, unsigned threads) {
+  ScalingProbe probe(chains, threads);
+  for (int i = 0; i < 200; ++i) probe.Pair();
+  std::vector<double> us(1500);
+  double total = 0;
+  for (double& t : us) {
+    const auto start = std::chrono::steady_clock::now();
+    probe.Pair();
+    t = SecondsSince(start) * 1e6;
+    total += t;
+  }
+  std::sort(us.begin(), us.end());
+  return {us[us.size() / 2], total / static_cast<double>(us.size())};
+}
+
+/// A rule pair at K=16000 chains costs at most 2x the pair at K=1000, in
+/// the median and in the mean, at 1 and 2 threads: a rule delta costs its
+/// affected region, not the program.
+void RuleDeltaScaling(std::vector<Row>& rows) {
+  for (unsigned threads : {1u, 2u}) {
+    const auto [small_median, small_mean] = PairTimes(1000, threads);
+    const auto [large_median, large_mean] = PairTimes(16000, threads);
+    rows.push_back({StrCat("rule scaling ", threads, "t: median K16k/K1k"),
+                    large_median / small_median, Cmp::kLe, 2.0});
+    rows.push_back({StrCat("rule scaling ", threads, "t: mean K16k/K1k"),
+                    large_mean / small_mean, Cmp::kLe, 2.0});
+  }
+}
+
+// --- dense SCC warm interior ------------------------------------------
+
+/// Per-delta re-solve inside the dense game's giant SCC, sequential, vs a
+/// fresh SolveWfs per delta: >= 10x, and the warm path actually taken.
+void DenseScc(std::vector<Row>& rows) {
+  IncrementalSolver inc(DenseProgram(), Leveled(1));
+  inc.Model();
+  std::vector<RuleId> units = RulesOf(inc.program(), /*unit=*/true);
+  Rng rng(0x5EED);
+  const double warm = TimeEach(200, [&] {
+    ToggleRule(inc, units[rng.Uniform(units.size())]);
+    benchmark::DoNotOptimize(inc.Model().model.atom_count());
+  });
+  const double fresh = TimeEach(20, [&] {
+    ToggleRule(inc, units[rng.Uniform(units.size())]);
+    // Timing starts after one fresh solve: without it the cold queries run
+  // on a cold heap and read up to 1.5x slower on chain(2048).
+  benchmark::DoNotOptimize(inc.SolveFresh().model.atom_count());
+  });
+  rows.push_back(
+      {"dense(2000,1%): fresh/warm speedup", fresh / warm, Cmp::kGe, 10.0});
+  rows.push_back({"dense(2000,1%): warm hits",
+                  static_cast<double>(inc.diagnostics().warm_hits), Cmp::kGt,
+                  0.0});
+}
+
+// --- serving throughput -----------------------------------------------
+
+/// The pre-serving shape: one solver behind one mutex. Deltas mark dirty
+/// under the lock; each read is a goal-directed query under the same lock
+/// and pays the cone re-solve the writes left behind.
+double MutexReadsPerSec(int readers, int run_ms) {
+  TermStore store;
+  std::vector<const Term*> probes = ChainProbes(store);
+  std::unique_ptr<IncrementalSolver> solver = ChainSolver(store, 1);
+  solver->Model();
+  std::mutex mu;
+  return MixedReadsPerSec(
+      store, readers, run_ms,
+      [&] {
+        return [&](Rng& rng) {
+          const Term* probe = probes[rng.Uniform(probes.size())];
+          std::lock_guard<std::mutex> l(mu);
+          benchmark::DoNotOptimize(solver->QueryAtom(probe).value);
+        };
+      },
+      [&](const std::pair<const Term*, bool>& delta) {
+        std::lock_guard<std::mutex> l(mu);
+        if (delta.second) {
+          solver->Assert(delta.first);
+        } else {
+          solver->Retract(delta.first);
+        }
+      });
+}
+
+void Serving(std::vector<Row>& rows) {
+  constexpr int kRunMs = 150;
+  const double serve = ServingReadsPerSec(4, kRunMs);
+  const double mutex = MutexReadsPerSec(4, kRunMs);
+  rows.push_back({"serving 4 readers: snapshot/mutex reads",
+                  serve / mutex, Cmp::kGe, 3.0});
+}
+
+// --- telemetry overhead -----------------------------------------------
+
+/// Seconds per fact toggle over 300 toggles on grid(16x16), against a
+/// fresh solver with the given telemetry sink (null = bare); median of 5.
+double MedianChurn(obs::Telemetry* telemetry) {
+  std::vector<double> times;
+  for (int rep = 0; rep < 5; ++rep) {
+    TermStore store;
+    SolverOptions sopts;
+    sopts.telemetry = telemetry;
+    IncrementalSolver inc(GroundOf(workload::GameGrid(16, 16), store), sopts);
+    inc.Model();
+    std::vector<AtomId> facts = FactAtoms(inc.program());
+    Rng rng(0xBEEFu);
+    times.push_back(TimeEach(300, [&] {
+      ToggleFact(inc, facts[rng.Uniform(facts.size())]);
+      benchmark::DoNotOptimize(inc.Model().model.atom_count());
+    }));
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
+
+/// Attaching a metrics registry (tracing compiled in, disabled) stays
+/// under 3x the bare per-delta median.
+void Telemetry(std::vector<Row>& rows) {
+  const double bare = MedianChurn(nullptr);
+  obs::Telemetry telemetry;
+  const double registry = MedianChurn(&telemetry);
+  rows.push_back({"telemetry: registry/bare churn", registry / bare,
+                  Cmp::kLt, 3.0});
+}
+
+// --- cancellation deadlines -------------------------------------------
+
+uint64_t MinSolveNs(const GroundProgram& gp) {
+  uint64_t best = ~0ull;
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t start = SteadyNowNs();
+    benchmark::DoNotOptimize(SolveWfs(gp).model.atom_count());
+    best = std::min(best, SteadyNowNs() - start);
+  }
+  return best;
+}
+
+/// On the deep single-SCC chain: a pre-expired deadline aborts at the first
+/// checkpoint, leaving the model untouched, faster than a full solve (its
+/// time estimates the uncancellable condensation build). A deadline one
+/// third into the cancellable phase is honored within 25 mean checkpoint
+/// intervals (latency until a checkpoint sees the expiry) + 1/8 of the
+/// cancellable phase (rolling back the in-flight giant component and
+/// materializing the partial model) + 2 ms of scheduler jitter, and that
+/// bound stays well below the solve time left past the deadline, so a
+/// solver that only notices deadlines between passes fails. Scheduler
+/// noise can double the rollback on a loaded host, so the overshoot gets
+/// four attempts; a structurally late solver fails all four.
+void Cancel(std::vector<Row>& rows) {
+  TermStore store;
+  GroundProgram gp = DeepChainProgram(store);
+  FaultInjector counter;  // count-only: learns the checkpoint count
+  counter.Arm(0);
+  SolverOptions counted;
+  counted.fault = &counter;
+  SolveWfs(gp, counted);
+  const uint64_t checkpoints = counter.checkpoints();
+  const uint64_t full_ns = MinSolveNs(gp);
+  rows.push_back({"cancel: checkpoints in a full solve",
+                  static_cast<double>(checkpoints), Cmp::kGt, 0});
+  if (checkpoints == 0) return;
+
+  SolverOptions expired;
+  expired.deadline_ns = 1;  // long past on the steady clock
+  uint64_t start = SteadyNowNs();
+  WfsModel aborted = SolveWfs(gp, expired);
+  const uint64_t build_ns = SteadyNowNs() - start;
+  bool untouched = aborted.outcome == SolveOutcome::kDeadlineExceeded;
+  for (AtomId a = 0; a < aborted.model.atom_count(); ++a) {
+    untouched &= aborted.model.Value(a) == TruthValue::kUndefined;
+  }
+  rows.push_back({"cancel: pre-expired model untouched", untouched ? 1.0 : 0,
+                  Cmp::kGe, 1});
+  rows.push_back({"cancel: pre-expired ms vs full solve ms", build_ns / 1e6,
+                  Cmp::kLt, full_ns / 1e6});
+
+  const uint64_t cancellable_ns = full_ns - build_ns;
+  const uint64_t interval_ns = cancellable_ns / checkpoints;
+  const uint64_t budget_ns = build_ns + cancellable_ns / 3;
+  const uint64_t slack_ns = 25 * interval_ns + cancellable_ns / 8 + 2'000'000;
+  rows.push_back({"cancel: 2x bound ms vs solve ms left", 2 * slack_ns / 1e6,
+                  Cmp::kLt, (full_ns - budget_ns) / 1e6});
+  Row overshoot{"cancel: mid-solve overshoot ms", 0, Cmp::kLe, slack_ns / 1e6,
+                0};
+  while (overshoot.attempts < 4 && (overshoot.attempts == 0 ||
+                                    !overshoot.Pass())) {
+    ++overshoot.attempts;
+    SolverOptions opts;
+    opts.deadline_ns = DeadlineAfterNs(budget_ns);
+    start = SteadyNowNs();
+    WfsModel late = SolveWfs(gp, opts);
+    const uint64_t ns = SteadyNowNs() - start;
+    overshoot.value = ns > budget_ns ? (ns - budget_ns) / 1e6 : 0;
+    if (late.outcome != SolveOutcome::kDeadlineExceeded) {
+      // Not aborted by its deadline: a hard fail, no retry.
+      overshoot.value = std::numeric_limits<double>::infinity();
+      break;
+    }
+  }
+  rows.push_back(overshoot);
+}
+
+}  // namespace
+
+int main() {
+  std::vector<Row> rows;
+  // The deadline gate runs first, on a fresh heap, as it did in its own
+  // process: the rollback it bounds is sensitive to allocator state.
+  Cancel(rows);
+  QueryCone("chain(2048)", workload::GameChain(2048), "win(n2016)", rows);
+  Rng forest_rng(7);
+  QueryCone("forest(48x16)", workload::GameForest(forest_rng, 48, 16, 30),
+            nullptr, rows);
+  DeltaTargets(rows);
+  RuleDeltaScaling(rows);
+  DenseScc(rows);
+  Serving(rows);
+  Telemetry(rows);
+
+  std::printf("%-44s %14s %2s %-14s %8s  %s\n", "gate", "measured", "", "bound",
+              "attempts", "result");
+  bool ok = true;
+  for (const Row& row : rows) {
+    const bool pass = row.Pass();
+    ok &= pass || !row.gated;
+    std::printf("%-44s %14.3f %2s %-14.3f %8d  %s\n", row.name.c_str(),
+                row.value, CmpName(row.cmp), row.bound, row.attempts,
+                !row.gated ? "target" : pass ? "pass" : "FAIL");
+  }
+  if (!ok) std::fprintf(stderr, "bench_gates: a gate failed\n");
+  return ok ? 0 : 1;
+}

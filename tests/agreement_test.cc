@@ -8,12 +8,16 @@
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "analysis/dependency_graph.h"
 #include "core/engine.h"
 #include "core/tabled.h"
+#include "ground/grounder.h"
+#include "solver/solver.h"
 #include "test_support.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -30,23 +34,29 @@ GoalStatus ExpectedStatus(TruthValue v) {
 }
 
 /// Checks every registered ground atom of `f.program` against the
-/// bottom-up well-founded model, with both the search engine and the
-/// tabled engine. When `allow_search_unknown` is set, the (non-effective,
-/// Sec. 7) search procedure may report honest budget exhaustion; a *wrong*
-/// determination is still an error, and the memoing engine must always be
-/// exact.
+/// bottom-up well-founded model (the W_P iteration, which the SCC solver
+/// must match), with both the search engine and the tabled engine. When
+/// `allow_search_unknown` is set, the (non-effective, Sec. 7) search
+/// procedure may report honest budget exhaustion; a *wrong* determination
+/// is still an error, and the memoing engine must always be exact. With
+/// `bottom_up_oracle` off the search engine cannot answer from the very
+/// solver it is checked against.
 void CheckAllAtoms(Fixture& f, const std::string& src,
                    bool allow_search_unknown = false,
-                   size_t search_budget = 2'000'000) {
-  GroundProgram gp = testing::MustGround(f.program);
-  WfsModel wfs = ComputeWfs(gp);
+                   size_t search_budget = 2'000'000,
+                   bool bottom_up_oracle = true) {
+  Result<GroundProgram> gp = GroundRelevant(f.program, GroundingOptions{});
+  ASSERT_TRUE(gp.ok()) << gp.status().ToString() << " in\n" << src;
+  WfsModel wfs = ComputeWfs(gp.value());
+  ASSERT_EQ(SolveWfs(gp.value()).model, wfs.model) << src;
   EngineOptions opts;
   opts.max_work = search_budget;
+  opts.bottom_up_oracle = bottom_up_oracle;
   GlobalSlsEngine search(f.program, opts);
   Result<TabledEngine> tabled = TabledEngine::Create(f.program);
-  ASSERT_TRUE(tabled.ok());
-  for (AtomId a = 0; a < gp.atom_count(); ++a) {
-    const Term* atom = gp.AtomTerm(a);
+  ASSERT_TRUE(tabled.ok()) << tabled.status().ToString() << " in\n" << src;
+  for (AtomId a = 0; a < gp->atom_count(); ++a) {
+    const Term* atom = gp->AtomTerm(a);
     GoalStatus expected = ExpectedStatus(wfs.model.Value(a));
     GoalStatus got = search.StatusOf(atom);
     if (!(allow_search_unknown && got == GoalStatus::kUnknown)) {
@@ -63,9 +73,8 @@ void CheckAllAtoms(Fixture& f, const std::string& src,
 TEST(AgreementTest, RandomPropositionalPrograms) {
   Rng rng(0xFEEDu);
   for (int trial = 0; trial < 150; ++trial) {
-    std::string src =
-        testing::RandomPropositionalProgram(rng, /*num_preds=*/6,
-                                            /*num_rules=*/10, /*max_body=*/3);
+    std::string src = workload::RandomPropositional(
+        rng, /*num_preds=*/6, /*num_rules=*/10, /*max_body=*/3);
     Fixture f(src);
     CheckAllAtoms(f, src);
   }
@@ -74,7 +83,7 @@ TEST(AgreementTest, RandomPropositionalPrograms) {
 TEST(AgreementTest, DenserPropositionalPrograms) {
   Rng rng(0xBEEFu);
   for (int trial = 0; trial < 60; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 8, 20, 4);
+    std::string src = workload::RandomPropositional(rng, 8, 20, 4);
     Fixture f(src);
     // Dense tangled SCCs are the worst case for the ideal (non-effective)
     // search procedure: honest kUnknown is acceptable there, wrong answers
@@ -87,8 +96,7 @@ TEST(AgreementTest, DenserPropositionalPrograms) {
 TEST(AgreementTest, RandomGameGraphs) {
   Rng rng(0xABCDu);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, /*n=*/6,
-                                                 /*edge_pct=*/25);
+    std::string src = workload::RandomGame(rng, /*n=*/6, /*edge_pct=*/25);
     Fixture f(src);
     CheckAllAtoms(f, src);
   }
@@ -98,9 +106,31 @@ TEST(AgreementTest, SparseAndDenseGameGraphs) {
   Rng rng(0x1111u);
   for (int edge_pct : {10, 50, 80}) {
     for (int trial = 0; trial < 10; ++trial) {
-      std::string src = testing::RandomGameProgram(rng, 5, edge_pct);
+      std::string src = workload::RandomGame(rng, 5, edge_pct);
       Fixture f(src);
       CheckAllAtoms(f, src);
+    }
+  }
+}
+
+// Thm. 4.7 with the search engine searching: three random families, the
+// oracle off, so every determined status comes from the tree itself.
+TEST(AgreementTest, EnginesAgreeWithoutBottomUpOracle) {
+  Rng rng(20260610);
+  struct Family {
+    int trials;
+    std::string (*make)(Rng&);
+  } families[] = {
+      {40, [](Rng& r) { return workload::RandomGame(r, 6, 25); }},
+      {25, [](Rng& r) { return workload::RandomGame(r, 8, 40); }},
+      {60, [](Rng& r) { return workload::RandomPropositional(r, 6, 10, 3); }},
+  };
+  for (const Family& family : families) {
+    for (int trial = 0; trial < family.trials; ++trial) {
+      std::string src = family.make(rng);
+      Fixture f(src);
+      CheckAllAtoms(f, src, /*allow_search_unknown=*/true,
+                    /*search_budget=*/300'000, /*bottom_up_oracle=*/false);
     }
   }
 }
@@ -109,7 +139,7 @@ TEST(AgreementTest, SearchAnswersAreSound) {
   // Thm. 5.4: every answer's ground instances are well-founded true.
   Rng rng(0x5EEDu);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 5, 30);
+    std::string src = workload::RandomGame(rng, 5, 30);
     Fixture f(src);
     GlobalSlsEngine engine(f.program);
     Result<TabledEngine> oracle = TabledEngine::Create(f.program);
@@ -131,7 +161,7 @@ TEST(AgreementTest, SearchAnswersAreComplete) {
   // query is covered by some computed answer.
   Rng rng(0xC0DEu);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 5, 30);
+    std::string src = workload::RandomGame(rng, 5, 30);
     Fixture f(src);
     GlobalSlsEngine engine(f.program);
     Result<TabledEngine> oracle = TabledEngine::Create(f.program);
@@ -158,7 +188,7 @@ TEST(AgreementTest, SearchAnswersAreComplete) {
 TEST(AgreementTest, TabledAnswersMatchSearchAnswers) {
   Rng rng(0xD00Du);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 5, 35);
+    std::string src = workload::RandomGame(rng, 5, 35);
     Fixture f(src);
     GlobalSlsEngine search(f.program);
     Result<TabledEngine> tabled = TabledEngine::Create(f.program);
@@ -182,8 +212,17 @@ TEST(AgreementTest, LevelsMatchStagesOnDeterminedAtoms) {
   // Corollary 4.6: the level of a determined ground goal equals the stage
   // of the corresponding literal in the V_P iteration.
   Rng rng(0xFACEu);
+  std::vector<std::string> sources;
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 5, 30);
+    sources.push_back(workload::RandomGame(rng, 5, 30));
+  }
+  for (int k : {4, 8, 16, 24}) sources.push_back(workload::GameChain(k));
+  Rng more(0xCAFE);
+  for (int trial = 0; trial < 30; ++trial) {
+    sources.push_back(workload::RandomGame(more, 5, 30));
+  }
+  size_t exact_levels = 0;
+  for (const std::string& src : sources) {
     Fixture f(src);
     GroundProgram gp = testing::MustGround(f.program);
     WfsStages stages = ComputeWfsStages(gp);
@@ -192,24 +231,27 @@ TEST(AgreementTest, LevelsMatchStagesOnDeterminedAtoms) {
       const Term* atom = gp.AtomTerm(a);
       QueryResult r = engine.SolveAtom(atom);
       if (r.status == GoalStatus::kSuccessful && r.level_exact) {
+        ++exact_levels;
         EXPECT_EQ(r.answers[0].level,
                   Ordinal::Finite(stages.true_stage[a]))
             << "success level != stage for " << f.store.ToString(atom)
             << " in\n" << src;
       } else if (r.status == GoalStatus::kFailed && r.level_exact) {
+        ++exact_levels;
         EXPECT_EQ(r.level, Ordinal::Finite(stages.false_stage[a]))
             << "failure level != stage for " << f.store.ToString(atom)
             << " in\n" << src;
       }
     }
   }
+  EXPECT_GT(exact_levels, 0u);
 }
 
 TEST(AgreementTest, StratifiedProgramsAreTotalAndDetermined) {
   Rng rng(0xAAAAu);
   int seen = 0;
   for (int trial = 0; trial < 400 && seen < 20; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 6, 8, 2);
+    std::string src = workload::RandomPropositional(rng, 6, 8, 2);
     Fixture f(src);
     if (!Stratify(f.program).stratified) continue;
     ++seen;

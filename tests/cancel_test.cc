@@ -4,6 +4,7 @@
 // abort-at-every-checkpoint drill lives in tests/fault_test.cc.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "solver/solver.h"
 #include "test_support.h"
 #include "util/cancel.h"
+#include "util/strings.h"
 #include "wfs/wfs.h"
 
 namespace gsls {
@@ -140,6 +142,42 @@ TEST(SolveWfsTest, PreCancelledTokenAbortsBeforeAnyComponent) {
   WfsModel done = SolveWfs(gp, opts, nullptr);
   EXPECT_EQ(done.outcome, SolveOutcome::kCompleted);
   EXPECT_EQ(done.model, SolveWfs(gp, nullptr).model);
+}
+
+// The deadline benchmark's program shape: a 1.5M-atom chain
+// win_i :- not win_{i+1}, welded into one SCC by a dead back-edge rule. A
+// deadline already past aborts at the first checkpoint, after the
+// uncancellable condensation build, and leaves every atom undefined.
+TEST(SolveWfsTest, PreExpiredDeadlineLeavesDeepChainUntouched) {
+  constexpr int kChain = 1'500'000;
+  TermStore store;
+  GroundProgram gp(&store);
+  // win_i is win(h<i / 1000>, l<i % 1000>): 2.5k interned names, not
+  // 1.5M, keep construction cheap.
+  std::vector<const Term*> high, low;
+  for (int k = 0; k <= kChain / 1000; ++k) {
+    high.push_back(store.MakeConstant(StrCat("h", k)));
+  }
+  for (int k = 0; k < 1000; ++k) {
+    low.push_back(store.MakeConstant(StrCat("l", k)));
+  }
+  std::vector<AtomId> win(kChain + 1);
+  for (int i = 0; i <= kChain; ++i) {
+    win[i] = gp.InternAtom(
+        store.MakeApp("win", {high[i / 1000], low[i % 1000]}));
+  }
+  const AtomId unreachable = gp.InternAtom(store.MakeConstant("unreachable"));
+  for (int i = 0; i < kChain; ++i) gp.AddRule({win[i], {}, {win[i + 1]}});
+  gp.AddRule({win[kChain], {win[0], unreachable}, {}});
+
+  SolverOptions opts;
+  opts.deadline_ns = 1;  // long past on the steady clock
+  WfsModel aborted = SolveWfs(gp, opts);
+  EXPECT_EQ(aborted.outcome, SolveOutcome::kDeadlineExceeded);
+  ASSERT_EQ(aborted.model.atom_count(), gp.atom_count());
+  for (AtomId a = 0; a < gp.atom_count(); ++a) {
+    ASSERT_EQ(aborted.model.Value(a), TruthValue::kUndefined) << "atom " << a;
+  }
 }
 
 TEST(SolveWfsTest, PreCancelledTokenAbortsParallelSolve) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -175,6 +176,11 @@ TEST(EngineTest, Example32NonPositivisticIsIndeterminate) {
   GlobalSlsEngine engine(f.program, opts);
   QueryResult r = engine.Solve(MustParseQuery(f.store, "s"));
   EXPECT_NE(r.status, GoalStatus::kSuccessful);
+  // It recurses through negation forever: every atom reads indeterminate.
+  for (const char* atom : {"s", "p", "q", "r"}) {
+    EXPECT_EQ(StatusOfAtom(f, engine, atom), GoalStatus::kIndeterminate)
+        << atom;
+  }
 }
 
 TEST(EngineTest, Example33SequentialGetsStuck) {
@@ -184,18 +190,21 @@ TEST(EngineTest, Example33SequentialGetsStuck) {
       "q :- not p(a), not s.\n"
       "s.\n"
       "p(X) :- not p(f(X)).\n");
-  EngineOptions sequential;
-  sequential.negatively_parallel = false;
-  sequential.max_negation_depth = 24;
-  GlobalSlsEngine seq(f.program, sequential);
-  QueryResult r1 = seq.Solve(MustParseQuery(f.store, "q"));
-  EXPECT_EQ(r1.status, GoalStatus::kUnknown);
+  // At any negation budget.
+  for (size_t budget : {8, 16, 24, 32, 64}) {
+    EngineOptions sequential;
+    sequential.negatively_parallel = false;
+    sequential.max_negation_depth = budget;
+    GlobalSlsEngine seq(f.program, sequential);
+    QueryResult r1 = seq.Solve(MustParseQuery(f.store, "q"));
+    EXPECT_EQ(r1.status, GoalStatus::kUnknown) << budget;
 
-  EngineOptions parallel;
-  parallel.max_negation_depth = 24;
-  GlobalSlsEngine par(f.program, parallel);
-  QueryResult r2 = par.Solve(MustParseQuery(f.store, "q"));
-  EXPECT_EQ(r2.status, GoalStatus::kFailed);
+    EngineOptions parallel;
+    parallel.max_negation_depth = budget;
+    GlobalSlsEngine par(f.program, parallel);
+    QueryResult r2 = par.Solve(MustParseQuery(f.store, "q"));
+    EXPECT_EQ(r2.status, GoalStatus::kFailed) << budget;
+  }
 }
 
 TEST(EngineTest, InfiniteNegativeRegressIsUnknown) {
@@ -265,7 +274,7 @@ TEST(EngineTest, OracleAndSearchAgreeEitherWay) {
   // same status to every ground atom of a function-free program.
   Rng rng(0x0AC1Eu);
   for (int trial = 0; trial < 20; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 6, 30);
+    std::string src = workload::RandomGame(rng, 6, 30);
     Fixture f(src);
     GlobalSlsEngine with_oracle(f.program);
     EngineOptions no_oracle_opts;

@@ -10,6 +10,7 @@
 
 #include "legacy_grounder.h"
 #include "test_support.h"
+#include "util/strings.h"
 #include "wfs/wfs.h"
 #include "workload/generators.h"
 
@@ -108,7 +109,7 @@ TEST(GrounderTest, AgreesWithFullInstantiationOnWfs) {
   // instantiation registers.
   Rng rng(555);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 4, 40);
+    std::string src = workload::RandomGame(rng, 4, 40);
     Fixture f(src);
     GroundingOptions opts;
     GroundProgram relevant = testing::MustGround(f.program);

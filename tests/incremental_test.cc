@@ -11,6 +11,7 @@
 #include "core/tabled.h"
 #include "solver/solver.h"
 #include "test_support.h"
+#include "util/strings.h"
 #include "wfs/wfs.h"
 #include "workload/generators.h"
 
@@ -167,7 +168,7 @@ TEST(IncrementalTest, RandomizedChurnAgreesWithFreshSolve) {
   {
     Rng prng(0xD317Au);
     for (int trial = 0; trial < 25; ++trial) {
-      std::string src = testing::RandomPropositionalProgram(
+      std::string src = workload::RandomPropositional(
           prng, /*num_preds=*/8, /*num_rules=*/14, /*max_body=*/4);
       Fixture f(src);
       IncrementalSolver inc(MustGround(f.program));
@@ -210,6 +211,44 @@ TEST(IncrementalTest, RandomizedChurnAgreesWithFreshSolve) {
     }
   }
   EXPECT_GE(deltas_checked, 400);
+}
+
+// The fact-delta benchmark families at their timed sizes: 60 random
+// toggles of fact atoms each, every delta against a fresh masked solve.
+TEST(IncrementalTest, WorkloadFamilyChurnAgreesWithFreshSolve) {
+  Rng rng(20260728);
+  const std::string sources[] = {
+      workload::GameChain(256),
+      workload::GameChain(1024),
+      workload::GameChain(2048),
+      workload::GameGrid(24, 24),
+      workload::GameCycleWithTail(101, 100),
+      workload::RandomGame(rng, 64, 10),
+  };
+  for (size_t family = 0; family < std::size(sources); ++family) {
+    Fixture f(sources[family]);
+    IncrementalSolver inc(MustGround(f.program));
+    inc.Model();
+    std::vector<AtomId> facts;
+    for (AtomId a = 0; a < inc.program().atom_count(); ++a) {
+      if (inc.program().FindUnitRule(a).has_value()) facts.push_back(a);
+    }
+    ASSERT_FALSE(facts.empty()) << "family " << family;
+    Rng delta_rng(0x1C0FFEEu);
+    for (int d = 0; d < 60; ++d) {
+      const AtomId a = facts[delta_rng.Uniform(facts.size())];
+      if (inc.HasFact(a)) {
+        inc.RetractAtom(a);
+      } else {
+        inc.AssertAtom(a);
+      }
+      const WfsModel& got = inc.Model();
+      WfsModel fresh = inc.SolveFresh();
+      ASSERT_EQ(got.model, fresh.model)
+          << "family " << family << " delta " << d << ":\n"
+          << DescribeModelDifference(inc.program(), got.model, fresh.model);
+    }
+  }
 }
 
 TEST(IncrementalTest, TabledEngineWithoutStagesMatchesStagedEngine) {

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -158,31 +160,27 @@ TEST(InteriorTest, WarmChurnInGiantSccAgreesEverywhereFourThreads) {
   RunWarmChurn(13, 4);
 }
 
-/// Same delta stream at 1, 2, and 4 threads: the warm/cold dispatch is
-/// shape-only and the evaluation thread-count invariant, so models and
-/// stage levels must be bit-identical across thread counts.
-TEST(InteriorTest, WarmResolveBitIdenticalAcrossThreadCounts) {
-  Rng gen(77);
-  const std::string src = OneSccGame(gen, 120, 2);
+/// Replays one rule-toggle stream, `make_stream(program)`, at 1, 2, and 4
+/// threads: the warm/cold dispatch is shape-only and the evaluation
+/// thread-count invariant, so models and stage levels must be
+/// bit-identical after every delta. Every `fresh_every`-th delta (0: none)
+/// is also checked against a fresh leveled solve.
+template <typename MakeStream>
+void ExpectThreadIdenticalChurn(const std::string& src, SolverOptions opts,
+                                int fresh_every, MakeStream make_stream) {
   std::vector<std::unique_ptr<Fixture>> fixtures;
   std::vector<std::unique_ptr<IncrementalSolver>> solvers;
   for (unsigned threads : {1u, 2u, 4u}) {
     fixtures.push_back(std::make_unique<Fixture>(src));
-    SolverOptions opts;
     opts.num_threads = threads;
-    opts.compute_levels = true;
-    opts.warm_min_atoms = 2;
     solvers.push_back(std::make_unique<IncrementalSolver>(
         MustGround(fixtures.back()->program), opts));
     solvers.back()->Model();
   }
-  std::vector<RuleId> rules = NonUnitRules(solvers[0]->program());
-  std::vector<RuleId> units = UnitRules(solvers[0]->program());
-  Rng rng(78);
-  for (int d = 0; d < 25; ++d) {
-    const RuleId r = rng.Chance(3, 4) ? units[rng.Uniform(units.size())]
-                                      : rules[rng.Uniform(rules.size())];
-    for (auto& s : solvers) ToggleRule(*s, r);
+  const std::vector<RuleId> stream = make_stream(solvers[0]->program());
+  ASSERT_FALSE(stream.empty());
+  for (size_t d = 0; d < stream.size(); ++d) {
+    for (auto& s : solvers) ToggleRule(*s, stream[d]);
     const WfsModel& m1 = solvers[0]->Model();
     for (size_t i = 1; i < solvers.size(); ++i) {
       const WfsModel& mi = solvers[i]->Model();
@@ -193,8 +191,56 @@ TEST(InteriorTest, WarmResolveBitIdenticalAcrossThreadCounts) {
       ASSERT_EQ(m1.true_stage, mi.true_stage) << "delta " << d;
       ASSERT_EQ(m1.false_stage, mi.false_stage) << "delta " << d;
     }
+    if (fresh_every > 0 && d % fresh_every == 0) {
+      WfsModel fresh = solvers[0]->SolveFresh();
+      ASSERT_EQ(m1.model, fresh.model)
+          << "delta " << d << ": vs fresh SolveWfs\n"
+          << DescribeModelDifference(solvers[0]->program(), m1.model,
+                                     fresh.model);
+      ASSERT_EQ(m1.true_stage, fresh.true_stage) << "delta " << d;
+      ASSERT_EQ(m1.false_stage, fresh.false_stage) << "delta " << d;
+    }
   }
   EXPECT_GT(solvers[0]->diagnostics().warm_hits, 0u);
+}
+
+TEST(InteriorTest, WarmResolveBitIdenticalAcrossThreadCounts) {
+  Rng gen(77);
+  SolverOptions opts;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  ExpectThreadIdenticalChurn(
+      OneSccGame(gen, 120, 2), opts, 0, [](const GroundProgram& gp) {
+        std::vector<RuleId> rules = NonUnitRules(gp);
+        std::vector<RuleId> units = UnitRules(gp);
+        Rng rng(78);
+        std::vector<RuleId> stream;
+        for (int d = 0; d < 25; ++d) {
+          stream.push_back(rng.Chance(3, 4)
+                               ? units[rng.Uniform(units.size())]
+                               : rules[rng.Uniform(rules.size())]);
+        }
+        return stream;
+      });
+  if (HasFatalFailure()) return;
+
+  // The dense random game(2000, 1%) the warm-interior benchmark times: one
+  // giant SCC at the default warm threshold, 60 move-fact toggles, a fresh
+  // check every 10th.
+  Rng dense(0xD5CC);
+  SolverOptions dense_opts;
+  dense_opts.compute_levels = true;
+  ExpectThreadIdenticalChurn(
+      workload::RandomGame(dense, 2000, 1), dense_opts, 10,
+      [](const GroundProgram& gp) {
+        std::vector<RuleId> units = UnitRules(gp);
+        Rng rng(0xDE17A5);
+        std::vector<RuleId> stream;
+        for (int d = 0; d < 60 && !units.empty(); ++d) {
+          stream.push_back(units[rng.Uniform(units.size())]);
+        }
+        return stream;
+      });
 }
 
 /// The headline narrowing regression: in a 10k-atom negation-recursive

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "core/engine.h"
 #include "core/tabled.h"
+#include "lang/transforms.h"
 #include "sldnf/sldnf.h"
 #include "stable/stable.h"
 #include "test_support.h"
@@ -165,6 +171,105 @@ TEST(PaperExamples, Sec6AllowedProgramsDoNotFlounder) {
   QueryResult r = engine.Solve(MustParseQuery(f.store, "p(X)"));
   EXPECT_EQ(r.status, GoalStatus::kSuccessful);
   EXPECT_FALSE(r.floundered_somewhere);
+}
+
+// ---------------------------------------------------------------------------
+// Example 6.1 and Thm. 6.2(3): the universal query problem.
+// ---------------------------------------------------------------------------
+
+/// Solves ?- p(X) over `src`, augmented (Sec. 6) when asked.
+struct PxAnswers {
+  GoalStatus status;
+  std::vector<std::string> ground;  ///< rendered ground answers
+  bool identity = false;            ///< some answer leaves p(X) nonground
+};
+
+PxAnswers SolvePx(std::string_view src, bool augment) {
+  Fixture f(src);
+  Program program = augment ? AugmentProgram(f.program) : f.program;
+  GlobalSlsEngine engine(program);
+  Goal query = MustParseQuery(f.store, "p(X)");
+  QueryResult r = engine.Solve(query);
+  PxAnswers out{r.status, {}};
+  for (const Answer& a : r.answers) {
+    const Term* applied = a.theta.Apply(f.store, query[0].atom);
+    if (applied->ground()) {
+      out.ground.push_back(f.store.ToString(applied));
+    } else {
+      out.identity = true;
+    }
+  }
+  return out;
+}
+
+TEST(PaperExamples, Ex61OnlyAnswerIsXEqualsA) {
+  // Over P = {p(a)}, over P + {q(b)}, and over the augmented P' the only
+  // answer to ?- p(X) is X = a. P' has infinitely many ground terms not in
+  // P, so by Thm. 6.2(3) the missing identity answer certifies that
+  // forall x p(x) is not entailed, which plain P cannot tell.
+  for (const auto& [src, augment] :
+       {std::pair{"p(a).", false}, {"p(a). q(b).", false}, {"p(a).", true}}) {
+    PxAnswers px = SolvePx(src, augment);
+    EXPECT_EQ(px.status, GoalStatus::kSuccessful) << src << augment;
+    EXPECT_EQ(px.ground, std::vector<std::string>{"p(a)"}) << src << augment;
+    EXPECT_FALSE(px.identity) << src << augment;
+  }
+}
+
+TEST(PaperExamples, Ex61AugmentedUniversalRuleGivesIdentityAnswer) {
+  // With a genuinely universal rule, the identity (nonground) answer
+  // appears over the augmented program (Thm. 6.2(3)).
+  EXPECT_TRUE(SolvePx("p(X). q(a).", /*augment=*/true).identity);
+}
+
+// ---------------------------------------------------------------------------
+// Section 7: effectiveness.
+// ---------------------------------------------------------------------------
+
+TEST(PaperExamples, Sec7EffectivenessTable) {
+  // The memoing (tabled) engine determines every function-free goal; the
+  // search engine fails ground loops but not the nonground left
+  // recursion, whose goals grow forever; SLDNF, which fails no infinite
+  // branch and has no undefined value, diverges on every loop.
+  struct Row {
+    std::string src;
+    const char* query;
+    GoalStatus sls;
+    GoalStatus tabled;
+    GoalStatus sldnf;
+  } rows[] = {
+      {"p :- p.", "p", GoalStatus::kFailed, GoalStatus::kFailed,
+       GoalStatus::kUnknown},
+      {"p :- q. q :- p.", "p", GoalStatus::kFailed, GoalStatus::kFailed,
+       GoalStatus::kUnknown},
+      {"t(X,Y) :- t(X,Z), e(Z,Y). t(X,Y) :- e(X,Y). e(a,b).", "t(b,a)",
+       GoalStatus::kUnknown, GoalStatus::kFailed, GoalStatus::kUnknown},
+      {"p :- not q. q :- not p.", "p", GoalStatus::kIndeterminate,
+       GoalStatus::kIndeterminate, GoalStatus::kUnknown},
+      {"p :- not q. q :- not p. q.", "p", GoalStatus::kFailed,
+       GoalStatus::kFailed, GoalStatus::kFailed},
+      {workload::GameChain(12), "win(n1)", GoalStatus::kSuccessful,
+       GoalStatus::kSuccessful, GoalStatus::kSuccessful},
+  };
+  for (const Row& row : rows) {
+    Fixture f(row.src);
+    const Term* atom = MustParseTerm(f.store, row.query);
+    GlobalSlsEngine sls(f.program);
+    Result<TabledEngine> tabled = TabledEngine::Create(f.program);
+    ASSERT_TRUE(tabled.ok()) << row.src;
+    SldnfOptions sopts;
+    sopts.max_depth = 256;
+    sopts.max_work = 100000;
+    SldnfEngine sldnf(f.program, sopts);
+    EXPECT_EQ(sls.StatusOf(atom), row.sls) << row.src;
+    EXPECT_EQ(tabled->StatusOf(atom), row.tabled) << row.src;
+    EXPECT_EQ(sldnf.SolveAtom(atom).status, row.sldnf) << row.src;
+  }
+  // An acyclic program: the search procedure terminates.
+  Fixture acyclic("a :- b, not c. b :- d. c :- not d. d.");
+  GlobalSlsEngine engine(acyclic.program);
+  EXPECT_EQ(engine.StatusOf(MustParseTerm(acyclic.store, "a")),
+            GoalStatus::kSuccessful);
 }
 
 // ---------------------------------------------------------------------------

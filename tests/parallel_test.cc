@@ -26,7 +26,6 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-using testing::RandomPropositionalProgram;
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
 
@@ -65,6 +64,7 @@ TEST(ParallelTest, PaperProgramsAreThreadInvariant) {
 
 TEST(ParallelTest, WorkloadFamiliesAreThreadInvariant) {
   Rng rng(0xF02E57u);
+  Rng timed(20260728);  // the families the parallel benchmarks time
   const std::string families[] = {
       workload::GameChain(256),
       workload::GameGrid(12, 12),
@@ -72,6 +72,11 @@ TEST(ParallelTest, WorkloadFamiliesAreThreadInvariant) {
       workload::RandomGame(rng, 80, 15),
       workload::GameForest(rng, 16, 12, 25),
       workload::ReachabilityWithNegation(rng, 18, 20),
+      workload::GameForest(timed, 64, 24, 20),
+      workload::GameForest(timed, 256, 12, 30),
+      workload::GameGrid(48, 48),
+      workload::GameChain(4096),
+      workload::RandomGame(timed, 128, 25),
   };
   for (const std::string& src : families) {
     Fixture f(src);
@@ -112,7 +117,7 @@ TEST(ParallelTest, RandomizedProgramsAreThreadInvariant) {
     int num_rules = rng.UniformInt(4, 90);
     int max_body = rng.UniformInt(1, 4);
     std::string src =
-        RandomPropositionalProgram(rng, num_preds, num_rules, max_body);
+        workload::RandomPropositional(rng, num_preds, num_rules, max_body);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     WfsModel sequential = SolveWfs(gp);
@@ -185,13 +190,18 @@ TEST(ParallelTest, IncrementalChurnUnderThreads) {
   ExpectChurnAgreement(workload::GameForest(rng, 8, 8, 30), 8, 14, 40);
   ExpectChurnAgreement(workload::GameCycleWithTail(21, 20), 8, 15, 40);
   ExpectChurnAgreement(workload::RandomGame(rng, 40, 15), 8, 16, 40);
+  // The benchmark churn families: 120 batched deltas each.
+  Rng timed(20260728);
+  ExpectChurnAgreement(workload::GameForest(timed, 32, 12, 30), 8, 0xFACADE,
+                       120);
+  ExpectChurnAgreement(workload::GameGrid(24, 24), 8, 0xFACADE, 120);
 }
 
 TEST(ParallelTest, IncrementalRandomizedChurnUnderThreads) {
   Rng rng(0x5EED5u);
   for (int trial = 0; trial < 25; ++trial) {
-    std::string src = RandomPropositionalProgram(rng, rng.UniformInt(6, 20),
-                                                 rng.UniformInt(8, 60), 3);
+    std::string src = workload::RandomPropositional(
+        rng, rng.UniformInt(6, 20), rng.UniformInt(8, 60), 3);
     ExpectChurnAgreement(src, 8, 0x900D + trial, 12);
   }
 }

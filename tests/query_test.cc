@@ -28,8 +28,6 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-using testing::RandomGameProgram;
-using testing::RandomPropositionalProgram;
 
 SolverOptions Leveled(unsigned threads = 1) {
   SolverOptions opts;
@@ -60,32 +58,71 @@ void ExpectQueriesMatchFresh(IncrementalSolver& inc,
   }
 }
 
-TEST(QueryTest, PaperProgramsAgreeAtAllThreadCounts) {
-  const char* sources[] = {workload::VanGelderProgram(),
-                           workload::Example32Program()};
-  for (const char* src : sources) {
-    for (unsigned threads : {1u, 2u, 4u}) {
-      Fixture f(src);
-      IncrementalSolver inc(MustGround(f.program), Leveled(threads));
-      ExpectQueriesMatchFresh(inc, StrCat("paper program, ", threads,
-                                          " thread(s)"));
+/// Toggles a random non-unit rule (`rng` picks it), so rule deltas can
+/// merge and split components under a populated memo.
+void ToggleRandomRule(IncrementalSolver& inc, Rng& rng) {
+  std::vector<RuleId> rules;
+  for (RuleId r = 0; r < inc.program().rule_count(); ++r) {
+    const GroundRule& rule = inc.program().rules()[r];
+    if (!rule.pos.empty() || !rule.neg.empty()) rules.push_back(r);
+  }
+  if (rules.empty()) return;
+  const RuleId r = rules[rng.Uniform(rules.size())];
+  if (inc.RuleEnabled(r)) {
+    inc.RetractRule(r);
+  } else {
+    inc.AssertRule(inc.program().rules()[r]);
+  }
+}
+
+/// Every atom of `src` queried goal-directed at 1, 2, and 4 threads: cold,
+/// then again after each of four random rule toggles.
+void ExpectQueriesMatchFreshUnderRuleToggles(const std::string& src) {
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Fixture f(src);
+    IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+    Rng rng(0xC0DE + threads);
+    for (int d = 0; d <= 4; ++d) {
+      if (d > 0) ToggleRandomRule(inc, rng);
+      ExpectQueriesMatchFresh(
+          inc, StrCat(threads, " thread(s), ", d, " rule toggles"));
+      if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(QueryTest, PaperProgramsAgreeAtAllThreadCounts) {
+  for (const char* src :
+       {workload::VanGelderProgram(), workload::Example32Program(),
+        workload::Example33Program()}) {
+    ExpectQueriesMatchFreshUnderRuleToggles(src);
   }
 }
 
 TEST(QueryTest, GameFamiliesAgreeAtAllThreadCounts) {
   Rng rng(0xC0DE5u);
-  std::string sources[] = {workload::GameChain(40),
-                           workload::GameCycleWithTail(9, 12),
-                           workload::GameGrid(6, 6),
-                           workload::GameForest(rng, 6, 8, 35)};
+  Rng forest_rng(20260808);
+  Rng timed_rng(7);
+  // Small instances, then the query benchmark's families up to the sizes
+  // its point-query rows time.
+  const std::string sources[] = {
+      workload::GameChain(40),
+      workload::GameCycleWithTail(9, 12),
+      workload::GameGrid(6, 6),
+      workload::GameForest(rng, 6, 8, 35),
+      workload::GameChain(192),
+      workload::GameGrid(10, 10),
+      workload::GameCycleWithTail(33, 32),
+      workload::GameForest(forest_rng, 8, 12, 30),
+      workload::GameChain(256),
+      workload::GameChain(1024),
+      workload::GameChain(2048),
+      workload::GameForest(timed_rng, 48, 16, 30),
+      workload::GameGrid(24, 24),
+      workload::GameCycleWithTail(101, 100),
+  };
   for (const std::string& src : sources) {
-    for (unsigned threads : {1u, 2u, 4u}) {
-      Fixture f(src);
-      IncrementalSolver inc(MustGround(f.program), Leveled(threads));
-      ExpectQueriesMatchFresh(inc, StrCat("game family, ", threads,
-                                          " thread(s)"));
-    }
+    ExpectQueriesMatchFreshUnderRuleToggles(src);
   }
 }
 
@@ -98,10 +135,10 @@ TEST(QueryTest, RandomizedAgreement) {
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     Rng rng(seed * 2654435761u + 11);
     std::string prop =
-        RandomPropositionalProgram(rng, 3 + static_cast<int>(seed % 10),
-                                   6 + static_cast<int>(seed % 14), 3);
-    std::string game = RandomGameProgram(rng, 4 + static_cast<int>(seed % 6),
-                                         35);
+        workload::RandomPropositional(rng, 3 + static_cast<int>(seed % 10),
+                                      6 + static_cast<int>(seed % 14), 3);
+    std::string game =
+        workload::RandomGame(rng, 4 + static_cast<int>(seed % 6), 35);
     for (const std::string& src : {prop, game}) {
       ++program;
       for (unsigned threads : {1u, 2u, 4u}) {
@@ -284,7 +321,7 @@ TEST(QueryTest, InterleavedDeltasAndQueriesAgree) {
   for (unsigned threads : {1u, 2u, 4u}) {
     for (uint64_t seed = 1; seed <= 12; ++seed) {
       Rng rng(seed * 7919 + threads);
-      std::string src = RandomPropositionalProgram(
+      std::string src = workload::RandomPropositional(
           rng, 8 + static_cast<int>(seed % 5), 16, 3);
       Fixture f(src);
       IncrementalSolver inc(MustGround(f.program), Leveled(threads));
@@ -350,6 +387,48 @@ TEST(QueryTest, InterleavedDeltasAndQueriesAgree) {
       }
       ExpectQueriesMatchFresh(inc, StrCat("final state, seed ", seed,
                                           " threads ", threads));
+    }
+  }
+}
+
+// Short random interleavings of fact and rule deltas with point queries
+// over small propositional and game programs, at 1, 2, and 4 threads.
+TEST(QueryTest, RandomDeltaAndQuerySequencesAgree) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    for (unsigned threads : {1u, 2u, 4u}) {
+      Rng rng(seed);
+      std::string src = rng.Chance(1, 2)
+                            ? workload::RandomPropositional(rng, 10, 16, 3)
+                            : workload::RandomGame(rng, 14, 25);
+      Fixture f(src);
+      IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+      const size_t n = inc.program().atom_count();
+      for (int step = 0; step < 12 && n > 0; ++step) {
+        if (rng.Chance(1, 3)) {
+          ToggleRandomRule(inc, rng);
+        } else {
+          const Term* t =
+              inc.program().AtomTerm(static_cast<AtomId>(rng.Uniform(n)));
+          if (rng.Chance(1, 2)) {
+            inc.Assert(t);
+          } else {
+            inc.Retract(t);
+          }
+        }
+        WfsModel fresh = inc.SolveFresh();
+        for (int q = 0; q < 3; ++q) {
+          const AtomId a = static_cast<AtomId>(rng.Uniform(n));
+          IncrementalSolver::QueryAnswer ans = inc.QueryAtom(a);
+          const std::string context = StrCat("seed ", seed, " threads ",
+                                             threads, " step ", step);
+          ASSERT_EQ(ans.value, fresh.model.Value(a)) << context;
+          if (ans.value == TruthValue::kTrue) {
+            ASSERT_EQ(ans.true_stage, fresh.true_stage[a]) << context;
+          } else if (ans.value == TruthValue::kFalse) {
+            ASSERT_EQ(ans.false_stage, fresh.false_stage[a]) << context;
+          }
+        }
+      }
     }
   }
 }

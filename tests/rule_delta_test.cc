@@ -20,6 +20,7 @@
 #include "solver/incremental.h"
 #include "solver/solver.h"
 #include "test_support.h"
+#include "util/strings.h"
 #include "wfs/wfs.h"
 #include "workload/generators.h"
 
@@ -28,7 +29,6 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-using testing::RandomPropositionalProgram;
 
 /// Independent reference: a fresh `GroundProgram` holding exactly the
 /// enabled rules, with atoms interned in the same order so ids compare.
@@ -281,7 +281,7 @@ TEST(RuleDeltaTest, AssertRuleOverBrandNewAtoms) {
 /// checking full agreement after every delta.
 void RunChurnSequence(uint64_t seed, unsigned threads) {
   Rng rng(seed);
-  Fixture f(RandomPropositionalProgram(rng, 10, 16, 3));
+  Fixture f(workload::RandomPropositional(rng, 10, 16, 3));
   IncrementalSolver inc(MustGround(f.program), Leveled(threads));
   inc.Model();
   const size_t n = inc.program().atom_count();
@@ -326,7 +326,7 @@ void RunChurnSequence(uint64_t seed, unsigned threads) {
 }
 
 TEST(RuleDeltaTest, RandomizedRuleChurnAgreesEverywhere) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
+  for (uint64_t seed = 1; seed <= 160; ++seed) {
     RunChurnSequence(seed, /*threads=*/1);
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -339,6 +339,71 @@ TEST(RuleDeltaTest, RandomizedRuleChurnAgreesEverywhereThreaded) {
     RunChurnSequence(seed + 1000, /*threads=*/4);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  for (uint64_t seed = 1000; seed <= 1160; ++seed) {
+    RunChurnSequence(seed, /*threads=*/2);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Toggles `deltas` random non-unit rules of `src` at `threads` threads,
+/// with full agreement after every delta.
+void RunFamilyRuleChurn(const std::string& src, unsigned threads,
+                        uint64_t seed, int deltas) {
+  Fixture f(src);
+  IncrementalSolver inc(MustGround(f.program), Leveled(threads));
+  inc.Model();
+  std::vector<RuleId> rules;
+  for (RuleId r = 0; r < inc.program().rule_count(); ++r) {
+    const GroundRule& rule = inc.program().rules()[r];
+    if (!rule.pos.empty() || !rule.neg.empty()) rules.push_back(r);
+  }
+  Rng rng(seed);
+  for (int d = 0; d < deltas && !rules.empty(); ++d) {
+    const RuleId r = rules[rng.Uniform(rules.size())];
+    if (inc.RuleEnabled(r)) {
+      inc.RetractRule(r);
+    } else {
+      inc.AssertRule(inc.program().rules()[r]);
+    }
+    ExpectAgreesEverywhere(inc, f.store,
+                           StrCat("threads ", threads, " delta ", d, "\n",
+                                  src.substr(0, 200)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// The rule-delta benchmark families: the paper programs and small
+// workloads at 1 and 2 threads, then the timed sizes up to chain(2048).
+TEST(RuleDeltaTest, WorkloadFamilyRuleChurnAgreesEverywhere) {
+  Rng rng(20260729);
+  const std::string families[] = {
+      workload::VanGelderProgram(),
+      workload::Example32Program(),
+      workload::Example33Program(),
+      workload::GameChain(256),
+      workload::GameGrid(12, 12),
+      workload::GameCycleWithTail(33, 32),
+      workload::RandomGame(rng, 48, 10),
+  };
+  for (const std::string& src : families) {
+    for (unsigned threads : {1u, 2u}) {
+      RunFamilyRuleChurn(src, threads, 0xDE17A5 + threads, 40);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  Rng timed(7);
+  const std::string timed_families[] = {
+      workload::GameChain(256),
+      workload::GameChain(1024),
+      workload::GameChain(2048),
+      workload::GameGrid(24, 24),
+      workload::GameCycleWithTail(101, 100),
+      workload::RandomGame(timed, 64, 10),
+  };
+  for (const std::string& src : timed_families) {
+    RunFamilyRuleChurn(src, 1, 0x5EED, 10);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // Threaded and sequential instances fed the identical delta stream must
@@ -346,7 +411,7 @@ TEST(RuleDeltaTest, RandomizedRuleChurnAgreesEverywhereThreaded) {
 TEST(RuleDeltaTest, ThreadedChurnMatchesSequentialDeltaForDelta) {
   for (uint64_t seed = 7; seed <= 13; ++seed) {
     Rng gen(seed);
-    std::string src = RandomPropositionalProgram(gen, 12, 20, 3);
+    std::string src = workload::RandomPropositional(gen, 12, 20, 3);
     Fixture fa(src);
     Fixture fb(src);
     IncrementalSolver seq(MustGround(fa.program), Leveled(1));

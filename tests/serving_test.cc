@@ -28,6 +28,7 @@
 #include "util/rng.h"
 #include "util/strings.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -110,23 +111,43 @@ TEST(ServingTest, InitialEpochServesTheModel) {
   EXPECT_FALSE(missing.registered);
 }
 
-TEST(ServingTest, PausedWriterFoldsQueuedDeltasIntoOneBatch) {
-  Fixture f(GameProgram(40));
+/// The serving benchmark's workload: toggles of random edges
+/// move(n<i>, n<i+1>), i in [0, nodes - 2], of a chain, half asserts.
+std::vector<std::pair<const Term*, bool>> ChainToggleScript(TermStore& store,
+                                                            Rng& rng,
+                                                            int nodes,
+                                                            int count) {
+  std::vector<std::pair<const Term*, bool>> script;
+  for (int k = 0; k < count; ++k) {
+    const int i = rng.UniformInt(0, nodes - 2);
+    script.emplace_back(
+        MustParseTerm(store, StrCat("move(n", i, ", n", i + 1, ")")),
+        rng.Chance(1, 2));
+  }
+  return script;
+}
+
+/// Queues `make_script(store)` against a paused writer over `src`; on
+/// resume the deltas must fold into ONE writer batch, ONE incremental
+/// solver pass and ONE published epoch.
+template <typename MakeScript>
+void ExpectQueuedDeltasFoldIntoOneBatch(const std::string& src,
+                                        MakeScript make_script) {
+  Fixture f(src);
   serve::ServeOptions opts;
   opts.start_paused = true;
   serve::ServingSolver server(MakeSolver(f.program, Leveled()), opts);
+  const uint64_t passes_before = server.solver().stats().incremental_solves;
 
-  constexpr int kDeltas = 32;
-  Rng rng(7);
-  std::vector<std::pair<const Term*, bool>> script =
-      MakeDeltaScript(f.store, rng, 40, kDeltas);
+  std::vector<std::pair<const Term*, bool>> script = make_script(f.store);
+  const uint64_t deltas = script.size();
   for (const auto& [term, is_assert] : script) {
     const uint64_t seq =
         is_assert ? server.Assert(term) : server.Retract(term);
     EXPECT_GT(seq, 0u);
   }
   // Paused: everything queues, nothing applies, nothing publishes.
-  EXPECT_EQ(server.queue_depth(), static_cast<size_t>(kDeltas));
+  EXPECT_EQ(server.queue_depth(), deltas);
   EXPECT_EQ(server.published_seq(), 0u);
   EXPECT_EQ(server.epochs().current_epoch(), 1u);
 
@@ -137,15 +158,72 @@ TEST(ServingTest, PausedWriterFoldsQueuedDeltasIntoOneBatch) {
   // re-solve), ONE new epoch.
   serve::ServingSolver::Stats stats = server.stats();
   EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.deltas_applied, static_cast<uint64_t>(kDeltas));
-  EXPECT_EQ(stats.max_batch, static_cast<uint64_t>(kDeltas));
+  EXPECT_EQ(stats.deltas_applied, deltas);
+  EXPECT_EQ(stats.max_batch, deltas);
+  EXPECT_EQ(server.solver().stats().incremental_solves - passes_before, 1u);
   EXPECT_EQ(stats.epochs_published, 2u);  // initial + the batch
   EXPECT_EQ(server.epochs().current_epoch(), 2u);
-  EXPECT_EQ(server.published_seq(), static_cast<uint64_t>(kDeltas));
+  EXPECT_EQ(server.published_seq(), deltas);
 
   check::AuditReport report = check::AuditServing(server);
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.serving_atoms_checked, 0u);
+}
+
+TEST(ServingTest, PausedWriterFoldsQueuedDeltasIntoOneBatch) {
+  ExpectQueuedDeltasFoldIntoOneBatch(GameProgram(40), [](TermStore& store) {
+    Rng rng(7);
+    return MakeDeltaScript(store, rng, 40, 32);
+  });
+  // The serving benchmark's chain(1024) with 64 queued edge toggles.
+  ExpectQueuedDeltasFoldIntoOneBatch(
+      workload::GameChain(1024), [](TermStore& store) {
+        Rng rng(11);
+        return ChainToggleScript(store, rng, 1024, 64);
+      });
+}
+
+// The same 200 chain-edge toggles served at 1, 2 and 4 solver threads
+// publish bit-identical answers (values and stages) for every win atom
+// and seed edge of chain(1024).
+TEST(ServingTest, FinalEpochIsBitIdenticalAcrossSolverThreads) {
+  constexpr int kNodes = 1024;
+  std::vector<std::vector<serve::SnapshotAnswer>> answers;
+  for (unsigned threads : {1u, 2u, 4u}) {
+    Fixture f(workload::GameChain(kNodes));
+    serve::ServingSolver server(MakeSolver(f.program, Leveled(threads)));
+    Rng rng(0xBEEF);
+    for (const auto& [term, is_assert] :
+         ChainToggleScript(f.store, rng, kNodes, 200)) {
+      if (is_assert) {
+        server.Assert(term);
+      } else {
+        server.Retract(term);
+      }
+    }
+    server.Flush();
+    serve::EpochStore::ReaderHandle h = server.RegisterReader();
+    std::vector<serve::SnapshotAnswer>& out = answers.emplace_back();
+    for (int i = 0; i < kNodes; ++i) {
+      out.push_back(
+          server.Read(h, MustParseTerm(f.store, StrCat("win(n", i, ")"))));
+      if (i + 1 < kNodes) {
+        out.push_back(server.Read(
+            h, MustParseTerm(f.store, StrCat("move(n", i, ", n", i + 1, ")"))));
+      }
+    }
+  }
+  for (size_t t = 1; t < answers.size(); ++t) {
+    ASSERT_EQ(answers[t].size(), answers[0].size());
+    for (size_t i = 0; i < answers[0].size(); ++i) {
+      const serve::SnapshotAnswer& got = answers[t][i];
+      const serve::SnapshotAnswer& want = answers[0][i];
+      EXPECT_EQ(got.value, want.value) << "probe " << i << " solver " << t;
+      EXPECT_EQ(got.true_stage, want.true_stage) << "probe " << i;
+      EXPECT_EQ(got.false_stage, want.false_stage) << "probe " << i;
+      EXPECT_EQ(got.registered, want.registered) << "probe " << i;
+    }
+  }
 }
 
 /// One recorded concurrent read: which term, which epoch's seq answered,

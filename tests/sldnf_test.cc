@@ -4,6 +4,7 @@
 
 #include "core/tabled.h"
 #include "test_support.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -101,7 +102,7 @@ TEST(SldnfTest, SoundWithRespectToWfsWhenDetermined) {
   Rng rng(0x51D5u);
   int determined = 0;
   for (int trial = 0; trial < 60; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 5, 30);
+    std::string src = workload::RandomGame(rng, 5, 30);
     Fixture f(src);
     SldnfOptions opts;
     opts.max_depth = 512;

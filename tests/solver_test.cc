@@ -152,14 +152,24 @@ TEST(SolverTest, WinCycleWithTailIsPartiallyDrawn) {
 }
 
 TEST(SolverTest, GridAndReachabilityFamilies) {
+  // Small instances, then every family at the sizes the solver benchmarks
+  // time, up to the long chain whose stage depth makes the global
+  // fixpoints quadratic.
   Rng rng(20260728);
-  {
-    std::string src = workload::GameGrid(6, 6);
-    Fixture f(src);
-    ExpectAgreesWithReference(MustGround(f.program), src);
-  }
-  {
-    std::string src = workload::ReachabilityWithNegation(rng, 9, 25);
+  Rng sized(20260728);
+  const std::string sources[] = {
+      workload::GameGrid(6, 6),
+      workload::ReachabilityWithNegation(rng, 9, 25),
+      workload::GameChain(256),
+      workload::GameChain(1024),
+      workload::GameChain(4096),
+      workload::GameGrid(24, 24),
+      workload::GameCycleWithTail(51, 50),
+      workload::RandomGame(sized, 48, 10),
+      workload::ReachabilityWithNegation(sized, 16, 20),
+      workload::RandomPropositional(sized, 48, 160, 3),
+  };
+  for (const std::string& src : sources) {
     Fixture f(src);
     ExpectAgreesWithReference(MustGround(f.program), src);
   }
@@ -171,7 +181,7 @@ TEST(SolverTest, RandomPropositionalAgreement) {
   // recursion.
   Rng rng(0x5CC0u);
   for (int trial = 0; trial < 300; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(
+    std::string src = workload::RandomPropositional(
         rng, /*num_preds=*/8, /*num_rules=*/14, /*max_body=*/4);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
@@ -248,7 +258,7 @@ TEST(SolverTest, PurePositiveLoopNeedsNoFlood) {
 TEST(AtomDependencyGraphTest, ComponentsAreInDependencyOrder) {
   Rng rng(0xDA67u);
   for (int trial = 0; trial < 50; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 7, 12, 3);
+    std::string src = workload::RandomPropositional(rng, 7, 12, 3);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     AtomDependencyGraph graph(gp);
@@ -282,7 +292,7 @@ TEST(AtomDependencyGraphTest, MembersMatchComponentIds) {
 TEST(AtomDependencyGraphTest, StratificationFlagsMatchGroundProgram) {
   Rng rng(0xF1A6u);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 6, 9, 3);
+    std::string src = workload::RandomPropositional(rng, 6, 9, 3);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     AtomDependencyGraph graph(gp);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/strings.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -77,7 +79,7 @@ TEST(StableTest, WellFoundedApproximatesEveryStableModel) {
   Rng rng(0x57AB1Eu);
   int with_models = 0;
   for (int trial = 0; trial < 80; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 6, 10, 3);
+    std::string src = workload::RandomPropositional(rng, 6, 10, 3);
     Fixture f(src);
     GroundProgram gp = testing::MustGround(f.program);
     if (gp.atom_count() > 20) continue;
@@ -106,7 +108,7 @@ TEST(StableTest, TotalWfsIsUniqueStableModel) {
   Rng rng(0x70701u);
   int total_seen = 0;
   for (int trial = 0; trial < 120 && total_seen < 25; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 4, 35);
+    std::string src = workload::RandomGame(rng, 4, 35);
     Fixture f(src);
     GroundProgram gp = testing::MustGround(f.program);
     if (gp.atom_count() > 20) continue;
@@ -125,7 +127,7 @@ TEST(StableTest, TotalWfsIsUniqueStableModel) {
 TEST(StableTest, StableModelsAreTwoValuedModels) {
   Rng rng(0xABCDEFu);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 5, 8, 3);
+    std::string src = workload::RandomPropositional(rng, 5, 8, 3);
     Fixture f(src);
     GroundProgram gp = testing::MustGround(f.program);
     if (gp.atom_count() > 18) continue;

@@ -66,6 +66,20 @@ GroundProgram RebuildEnabled(const IncrementalSolver& inc, TermStore& store) {
   return out;
 }
 
+/// The families the level benchmarks time, at their timed sizes.
+std::vector<std::string> LevelBenchmarkFamilies() {
+  Rng rng(20260729);
+  return {
+      workload::GameChain(256),
+      workload::GameChain(1024),
+      workload::GameGrid(16, 16),
+      workload::GameCycleWithTail(33, 32),
+      workload::RandomGame(rng, 64, 10),
+      workload::RandomGame(rng, 96, 6),
+      workload::GameForest(rng, 8, 24, 12),
+  };
+}
+
 TEST(StagesTest, PaperExamplesAgreeWithVpIteration) {
   const std::string sources[] = {
       workload::VanGelderProgram(),
@@ -115,7 +129,7 @@ TEST(StagesTest, RandomizedLevelsAgreeWithVpIteration) {
   {
     Rng rng(0x57A6E5u);
     for (int trial = 0; trial < 160; ++trial) {
-      std::string src = testing::RandomPropositionalProgram(
+      std::string src = workload::RandomPropositional(
           rng, /*num_preds=*/8, /*num_rules=*/15, /*max_body=*/4);
       Fixture f(src);
       GroundProgram gp = MustGround(f.program);
@@ -137,6 +151,18 @@ TEST(StagesTest, RandomizedLevelsAgreeWithVpIteration) {
       ++programs_checked;
     }
   }
+  {
+    Rng rng(0xBEEFu);
+    for (int trial = 0; trial < 120; ++trial) {
+      std::string src = workload::RandomPropositional(rng, 9, 16, 4);
+      Fixture f(src);
+      GroundProgram gp = MustGround(f.program);
+      WfsModel leveled = SolveWfs(gp, LeveledOptions());
+      ExpectLevelsMatchOracle(
+          gp, leveled, StrCat("small prop trial ", trial, "\n", src));
+      ++programs_checked;
+    }
+  }
   EXPECT_GE(programs_checked, 300);
 }
 
@@ -152,8 +178,10 @@ TEST(StagesTest, LevelsAreThreadCountInvariant) {
     sources.push_back(workload::GameForest(rng, 4, 8, 30));
   }
   for (int t = 0; t < 30; ++t) {
-    sources.push_back(
-        testing::RandomPropositionalProgram(rng, 10, 18, 4));
+    sources.push_back(workload::RandomPropositional(rng, 10, 18, 4));
+  }
+  for (std::string& src : LevelBenchmarkFamilies()) {
+    sources.push_back(std::move(src));
   }
   for (size_t i = 0; i < sources.size(); ++i) {
     Fixture f(sources[i]);
@@ -189,9 +217,9 @@ TEST(StagesTest, IncrementalChurnMaintainsExactLevels) {
   // independently rebuilt enabled-rules program.
   int deltas_checked = 0;
   auto churn = [&](IncrementalSolver& inc, Fixture& f, Rng& rng,
-                   const std::string& src, int trial) {
+                   const std::string& src, int trial, int deltas = 8) {
     inc.Model();
-    for (int d = 0; d < 8; ++d) {
+    for (int d = 0; d < deltas; ++d) {
       AtomId a = static_cast<AtomId>(rng.UniformInt(
           0, static_cast<int>(inc.program().atom_count()) - 1));
       if (inc.HasFact(a)) {
@@ -217,7 +245,7 @@ TEST(StagesTest, IncrementalChurnMaintainsExactLevels) {
   {
     Rng rng(0x1E7E15u);
     for (int trial = 0; trial < 12; ++trial) {
-      std::string src = testing::RandomPropositionalProgram(rng, 8, 14, 4);
+      std::string src = workload::RandomPropositional(rng, 8, 14, 4);
       Fixture f(src);
       IncrementalSolver inc(MustGround(f.program), LeveledOptions());
       churn(inc, f, rng, src, trial);
@@ -241,6 +269,15 @@ TEST(StagesTest, IncrementalChurnMaintainsExactLevels) {
       Fixture f(src);
       IncrementalSolver inc(MustGround(f.program), LeveledOptions(4));
       churn(inc, f, rng, src, trial + 100);
+    }
+  }
+  {
+    std::vector<std::string> sources = LevelBenchmarkFamilies();
+    for (size_t i = 0; i < sources.size(); ++i) {
+      Rng rng(0x1EEE15u);
+      Fixture f(sources[i]);
+      IncrementalSolver inc(MustGround(f.program), LeveledOptions());
+      churn(inc, f, rng, sources[i], static_cast<int>(i) + 200, 24);
     }
   }
   EXPECT_GE(deltas_checked, 200);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/strings.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -138,7 +140,7 @@ TEST(TabledTest, BottomUpInstantiationResolvesRuleLevelFloundering) {
 TEST(TabledTest, QueryRestrictedTablesAgree) {
   Rng rng(31337);
   for (int trial = 0; trial < 10; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 6, 30);
+    std::string src = workload::RandomGame(rng, 6, 30);
     Fixture f(src);
     TabledEngine full = MustCreate(f.program);
     Goal query = MustParseQuery(f.store, "win(n0)");

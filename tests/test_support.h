@@ -8,8 +8,6 @@
 #include "lang/parser.h"
 #include "lang/program.h"
 #include "term/term_store.h"
-#include "util/rng.h"
-#include "util/strings.h"
 
 namespace gsls::testing {
 
@@ -34,46 +32,6 @@ inline GroundProgram MustGround(const Program& program,
     abort();
   }
   return std::move(gp.value());
-}
-
-/// Generates a random function-free normal program over `num_preds`
-/// propositional atoms p0..pN with `num_rules` rules of body length up to
-/// `max_body`. Covers positive loops, negative loops, and mixed recursion;
-/// used by the agreement property tests.
-inline std::string RandomPropositionalProgram(Rng& rng, int num_preds,
-                                              int num_rules, int max_body) {
-  std::string src;
-  for (int r = 0; r < num_rules; ++r) {
-    int head = rng.UniformInt(0, num_preds - 1);
-    int body_len = rng.UniformInt(0, max_body);
-    src += StrCat("p", head);
-    if (body_len > 0) {
-      src += " :- ";
-      for (int i = 0; i < body_len; ++i) {
-        if (i > 0) src += ", ";
-        if (rng.Chance(2, 5)) src += "not ";
-        src += StrCat("p", rng.UniformInt(0, num_preds - 1));
-      }
-    }
-    src += ".\n";
-  }
-  return src;
-}
-
-/// Generates a random win/move game program over `n` nodes with edge
-/// probability `edge_pct`%: `win(X) :- move(X, Y), not win(Y).` plus random
-/// move facts. The classic mixed-recursion workload for the well-founded
-/// semantics.
-inline std::string RandomGameProgram(Rng& rng, int n, int edge_pct) {
-  std::string src = "win(X) :- move(X, Y), not win(Y).\n";
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i != j && rng.Chance(static_cast<uint64_t>(edge_pct), 100)) {
-        src += StrCat("move(n", i, ", n", j, ").\n");
-      }
-    }
-  }
-  return src;
 }
 
 }  // namespace gsls::testing

@@ -18,13 +18,13 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-using testing::RandomGameProgram;
 
 TEST(ThreadPoolShutdownTest, DestructorWithoutAnyJob) {
   for (int i = 0; i < 8; ++i) {
@@ -68,7 +68,7 @@ TEST(ThreadPoolShutdownTest, SequentialJobsReuseSleepingWorkers) {
 // work for cancellation to land in.
 std::string BigGame() {
   Rng rng(20260809);
-  return RandomGameProgram(rng, 48, 24);
+  return workload::RandomGame(rng, 48, 24);
 }
 
 TEST(ParallelCancelTest, CancelRacedFromTwoThreads) {

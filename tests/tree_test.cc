@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/strings.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -103,7 +105,7 @@ TEST(SlpTreeTest, BranchingFollowsClauseOrder) {
 TEST(VanGelderFigures, Figure1TreeForWi) {
   // T_{w(i)}: a single branch w(i) -> not u(i) (Figure 1).
   Fixture f(kVanGelder);
-  for (int i = 0; i <= 4; ++i) {
+  for (int i = 0; i <= 10; ++i) {
     Goal goal = MustParseQuery(f.store, StrCat("w(", Int(i), ")"));
     SlpTree tree = SlpTree::Build(f.program, goal);
     EXPECT_EQ(tree.node_count(), 2u);
@@ -119,7 +121,7 @@ TEST(VanGelderFigures, Figure2TreeForUiHasSingleLeafAtWiMinus1) {
   // T_{u(i)} for finite i >= 2: one active leaf {not w(i-1)} at depth i-1
   // along the successor-shift spine (Figure 2).
   Fixture f(kVanGelder);
-  for (int i = 2; i <= 6; ++i) {
+  for (int i = 2; i <= 10; ++i) {
     Goal goal = MustParseQuery(f.store, StrCat("u(", Int(i), ")"));
     SlpTree tree = SlpTree::Build(f.program, goal);
     auto leaves = tree.ActiveLeaves();
@@ -142,19 +144,21 @@ TEST(VanGelderFigures, U1HasNoActiveLeaves) {
 
 TEST(VanGelderFigures, Figure3TreeForU0HasLeafPerInteger) {
   // T_{u(0)}: infinitely many active leaves {not w(i)}, i = 1, 2, ...
-  // (Figure 3). Truncated at the depth budget, the first K leaves appear.
+  // (Figure 3). Truncated at depth D, exactly the first D-1 leaves appear.
   Fixture f(kVanGelder);
-  SlpTreeOptions opts;
-  opts.max_depth = 12;
-  SlpTree tree =
-      SlpTree::Build(f.program, MustParseQuery(f.store, "u(0)"), opts);
-  EXPECT_TRUE(tree.truncated());
-  auto leaves = tree.ActiveLeaves();
-  ASSERT_GE(leaves.size(), 10u);
-  for (size_t k = 0; k < 10; ++k) {
-    ASSERT_EQ(leaves[k]->goal.size(), 1u);
-    EXPECT_EQ(leaves[k]->goal[0].ToString(f.store),
-              StrCat("not w(", Int(static_cast<int>(k) + 1), ")"));
+  for (size_t depth : {4, 8, 12, 16, 32}) {
+    SlpTreeOptions opts;
+    opts.max_depth = depth;
+    SlpTree tree =
+        SlpTree::Build(f.program, MustParseQuery(f.store, "u(0)"), opts);
+    EXPECT_TRUE(tree.truncated());
+    auto leaves = tree.ActiveLeaves();
+    ASSERT_EQ(leaves.size(), depth - 1);
+    for (size_t k = 0; k < leaves.size(); ++k) {
+      ASSERT_EQ(leaves[k]->goal.size(), 1u);
+      EXPECT_EQ(leaves[k]->goal[0].ToString(f.store),
+                StrCat("not w(", Int(static_cast<int>(k) + 1), ")"));
+    }
   }
 }
 
@@ -166,7 +170,7 @@ TEST(VanGelderFigures, Figure4StatusesWiSuccessfulUiFailed) {
   Fixture f(kVanGelder);
   GlobalTreeOptions opts;
   opts.max_negation_depth = 24;
-  for (int i = 1; i <= 5; ++i) {
+  for (int i = 1; i <= 9; ++i) {
     GlobalTree w_tree = GlobalTree::Build(
         f.program, MustParseQuery(f.store, StrCat("w(", Int(i), ")")), opts);
     EXPECT_EQ(w_tree.status(), GoalStatus::kSuccessful) << "w(" << i << ")";
@@ -181,7 +185,7 @@ TEST(VanGelderFigures, Figure4LevelOfWnIsTwoN) {
   Fixture f(kVanGelder);
   GlobalTreeOptions opts;
   opts.max_negation_depth = 30;
-  for (int n = 1; n <= 6; ++n) {
+  for (int n = 1; n <= 9; ++n) {
     GlobalTree tree = GlobalTree::Build(
         f.program, MustParseQuery(f.store, StrCat("w(", Int(n), ")")), opts);
     ASSERT_EQ(tree.status(), GoalStatus::kSuccessful);
@@ -194,11 +198,13 @@ TEST(VanGelderFigures, Figure4LevelOfUnIsTwoNMinusOne) {
   Fixture f(kVanGelder);
   GlobalTreeOptions opts;
   opts.max_negation_depth = 30;
-  for (int n = 2; n <= 6; ++n) {
+  for (int n = 1; n <= 9; ++n) {
     GlobalTree tree = GlobalTree::Build(
         f.program, MustParseQuery(f.store, StrCat("u(", Int(n), ")")), opts);
     ASSERT_EQ(tree.status(), GoalStatus::kFailed);
-    EXPECT_EQ(tree.level(), Ordinal::Finite(2 * n - 1)) << "u(" << n << ")";
+    // u(1) = u(s(0)) has no e-predecessor: it fails at level 1.
+    EXPECT_EQ(tree.level(), Ordinal::Finite(n == 1 ? 1 : 2 * n - 1))
+        << "u(" << n << ")";
   }
 }
 
@@ -217,7 +223,7 @@ TEST(VanGelderFigures, W0IsNotDeterminedWithinAnyFiniteBudget) {
 TEST(GlobalTreeTest, StatusesMatchEngineOnGamePrograms) {
   Rng rng(0x6106A1u);
   for (int trial = 0; trial < 15; ++trial) {
-    std::string src = testing::RandomGameProgram(rng, 4, 35);
+    std::string src = workload::RandomGame(rng, 4, 35);
     Fixture f(src);
     GlobalSlsEngine engine(f.program);
     GroundProgram gp = testing::MustGround(f.program);

@@ -5,6 +5,7 @@
 #include "analysis/dependency_graph.h"
 #include "test_support.h"
 #include "wfs/perfect.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -166,7 +167,7 @@ TEST(WfsTest, GreatestUnfoundedSetIsUnfounded) {
 TEST(WfsTest, WpIterationMatchesAlternatingFixpoint) {
   Rng rng(20260610);
   for (int trial = 0; trial < 60; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(
+    std::string src = workload::RandomPropositional(
         rng, /*num_preds=*/8, /*num_rules=*/12, /*max_body=*/3);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
@@ -179,7 +180,7 @@ TEST(WfsTest, WpIterationMatchesAlternatingFixpoint) {
 TEST(WfsTest, StagesModelMatchesWpModel) {
   Rng rng(777);
   for (int trial = 0; trial < 60; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 7, 14, 3);
+    std::string src = workload::RandomPropositional(rng, 7, 14, 3);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     WfsModel wp = ComputeWfs(gp);
@@ -232,7 +233,7 @@ TEST(WfsTest, PerfectModelAgreesOnStratifiedPrograms) {
   Rng rng(42);
   int stratified_seen = 0;
   for (int trial = 0; trial < 800 && stratified_seen < 40; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 6, 7, 3);
+    std::string src = workload::RandomPropositional(rng, 6, 7, 3);
     Fixture f(src);
     Stratification strat = Stratify(f.program);
     if (!strat.stratified) continue;
@@ -271,7 +272,7 @@ TEST(WfsTest, TotalWellFoundedModelIsTwoValuedModel) {
 TEST(WfsTest, WellFoundedModelIsConsistent) {
   Rng rng(9);
   for (int trial = 0; trial < 40; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 10, 18, 4);
+    std::string src = workload::RandomPropositional(rng, 10, 18, 4);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     WfsModel m = ComputeWfs(gp);
@@ -283,7 +284,7 @@ TEST(WfsTest, LocallyStratifiedGroundProgramHasTotalModel) {
   Rng rng(1234);
   int seen = 0;
   for (int trial = 0; trial < 300 && seen < 30; ++trial) {
-    std::string src = testing::RandomPropositionalProgram(rng, 6, 9, 2);
+    std::string src = workload::RandomPropositional(rng, 6, 9, 2);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     if (!gp.IsLocallyStratified()) continue;
