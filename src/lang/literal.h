@@ -16,10 +16,6 @@ struct Literal {
   bool positive = true;
 
   static Literal Pos(const Term* a) { return Literal{a, true}; }
-  static Literal Neg(const Term* a) { return Literal{a, false}; }
-
-  /// The literal with opposite sign on the same atom.
-  Literal Complement() const { return Literal{atom, !positive}; }
 
   /// Predicate symbol of the underlying atom.
   FunctorId predicate() const { return atom->functor(); }

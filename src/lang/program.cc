@@ -84,15 +84,6 @@ std::vector<FunctorId> Program::FunctionSymbols() const {
   return functions;
 }
 
-bool Program::HasNegation() const {
-  for (const Clause& c : clauses_) {
-    for (const Literal& l : c.body) {
-      if (!l.positive) return true;
-    }
-  }
-  return false;
-}
-
 bool Program::IsRangeRestricted() const {
   return std::all_of(clauses_.begin(), clauses_.end(),
                      [](const Clause& c) {

@@ -46,9 +46,6 @@ class Program {
   /// effective by memoing (Sec. 7).
   bool IsFunctionFree() const { return FunctionSymbols().empty(); }
 
-  /// True iff some clause has a negative body literal.
-  bool HasNegation() const;
-
   /// True iff every clause is range-restricted.
   bool IsRangeRestricted() const;
 

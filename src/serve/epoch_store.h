@@ -137,8 +137,6 @@ class EpochStore {
   std::shared_ptr<const Snapshot> SnapshotAt(uint64_t e) const {
     return ring_[e % kRingSize];
   }
-  /// The latest published snapshot (writer thread or quiesced callers).
-  std::shared_ptr<const Snapshot> Current() const { return current_; }
 
   size_t retired_count() const { return retired_.size(); }
   size_t pinned_readers() const;

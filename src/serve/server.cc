@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 #include "obs/trace.h"
@@ -14,7 +13,7 @@ namespace gsls::serve {
 
 uint64_t DeltaQueue::Push(DeltaOp op) {
   std::unique_lock<std::mutex> l(mu_);
-  not_full_.wait(l, [&] { return items_.size() < capacity_ || closed_; });
+  not_full_.wait(l, [&] { return items_.size() < kCapacity || closed_; });
   if (closed_) return 0;
   op.seq = next_seq_++;
   const uint64_t seq = op.seq;
@@ -24,18 +23,12 @@ uint64_t DeltaQueue::Push(DeltaOp op) {
   return seq;
 }
 
-bool DeltaQueue::DrainInto(std::vector<DeltaOp>* out, size_t max_batch) {
+bool DeltaQueue::DrainInto(std::vector<DeltaOp>* out) {
   out->clear();
   std::unique_lock<std::mutex> l(mu_);
   not_empty_.wait(l, [&] { return !items_.empty() || closed_; });
   if (items_.empty()) return false;  // closed and dry
-  if (items_.size() <= max_batch) {
-    out->swap(items_);
-  } else {
-    out->assign(std::make_move_iterator(items_.begin()),
-                std::make_move_iterator(items_.begin() + max_batch));
-    items_.erase(items_.begin(), items_.begin() + max_batch);
-  }
+  out->swap(items_);
   l.unlock();
   not_full_.notify_all();
   return true;
@@ -64,9 +57,7 @@ uint64_t DeltaQueue::last_seq() const {
 
 ServingSolver::ServingSolver(std::unique_ptr<IncrementalSolver> solver,
                              ServeOptions opts)
-    : solver_(std::move(solver)),
-      opts_(opts),
-      queue_(opts.queue_capacity) {
+    : solver_(std::move(solver)), opts_(opts) {
   if (opts_.telemetry != nullptr) {
     obs::MetricsRegistry& m = opts_.telemetry->metrics;
     tele_.epoch = m.GetGauge("serve.epoch");
@@ -205,7 +196,7 @@ void ServingSolver::WriterLoop() {
       std::unique_lock<std::mutex> l(ctl_mu_);
       ctl_cv_.wait(l, [&] { return !paused_ || stopping_; });
     }
-    if (!queue_.DrainInto(&batch, opts_.max_batch)) break;
+    if (!queue_.DrainInto(&batch)) break;
     {
       std::unique_lock<std::mutex> l(ctl_mu_);
       // A Pause() that landed between the gate and the drain wins: hold

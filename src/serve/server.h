@@ -24,26 +24,27 @@ namespace serve {
 /// Bounded MPSC delta queue between callers and the serving writer.
 /// `Push` blocks while full (backpressure, never unbounded memory);
 /// `DrainInto` hands the writer everything pending at once — the batching
-/// lever: N queued deltas become one cone re-solve.
+/// lever: N queued deltas become one cone re-solve, so the capacity also
+/// bounds one publish's batch.
 class DeltaQueue {
  public:
-  explicit DeltaQueue(size_t capacity) : capacity_(capacity) {}
+  /// Pending deltas at which `Push` blocks.
+  static constexpr size_t kCapacity = 1024;
 
   /// Enqueues `op`, blocking while the queue is full. Returns the
   /// sequence number assigned (1-based, dense). Returns 0 if closed.
   uint64_t Push(DeltaOp op);
 
   /// Blocks until at least one delta is pending (or the queue closes),
-  /// then moves every pending delta — up to `max_batch` — into `*out`
-  /// (cleared first). Returns false iff closed and drained dry.
-  bool DrainInto(std::vector<DeltaOp>* out, size_t max_batch);
+  /// then moves every pending delta into `*out` (cleared first). Returns
+  /// false iff closed and drained dry.
+  bool DrainInto(std::vector<DeltaOp>* out);
 
   void Close();
   size_t depth() const;
   uint64_t last_seq() const;
 
  private:
-  const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -53,10 +54,6 @@ class DeltaQueue {
 };
 
 struct ServeOptions {
-  /// Delta-queue bound; `Assert`/`Retract` block when reached.
-  size_t queue_capacity = 1024;
-  /// Largest batch folded into one publish.
-  size_t max_batch = 4096;
   /// `serve.*` channels land here (may be the same registry the solver
   /// publishes its `delta.*`/`query.*` channels into). Null: no-op.
   obs::Telemetry* telemetry = nullptr;

@@ -1,6 +1,7 @@
 #ifndef GSLS_SOLVER_COMPONENT_MEMO_H_
 #define GSLS_SOLVER_COMPONENT_MEMO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -9,11 +10,11 @@
 
 namespace gsls::solver {
 
-/// Per-component memo of solved results, keyed by component id and a solve
-/// epoch: entry `c` is *valid* when the persistent tapes
+/// Per-component memo of solved results, keyed by component id: entry `c`
+/// is *valid* when the persistent tapes
 /// (`TruthTape`/`StageTape` of `IncrementalSolver`) hold the final values
 /// of component `c` for the current program — i.e. the component was
-/// solved in some epoch and no later delta could have moved it.
+/// solved and no later delta could have moved it.
 ///
 /// This is what makes goal-directed queries (`IncrementalSolver::
 /// QueryAtom`) cheap on repeat: a query solves the down-cone of its atom
@@ -64,14 +65,6 @@ class ComponentMemo {
   /// Number of components currently tracked.
   uint32_t size() const { return static_cast<uint32_t>(valid_.size()); }
 
-  /// Monotone solve epoch: bumped on every invalidation event, recorded
-  /// per entry by `MarkValid`. `EpochOf` is a diagnostics surface (tests
-  /// assert that memo-hit queries do not advance entries' epochs).
-  uint64_t epoch() const { return epoch_; }
-  uint64_t EpochOf(uint32_t c) const {
-    return c < stamp_.size() ? stamp_[c] : 0;
-  }
-
   /// True iff component `c`'s tape values are served as final.
   bool Valid(uint32_t c) const { return c < valid_.size() && valid_[c] != 0; }
 
@@ -85,7 +78,6 @@ class ComponentMemo {
     if (id_bound <= valid_.size()) return;
     invalid_count_ += id_bound - static_cast<uint32_t>(valid_.size());
     valid_.resize(id_bound, 0);
-    stamp_.resize(id_bound, 0);
   }
 
   /// Resizes to exactly `id_bound` entries, all invalid — the ids of a
@@ -93,28 +85,21 @@ class ComponentMemo {
   void Reset(uint32_t id_bound) {
     InvalidateAll();
     valid_.assign(id_bound, 0);
-    stamp_.assign(id_bound, 0);
     invalid_count_ = id_bound;
   }
 
-  /// Records that `c` was solved against the current program in the
-  /// current epoch.
+  /// Records that `c` was solved against the current program.
   void MarkValid(uint32_t c) {
     if (valid_[c] == 0) {
       valid_[c] = 1;
       --invalid_count_;
     }
-    stamp_[c] = epoch_;
   }
 
   /// Marks every entry valid — a full solve just finalized every
   /// component.
   void MarkAllValid() {
-    ++epoch_;
-    for (uint32_t c = 0; c < valid_.size(); ++c) {
-      valid_[c] = 1;
-      stamp_[c] = epoch_;
-    }
+    std::fill(valid_.begin(), valid_.end(), 1);
     invalid_count_ = 0;
   }
 
@@ -126,14 +111,12 @@ class ComponentMemo {
     valid_[c] = 0;
     ++invalid_count_;
     ++stats_.invalidations;
-    ++epoch_;
     return true;
   }
 
   /// Drops every entry (`InvalidateMemo` on the solver: the next query
   /// pays a cold cone, the next `Model()` a full solve). Keeps sizes.
   void InvalidateAll() {
-    ++epoch_;
     for (uint32_t c = 0; c < valid_.size(); ++c) {
       if (valid_[c] != 0) ++stats_.invalidations;
       valid_[c] = 0;
@@ -148,19 +131,15 @@ class ComponentMemo {
     for (uint32_t c : rep.dirty) Invalidate(c);
   }
 
-  void CountHit() { ++stats_.hits; }
-  void CountMiss() { ++stats_.misses; }
-  /// Bulk forms for the parallel query pass, which tallies hits/misses
-  /// once after the barrier instead of per component.
+  /// Tallies cone members served from the memo / re-solved, once per
+  /// query pass.
   void CountHits(uint64_t n) { stats_.hits += n; }
   void CountMisses(uint64_t n) { stats_.misses += n; }
   const Stats& stats() const { return stats_; }
 
  private:
-  std::vector<uint8_t> valid_;   ///< per component; 1 = served from memo
-  std::vector<uint64_t> stamp_;  ///< per component: epoch of last solve
+  std::vector<uint8_t> valid_;  ///< per component; 1 = served from memo
   uint32_t invalid_count_ = 0;
-  uint64_t epoch_ = 0;
   Stats stats_;
 };
 

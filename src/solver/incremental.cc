@@ -355,54 +355,28 @@ const WfsModel& IncrementalSolver::Model() {
     // Grown before the pass so per-component validity marks are in range
     // even when the pass aborts partway.
     memo_.Grow(ncomp);
-    bool aborted = false;
-    if (threads_ > 1) {
-      EnsurePool();
-      std::vector<uint8_t> solved_comps;
-      solver::ParallelSolveAllComponentsInto(
-          gp_, cond_->graph(), &disabled_, pool_.get(), &tape_, stages,
-          &diag_, cancel, cancel != nullptr ? &solved_comps : nullptr);
-      aborted = cancel != nullptr && cancel->aborted();
-      if (aborted) {
-        // Abort bookkeeping: finalized components are exact (memo-valid);
-        // the rest kept their all-undefined reset state and queue — by
-        // stable representative atom — for the next pass to resume.
-        for (uint32_t c = 0; c < ncomp; ++c) {
-          if (solved_comps[c] != 0) {
-            memo_.MarkValid(c);
-          } else {
-            memo_.Invalidate(c);
-            stale_reps_.push_back(cond_->graph().Atoms(c)[0]);
-          }
-        }
-      }
-    } else {
-      uint32_t first_unsolved = solver::SolveAllComponentsInto(
-          gp_, cond_->graph(), &disabled_, &tape_, stages, &diag_, cancel);
-      aborted = first_unsolved != ncomp;
-      if (aborted) {
-        // Sequential order makes the split a prefix: [0, first_unsolved)
-        // finalized, everything at or above stayed all-undefined.
-        for (uint32_t c = 0; c < ncomp; ++c) {
-          if (c < first_unsolved) {
-            memo_.MarkValid(c);
-          } else {
-            memo_.Invalidate(c);
-            stale_reps_.push_back(cond_->graph().Atoms(c)[0]);
-          }
+    if (threads_ > 1) EnsurePool();
+    std::vector<uint8_t> finalized;
+    const bool aborted = !solver::SolveAllComponents(
+        gp_, cond_->graph(), &disabled_, threads_ > 1 ? pool_.get() : nullptr,
+        &tape_, stages, &diag_, cancel,
+        cancel != nullptr ? &finalized : nullptr);
+    if (aborted) {
+      // Abort bookkeeping: finalized components are exact (memo-valid);
+      // the rest kept their all-undefined reset state and queue — by
+      // stable representative atom — for the next pass to resume.
+      for (uint32_t c = 0; c < ncomp; ++c) {
+        if (finalized[c] != 0) {
+          memo_.MarkValid(c);
+        } else {
+          memo_.Invalidate(c);
+          stale_reps_.push_back(cond_->graph().Atoms(c)[0]);
         }
       }
     }
-    model_.model = tape_.ToInterpretation();
-    if (opts_.compute_levels) {
-      model_.true_stage = stape_.true_stage;
-      model_.false_stage = stape_.false_stage;
-      model_.has_levels = true;
-    }
-    model_.iterations =
-        static_cast<uint32_t>(diag_.alternating_rounds - rounds_before);
-    model_.outcome =
-        cancel != nullptr ? cancel->outcome() : SolveOutcome::kCompleted;
+    model_ = solver::ToWfsModel(tape_, stages,
+                                diag_.alternating_rounds - rounds_before,
+                                cancel);
     // `solved_` even on an abort: the finalized components carry exact
     // values (anytime semantics), and the next `Model()` resumes through
     // the incremental branch — exactly the queued remainder, never a
@@ -527,14 +501,19 @@ WfsModel IncrementalSolver::SolveFresh(SolverDiagnostics* diag) const {
   // exactly what a non-incremental caller solving the mutated program
   // would build (and what the repaired condensation must agree with).
   AtomDependencyGraph graph(gp_, &disabled_);
-  return solver::SolveAllComponents(gp_, graph, &disabled_,
-                                    opts_.compute_levels, diag);
+  solver::TruthTape values;
+  solver::StageTape stages;
+  solver::StageTape* levels = opts_.compute_levels ? &stages : nullptr;
+  solver::SolveAllComponents(gp_, graph, &disabled_, /*pool=*/nullptr,
+                             &values, levels, diag);
+  return solver::ToWfsModel(values, levels, diag->alternating_rounds,
+                            /*cancel=*/nullptr);
 }
 
-bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
-                                               solver::StageTape* stages,
-                                               SolverDiagnostics* diag,
-                                               CancelCtx* cancel) {
+bool IncrementalSolver::SolveWarmComponent(uint32_t c,
+                                           solver::StageTape* stages,
+                                           SolverDiagnostics* diag,
+                                           CancelCtx* cancel) {
   const AtomDependencyGraph& graph = cond_->graph();
   std::span<const AtomId> atoms = graph.Atoms(c);
   const AtomId rep = atoms[0];
@@ -544,38 +523,36 @@ bool IncrementalSolver::SolveEligibleComponent(uint32_t c,
     auto it = warm_.find(rep);
     if (it != warm_.end()) warm = it->second.get();
   }
-  if (warm != nullptr && warm->BindingValid(gp_, graph, c, tape_)) {
-    // Warm path: the entry still describes this component and the tape
-    // holds the quiescent model it recorded — patch, undo, seed, resume.
-    if (warm->Resolve(gp_, graph, c, &disabled_, &tape_, stages, diag,
-                      cancel)) {
-      return true;
-    }
-    // Aborted mid-patch: the entry is inconsistent (partial undo/flood)
-    // and must not be resumed against; the caller restores the tape
-    // snapshot, so the next touch rebuilds from scratch.
-    ++diag->warm_cold_fallbacks;
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_.erase(rep);
+  // Resume only an entry that still describes this component and whose
+  // tape holds the quiescent model it recorded. One that no longer does
+  // (recondensed membership, new rules targeting the component, or an
+  // out-of-band solve moved the tape under it) is discarded, never
+  // trusted; a fresh entry solves from an all-undefined component.
+  std::unique_ptr<solver::WarmComponent> fresh;
+  if (warm == nullptr || !warm->BindingValid(gp_, graph, c, tape_)) {
+    if (warm != nullptr) DropWarm(rep, diag);
+    fresh = std::make_unique<solver::WarmComponent>();
+    warm = fresh.get();
+    for (AtomId a : atoms) tape_.SetUndefined(a);
+  }
+  if (!solver::SolveComponent(gp_, graph, c, &disabled_, &tape_, stages, diag,
+                              cancel, warm)) {
+    // An aborted entry is inconsistent (partial undo or flood) and must
+    // not be resumed against: the next touch rebuilds from scratch.
+    if (fresh == nullptr) DropWarm(rep, diag);
     return false;
   }
-  if (warm != nullptr) {
-    // Present but no longer provably consistent (recondensed membership,
-    // new rules targeting the component, or an out-of-band solve moved
-    // the tape under it): the audit contract says discard, never trust.
-    ++diag->warm_cold_fallbacks;
+  if (fresh != nullptr) {
     std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_.erase(rep);
+    warm_[rep] = std::move(fresh);
   }
-  auto fresh = std::make_unique<solver::WarmComponent>();
-  for (AtomId a : atoms) tape_.SetUndefined(a);
-  if (!fresh->SolveFromScratch(gp_, graph, c, &disabled_, &tape_, stages,
-                               diag, cancel)) {
-    return false;  // tape left all-undefined; entry dropped with `fresh`
-  }
-  std::lock_guard<std::mutex> lock(warm_mu_);
-  warm_[rep] = std::move(fresh);
   return true;
+}
+
+void IncrementalSolver::DropWarm(AtomId rep, SolverDiagnostics* diag) {
+  ++diag->warm_cold_fallbacks;
+  std::lock_guard<std::mutex> lock(warm_mu_);
+  warm_.erase(rep);
 }
 
 /// The one copy of the per-component delta step, shared by both executors
@@ -610,22 +587,21 @@ bool IncrementalSolver::ResolveComponentDelta(
   }
   // Warm/cold dispatch is by component *shape* only (`Eligible`), never
   // by schedule, so every thread count takes identical paths and the
-  // models stay bit-identical. The warm path reads the pre-delta tape
-  // (no reset here — the undo is the point); the cold paths reset first.
+  // models stay bit-identical. A warm resume reads the pre-delta tape (no
+  // reset — the undo is the point); every other solve resets first.
   bool ok;
   if (solver::WarmComponent::Eligible(graph, c, opts_.warm_min_atoms)) {
-    ok = SolveEligibleComponent(c, stages, diag, cancel);
+    ok = SolveWarmComponent(c, stages, diag, cancel);
   } else {
     for (AtomId a : atoms) tape_.SetUndefined(a);
     ok = solver::SolveComponent(gp_, graph, c, &disabled_, &tape_, stages,
                                 diag, cancel);
   }
   if (!ok) {
-    // The failed solve left the atoms all-undefined (cold/scratch) or
-    // partially written (warm patch); the snapshot puts the pre-delta
-    // values back either way. Stages were never touched (reconstruction
-    // runs only after values finalize), so they still hold the old
-    // levels — consistent with the restored values.
+    // The failed solve left the atoms all-undefined; the snapshot puts
+    // the pre-delta values back. Stages were never touched
+    // (reconstruction runs only after values finalize), so they still
+    // hold the old levels — consistent with the restored values.
     for (size_t i = 0; i < atoms.size(); ++i) {
       tape_.SetValue(atoms[i], (*old_vals)[i]);
     }
@@ -708,7 +684,6 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
   std::vector<ConeWorker> workers(1);
   if (pool) {
     EnsurePool();
-    gp_.EnsureOccurrenceIndex();  // workers must not race the lazy rebuild
     workers.resize(pool_->size());
     if (!bounded) {
       // The up-cone's members: everything reachable from the seeds in the
@@ -726,33 +701,19 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
       }
       for (uint32_t i = 0; i < members.size(); ++i) slot[members[i]] = i + 1;
     }
-    // Ready-release counters restricted to the members: a member waits
-    // only for its member predecessors (everything else is final).
-    std::unique_ptr<std::atomic<uint32_t>[]> pending(
-        new std::atomic<uint32_t>[members.size()]);
-    for (size_t i = 0; i < members.size(); ++i) {
-      pending[i].store(0, std::memory_order_relaxed);
-    }
-    for (uint32_t c : members) {
-      solver::ForEachSuccessor(gp_, graph, &disabled_, c, [&](uint32_t s) {
-        if (slot[s] != 0) {
-          pending[slot[s] - 1].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::vector<uint32_t> ready;
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      if (pending[i].load(std::memory_order_relaxed) == 0) {
-        ready.push_back(members[i]);
-      }
-    }
     // `owed` entries are touched through atomic_ref while workers run:
     // several predecessors may flag one member concurrently. Relaxed is
     // enough — a member reads its flag only after the acq_rel release
-    // edge of every predecessor in the shared scheduler.
+    // edge of every predecessor in the shared scheduler. A member waits
+    // only for its member predecessors (everything else is final).
     auto owe = [&](uint32_t c) { return std::atomic_ref<uint8_t>(owed[c]); };
     solver::RunReadyReleaseSchedule(
-        pool_.get(), gp_, graph, &disabled_, ready, pending.get(),
+        pool_.get(), gp_, graph, &disabled_,
+        static_cast<uint32_t>(members.size()),
+        [&](uint32_t i) { return members[i]; },
+        [&](uint32_t s) {
+          return slot[s] != 0 ? slot[s] - 1 : solver::kNoScheduleSlot;
+        },
         [&](unsigned worker, uint32_t c) {
           if (owe(c).load(std::memory_order_relaxed) == 0) {
             return true;  // nothing moved below: release onwards
@@ -773,9 +734,6 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
           w.resolved.push_back(c);
           if (!changed) ++w.cutoffs;
           return true;
-        },
-        [&](uint32_t s) {
-          return slot[s] != 0 ? slot[s] - 1 : solver::kNoScheduleSlot;
         });
     for (ConeWorker& w : workers) diag_.MergeFrom(w.diag);
     seeds.clear();  // from here on: what the pass still owes

@@ -251,17 +251,17 @@ class IncrementalSolver {
 
   /// Cancellation plumbing, live between passes: every solve entry
   /// (`Model`, `QueryAtom`) re-reads these options, so a deadline or
-  /// budget set here governs the *next* pass (and a cancelled token stops
-  /// it at its first checkpoint). To resume after an abort, clear the
-  /// stop condition (`CancelToken::Reset`, `SetDeadlineNs(0)`, ...) and
+  /// budget set here governs the *next* pass (and a cancelled
+  /// `SolverOptions::cancel` token stops it at its first checkpoint). To
+  /// resume after an abort, clear the stop condition
+  /// (`CancelToken::Reset`, `SetDeadlineNs(0)`, ...) and
   /// call `Model()`/`QueryAtom` again — exactly the still-stale
   /// components re-solve (see `WfsModel::outcome`).
-  void SetCancelToken(CancelToken* token) { opts_.cancel = token; }
   void SetDeadlineNs(uint64_t deadline_ns) { opts_.deadline_ns = deadline_ns; }
   void SetStepBudget(uint64_t step_budget) { opts_.step_budget = step_budget; }
   void SetFaultInjector(FaultInjector* fault) { opts_.fault = fault; }
 
-  /// The per-component query memo (validity, epoch, hit/miss counters).
+  /// The per-component query memo (validity, hit/miss counters).
   /// Diagnostics and test surface.
   const solver::ComponentMemo& memo() const { return memo_; }
 
@@ -347,9 +347,9 @@ class IncrementalSolver {
   /// and the carried-over entries keep their values (atom ids are stable).
   void GrowTapes();
   /// The one copy of the per-component delta step of the cone pass:
-  /// snapshot old values/stages, re-solve — *warm* when the component
-  /// carries persisted evaluation state (solver/warm_component.h), cold
-  /// through `SolveComponent` otherwise — and invoke `flag(head_comp)`
+  /// snapshot old values/stages, re-solve through `SolveComponent` —
+  /// *warm* when the component is eligible for persisted evaluation state
+  /// (solver/warm_component.h), cold otherwise — and invoke `flag(head_comp)`
   /// for every out-of-component rule head whose input moved. Returns
   /// whether anything moved; an abort restores the snapshot verbatim and
   /// sets `*aborted`. Defined in incremental.cc (all instantiations live
@@ -361,12 +361,14 @@ class IncrementalSolver {
                              SolverDiagnostics* diag, CancelCtx* cancel,
                              bool* aborted, FlagFn&& flag);
   /// Warm half of `ResolveComponentDelta`, non-template so it compiles
-  /// once: dispatches an `Eligible` component to its persisted
-  /// `WarmComponent` (resolve when `BindingValid`, rebuild-from-scratch
-  /// into a fresh entry otherwise), discarding the entry on any abort or
-  /// invalid binding. Returns the solve outcome like `SolveComponent`.
-  bool SolveEligibleComponent(uint32_t c, solver::StageTape* stages,
-                              SolverDiagnostics* diag, CancelCtx* cancel);
+  /// once: runs an `Eligible` component's step through its persisted
+  /// `WarmComponent` (resumed when `BindingValid`, otherwise replaced by a
+  /// fresh entry), discarding the entry on any abort or invalid binding.
+  /// Returns the step's outcome like `SolveComponent`.
+  bool SolveWarmComponent(uint32_t c, solver::StageTape* stages,
+                          SolverDiagnostics* diag, CancelCtx* cancel);
+  /// Discards the warm entry keyed by `rep`, counting a cold fallback.
+  void DropWarm(AtomId rep, SolverDiagnostics* diag);
   /// Moves `dirty_` (fact-delta atoms) into memo invalidations + the
   /// pending stale set, so query and model passes see one uniform
   /// "stale components" representation. Requires the graph.

@@ -30,33 +30,75 @@ WorkStealingPool& CachedPool(unsigned threads) {
   return *pool;
 }
 
+using D = SolverDiagnostics;
+
+template <auto kField>
+uint64_t Read(const D& d) {
+  return d.*kField;
+}
+
+template <auto kField>
+void Sum(D* d, const D& other) {
+  d->*kField += other.*kField;
+}
+
+void MaxComponentSize(D* d, const D& other) {
+  d->max_component_size =
+      std::max(d->max_component_size, other.max_component_size);
+}
+
+/// The one list of `SolverDiagnostics` counters: `ToString` key, gauge
+/// name, reader, and how the parallel barrier folds it. `MergeFrom`,
+/// `ToString` and the gauges all walk this table (then `kHistograms`).
+struct CounterField {
+  const char* key;
+  const char* metric;
+  uint64_t (*read)(const D&);
+  void (*merge)(D*, const D&);
+};
+constexpr CounterField kCounters[] = {
+    {"components", "solver.diag.components", &Read<&D::component_count>,
+     &Sum<&D::component_count>},
+    {"max_size", "solver.diag.max_component_size",
+     &Read<&D::max_component_size>, &MaxComponentSize},
+    {"recursive", "solver.diag.recursive_components",
+     &Read<&D::recursive_components>, &Sum<&D::recursive_components>},
+    {"negation", "solver.diag.negation_components",
+     &Read<&D::negation_components>, &Sum<&D::negation_components>},
+    {"rules_visited", "solver.diag.rules_visited", &Read<&D::rules_visited>,
+     &Sum<&D::rules_visited>},
+    {"floods", "solver.diag.unfounded_floods", &Read<&D::unfounded_floods>,
+     &Sum<&D::unfounded_floods>},
+    {"falsified", "solver.diag.unfounded_falsified",
+     &Read<&D::unfounded_falsified>, &Sum<&D::unfounded_falsified>},
+    {"rounds", "solver.diag.alternating_rounds",
+     &Read<&D::alternating_rounds>, &Sum<&D::alternating_rounds>},
+    {"warm_hits", "solver.diag.warm_hits", &Read<&D::warm_hits>,
+     &Sum<&D::warm_hits>},
+    {"warm_cold_fallbacks", "solver.diag.warm_cold_fallbacks",
+     &Read<&D::warm_cold_fallbacks>, &Sum<&D::warm_cold_fallbacks>},
+    {"warm_undone", "solver.diag.warm_undone_atoms",
+     &Read<&D::warm_undone_atoms>, &Sum<&D::warm_undone_atoms>},
+};
+
+/// The histogram fields, merged bucket-wise and reported as `<key>_p50`
+/// and `<key>_p99` (gauges `solver.diag.<key>_p50` / `_p99`).
+struct HistogramField {
+  const char* key;
+  obs::LocalHistogram D::*field;
+};
+constexpr HistogramField kHistograms[] = {
+    {"flood_size", &D::flood_sizes},
+    {"seeded_flood", &D::seeded_flood_sizes},
+};
+
 }  // namespace
 
-// Field-drift guard: a counter added to SolverDiagnostics but not to
-// MergeFrom is silently dropped at the parallel barrier, and one missing
-// from ToString never surfaces — both have happened to structs like this.
-// Any layout change trips this assert; update the expected size together
-// with MergeFrom, ToString, and PublishTo below.
-static_assert(sizeof(SolverDiagnostics) ==
-                  4 * sizeof(uint32_t) + 7 * sizeof(uint64_t) +
-                      2 * sizeof(obs::LocalHistogram),
-              "SolverDiagnostics changed: update MergeFrom, ToString, "
-              "PublishTo, and this assert together");
-
 void SolverDiagnostics::MergeFrom(const SolverDiagnostics& other) {
-  component_count += other.component_count;
-  max_component_size = std::max(max_component_size, other.max_component_size);
-  recursive_components += other.recursive_components;
-  negation_components += other.negation_components;
-  rules_visited += other.rules_visited;
-  unfounded_floods += other.unfounded_floods;
-  unfounded_falsified += other.unfounded_falsified;
-  alternating_rounds += other.alternating_rounds;
-  warm_hits += other.warm_hits;
-  warm_cold_fallbacks += other.warm_cold_fallbacks;
-  warm_undone_atoms += other.warm_undone_atoms;
-  flood_sizes.MergeFrom(other.flood_sizes);
-  seeded_flood_sizes.MergeFrom(other.seeded_flood_sizes);
+  for (const CounterField& f : kCounters) f.merge(this, other);
+  for (const HistogramField& h : kHistograms) {
+    (this->*h.field).MergeFrom(other.*h.field);
+  }
 }
 
 SolverDiagnostics::Channels SolverDiagnostics::InternChannels(
@@ -64,41 +106,24 @@ SolverDiagnostics::Channels SolverDiagnostics::InternChannels(
   Channels ch;
   if (telemetry == nullptr) return ch;
   obs::MetricsRegistry& m = telemetry->metrics;
-  ch.components = m.GetGauge("solver.diag.components");
-  ch.max_component_size = m.GetGauge("solver.diag.max_component_size");
-  ch.recursive_components = m.GetGauge("solver.diag.recursive_components");
-  ch.negation_components = m.GetGauge("solver.diag.negation_components");
-  ch.rules_visited = m.GetGauge("solver.diag.rules_visited");
-  ch.unfounded_floods = m.GetGauge("solver.diag.unfounded_floods");
-  ch.unfounded_falsified = m.GetGauge("solver.diag.unfounded_falsified");
-  ch.alternating_rounds = m.GetGauge("solver.diag.alternating_rounds");
-  ch.flood_size_p50 = m.GetGauge("solver.diag.flood_size_p50");
-  ch.flood_size_p99 = m.GetGauge("solver.diag.flood_size_p99");
-  ch.warm_hits = m.GetGauge("solver.diag.warm_hits");
-  ch.warm_cold_fallbacks = m.GetGauge("solver.diag.warm_cold_fallbacks");
-  ch.warm_undone_atoms = m.GetGauge("solver.diag.warm_undone_atoms");
-  ch.seeded_flood_p50 = m.GetGauge("solver.diag.seeded_flood_p50");
-  ch.seeded_flood_p99 = m.GetGauge("solver.diag.seeded_flood_p99");
+  for (const CounterField& f : kCounters) ch.push_back(m.GetGauge(f.metric));
+  for (const HistogramField& h : kHistograms) {
+    ch.push_back(m.GetGauge(StrCat("solver.diag.", h.key, "_p50")));
+    ch.push_back(m.GetGauge(StrCat("solver.diag.", h.key, "_p99")));
+  }
   return ch;
 }
 
 void SolverDiagnostics::PublishTo(const Channels& ch) const {
-  if (ch.components == nullptr) return;
-  ch.components->Set(component_count);
-  ch.max_component_size->Set(max_component_size);
-  ch.recursive_components->Set(recursive_components);
-  ch.negation_components->Set(negation_components);
-  ch.rules_visited->Set(static_cast<int64_t>(rules_visited));
-  ch.unfounded_floods->Set(static_cast<int64_t>(unfounded_floods));
-  ch.unfounded_falsified->Set(static_cast<int64_t>(unfounded_falsified));
-  ch.alternating_rounds->Set(static_cast<int64_t>(alternating_rounds));
-  ch.flood_size_p50->Set(static_cast<int64_t>(flood_sizes.p50()));
-  ch.flood_size_p99->Set(static_cast<int64_t>(flood_sizes.p99()));
-  ch.warm_hits->Set(static_cast<int64_t>(warm_hits));
-  ch.warm_cold_fallbacks->Set(static_cast<int64_t>(warm_cold_fallbacks));
-  ch.warm_undone_atoms->Set(static_cast<int64_t>(warm_undone_atoms));
-  ch.seeded_flood_p50->Set(static_cast<int64_t>(seeded_flood_sizes.p50()));
-  ch.seeded_flood_p99->Set(static_cast<int64_t>(seeded_flood_sizes.p99()));
+  if (ch.empty()) return;
+  obs::Gauge* const* g = ch.data();
+  for (const CounterField& f : kCounters) {
+    (*g++)->Set(static_cast<int64_t>(f.read(*this)));
+  }
+  for (const HistogramField& h : kHistograms) {
+    (*g++)->Set(static_cast<int64_t>((this->*h.field).p50()));
+    (*g++)->Set(static_cast<int64_t>((this->*h.field).p99()));
+  }
 }
 
 void SolverDiagnostics::PublishTo(obs::Telemetry* telemetry) const {
@@ -107,21 +132,15 @@ void SolverDiagnostics::PublishTo(obs::Telemetry* telemetry) const {
 }
 
 std::string SolverDiagnostics::ToString() const {
-  return StrCat("components=", component_count,
-                " max_size=", max_component_size,
-                " recursive=", recursive_components,
-                " negation=", negation_components,
-                " rules_visited=", rules_visited,
-                " floods=", unfounded_floods,
-                " falsified=", unfounded_falsified,
-                " rounds=", alternating_rounds,
-                " warm_hits=", warm_hits,
-                " warm_cold_fallbacks=", warm_cold_fallbacks,
-                " warm_undone=", warm_undone_atoms,
-                " flood_size_p50=", flood_sizes.p50(),
-                " flood_size_p99=", flood_sizes.p99(),
-                " seeded_flood_p50=", seeded_flood_sizes.p50(),
-                " seeded_flood_p99=", seeded_flood_sizes.p99());
+  std::string out;
+  for (const CounterField& f : kCounters) {
+    out += StrCat(out.empty() ? "" : " ", f.key, "=", f.read(*this));
+  }
+  for (const HistogramField& h : kHistograms) {
+    out += StrCat(" ", h.key, "_p50=", (this->*h.field).p50(), " ", h.key,
+                  "_p99=", (this->*h.field).p99());
+  }
+  return out;
 }
 
 WfsModel SolveWfs(const GroundProgram& gp, SolverDiagnostics* diag) {
@@ -142,25 +161,14 @@ WfsModel SolveWfs(const GroundProgram& gp, const SolverOptions& opts,
   CancelCtx ctx(opts.cancel, opts.deadline_ns, opts.step_budget, opts.fault);
   CancelCtx* cancel = ctx.active() ? &ctx : nullptr;
   if (cancel != nullptr) cancel->BeginPass();
-  WfsModel out;
-  if (threads <= 1) {
-    out = solver::SolveAllComponents(gp, graph, /*disabled=*/nullptr,
-                                     opts.compute_levels, diag, cancel);
-  } else {
-    solver::TruthTape values;
-    solver::StageTape stages;
-    solver::ParallelSolveAllComponentsInto(
-        gp, graph, /*disabled=*/nullptr, &CachedPool(threads), &values,
-        opts.compute_levels ? &stages : nullptr, diag, cancel);
-    out.model = values.ToInterpretation();
-    out.iterations = static_cast<uint32_t>(diag->alternating_rounds);
-    if (cancel != nullptr) out.outcome = cancel->outcome();
-    if (opts.compute_levels) {
-      out.true_stage = std::move(stages.true_stage);
-      out.false_stage = std::move(stages.false_stage);
-      out.has_levels = true;
-    }
-  }
+  solver::TruthTape values;
+  solver::StageTape stages;
+  solver::StageTape* levels = opts.compute_levels ? &stages : nullptr;
+  solver::SolveAllComponents(gp, graph, /*disabled=*/nullptr,
+                             threads > 1 ? &CachedPool(threads) : nullptr,
+                             &values, levels, diag, cancel);
+  WfsModel out =
+      solver::ToWfsModel(values, levels, diag->alternating_rounds, cancel);
   diag->PublishTo(opts.telemetry);
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ground/ground_program.h"
 #include "obs/histogram.h"
@@ -18,10 +19,8 @@ struct Telemetry;
 
 /// Per-run diagnostics of `SolveWfs`.
 ///
-/// Adding a field? Update `MergeFrom` and `ToString`, then the
-/// sizeof static_assert next to them in solver.cc — it exists so a new
-/// counter that the parallel barrier would silently drop fails to
-/// compile instead.
+/// Adding a field? Add its row to the field table in solver.cc:
+/// `MergeFrom`, `ToString` and the gauges all walk that one list.
 struct SolverDiagnostics {
   uint32_t component_count = 0;      ///< SCCs of the atom dependency graph
   uint32_t max_component_size = 0;   ///< atoms in the largest SCC
@@ -61,28 +60,13 @@ struct SolverDiagnostics {
   /// sequential run's.
   void MergeFrom(const SolverDiagnostics& other);
 
-  /// The "solver.diag.*" gauges, interned once so a per-delta publish
-  /// costs relaxed stores instead of registry map lookups (the lookup
-  /// path is mutexed and would dominate sub-microsecond delta solves).
-  struct Channels {
-    obs::Gauge* components = nullptr;
-    obs::Gauge* max_component_size = nullptr;
-    obs::Gauge* recursive_components = nullptr;
-    obs::Gauge* negation_components = nullptr;
-    obs::Gauge* rules_visited = nullptr;
-    obs::Gauge* unfounded_floods = nullptr;
-    obs::Gauge* unfounded_falsified = nullptr;
-    obs::Gauge* alternating_rounds = nullptr;
-    obs::Gauge* flood_size_p50 = nullptr;
-    obs::Gauge* flood_size_p99 = nullptr;
-    obs::Gauge* warm_hits = nullptr;
-    obs::Gauge* warm_cold_fallbacks = nullptr;
-    obs::Gauge* warm_undone_atoms = nullptr;
-    obs::Gauge* seeded_flood_p50 = nullptr;
-    obs::Gauge* seeded_flood_p99 = nullptr;
-  };
+  /// The "solver.diag.*" gauges, one per field-table entry, interned once
+  /// so a per-delta publish costs relaxed stores instead of registry map
+  /// lookups (the lookup path is mutexed and would dominate sub-microsecond
+  /// delta solves). Empty when there is no telemetry sink.
+  using Channels = std::vector<obs::Gauge*>;
   /// Interns the channels in `telemetry`'s registry (null-safe: returns
-  /// all-null channels that `PublishTo` treats as a no-op).
+  /// empty channels that `PublishTo` treats as a no-op).
   static Channels InternChannels(obs::Telemetry* telemetry);
 
   /// Mirrors every counter (and the flood-size percentiles) into the
@@ -141,9 +125,9 @@ struct SolverOptions {
   /// aborts crash-consistently — every component is either fully old or
   /// fully new, and `WfsModel::outcome` / `QueryAnswer::outcome` report
   /// `kCancelled`. Null (the default, with the other cancel fields unset)
-  /// keeps the pipeline checkpoint-free: the detached path costs nothing
-  /// (the bench_telemetry / bench_cancel overhead gates). Not owned; must
-  /// outlive the solver; stays cancelled until `CancelToken::Reset`.
+  /// keeps the pipeline checkpoint-free: every checkpoint site is then
+  /// one null-pointer test. Not owned; must outlive the solver; stays
+  /// cancelled until `CancelToken::Reset`.
   CancelToken* cancel = nullptr;
   /// Absolute steady-clock deadline in ns (`SteadyNowNs` /
   /// `DeadlineAfterNs`), honored within one checkpoint interval; the pass

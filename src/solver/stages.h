@@ -69,7 +69,7 @@ struct StageTape {
 /// that occurs inside the component, and zero allocation on the
 /// non-recursive singleton fast path — versus the globally quadratic
 /// `ComputeWfsStages`, which this reconstruction agrees with atom-for-atom
-/// (tests/stages_test.cc, bench_levels_vs_stages).
+/// (tests/stages_test.cc; `bench_solver` times both).
 void ReconstructComponentStages(const GroundProgram& gp,
                                 const AtomDependencyGraph& graph,
                                 uint32_t comp,

@@ -1,10 +1,9 @@
 #include "solver/warm_component.h"
 
 #include <algorithm>
-#include <cassert>
+#include <span>
 #include <utility>
 
-#include "obs/trace.h"
 #include "util/strings.h"
 
 namespace gsls::solver {
@@ -43,176 +42,66 @@ void ExpectedCounters(const RuleTable& t, LocalRule r, const TruthTape& tape,
 
 }  // namespace
 
-void WarmComponent::RecordTrue(LocalAtom a, LocalRule r, TruthTape* values) {
-  AtomId g = atoms_[a];
-  if (values->IsTrue(g)) return;
-  // A rule fires only with a wholly satisfied body, which never includes
-  // an unfounded atom, so a fired head cannot have been falsified.
-  assert(!values->IsFalse(g));
-  values->SetTrue(g);
-  support_->OnAtomTrue(a);
-  batch_[a] = next_batch_++;
-  firing_[a] = r;
-  trail_.push_back(a);
-  true_queue_.push_back(a);
-}
-
-void WarmComponent::RecordFalse(LocalAtom a, uint64_t batch,
-                                TruthTape* values) {
-  AtomId g = atoms_[a];
-  if (values->IsFalse(g)) return;
-  assert(!values->IsTrue(g));
-  values->SetFalse(g);
-  batch_[a] = batch;
-  firing_[a] = kNoRule;
-  trail_.push_back(a);
-  false_queue_.push_back(a);
-}
-
-void WarmComponent::Kill(LocalRule r) {
-  CompiledRule& rule = table_->rule(r);
-  if (rule.dead) return;
-  rule.dead = true;
-  support_->OnRuleDead(r);
-}
-
-bool WarmComponent::Propagate(TruthTape* values, CancelCtx* cancel) {
-  StridedCheckpoint tick(cancel);
-  while (!true_queue_.empty() || !false_queue_.empty()) {
-    if (tick.Tick()) return false;
-    if (!true_queue_.empty()) {
-      LocalAtom a = true_queue_.back();
-      true_queue_.pop_back();
-      for (LocalRule r : table_->PositiveOccurrences(a)) {
-        CompiledRule& rule = table_->rule(r);
-        if (!rule.dead && --rule.unsat == 0) RecordTrue(rule.head, r, values);
-      }
-      // `not a` is now false: those rules are unusable for good.
-      for (LocalRule r : table_->NegativeOccurrences(a)) Kill(r);
-    } else {
-      LocalAtom a = false_queue_.back();
-      false_queue_.pop_back();
-      for (LocalRule r : table_->PositiveOccurrences(a)) Kill(r);
-      // `not a` is now satisfied.
-      for (LocalRule r : table_->NegativeOccurrences(a)) {
-        CompiledRule& rule = table_->rule(r);
-        if (!rule.dead && --rule.unsat == 0) RecordTrue(rule.head, r, values);
-      }
-    }
-  }
-  return true;
-}
-
-bool WarmComponent::RunToFixpoint(TruthTape* values, SolverDiagnostics* diag,
-                                  CancelCtx* cancel) {
-  while (true) {
-    {
-      GSLS_TRACE_SPAN("component.lfp", table_->rule_count());
-      if (!Propagate(values, cancel)) return false;
-    }
-    if (!support_->HasPending()) break;
-    ++diag->alternating_rounds;
-    unfounded_.clear();
-    {
-      GSLS_TRACE_SPAN("component.unfounded", support_->floods());
-      if (!support_->CollectUnfounded(&unfounded_, cancel)) return false;
-    }
-    diag->unfounded_falsified += unfounded_.size();
-    if (!unfounded_.empty()) {
-      // One flood's falsifications are mutually justified (the greatest
-      // unfounded set falls together): they share one batch so an undo
-      // can never split them.
-      uint64_t fb = next_batch_++;
-      for (LocalAtom a : unfounded_) RecordFalse(a, fb, values);
-    }
-  }
-  return true;
-}
-
-bool WarmComponent::SolveFromScratch(const GroundProgram& gp,
-                                     const AtomDependencyGraph& graph,
-                                     uint32_t comp,
-                                     const std::vector<uint8_t>* disabled,
-                                     TruthTape* values, StageTape* stages,
-                                     SolverDiagnostics* diag,
-                                     CancelCtx* cancel) {
-  // Mirrors `SolveComponent`: the uniform component-boundary checkpoint,
-  // then the recursive-component accounting.
-  if (cancel != nullptr && cancel->Checkpoint()) return false;
-  GSLS_TRACE_SPAN("solve.component", comp);
-  ++diag->recursive_components;
-  if (graph.HasInternalNegation(comp)) ++diag->negation_components;
-
-  table_ = std::make_unique<RuleTable>(gp, graph, comp, *values, disabled,
-                                       cancel, /*keep_all=*/true);
-  if (table_->aborted()) return false;  // tape untouched
-  support_ = std::make_unique<SourceTracker>(table_.get());
-  std::span<const AtomId> members = graph.Atoms(comp);
-  atoms_.assign(members.begin(), members.end());
+bool WarmComponent::Solve(const GroundProgram& gp,
+                          const AtomDependencyGraph& graph, uint32_t comp,
+                          const std::vector<uint8_t>* disabled,
+                          TruthTape* values, SolverDiagnostics* diag,
+                          CancelCtx* cancel) {
+  eval_.emplace(gp, graph, comp, *values, disabled, cancel);
   candidate_count_ = 0;
-  for (AtomId a : atoms_) candidate_count_ += gp.RulesFor(a).size();
-  trail_.clear();
-  batch_.assign(atoms_.size(), kNoBatch);
-  firing_.assign(atoms_.size(), kNoRule);
-  next_batch_ = 0;
-  rule_stamp_.assign(table_->rule_count(), 0);
+  for (AtomId a : graph.Atoms(comp)) candidate_count_ += gp.RulesFor(a).size();
+  rule_stamp_.assign(eval_->table_.rule_count(), 0);
   stamp_ = 0;
-  true_queue_.clear();
-  false_queue_.clear();
+  return eval_->Solve(values, diag, cancel);
+}
 
-  diag->rules_visited += table_->rule_count();
-
-  unfounded_.clear();
-  if (!support_->InitSources(&unfounded_, cancel)) return false;
-  diag->unfounded_falsified += unfounded_.size();
-  if (!unfounded_.empty()) {
-    uint64_t fb = next_batch_++;
-    for (LocalAtom a : unfounded_) RecordFalse(a, fb, values);
+bool WarmComponent::FalseWitnessed(LocalRule r, const TruthTape& values,
+                                   const std::vector<uint8_t>* disabled) const {
+  const RuleTable& t = eval_->table_;
+  const std::vector<uint64_t>& batch = eval_->trail_.batch;
+  const uint64_t head_batch = batch[t.rule(r).head];
+  if (!RuleEnabledIn(disabled, t.GlobalRule(r))) return true;
+  for (AtomId b : t.ExtPos(r)) {
+    if (values.IsFalse(b)) return true;
   }
-  for (LocalRule r = 0; r < table_->rule_count(); ++r) {
-    const CompiledRule& rule = table_->rule(r);
-    if (!rule.dead && rule.unsat == 0) RecordTrue(rule.head, r, values);
+  for (AtomId b : t.ExtNeg(r)) {
+    if (values.IsTrue(b)) return true;
   }
-  if (!RunToFixpoint(values, diag, cancel)) {
-    // Abort invariant parity with `SolveComponent`: the component reads
-    // exactly as on entry — all undefined. The instance itself is
-    // inconsistent now; the owner discards it.
-    for (AtomId a : atoms_) values->SetUndefined(a);
-    return false;
+  for (LocalAtom b : t.PosBody(r)) {
+    if (values.IsFalse(t.GlobalAtom(b)) && batch[b] <= head_batch) return true;
   }
-  diag->unfounded_floods += support_->floods();
-  diag->flood_sizes.MergeFrom(support_->flood_sizes());
-  if (stages != nullptr) {
-    ReconstructComponentStages(gp, graph, comp, disabled, *values, stages);
+  for (LocalAtom b : t.NegBody(r)) {
+    if (values.IsTrue(t.GlobalAtom(b)) && batch[b] < head_batch) return true;
   }
-  return true;
+  return false;
 }
 
 bool WarmComponent::BindingValid(const GroundProgram& gp,
                                  const AtomDependencyGraph& graph,
                                  uint32_t comp,
                                  const TruthTape& values) const {
-  if (table_ == nullptr || support_ == nullptr) return false;
+  if (!eval_.has_value()) return false;
+  const RuleTable& t = eval_->table_;
   std::span<const AtomId> members = graph.Atoms(comp);
-  if (members.size() != atoms_.size()) return false;
+  if (members.size() != t.atom_count()) return false;
   // Sequence (not multiset) equality: a recondensation that re-emitted the
   // members in a different Tarjan order changes every local id the trail
   // and the compiled bodies are keyed by.
-  if (!std::equal(members.begin(), members.end(), atoms_.begin())) {
-    return false;
+  for (LocalAtom a = 0; a < members.size(); ++a) {
+    if (members[a] != t.GlobalAtom(a)) return false;
   }
   // Rules are only appended to a `GroundProgram`, never removed, so a
   // candidate-count match means no new rule targets this component; mask
   // flips of retained rules are what `Resolve` patches.
   size_t candidates = 0;
-  for (AtomId a : atoms_) candidates += gp.RulesFor(a).size();
+  for (AtomId a : members) candidates += gp.RulesFor(a).size();
   if (candidates != candidate_count_) return false;
   // Tape consistency: an out-of-band pass (a fresh full solve, a cold
   // re-solve that bypassed this entry) may have rewritten the component's
   // bytes; the tracker is then stale and the state must be discarded.
-  for (LocalAtom a = 0; a < atoms_.size(); ++a) {
-    SourceTracker::State s = support_->StateOf(a);
-    switch (values.Value(atoms_[a])) {
+  for (LocalAtom a = 0; a < members.size(); ++a) {
+    SourceTracker::State s = eval_->support_.StateOf(a);
+    switch (values.Value(members[a])) {
       case TruthValue::kTrue:
         if (s != SourceTracker::State::kTrue) return false;
         break;
@@ -227,20 +116,16 @@ bool WarmComponent::BindingValid(const GroundProgram& gp,
   return true;
 }
 
-bool WarmComponent::Resolve(const GroundProgram& gp,
-                            const AtomDependencyGraph& graph, uint32_t comp,
-                            const std::vector<uint8_t>* disabled,
-                            TruthTape* values, StageTape* stages,
-                            SolverDiagnostics* diag, CancelCtx* cancel) {
-  // Same uniform component-boundary checkpoint as `SolveComponent`.
-  if (cancel != nullptr && cancel->Checkpoint()) return false;
-  GSLS_TRACE_SPAN("solve.component.warm", comp);
-  ++diag->recursive_components;
-  if (graph.HasInternalNegation(comp)) ++diag->negation_components;
-  const uint64_t floods_before = support_->floods();
-  const uint64_t flood_sum_before = support_->flood_sizes().sum;
-  true_queue_.clear();
-  false_queue_.clear();
+bool WarmComponent::Resolve(const std::vector<uint8_t>* disabled,
+                            TruthTape* values, SolverDiagnostics* diag,
+                            CancelCtx* cancel) {
+  RuleTable& t = eval_->table_;
+  SourceTracker& support = eval_->support_;
+  DecisionTrail& trail = eval_->trail_;
+  const uint64_t floods_before = support.floods();
+  const uint64_t flood_sum_before = support.flood_sizes().sum;
+  eval_->true_queue_.clear();
+  eval_->false_queue_.clear();
 
   // Phase 1: classify the drift against the snapshots — an O(rules) byte
   // scan of the mask plus the drifted externals' occurrence rows. Nothing
@@ -252,14 +137,13 @@ bool WarmComponent::Resolve(const GroundProgram& gp,
     rule_stamp_[r] = stamp_;
     recomputed_.push_back(r);
   };
-  for (LocalRule r = 0; r < table_->rule_count(); ++r) {
-    uint8_t now = disabled != nullptr ? (*disabled)[table_->GlobalRule(r)] : 0;
-    if (table_->DisabledSnapshot(r) != now) touch(r);
+  for (LocalRule r = 0; r < t.rule_count(); ++r) {
+    uint8_t now = disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
+    if (t.DisabledSnapshot(r) != now) touch(r);
   }
-  for (uint32_t i = 0; i < table_->external_count(); ++i) {
-    if (table_->ExternalSnapshot(i) !=
-        RuleTable::Code(*values, table_->ExternalAtom(i))) {
-      for (LocalRule r : table_->ExternalOccurrences(i)) touch(r);
+  for (uint32_t i = 0; i < t.external_count(); ++i) {
+    if (t.ExternalSnapshot(i) != RuleTable::Code(*values, t.ExternalAtom(i))) {
+      for (LocalRule r : t.ExternalOccurrences(i)) touch(r);
     }
   }
 
@@ -269,47 +153,50 @@ bool WarmComponent::Resolve(const GroundProgram& gp,
   const size_t drift_rules = recomputed_.size();
   for (size_t k = 0; k < drift_rules; ++k) {
     LocalRule r = recomputed_[k];
-    CompiledRule& rule = table_->rule(r);
+    CompiledRule& rule = t.rule(r);
     const bool was_dead = rule.dead;
-    table_->RecomputeRule(r, *values, disabled);
-    if (!was_dead && rule.dead) support_->OnRuleDead(r);
-    const bool now_fireable = !rule.dead && rule.unsat == 0;
-    LocalAtom h = rule.head;
-    AtomId hg = atoms_[h];
+    t.RecomputeRule(r, *values, disabled);
+    if (!was_dead && rule.dead) support.OnRuleDead(r);
+    const LocalAtom h = rule.head;
+    const AtomId hg = t.GlobalAtom(h);
     // A true head whose firing rule no longer has a wholly satisfied
     // body: its justification broke.
-    if (values->IsTrue(hg) && firing_[h] == r && !now_fireable) {
-      tstar = std::min(tstar, batch_[h]);
+    if (values->IsTrue(hg) && trail.firing[h] == r &&
+        (rule.dead || rule.unsat != 0)) {
+      tstar = std::min(tstar, trail.batch[h]);
     }
-    // A revived rule under a false head: the falsification rested on all
-    // of the head's rules being dead.
-    if (was_dead && !rule.dead && values->IsFalse(hg)) {
-      tstar = std::min(tstar, batch_[h]);
+    // A false head rested on this rule being dead through a witness no
+    // later than itself. A revived rule has none left; a rule still dead
+    // may be dead only through a later decision, which would make the
+    // falsification justify itself.
+    if (values->IsFalse(hg) &&
+        (!rule.dead || !FalseWitnessed(r, *values, disabled))) {
+      tstar = std::min(tstar, trail.batch[h]);
     }
   }
 
   // Phase 3: undo the trail suffix with batch >= t*. Suffix-only by
   // construction — batches are monotone along the trail, one flood shares
   // one batch, and every surviving decision's justification references
-  // strictly smaller batches, so the survivors stay fully justified.
+  // earlier batches, so the survivors stay fully justified.
   size_t undone = 0;
   if (tstar != kNoBatch) {
-    while (!trail_.empty() && batch_[trail_.back()] >= tstar) {
-      LocalAtom a = trail_.back();
-      trail_.pop_back();
-      values->SetUndefined(atoms_[a]);
-      batch_[a] = kNoBatch;
-      firing_[a] = kNoRule;
-      support_->OnAtomUndone(a);
+    while (!trail.order.empty() && trail.batch[trail.order.back()] >= tstar) {
+      LocalAtom a = trail.order.back();
+      trail.order.pop_back();
+      values->SetUndefined(t.GlobalAtom(a));
+      trail.batch[a] = kNoBatch;
+      trail.firing[a] = kNoRule;
+      support.OnAtomUndone(a);
       // Every adjacent rule's counters are recomputed below, once the
       // post-undo tape is final. The atom's own candidate rules are
       // touched too: a rule whose body survived the undo untouched can
       // still be fireable, and only phase 4's firing loop will push it
       // back into the now-undefined head — the unfounded flood re-sources
       // undefined atoms but never derives truth.
-      for (LocalRule r : table_->RulesFor(a)) touch(r);
-      for (LocalRule r : table_->PositiveOccurrences(a)) touch(r);
-      for (LocalRule r : table_->NegativeOccurrences(a)) touch(r);
+      for (LocalRule r : t.RulesFor(a)) touch(r);
+      for (LocalRule r : t.PositiveOccurrences(a)) touch(r);
+      for (LocalRule r : t.NegativeOccurrences(a)) touch(r);
       ++undone;
     }
   }
@@ -321,32 +208,28 @@ bool WarmComponent::Resolve(const GroundProgram& gp,
   // decides them — so no new deaths arise here), then fire the live
   // empty-remainder rules into the undone region.
   for (LocalRule r : recomputed_) {
-    CompiledRule& rule = table_->rule(r);
+    CompiledRule& rule = t.rule(r);
     const bool was_dead = rule.dead;
-    table_->RecomputeRule(r, *values, disabled);
-    if (!was_dead && rule.dead) support_->OnRuleDead(r);
+    t.RecomputeRule(r, *values, disabled);
+    if (!was_dead && rule.dead) support.OnRuleDead(r);
   }
   for (LocalRule r : recomputed_) {
-    const CompiledRule& rule = table_->rule(r);
+    const CompiledRule& rule = t.rule(r);
     if (!rule.dead && rule.unsat == 0 &&
-        values->IsUndefined(atoms_[rule.head])) {
-      RecordTrue(rule.head, r, values);
+        values->IsUndefined(t.GlobalAtom(rule.head))) {
+      eval_->SetTrue(rule.head, r, values);
     }
   }
 
   // Phase 5: resume the alternating fixpoint. The first flood is seeded
   // from exactly the undone atoms and the heads whose sources died — the
   // delta's footprint — instead of `InitSources` over the component.
-  if (!RunToFixpoint(values, diag, cancel)) return false;
-  table_->RefreshSnapshots(*values, disabled);
-  ++resolves_;
+  if (!eval_->RunToFixpoint(values, diag, cancel)) return false;
+  t.RefreshSnapshots(*values, disabled);
   ++diag->warm_hits;
-  diag->unfounded_floods += support_->floods() - floods_before;
-  diag->seeded_flood_sizes.Record(support_->flood_sizes().sum -
+  diag->unfounded_floods += support.floods() - floods_before;
+  diag->seeded_flood_sizes.Record(support.flood_sizes().sum -
                                   flood_sum_before);
-  if (stages != nullptr) {
-    ReconstructComponentStages(gp, graph, comp, disabled, *values, stages);
-  }
   return true;
 }
 
@@ -360,14 +243,17 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
     if (why != nullptr) *why = std::move(reason);
     return false;
   };
-  if (table_ == nullptr || support_ == nullptr) {
-    return fail("warm entry has no table/tracker");
-  }
+  if (!eval_.has_value()) return fail("warm entry was never solved");
   if (!BindingValid(gp, graph, comp, values)) {
     return fail("warm binding invalid (atom sequence, candidate count, or "
                 "tape/tracker mismatch)");
   }
-  const size_t n = atoms_.size();
+  const RuleTable& t = eval_->table_;
+  const SourceTracker& support = eval_->support_;
+  const DecisionTrail& trail = eval_->trail_;
+  // The table's atoms, in order: `BindingValid` checked it.
+  const std::span<const AtomId> atoms = graph.Atoms(comp);
+  const size_t n = atoms.size();
 
   // Snapshots must be reconciled at quiescence — except an external slot
   // whose every occurrence is mask-disabled: a delta may change such an
@@ -375,27 +261,27 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   // values, so the change-pruned up-cone rightly skips it), and the next
   // warm re-solve reconciles the drift. An *enabled* occurrence of a
   // stale external means the component should have re-solved: violation.
-  for (uint32_t i = 0; i < table_->external_count(); ++i) {
-    if (table_->ExternalSnapshot(i) ==
-        RuleTable::Code(values, table_->ExternalAtom(i))) {
+  for (uint32_t i = 0; i < t.external_count(); ++i) {
+    if (t.ExternalSnapshot(i) ==
+        RuleTable::Code(values, t.ExternalAtom(i))) {
       continue;
     }
-    for (LocalRule r : table_->ExternalOccurrences(i)) {
+    for (LocalRule r : t.ExternalOccurrences(i)) {
       const uint8_t dis =
-          disabled != nullptr ? (*disabled)[table_->GlobalRule(r)] : 0;
+          disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
       if (dis == 0) {
         return fail(StrCat("external snapshot stale at atom ",
-                           table_->ExternalAtom(i),
+                           t.ExternalAtom(i),
                            " with enabled occurrence rule ",
-                           table_->GlobalRule(r)));
+                           t.GlobalRule(r)));
       }
     }
   }
-  for (LocalRule r = 0; r < table_->rule_count(); ++r) {
-    uint8_t now = disabled != nullptr ? (*disabled)[table_->GlobalRule(r)] : 0;
-    if (table_->DisabledSnapshot(r) != now) {
+  for (LocalRule r = 0; r < t.rule_count(); ++r) {
+    uint8_t now = disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
+    if (t.DisabledSnapshot(r) != now) {
       return fail(
-          StrCat("disabled snapshot stale at rule ", table_->GlobalRule(r)));
+          StrCat("disabled snapshot stale at rule ", t.GlobalRule(r)));
     }
   }
 
@@ -403,20 +289,20 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   // exactly; live rules' unsat/undef_external likewise. Dead rules'
   // counters are allowed to be stale — the propagation loop never
   // decrements them and a revival recomputes them first.
-  for (LocalRule r = 0; r < table_->rule_count(); ++r) {
-    const CompiledRule& rule = table_->rule(r);
+  for (LocalRule r = 0; r < t.rule_count(); ++r) {
+    const CompiledRule& rule = t.rule(r);
     bool dead;
     uint32_t undef_ext;
     uint32_t unsat;
-    ExpectedCounters(*table_, r, values, disabled, &dead, &undef_ext, &unsat);
+    ExpectedCounters(t, r, values, disabled, &dead, &undef_ext, &unsat);
     if (rule.dead != dead) {
-      return fail(StrCat("rule ", table_->GlobalRule(r), " dead flag is ",
+      return fail(StrCat("rule ", t.GlobalRule(r), " dead flag is ",
                          rule.dead ? 1 : 0, " but recount says ",
                          dead ? 1 : 0));
     }
     if (!rule.dead &&
         (rule.unsat != unsat || rule.undef_external != undef_ext)) {
-      return fail(StrCat("rule ", table_->GlobalRule(r),
+      return fail(StrCat("rule ", t.GlobalRule(r),
                          " counters drifted: unsat=", rule.unsat,
                          " recount=", unsat));
     }
@@ -425,50 +311,55 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   // Per-atom state: sources live and well-formed, firing rules still
   // satisfied, falsified atoms with every rule dead.
   for (LocalAtom a = 0; a < n; ++a) {
-    switch (support_->StateOf(a)) {
+    switch (support.StateOf(a)) {
       case SourceTracker::State::kSourced: {
-        LocalRule s = support_->SourceOf(a);
+        LocalRule s = support.SourceOf(a);
         if (s == kNoRule) {
-          return fail(StrCat("sourced atom ", atoms_[a], " has no source"));
+          return fail(StrCat("sourced atom ", atoms[a], " has no source"));
         }
-        const CompiledRule& rule = table_->rule(s);
+        const CompiledRule& rule = t.rule(s);
         if (rule.head != a) {
-          return fail(StrCat("source of atom ", atoms_[a],
+          return fail(StrCat("source of atom ", atoms[a],
                              " heads a different atom"));
         }
         if (rule.dead) {
-          return fail(StrCat("source of atom ", atoms_[a], " is dead"));
+          return fail(StrCat("source of atom ", atoms[a], " is dead"));
         }
-        for (LocalAtom b : table_->PosBody(s)) {
-          SourceTracker::State bs = support_->StateOf(b);
+        for (LocalAtom b : t.PosBody(s)) {
+          SourceTracker::State bs = support.StateOf(b);
           if (bs != SourceTracker::State::kSourced &&
               bs != SourceTracker::State::kTrue) {
-            return fail(StrCat("source body of atom ", atoms_[a],
+            return fail(StrCat("source body of atom ", atoms[a],
                                " is not supported"));
           }
         }
         break;
       }
       case SourceTracker::State::kUnsourced:
-        return fail(StrCat("atom ", atoms_[a], " unsourced at quiescence"));
+        return fail(StrCat("atom ", atoms[a], " unsourced at quiescence"));
       case SourceTracker::State::kTrue: {
-        LocalRule f = firing_[a];
-        if (f == kNoRule || batch_[a] == kNoBatch) {
-          return fail(StrCat("true atom ", atoms_[a],
+        LocalRule f = trail.firing[a];
+        if (f == kNoRule || trail.batch[a] == kNoBatch) {
+          return fail(StrCat("true atom ", atoms[a],
                              " without firing rule or batch"));
         }
-        const CompiledRule& rule = table_->rule(f);
+        const CompiledRule& rule = t.rule(f);
         if (rule.head != a || rule.dead || rule.unsat != 0) {
-          return fail(StrCat("firing rule of atom ", atoms_[a],
+          return fail(StrCat("firing rule of atom ", atoms[a],
                              " no longer fires it"));
         }
         break;
       }
       case SourceTracker::State::kFalse: {
-        for (LocalRule r : table_->RulesFor(a)) {
-          if (!table_->rule(r).dead) {
+        for (LocalRule r : t.RulesFor(a)) {
+          if (!t.rule(r).dead) {
             return fail(
-                StrCat("false atom ", atoms_[a], " has a live rule"));
+                StrCat("false atom ", atoms[a], " has a live rule"));
+          }
+          if (!FalseWitnessed(r, values, disabled)) {
+            return fail(StrCat("false atom ", atoms[a], " rule ",
+                               t.GlobalRule(r),
+                               " has no witness decided before it"));
           }
         }
         break;
@@ -481,28 +372,28 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   std::vector<uint8_t> on_trail(n, 0);
   uint64_t prev = 0;
   bool first = true;
-  for (LocalAtom a : trail_) {
-    if (on_trail[a]) return fail(StrCat("atom ", atoms_[a], " twice on trail"));
+  for (LocalAtom a : trail.order) {
+    if (on_trail[a]) return fail(StrCat("atom ", atoms[a], " twice on trail"));
     on_trail[a] = 1;
-    if (batch_[a] == kNoBatch) {
-      return fail(StrCat("trail atom ", atoms_[a], " without batch"));
+    if (trail.batch[a] == kNoBatch) {
+      return fail(StrCat("trail atom ", atoms[a], " without batch"));
     }
-    if (!first && batch_[a] < prev) {
-      return fail(StrCat("trail batches not monotone at atom ", atoms_[a]));
+    if (!first && trail.batch[a] < prev) {
+      return fail(StrCat("trail batches not monotone at atom ", atoms[a]));
     }
-    prev = batch_[a];
+    prev = trail.batch[a];
     first = false;
-    if (values.IsUndefined(atoms_[a])) {
-      return fail(StrCat("undecided atom ", atoms_[a], " on trail"));
+    if (values.IsUndefined(atoms[a])) {
+      return fail(StrCat("undecided atom ", atoms[a], " on trail"));
     }
   }
   for (LocalAtom a = 0; a < n; ++a) {
-    bool decided = !values.IsUndefined(atoms_[a]);
+    bool decided = !values.IsUndefined(atoms[a]);
     if (decided && !on_trail[a]) {
-      return fail(StrCat("decided atom ", atoms_[a], " missing from trail"));
+      return fail(StrCat("decided atom ", atoms[a], " missing from trail"));
     }
-    if (!decided && batch_[a] != kNoBatch) {
-      return fail(StrCat("undecided atom ", atoms_[a], " carries a batch"));
+    if (!decided && trail.batch[a] != kNoBatch) {
+      return fail(StrCat("undecided atom ", atoms[a], " carries a batch"));
     }
   }
 
@@ -511,7 +402,7 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   std::vector<uint8_t> color(n, 0);  // 0 white, 1 gray, 2 black
   std::vector<std::pair<LocalAtom, size_t>> stack;
   for (LocalAtom root = 0; root < n; ++root) {
-    if (support_->StateOf(root) != SourceTracker::State::kSourced ||
+    if (support.StateOf(root) != SourceTracker::State::kSourced ||
         color[root] != 0) {
       continue;
     }
@@ -519,16 +410,16 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
     stack.push_back({root, 0});
     while (!stack.empty()) {
       LocalAtom a = stack.back().first;
-      std::span<const LocalAtom> body = table_->PosBody(support_->SourceOf(a));
+      std::span<const LocalAtom> body = t.PosBody(support.SourceOf(a));
       if (stack.back().second == body.size()) {
         color[a] = 2;
         stack.pop_back();
         continue;
       }
       LocalAtom b = body[stack.back().second++];
-      if (support_->StateOf(b) != SourceTracker::State::kSourced) continue;
+      if (support.StateOf(b) != SourceTracker::State::kSourced) continue;
       if (color[b] == 1) {
-        return fail(StrCat("source pointer cycle through atom ", atoms_[b]));
+        return fail(StrCat("source pointer cycle through atom ", atoms[b]));
       }
       if (color[b] == 0) {
         color[b] = 1;

@@ -2,27 +2,24 @@
 #define GSLS_SOLVER_WARM_COMPONENT_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/atom_dependency_graph.h"
 #include "ground/ground_program.h"
-#include "solver/rule_table.h"
+#include "solver/component_eval.h"
 #include "solver/solver.h"
-#include "solver/stages.h"
 #include "solver/truth_tape.h"
-#include "solver/unfounded.h"
 #include "util/cancel.h"
 
 namespace gsls::solver {
 
-inline constexpr uint64_t kNoBatch = UINT64_MAX;
-
 /// Persistent intra-component evaluation state: the warm dual of the
 /// component-level change pruning `IncrementalSolver` already does. One
 /// instance lives per large recursive component (keyed by its first member
-/// atom) and survives across deltas, keeping
+/// atom) and survives across deltas, keeping a trail-recording
+/// `ComponentEvaluator` (solver/component_eval.h):
 ///
 ///   * the component's keep-all `RuleTable` (every candidate retained, so
 ///     mask flips and external drift are counter patches, not recompiles),
@@ -35,21 +32,22 @@ inline constexpr uint64_t kNoBatch = UINT64_MAX;
 /// justifications the drift invalidated, seed the unfounded flood from
 /// exactly the undone atoms and killed rules, and resume the alternating
 /// fixpoint — instead of a cold compile + `InitSources` over the whole
-/// component.
+/// component. `SolveComponent` runs both the first solve and the re-solves
+/// as its component step.
 ///
 /// Soundness rests on two invariants, both audited (`AuditInvariants`,
 /// called from `check::SolverAuditor`):
 ///
 ///   * Justification monotonicity: the batch of every atom justifying a
 ///     decision (the firing rule's satisfied body for a true atom; the
-///     dead rules' false witnesses for a false atom) is strictly smaller
-///     than the decision's own batch, and one flood's falsifications share
+///     dead rules' witnesses for a false atom) is smaller than the
+///     decision's own batch, except that one flood's falsifications share
 ///     one batch (they are mutually justified — a partial flood undo would
 ///     be unsound). Undoing a *suffix* of the trail by batch therefore
 ///     leaves every survivor fully justified, and the alternating fixpoint
 ///     restarted from that sound under-approximation converges to the same
 ///     well-founded model a cold solve computes.
-///   * Warm state is provably consistent or discarded: the owner re-binds
+///   * Warm state is provably consistent or discarded: the owner resumes
 ///     an entry only after `BindingValid` (same atom sequence, same
 ///     candidate rule count, tape consistent with the tracker) and throws
 ///     the entry away on any abort or recondensation touching it.
@@ -65,17 +63,16 @@ class WarmComponent {
            graph.Atoms(comp).size() >= warm_min_atoms;
   }
 
+  /// True once `Solve` has built the warm state: the next step resumes.
+  bool solved() const { return eval_.has_value(); }
+
   /// Cold-compiles the keep-all table and runs the full alternating
-  /// fixpoint with trail recording — `SolveComponent`'s contract (entry
-  /// checkpoint, all atoms undefined on entry, tape reset to undefined on
-  /// abort), producing the same values and stages plus a reusable warm
-  /// state. False iff the pass aborted; the instance is then inconsistent
-  /// and must be discarded.
-  bool SolveFromScratch(const GroundProgram& gp,
-                        const AtomDependencyGraph& graph, uint32_t comp,
-                        const std::vector<uint8_t>* disabled,
-                        TruthTape* values, StageTape* stages,
-                        SolverDiagnostics* diag, CancelCtx* cancel);
+  /// fixpoint with trail recording: `ComponentEvaluator::Solve`'s
+  /// contract, producing the same values plus a reusable warm state.
+  /// False iff the pass aborted; the instance must then be discarded.
+  bool Solve(const GroundProgram& gp, const AtomDependencyGraph& graph,
+             uint32_t comp, const std::vector<uint8_t>* disabled,
+             TruthTape* values, SolverDiagnostics* diag, CancelCtx* cancel);
 
   /// True iff this warm state still describes component `comp`: identical
   /// atom sequence (a recondensation that reordered or re-grouped members
@@ -91,54 +88,39 @@ class WarmComponent {
   /// entry the tape holds the previous quiescent model for this component
   /// and final post-delta values for every lower component; `disabled` is
   /// the post-delta mask. False iff the pass aborted — the tape may hold
-  /// partial writes (the caller restores its snapshot) and the instance
-  /// must be discarded.
-  bool Resolve(const GroundProgram& gp, const AtomDependencyGraph& graph,
-               uint32_t comp, const std::vector<uint8_t>* disabled,
-               TruthTape* values, StageTape* stages, SolverDiagnostics* diag,
-               CancelCtx* cancel);
+  /// partial writes and the instance must be discarded.
+  bool Resolve(const std::vector<uint8_t>* disabled, TruthTape* values,
+               SolverDiagnostics* diag, CancelCtx* cancel);
 
   /// Deep consistency check of the persisted state against the live tape
   /// and mask, for `check::SolverAuditor`: tracker/tape agreement, source
   /// pointers live and acyclic, live-rule counters equal to a from-scratch
   /// recount, snapshots reconciled, trail batches monotone with every
-  /// decision justified. Returns false and sets `*why` (when non-null) to
-  /// a one-line reason on the first violation.
+  /// decision justified (a false atom's rules by `FalseWitnessed`).
+  /// Returns false and sets `*why` (when non-null) to a one-line reason on
+  /// the first violation.
   bool AuditInvariants(const GroundProgram& gp,
                        const AtomDependencyGraph& graph, uint32_t comp,
                        const std::vector<uint8_t>* disabled,
                        const TruthTape& values, std::string* why) const;
 
-  size_t atom_count() const { return atoms_.size(); }
-  uint64_t resolves() const { return resolves_; }
+  size_t atom_count() const { return eval_->table_.atom_count(); }
 
  private:
-  void RecordTrue(LocalAtom a, LocalRule r, TruthTape* values);
-  void RecordFalse(LocalAtom a, uint64_t batch, TruthTape* values);
-  void Kill(LocalRule r);
-  bool Propagate(TruthTape* values, CancelCtx* cancel);
-  /// The shared alternating loop (lfp propagation x unfounded floods),
-  /// from whatever queues/pending are seeded. False on abort.
-  bool RunToFixpoint(TruthTape* values, SolverDiagnostics* diag,
-                     CancelCtx* cancel);
+  /// True iff dead rule `r`, whose head is false, still justifies that
+  /// falsification without leaning on a later decision: `r` is disabled,
+  /// has an external witness, a false internal positive decided no later
+  /// than the head (the same batch is the same flood), or a true internal
+  /// negative decided before it.
+  bool FalseWitnessed(LocalRule r, const TruthTape& values,
+                      const std::vector<uint8_t>* disabled) const;
 
-  std::unique_ptr<RuleTable> table_;     ///< keep-all compile
-  std::unique_ptr<SourceTracker> support_;
-  std::vector<AtomId> atoms_;            ///< binding: the compiled sequence
-  size_t candidate_count_ = 0;           ///< binding: gp rule count then
+  std::optional<ComponentEvaluator<true>> eval_;
+  size_t candidate_count_ = 0;  ///< binding: gp rule count at `Solve`
 
-  std::vector<LocalAtom> trail_;         ///< decided atoms, decision order
-  std::vector<uint64_t> batch_;          ///< per atom; kNoBatch if undecided
-  std::vector<LocalRule> firing_;        ///< per atom; rule that fired it
-  uint64_t next_batch_ = 0;
-  uint64_t resolves_ = 0;
-
-  // Solve/patch scratch, reused across calls.
-  std::vector<LocalAtom> true_queue_;
-  std::vector<LocalAtom> false_queue_;
-  std::vector<LocalAtom> unfounded_;
-  std::vector<LocalRule> recomputed_;    ///< rules patched this resolve
-  std::vector<uint32_t> rule_stamp_;     ///< dedup epoch per rule
+  // Patch scratch, reused across calls.
+  std::vector<LocalRule> recomputed_;  ///< rules patched this resolve
+  std::vector<uint32_t> rule_stamp_;   ///< dedup epoch per rule
   uint32_t stamp_ = 0;
 };
 

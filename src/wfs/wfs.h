@@ -67,7 +67,7 @@ WfsModel ComputeWfs(const GroundProgram& gp);
 /// from the SCC schedule (solver/stages.h) — near-linear, parallel, and
 /// maintained incrementally across fact deltas — and both engines read
 /// their levels from there. The executable definition stays here as the
-/// agreement reference (tests/stages_test.cc, bench_levels_vs_stages).
+/// agreement reference (tests/stages_test.cc).
 WfsStages ComputeWfsStages(const GroundProgram& gp);
 
 /// Computes M_WF(P) by Van Gelder's alternating fixpoint (the polynomial

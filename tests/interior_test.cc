@@ -160,6 +160,37 @@ TEST(InteriorTest, WarmChurnInGiantSccAgreesEverywhereFourThreads) {
   RunWarmChurn(13, 4);
 }
 
+/// A false head whose falsifying rule stays dead after a delta, but only
+/// through a body atom decided after the head, rests on itself: the warm
+/// re-solve must undo it. Retracting `move(a, b)` falsifies `win(b)` and
+/// makes `win(a)` true; re-asserting it removes the external witness that
+/// killed `win(b)`'s rule, which then stays dead only through `win(a)`.
+/// Both atoms are undefined in the well-founded model.
+TEST(InteriorTest, WarmResolveUndoesFalseHeadWithSelfDependentWitness) {
+  Fixture f("move(a, b). move(b, a). win(X) :- move(X, Y), not win(Y).");
+  SolverOptions opts;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const Term* edge = MustParseTerm(f.store, "move(a, b)");
+  ASSERT_TRUE(inc.Retract(edge));
+  inc.Model();
+  ASSERT_TRUE(inc.Assert(edge));
+  const WfsModel& got = inc.Model();
+  EXPECT_GT(inc.diagnostics().warm_hits, 0u);
+  for (const char* atom : {"win(a)", "win(b)"}) {
+    EXPECT_EQ(got.model.Value(*inc.program().FindAtom(
+                  MustParseTerm(f.store, atom))),
+              TruthValue::kUndefined)
+        << atom;
+  }
+  WfsModel fresh = inc.SolveFresh();
+  EXPECT_EQ(got.model, fresh.model)
+      << DescribeModelDifference(inc.program(), got.model, fresh.model);
+  check::AuditReport report = check::AuditSolver(inc);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 /// Replays one rule-toggle stream, `make_stream(program)`, at 1, 2, and 4
 /// threads: the warm/cold dispatch is shape-only and the evaluation
 /// thread-count invariant, so models and stage levels must be
