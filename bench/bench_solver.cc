@@ -2,7 +2,7 @@
 // files with one `--benchmark_filter` each, and bench_compare.py compares
 // every row by name against the previous main run:
 //
-//   BENCH_solver.json      ^BM_SccSolver_
+//   BENCH_solver.json      ^BM_(SccSolver|Condense)_
 //   BENCH_incremental.json ^BM_(Incremental|Fresh)Delta_
 //   BENCH_parallel.json    ^BM_(ParallelSolve_|SequentialDenseRandom)
 //   BENCH_levels.json      ^BM_(SolveWfs_|VpStageIteration_)
@@ -14,12 +14,15 @@
 //   BENCH_serving.json     ^BM_Serving
 //
 // The global fixpoints (W_P, V_P, alternating) run the same families as
-// the SCC solver rows for comparison; no JSON file holds them.
+// the SCC solver rows for comparison; no JSON file holds them. The
+// BM_Condense_ rows time the analysis layer alone: a fresh
+// `AtomDependencyGraph` (one `ForEachScc` pass) over the ground program.
 
 #include <chrono>
 #include <string>
 #include <vector>
 
+#include "analysis/atom_dependency_graph.h"
 #include "bench_support.h"
 #include "obs/metrics.h"
 #include "util/cancel.h"
@@ -30,9 +33,9 @@ using namespace gsls::bench;
 
 namespace {
 
-// --- SCC solver vs the global fixpoints -------------------------------
+// --- SCC solver vs the global fixpoints, and the condensation alone ----
 
-enum class Fixpoint { kScc, kWp, kVpStages, kAlternating };
+enum class Fixpoint { kScc, kWp, kVpStages, kAlternating, kCondense };
 
 void RunSolver(benchmark::State& state, Fixpoint which,
                const std::string& src) {
@@ -51,6 +54,9 @@ void RunSolver(benchmark::State& state, Fixpoint which,
         break;
       case Fixpoint::kAlternating:
         benchmark::DoNotOptimize(ComputeWfsAlternating(gp).iterations);
+        break;
+      case Fixpoint::kCondense:
+        benchmark::DoNotOptimize(AtomDependencyGraph(gp).component_count());
         break;
     }
   }
@@ -112,6 +118,8 @@ const SolverRow kSolverRows[] = {
      {64, 256, 1024}},
     {"BM_Alternating_Propositional", Fixpoint::kAlternating, Propositional,
      {64, 256, 1024}},
+    {"BM_Condense_Chain", Fixpoint::kCondense, Chain, {1024, 4096}},
+    {"BM_Condense_RandomGame", Fixpoint::kCondense, RandomGame, {64, 128}},
 };
 
 // --- incremental fact deltas ------------------------------------------

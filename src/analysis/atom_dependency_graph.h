@@ -15,8 +15,8 @@ namespace gsls {
 ///
 /// The predicate-level `DependencyGraph` over-approximates recursion on
 /// nonground programs; this graph is exact on a grounding and is what the
-/// SCC-stratified solver (src/solver/) schedules on. Construction is a
-/// single iterative Tarjan pass: O(atoms + body literals).
+/// SCC-stratified solver (src/solver/) schedules on. Construction is one
+/// `ForEachScc` pass (analysis/scc.h): O(atoms + body literals).
 ///
 /// With a `disabled` mask (one byte per `RuleId`, nonzero = the rule does
 /// not exist), the graph is the condensation of the *enabled* subprogram —
@@ -102,6 +102,17 @@ class AtomDependencyGraph {
   friend class DynamicCondensation;
 
   AtomDependencyGraph() = default;  ///< for DynamicCondensation only
+
+  /// The flag rule, applied to one enabled rule `r` whose head lies in
+  /// component c: a body atom also in c makes c recursive, and a negative
+  /// such atom also gives c internal negation. Flags only ever tighten.
+  void ApplyFlagRule(const GroundRule& r);
+
+  /// Recomputes both flags of component `c` from scratch: recursive when it
+  /// has more than one atom, then `ApplyFlagRule` over the enabled rules of
+  /// its atoms. Every atom's `ComponentOf` must already be final.
+  void RecomputeFlags(const GroundProgram& gp,
+                      const std::vector<uint8_t>* disabled, uint32_t c);
 
   std::vector<uint32_t> comp_of_;    ///< per atom
   std::vector<uint32_t> local_of_;   ///< per atom: rank within component

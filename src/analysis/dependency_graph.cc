@@ -2,12 +2,19 @@
 
 #include <algorithm>
 
+#include "analysis/scc.h"
+#include "util/csr.h"
+
 namespace gsls {
 
 DependencyGraph::DependencyGraph(const Program& program) {
-  std::unordered_set<FunctorId> seen;
+  // Dense ids in `predicates()` order, so the SCC routine tries roots in
+  // first-appearance order and each predicate's edges in clause order.
+  std::unordered_map<FunctorId, uint32_t> dense;
   auto add_pred = [&](FunctorId f) {
-    if (seen.insert(f).second) predicates_.push_back(f);
+    if (dense.emplace(f, static_cast<uint32_t>(predicates_.size())).second) {
+      predicates_.push_back(f);
+    }
   };
   for (const Clause& c : program.clauses()) {
     add_pred(c.predicate());
@@ -18,6 +25,19 @@ DependencyGraph::DependencyGraph(const Program& program) {
       out_edges_[c.predicate()].push_back(e);
     }
   }
+  Csr<uint32_t> adj;
+  adj.Reset(predicates_.size());
+  for (const Edge& e : edges_) adj.CountAt(dense[e.from]);
+  adj.FinishCounting();
+  for (const Edge& e : edges_) adj.Fill(dense[e.from], dense[e.to]);
+  adj.FinishFilling();
+  ForEachScc(adj, [&](std::span<const uint32_t> members) {
+    std::vector<FunctorId>& component = components_.emplace_back();
+    for (uint32_t v : members) {
+      component.push_back(predicates_[v]);
+      component_ids_[predicates_[v]] = components_.size() - 1;
+    }
+  });
 }
 
 const std::vector<DependencyGraph::Edge>& DependencyGraph::EdgesFrom(
@@ -26,109 +46,17 @@ const std::vector<DependencyGraph::Edge>& DependencyGraph::EdgesFrom(
   return it == out_edges_.end() ? no_edges_ : it->second;
 }
 
-namespace {
-
-/// Iterative Tarjan SCC over predicate ids.
-class TarjanScc {
- public:
-  explicit TarjanScc(const DependencyGraph& graph) : graph_(graph) {}
-
-  std::vector<std::vector<FunctorId>> Run() {
-    for (FunctorId p : graph_.predicates()) {
-      if (index_.find(p) == index_.end()) Visit(p);
-    }
-    return components_;
-  }
-
- private:
-  struct Frame {
-    FunctorId pred;
-    size_t edge_pos;
-  };
-
-  void Visit(FunctorId root) {
-    std::vector<Frame> frames;
-    frames.push_back(Frame{root, 0});
-    Begin(root);
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      const auto& edges = graph_.EdgesFrom(f.pred);
-      if (f.edge_pos < edges.size()) {
-        FunctorId next = edges[f.edge_pos++].to;
-        auto it = index_.find(next);
-        if (it == index_.end()) {
-          Begin(next);
-          frames.push_back(Frame{next, 0});
-        } else if (on_stack_.count(next) > 0) {
-          lowlink_[f.pred] = std::min(lowlink_[f.pred], index_[next]);
-        }
-        continue;
-      }
-      // Finished this node.
-      FunctorId done = f.pred;
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink_[frames.back().pred] =
-            std::min(lowlink_[frames.back().pred], lowlink_[done]);
-      }
-      if (lowlink_[done] == index_[done]) {
-        std::vector<FunctorId> component;
-        while (true) {
-          FunctorId w = stack_.back();
-          stack_.pop_back();
-          on_stack_.erase(w);
-          component.push_back(w);
-          if (w == done) break;
-        }
-        components_.push_back(std::move(component));
-      }
-    }
-  }
-
-  void Begin(FunctorId p) {
-    index_[p] = counter_;
-    lowlink_[p] = counter_;
-    ++counter_;
-    stack_.push_back(p);
-    on_stack_.insert(p);
-  }
-
-  const DependencyGraph& graph_;
-  size_t counter_ = 0;
-  std::unordered_map<FunctorId, size_t> index_;
-  std::unordered_map<FunctorId, size_t> lowlink_;
-  std::vector<FunctorId> stack_;
-  std::unordered_set<FunctorId> on_stack_;
-  std::vector<std::vector<FunctorId>> components_;
-};
-
-}  // namespace
-
-std::vector<std::vector<FunctorId>>
-DependencyGraph::StronglyConnectedComponents() const {
-  return TarjanScc(*this).Run();
-}
-
-std::unordered_map<FunctorId, size_t> DependencyGraph::ComponentIds() const {
-  std::unordered_map<FunctorId, size_t> ids;
-  auto components = StronglyConnectedComponents();
-  for (size_t i = 0; i < components.size(); ++i) {
-    for (FunctorId p : components[i]) ids[p] = i;
-  }
-  return ids;
-}
-
 bool DependencyGraph::HasNegativeCycle() const {
-  auto ids = ComponentIds();
   for (const Edge& e : edges_) {
-    if (!e.positive && ids[e.from] == ids[e.to]) return true;
+    if (!e.positive && component_ids_.at(e.from) == component_ids_.at(e.to)) {
+      return true;
+    }
   }
   return false;
 }
 
 bool DependencyGraph::IsAcyclic() const {
-  auto components = StronglyConnectedComponents();
-  for (const auto& comp : components) {
+  for (const auto& comp : components_) {
     if (comp.size() > 1) return false;
   }
   // Single-node components may still have self loops.
@@ -158,14 +86,9 @@ std::unordered_set<FunctorId> DependencyGraph::ReachableFrom(
 Stratification Stratify(const Program& program) {
   DependencyGraph graph(program);
   Stratification out;
-  auto components = graph.StronglyConnectedComponents();
-  auto ids = graph.ComponentIds();
-  for (const auto& e : graph.edges()) {
-    if (!e.positive && ids[e.from] == ids[e.to]) {
-      out.stratified = false;
-      return out;
-    }
-  }
+  if (graph.HasNegativeCycle()) return out;
+  const auto& components = graph.StronglyConnectedComponents();
+  const auto& ids = graph.ComponentIds();
   out.stratified = true;
   // Components are in reverse topological order (callees first), so a
   // single left-to-right pass computes strata:
@@ -175,7 +98,7 @@ Stratification Stratify(const Program& program) {
     int s = 0;
     for (FunctorId p : components[i]) {
       for (const auto& e : graph.EdgesFrom(p)) {
-        size_t target = ids[e.to];
+        size_t target = ids.at(e.to);
         if (target == i) continue;
         int need = comp_stratum[target] + (e.positive ? 0 : 1);
         s = std::max(s, need);

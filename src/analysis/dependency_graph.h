@@ -29,14 +29,19 @@ class DependencyGraph {
   /// Outgoing edges of `pred` (empty if unknown predicate).
   const std::vector<Edge>& EdgesFrom(FunctorId pred) const;
 
-  /// Strongly connected components, via Tarjan. Returns one vector of
-  /// predicates per component, in reverse topological order (callees before
-  /// callers).
-  std::vector<std::vector<FunctorId>> StronglyConnectedComponents() const;
+  /// Strongly connected components (`ForEachScc`, analysis/scc.h,
+  /// computed once at construction). One vector of predicates per
+  /// component, in reverse topological order (callees before callers).
+  const std::vector<std::vector<FunctorId>>& StronglyConnectedComponents()
+      const {
+    return components_;
+  }
 
   /// Component id of each predicate, matching the order returned by
   /// `StronglyConnectedComponents`.
-  std::unordered_map<FunctorId, size_t> ComponentIds() const;
+  const std::unordered_map<FunctorId, size_t>& ComponentIds() const {
+    return component_ids_;
+  }
 
   /// True iff some edge inside one SCC is negative (i.e. the program has
   /// recursion through negation at the predicate level).
@@ -59,6 +64,8 @@ class DependencyGraph {
   std::vector<Edge> edges_;
   std::unordered_map<FunctorId, std::vector<Edge>> out_edges_;
   std::vector<Edge> no_edges_;
+  std::vector<std::vector<FunctorId>> components_;
+  std::unordered_map<FunctorId, size_t> component_ids_;
 };
 
 /// Stratification analysis results.

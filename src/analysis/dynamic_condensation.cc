@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "analysis/scc.h"
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -192,90 +193,43 @@ void DynamicCondensation::SplitComponent(
   old_window_atoms_.assign(g.comp_atoms_.begin() + abegin,
                            g.comp_atoms_.begin() + abegin + w);
 
-  // Induced-subgraph adjacency over the component's ranks (two counting
-  // passes). Edges leaving the component are final dependencies and
-  // cannot lie on a cycle inside it.
-  std::vector<uint32_t> adj_off(w + 1, 0);
-  for (uint32_t i = 0; i < w; ++i) {
-    (void)tick.Tick();
-    for (RuleId rid : gp.RulesFor(old_window_atoms_[i])) {
-      if (!RuleEnabledIn(disabled, rid)) continue;
-      const GroundRule& r = gp.rules()[rid];
-      for (AtomId b : r.pos) adj_off[i + 1] += g.comp_of_[b] == c;
-      for (AtomId b : r.neg) adj_off[i + 1] += g.comp_of_[b] == c;
-    }
-  }
-  for (uint32_t i = 0; i < w; ++i) adj_off[i + 1] += adj_off[i];
-  std::vector<uint32_t> adj_tgt(adj_off[w]);
-  std::vector<uint32_t> cursor(adj_off.begin(), adj_off.end() - 1);
-  for (uint32_t i = 0; i < w; ++i) {
+  // Induced-subgraph adjacency over the component's ranks, built in two
+  // passes of `internal_edges`. Edges leaving the component are final
+  // dependencies and cannot lie on a cycle inside it.
+  auto internal_edges = [&](uint32_t i, auto&& edge) {
     (void)tick.Tick();
     for (RuleId rid : gp.RulesFor(old_window_atoms_[i])) {
       if (!RuleEnabledIn(disabled, rid)) continue;
       const GroundRule& r = gp.rules()[rid];
       for (AtomId b : r.pos) {
-        if (g.comp_of_[b] == c) adj_tgt[cursor[i]++] = g.local_of_[b];
+        if (g.comp_of_[b] == c) edge(g.local_of_[b]);
       }
       for (AtomId b : r.neg) {
-        if (g.comp_of_[b] == c) adj_tgt[cursor[i]++] = g.local_of_[b];
+        if (g.comp_of_[b] == c) edge(g.local_of_[b]);
       }
     }
+  };
+  split_adj_.Reset(w);
+  for (uint32_t i = 0; i < w; ++i) {
+    internal_edges(i, [&](uint32_t) { split_adj_.CountAt(i); });
   }
+  split_adj_.FinishCounting();
+  for (uint32_t i = 0; i < w; ++i) {
+    internal_edges(i, [&](uint32_t j) { split_adj_.Fill(i, j); });
+  }
+  split_adj_.FinishFilling();
 
-  // Iterative Tarjan over the local graph — the same callees-first
-  // emission as the full builder, so the pieces come out in dependency
-  // order among themselves.
+  // Callees-first emission, as in the full builder, so the pieces come
+  // out in dependency order among themselves.
   new_atoms_.clear();
   new_offsets_.assign(1, 0);
-  std::vector<uint32_t> index(w, UINT32_MAX);
-  std::vector<uint32_t> lowlink(w, 0);
-  std::vector<bool> on_stack(w, false);
-  std::vector<uint32_t> stack;
-  struct Frame {
-    uint32_t node;
-    uint32_t edge;
-  };
-  std::vector<Frame> frames;
-  uint32_t counter = 0;
-  for (uint32_t root = 0; root < w; ++root) {
-    if (index[root] != UINT32_MAX) continue;
-    index[root] = lowlink[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    frames.push_back(Frame{root, adj_off[root]});
-    while (!frames.empty()) {
-      (void)tick.Tick();
-      Frame& f = frames.back();
-      if (f.edge < adj_off[f.node + 1]) {
-        uint32_t next = adj_tgt[f.edge++];
-        if (index[next] == UINT32_MAX) {
-          index[next] = lowlink[next] = counter++;
-          stack.push_back(next);
-          on_stack[next] = true;
-          frames.push_back(Frame{next, adj_off[next]});
-        } else if (on_stack[next]) {
-          lowlink[f.node] = std::min(lowlink[f.node], index[next]);
-        }
-        continue;
-      }
-      uint32_t done = f.node;
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().node] =
-            std::min(lowlink[frames.back().node], lowlink[done]);
-      }
-      if (lowlink[done] == index[done]) {
-        while (true) {
-          uint32_t v = stack.back();
-          stack.pop_back();
-          on_stack[v] = false;
-          new_atoms_.push_back(old_window_atoms_[v]);
-          if (v == done) break;
-        }
+  ForEachScc(
+      split_adj_,
+      [&](std::span<const uint32_t> members) {
+        for (uint32_t v : members) new_atoms_.push_back(old_window_atoms_[v]);
         new_offsets_.push_back(static_cast<uint32_t>(new_atoms_.size()));
-      }
-    }
-  }
+      },
+      [&] { (void)tick.Tick(); });
 
   // Labels: the first piece keeps Label(c); the others go evenly into
   // the gap up to the next live label. Every external body component of
@@ -297,8 +251,6 @@ void DynamicCondensation::SplitComponent(
     g.label_[id] = base + i * step;
     if (i > 0) LinkAfter(prev_piece, id);
     prev_piece = id;
-    g.internal_neg_[id] = 0;
-    g.recursive_[id] = g.size_[id] > 1 ? 1 : 0;
     uint32_t rank = 0;
     for (AtomId a : g.Atoms(id)) {
       g.comp_of_[a] = id;
@@ -312,23 +264,10 @@ void DynamicCondensation::SplitComponent(
     repaired_ = true;
   }
 
-  // Exact flags for the pieces (the builder's rule, piece heads only —
-  // intra-component edges are all that flags describe).
-  for (AtomId a : new_atoms_) {
-    const uint32_t hc = g.comp_of_[a];
-    for (RuleId rid : gp.RulesFor(a)) {
-      if (!RuleEnabledIn(disabled, rid)) continue;
-      const GroundRule& r = gp.rules()[rid];
-      for (AtomId b : r.pos) {
-        if (g.comp_of_[b] == hc) g.recursive_[hc] = 1;
-      }
-      for (AtomId b : r.neg) {
-        if (g.comp_of_[b] == hc) {
-          g.internal_neg_[hc] = 1;
-          g.recursive_[hc] = 1;
-        }
-      }
-    }
+  // Exact flags once every piece's membership is final. The pieces are
+  // consecutive in the label-order list, starting at `c`.
+  for (uint32_t i = 0, id = c; i < pieces; ++i, id = next_[id]) {
+    g.RecomputeFlags(gp, disabled, id);
   }
   stats_.window_ns += obs::NowNs() - t0;
 }
@@ -513,37 +452,13 @@ void DynamicCondensation::NarrowedInsertRepair(
   }
   repaired_ = true;
 
-  // Non-merged components carried their flags verbatim — valid for every
-  // pre-existing rule (membership is unchanged), but the new rule itself
-  // may add an intra-component edge to its head's component (a body atom
-  // in the head's own component, next to the violating higher body), so
-  // tighten those flags here exactly like the order-respecting branch of
-  // InsertRule does.
-  for (AtomId b : rule.pos) {
-    if (g.comp_of_[b] == ch) g.recursive_[ch] = 1;
-  }
-  for (AtomId b : rule.neg) {
-    if (g.comp_of_[b] == ch) {
-      g.internal_neg_[ch] = 1;
-      g.recursive_[ch] = 1;
-    }
-  }
-
   // Exact flags for the merged component (the new rule `r` included —
   // its neg body atoms may be the very edge that makes the merge
-  // negation-recursive).
+  // negation-recursive). Non-merged components carry their flags verbatim,
+  // valid for every pre-existing rule since membership is unchanged;
+  // `InsertRule` applies the new rule's own edges to `ch` afterwards.
   if (merge) {
-    uint8_t neg = 0;
-    for (AtomId a : g.Atoms(ch)) {
-      for (RuleId rid : gp.RulesFor(a)) {
-        if (!RuleEnabledIn(disabled, rid)) continue;
-        for (AtomId b : gp.rules()[rid].neg) {
-          if (g.comp_of_[b] == ch) neg = 1;
-        }
-      }
-    }
-    g.recursive_[ch] = 1;  // >= 2 merged components: cycle by definition
-    g.internal_neg_[ch] = neg;
+    g.RecomputeFlags(gp, disabled, ch);
     out->dirty.push_back(ch);
     if (dead_atoms_ > g.comp_of_.size()) CompactAtoms();
   }
@@ -572,19 +487,12 @@ CondensationRepair DynamicCondensation::InsertRule(
     // frontier of the violating bodies) can change membership or labels;
     // every component outside it stays untouched.
     NarrowedInsertRepair(gp, disabled, r, ch, cmax, &out, cancel);
-  } else {
-    // Order-respecting edges: membership and labels hold everywhere; only
-    // the head component's recursion flags can tighten.
-    for (AtomId b : rule.pos) {
-      if (g.comp_of_[b] == ch) g.recursive_[ch] = 1;
-    }
-    for (AtomId b : rule.neg) {
-      if (g.comp_of_[b] == ch) {
-        g.internal_neg_[ch] = 1;
-        g.recursive_[ch] = 1;
-      }
-    }
   }
+  // Otherwise the edges respect the order: membership and labels hold
+  // everywhere. Either way the new rule may add an intra-component edge to
+  // its head's component (a body atom in that component), so only that
+  // component's flags can tighten.
+  g.ApplyFlagRule(rule);
   out.dirty.push_back(g.comp_of_[rule.head]);
   return out;
 }

@@ -9,6 +9,7 @@
 #include "analysis/atom_dependency_graph.h"
 #include "ground/ground_program.h"
 #include "util/cancel.h"
+#include "util/csr.h"
 
 namespace gsls {
 
@@ -61,8 +62,8 @@ struct CondensationRepair {
 /// affected region, which re-hands the region's own labels and merges the
 /// new cycle (if any) into the head's id. Retracting a rule can only split
 /// the head's own component (removing cross-component edges relaxes order
-/// constraints but never changes membership), so its repair is a Tarjan
-/// run over that single component.
+/// constraints but never changes membership), so its repair is one
+/// `ForEachScc` run (analysis/scc.h) over that single component.
 ///
 /// Ids: a merge keeps the head component's id and frees the others; a
 /// split keeps the old id for its first piece and takes the others from
@@ -151,8 +152,8 @@ class DynamicCondensation {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Re-runs Tarjan over component `c` (enabled rules only, edges leaving
-  /// it ignored) after a retraction removed one of its internal edges.
+  /// Re-runs `ForEachScc` over component `c` (enabled rules only, edges
+  /// leaving it ignored) after a retraction removed one of its internal edges.
   /// One piece: flags are recomputed in place. Several: the pieces are
   /// written back into `c`'s slice in callee-first order, the first keeps
   /// id `c` and its label, and the rest take evenly spaced labels in the
@@ -213,10 +214,11 @@ class DynamicCondensation {
   size_t dead_atoms_ = 0;
   bool repaired_ = false;
 
-  // Split scratch, reused across repairs. All Tarjan state is local to
-  // the component (dense ranks), so no per-atom global array needs
-  // resetting between repairs.
-  std::vector<AtomId> old_window_atoms_;  ///< pre-repair slice
+  // Split scratch, reused across repairs. The split's graph is over the
+  // component's dense ranks (`LocalIndexOf`), so no per-atom global array
+  // needs resetting between repairs.
+  std::vector<AtomId> old_window_atoms_;  ///< pre-repair slice, by rank
+  Csr<uint32_t> split_adj_;               ///< induced edges, rank -> rank
   std::vector<AtomId> new_atoms_;         ///< re-grouped slice
   std::vector<uint32_t> new_offsets_;     ///< prefix sizes of the pieces
 

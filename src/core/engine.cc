@@ -22,6 +22,24 @@ const char* GoalStatusName(GoalStatus s) {
   return "?";
 }
 
+GoalStatus StatusOfValue(TruthValue v) {
+  switch (v) {
+    case TruthValue::kTrue: return GoalStatus::kSuccessful;
+    case TruthValue::kFalse: return GoalStatus::kFailed;
+    case TruthValue::kUndefined: return GoalStatus::kIndeterminate;
+  }
+  return GoalStatus::kUnknown;
+}
+
+std::optional<Ordinal> LevelOfStages(TruthValue v, uint32_t true_stage,
+                                     uint32_t false_stage) {
+  const uint32_t stage = v == TruthValue::kTrue    ? true_stage
+                         : v == TruthValue::kFalse ? false_stage
+                                                   : 0;
+  if (stage == 0) return std::nullopt;
+  return Ordinal::Finite(stage);
+}
+
 namespace {
 
 /// Goals are literal sets (queries are sets, Def. 1.3): drop duplicates,
@@ -211,24 +229,13 @@ void GlobalSlsEngine::MaybeSeedOracle() {
     MemoEntry& entry = memo_[gp.AtomTerm(a)];
     entry.done = true;
     SubgoalOutcome& out = entry.outcome;
-    switch (wfs.model.Value(a)) {
-      case TruthValue::kTrue:
-        out.status = GoalStatus::kSuccessful;
-        if (levels) {
-          out.level = Ordinal::Finite(wfs.true_stage[a]);
-          out.level_exact = true;
-        }
-        break;
-      case TruthValue::kFalse:
-        out.status = GoalStatus::kFailed;
-        if (levels) {
-          out.level = Ordinal::Finite(wfs.false_stage[a]);
-          out.level_exact = true;
-        }
-        break;
-      case TruthValue::kUndefined:
-        out.status = GoalStatus::kIndeterminate;
-        break;
+    const TruthValue v = wfs.model.Value(a);
+    out.status = StatusOfValue(v);
+    if (!levels) continue;
+    if (std::optional<Ordinal> level =
+            LevelOfStages(v, wfs.true_stage[a], wfs.false_stage[a])) {
+      out.level = *level;
+      out.level_exact = true;
     }
   }
 }

@@ -2,6 +2,7 @@
 #define GSLS_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -34,6 +35,17 @@ enum class GoalStatus : uint8_t {
 };
 
 const char* GoalStatusName(GoalStatus s);
+
+/// Thm. 4.7: the status of a ground atom under global SLS-resolution is its
+/// well-founded value — true is successful, false is failed, undefined is
+/// indeterminate.
+GoalStatus StatusOfValue(TruthValue v);
+
+/// Cor. 4.6: the level of a successful (failed) ground atom is the Def. 2.4
+/// stage `true_stage` (`false_stage`) that decided it. Undefined atoms have
+/// no level, and neither has a stage recorded as 0 (levels not computed).
+std::optional<Ordinal> LevelOfStages(TruthValue v, uint32_t true_stage,
+                                     uint32_t false_stage);
 
 /// Literal-selection component of the computation rule (Def. 3.1).
 enum class SelectionMode : uint8_t {

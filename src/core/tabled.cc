@@ -75,15 +75,8 @@ std::optional<Ordinal> TabledEngine::LevelOf(const Term* ground_atom) const {
   if (!id.has_value()) return Ordinal::Finite(1);  // fails at stage 1
   if (!has_stages()) return std::nullopt;  // levels were not requested
   const WfsModel& m = wfs();
-  switch (m.model.Value(*id)) {
-    case TruthValue::kTrue:
-      return Ordinal::Finite(m.true_stage[*id]);
-    case TruthValue::kFalse:
-      return Ordinal::Finite(m.false_stage[*id]);
-    case TruthValue::kUndefined:
-      return std::nullopt;
-  }
-  return std::nullopt;
+  return LevelOfStages(m.model.Value(*id), m.true_stage[*id],
+                       m.false_stage[*id]);
 }
 
 template <typename Fn>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "analysis/atom_dependency_graph.h"
 #include "util/strings.h"
 
 namespace gsls {
@@ -246,14 +245,6 @@ std::string GroundProgram::ToString() const {
 
 void GroundProgram::MarkTruncated(const Term* head) {
   if (truncated_set_.insert(head).second) truncated_.push_back(head);
-}
-
-bool GroundProgram::IsLocallyStratified() const {
-  return AtomDependencyGraph(*this).IsLocallyStratified();
-}
-
-bool GroundProgram::IsAtomAcyclic() const {
-  return AtomDependencyGraph(*this).IsAcyclic();
 }
 
 }  // namespace gsls

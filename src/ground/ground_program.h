@@ -104,16 +104,6 @@ class GroundProgram {
   /// One `head :- body.` line per rule.
   std::string ToString() const;
 
-  /// True iff the atom-level dependency graph has no cycle containing a
-  /// negative edge. For ground programs this is exactly local
-  /// stratification (Przymusinski); on such programs the well-founded model
-  /// is total and equals the perfect model.
-  bool IsLocallyStratified() const;
-
-  /// True iff the atom-level dependency graph (both signs) is acyclic —
-  /// the paper's "acyclic programs" effectiveness class (Sec. 7).
-  bool IsAtomAcyclic() const;
-
   /// Records that the grounder dropped a rule instance with head `head`
   /// at its depth cap (`GroundingOptions::max_atom_arg_depth`): the rule
   /// set of that atom here is incomplete, so its well-founded value on

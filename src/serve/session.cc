@@ -9,13 +9,33 @@ namespace gsls {
 
 namespace {
 
-GoalStatus StatusFromValue(TruthValue v) {
-  switch (v) {
-    case TruthValue::kTrue: return GoalStatus::kSuccessful;
-    case TruthValue::kFalse: return GoalStatus::kFailed;
-    case TruthValue::kUndefined: return GoalStatus::kIndeterminate;
+/// Both modes' reads become answers here: Thm. 4.7's status and Cor. 4.6's
+/// level, or `kUnknown` when the pass did not complete or the atom lies in
+/// the truncation cone. A direct read (`IncrementalSolver::QueryAnswer`)
+/// also carries its cone costs; a serving read carries its epoch.
+template <typename Read>
+SessionAnswer ToSessionAnswer(const Read& read, SolveOutcome outcome,
+                              bool truncated, uint64_t epoch = 0,
+                              uint64_t seq = 0) {
+  SessionAnswer out;
+  out.value = read.value;
+  out.outcome = outcome;
+  out.truncated = truncated;
+  out.true_stage = read.true_stage;
+  out.false_stage = read.false_stage;
+  if (outcome == SolveOutcome::kCompleted && !truncated) {
+    out.status = StatusOfValue(read.value);
+    out.level = LevelOfStages(read.value, read.true_stage, read.false_stage);
   }
-  return GoalStatus::kUnknown;
+  out.epoch = epoch;
+  out.seq = seq;
+  if constexpr (requires { read.cone_atoms; }) {
+    out.cone_components = read.cone_components;
+    out.resolved_components = read.resolved_components;
+    out.memo_hits = read.memo_hits;
+    out.cone_atoms = read.cone_atoms;
+  }
+  return out;
 }
 
 }  // namespace
@@ -100,69 +120,32 @@ bool Session::Retract(const Clause& rule) {
   return serve::RetractClause(*direct_, rule);
 }
 
-SessionAnswer Session::FromQueryAnswer(
-    const IncrementalSolver::QueryAnswer& qa, bool truncated) const {
-  SessionAnswer out;
-  out.value = qa.value;
-  out.outcome = qa.outcome;
-  out.truncated = truncated;
-  out.status = qa.outcome == SolveOutcome::kCompleted && !truncated
-                   ? StatusFromValue(qa.value)
-                   : GoalStatus::kUnknown;
-  out.true_stage = qa.true_stage;
-  out.false_stage = qa.false_stage;
-  if (out.status == GoalStatus::kSuccessful && qa.true_stage > 0) {
-    out.level = Ordinal::Finite(qa.true_stage);
-  } else if (out.status == GoalStatus::kFailed && qa.false_stage > 0) {
-    out.level = Ordinal::Finite(qa.false_stage);
-  }
-  out.cone_components = qa.cone_components;
-  out.resolved_components = qa.resolved_components;
-  out.memo_hits = qa.memo_hits;
-  out.cone_atoms = qa.cone_atoms;
-  return out;
-}
-
-SessionAnswer Session::FromSnapshotAnswer(const serve::SnapshotAnswer& sa,
-                                          uint64_t epoch,
-                                          uint64_t seq) const {
-  SessionAnswer out;
-  out.value = sa.value;
-  out.outcome = SolveOutcome::kCompleted;  // only completed models publish
-  out.truncated = sa.truncated;
-  out.status = sa.truncated ? GoalStatus::kUnknown : StatusFromValue(sa.value);
-  out.true_stage = sa.true_stage;
-  out.false_stage = sa.false_stage;
-  if (out.status == GoalStatus::kSuccessful && sa.true_stage > 0) {
-    out.level = Ordinal::Finite(sa.true_stage);
-  } else if (out.status == GoalStatus::kFailed && sa.false_stage > 0) {
-    out.level = Ordinal::Finite(sa.false_stage);
-  }
-  out.epoch = epoch;
-  out.seq = seq;
-  return out;
-}
-
 SessionAnswer Session::Query(const Term* ground_atom) {
   if (server_ != nullptr) {
     uint64_t epoch = 0;
     uint64_t seq = 0;
     serve::SnapshotAnswer sa = server_->Read(reader_, ground_atom, &epoch,
                                              &seq);
-    return FromSnapshotAnswer(sa, epoch, seq);
+    // Only completed passes publish.
+    return ToSessionAnswer(sa, SolveOutcome::kCompleted, sa.truncated, epoch,
+                           seq);
   }
   const TruncationCone* cone = DirectTruncation();
-  return FromQueryAnswer(direct_->QueryAtom(ground_atom),
+  const IncrementalSolver::QueryAnswer qa = direct_->QueryAtom(ground_atom);
+  return ToSessionAnswer(qa, qa.outcome,
                          cone != nullptr && cone->Contains(ground_atom));
 }
 
 SessionAnswer Session::Query(AtomId atom) {
   if (server_ != nullptr) {
     serve::EpochStore::ReadGuard g(server_->epochs(), reader_);
-    return FromSnapshotAnswer(g->Query(atom), g.epoch(), g->seq());
+    const serve::SnapshotAnswer sa = g->Query(atom);
+    return ToSessionAnswer(sa, SolveOutcome::kCompleted, sa.truncated,
+                           g.epoch(), g->seq());
   }
   const TruncationCone* cone = DirectTruncation();
-  return FromQueryAnswer(direct_->QueryAtom(atom),
+  const IncrementalSolver::QueryAnswer qa = direct_->QueryAtom(atom);
+  return ToSessionAnswer(qa, qa.outcome,
                          cone != nullptr && cone->Contains(atom));
 }
 
@@ -188,7 +171,9 @@ std::shared_ptr<const serve::Snapshot> Session::SnapshotNow() {
     // the ring slot alive while we copy the shared_ptr out of it.
     return server_->epochs().SnapshotAt(g.epoch());
   }
-  direct_->Model();
+  // A snapshot carries no outcome, so an aborted pass's partial model
+  // must not be published as if it were exact.
+  if (direct_->Model().outcome != SolveOutcome::kCompleted) return nullptr;
   IncrementalSolver::ResolveLog log;
   log.all_atoms = true;
   serve::SnapshotBuilder builder;

@@ -129,8 +129,11 @@ class Session {
   void Flush();
 
   /// An immutable whole-model image. Serving mode: the current published
-  /// epoch (no solving). Direct mode: built on demand from the settled
-  /// solver (pays a `Model()` if deltas are pending).
+  /// epoch (no solving; only completed passes publish). Direct mode: built
+  /// on demand from the settled solver (pays a `Model()` if deltas are
+  /// pending), or null when that pass did not complete (deadline, step
+  /// budget, cancel or fault): a snapshot carries no outcome, so a partial
+  /// model is never handed out as exact. A later call resumes the pass.
   std::shared_ptr<const serve::Snapshot> SnapshotNow();
 
   // --- composition / escape hatches ---
@@ -156,11 +159,6 @@ class Session {
 
  private:
   Session(std::unique_ptr<IncrementalSolver> solver, SessionOptions opts);
-
-  SessionAnswer FromQueryAnswer(const IncrementalSolver::QueryAnswer& qa,
-                                bool truncated) const;
-  SessionAnswer FromSnapshotAnswer(const serve::SnapshotAnswer& sa,
-                                   uint64_t epoch, uint64_t seq) const;
 
   SessionOptions opts_;
   /// Direct mode: the owned solver. Serving mode: null (the server owns).

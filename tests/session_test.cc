@@ -182,6 +182,28 @@ TEST(SessionTest, DirectModeSnapshotMatchesModel) {
   }
 }
 
+TEST(SessionTest, DirectModeSnapshotOfAnAbortedPassIsNull) {
+  // A snapshot carries no outcome, so a pass cut short by the step budget
+  // must not hand out its partial model as if it were exact.
+  Fixture f("p :- not q. q :- not r. r :- not s. s. t :- p.");
+  Result<Session> opened = Session::Open(f.program);
+  ASSERT_TRUE(opened.ok());
+  Session s = std::move(opened.value());
+  s.SetStepBudget(1);
+  EXPECT_EQ(s.SnapshotNow(), nullptr);
+  EXPECT_EQ(s.Query(MustParseTerm(f.store, "p")).status, GoalStatus::kUnknown);
+
+  s.SetStepBudget(0);  // no budget: the pass completes
+  std::shared_ptr<const serve::Snapshot> snap = s.SnapshotNow();
+  ASSERT_NE(snap, nullptr);
+  for (const auto& [atom, value] :
+       {std::pair{"p", TruthValue::kFalse}, std::pair{"q", TruthValue::kTrue},
+        std::pair{"r", TruthValue::kFalse}, std::pair{"s", TruthValue::kTrue},
+        std::pair{"t", TruthValue::kFalse}}) {
+    EXPECT_EQ(snap->Query(MustParseTerm(f.store, atom)).value, value) << atom;
+  }
+}
+
 TEST(SessionTest, TabledEngineIsAThinAdapter) {
   Fixture f(kMixedProgram);
   Result<TabledEngine> eng = TabledEngine::Create(f.program);

@@ -405,7 +405,7 @@ TEST(StagesTest, EngineOracleLevelsComeFromReconstruction) {
   // Function-free programs only: that is the class on which the bottom-up
   // oracle engages and serves exact levels at all.
   Rng rng(0x0AC1Eu);
-  for (const std::string src :
+  for (const std::string& src :
        {workload::GameChain(16), workload::RandomGame(rng, 6, 30),
         workload::GameCycleWithTail(5, 4)}) {
     Fixture f(src);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/atom_dependency_graph.h"
 #include "analysis/dependency_graph.h"
 #include "test_support.h"
 #include "wfs/perfect.h"
@@ -287,7 +288,7 @@ TEST(WfsTest, LocallyStratifiedGroundProgramHasTotalModel) {
     std::string src = workload::RandomPropositional(rng, 6, 9, 2);
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
-    if (!gp.IsLocallyStratified()) continue;
+    if (!AtomDependencyGraph(gp).IsLocallyStratified()) continue;
     ++seen;
     WfsModel m = ComputeWfs(gp);
     EXPECT_TRUE(m.model.IsTotal())
