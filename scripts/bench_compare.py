@@ -16,6 +16,11 @@ Rules of the gate:
     should be visible in the log, not silent.
   * Rows are matched by full benchmark name (e.g. "BM_RuleDelta_Chain/2048")
     and compared on real_time, normalized to nanoseconds.
+  * A family run with --benchmark_repetitions=N writes N iteration rows
+    per name; they are reduced to their median, so one noisy sample of a
+    sub-microsecond row cannot trip the gate alone. The aggregate rows
+    Google Benchmark adds (mean/median/stddev/cv) are skipped, and a
+    one-run file compares as before (the median of one sample is it).
   * CI runners are noisy; 1.5x is deliberately loose — it catches
     order-of-magnitude breakage (a lost fast path), not jitter.
   * A row may declare its own jitter via a `noise_tolerance` user counter
@@ -39,6 +44,7 @@ import argparse
 import glob
 import json
 import os
+import statistics
 import sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -49,7 +55,7 @@ class MalformedBenchJson(Exception):
 
 
 def load_rows(path):
-    """benchmark name -> (real_time ns, noise_tolerance or None).
+    """benchmark name -> (median real_time ns, noise_tolerance or None).
 
     Raises MalformedBenchJson — with a one-line human reason, never a
     traceback — for anything a truncated upload or a crashed benchmark
@@ -73,7 +79,8 @@ def load_rows(path):
     benchmarks = data.get("benchmarks", [])
     if not isinstance(benchmarks, list):
         raise MalformedBenchJson("'benchmarks' is not a list")
-    rows = {}
+    samples = {}  # name -> [real_time ns, ...]
+    noises = {}
     for i, b in enumerate(benchmarks):
         if not isinstance(b, dict):
             raise MalformedBenchJson(f"benchmarks[{i}] is not an object")
@@ -90,11 +97,12 @@ def load_rows(path):
                 real_time, bool):
             raise MalformedBenchJson(
                 f"benchmarks[{i}] ({name!r}) has non-numeric real_time")
+        samples.setdefault(name, []).append(real_time * unit)
         noise = b.get("noise_tolerance")
-        if not isinstance(noise, (int, float)) or isinstance(noise, bool):
-            noise = None
-        rows[name] = (real_time * unit, noise)
-    return rows
+        if isinstance(noise, (int, float)) and not isinstance(noise, bool):
+            noises[name] = max(noise, noises.get(name, noise))
+    return {name: (statistics.median(times), noises.get(name))
+            for name, times in samples.items()}
 
 
 def fmt_ns(ns):

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ground/grounder.h"
 #include "serve/session.h"
 #include "solver/solver.h"
-#include "util/strings.h"
 #include "wfs/wfs.h"
 
 namespace gsls {
@@ -66,37 +64,7 @@ GlobalSlsEngine::GlobalSlsEngine(const Program& program, EngineOptions opts)
 
 GlobalSlsEngine::~GlobalSlsEngine() = default;
 
-IncrementalSolver* GlobalSlsEngine::OracleSolver() const {
-  return oracle_session_ != nullptr ? &oracle_session_->solver() : nullptr;
-}
-
-const IncrementalSolver* GlobalSlsEngine::oracle_solver() const {
-  return OracleSolver();
-}
-
-void GlobalSlsEngine::SetDeadlineNs(uint64_t deadline_ns) {
-  opts_.solver.deadline_ns = deadline_ns;
-  if (oracle_session_ != nullptr) {
-    oracle_session_->SetDeadlineNs(deadline_ns);
-  }
-}
-
-void GlobalSlsEngine::SetStepBudget(uint64_t step_budget) {
-  opts_.solver.step_budget = step_budget;
-  if (oracle_session_ != nullptr) {
-    oracle_session_->SetStepBudget(step_budget);
-  }
-}
-
-void GlobalSlsEngine::DumpTelemetry(std::ostream& os) const {
-  if (oracle_session_ == nullptr) {
-    os << "no bottom-up oracle built\n";
-    return;
-  }
-  oracle_session_->solver().DumpTelemetry(os);
-}
-
-bool GlobalSlsEngine::OracleApplies() {
+bool GlobalSlsEngine::OracleApplies() const {
   // The bottom-up model matches the search statuses only under the
   // preferential rule (Thm. 4.7); the counterexample computation rules of
   // Examples 3.2/3.3 must keep exhibiting their incompleteness.
@@ -107,114 +75,55 @@ bool GlobalSlsEngine::OracleApplies() {
   }
   // Exactness needs the depth-1 relevant grounding to be the whole
   // relevant instantiation: function-free programs only (arguments are
-  // constants or variables, i.e. atom depth <= 2). The scan's verdict
-  // only moves when the clause base does, so it is cached by clause
-  // count — a rule-delta stream must not pay O(program) per delta here.
-  if (applies_checked_count_ == program_.clauses().size()) {
-    return applies_cache_;
-  }
-  applies_checked_count_ = program_.clauses().size();
-  applies_cache_ = true;
+  // constants or variables, i.e. atom depth <= 2).
   for (const Clause& c : program_.clauses()) {
-    if (c.head->depth() > 2) applies_cache_ = false;
+    if (c.head->depth() > 2) return false;
     for (const Literal& l : c.body) {
-      if (l.atom->depth() > 2) applies_cache_ = false;
+      if (l.atom->depth() > 2) return false;
     }
   }
-  return applies_cache_;
-}
-
-bool GlobalSlsEngine::ApplyOracleRuleDelta(bool is_assert, const Clause& rule,
-                                           RuleId* id_out) {
-  if (is_assert) {
-    bool changed = false;
-    Result<RuleId> id = oracle_session_->Assert(rule, &changed);
-    if (id.ok() && id_out != nullptr) *id_out = id.value();
-    return changed;
-  }
-  // Content-addressed retraction (delegated): unknown atoms mean the rule
-  // cannot be registered, hence there is nothing to retract.
-  return oracle_session_->Retract(rule);
-}
-
-void GlobalSlsEngine::LogOracleRuleDelta(bool is_assert, const Clause& rule) {
-  std::vector<const Term*> pos;
-  std::vector<const Term*> neg;
-  for (const Literal& l : rule.body) {
-    (l.positive ? pos : neg).push_back(l.atom);
-  }
-  std::sort(pos.begin(), pos.end());
-  std::sort(neg.begin(), neg.end());
-  std::vector<const Term*> key;
-  key.reserve(pos.size() + neg.size() + 2);
-  key.push_back(rule.head);
-  key.insert(key.end(), pos.begin(), pos.end());
-  key.push_back(nullptr);
-  key.insert(key.end(), neg.begin(), neg.end());
-  auto [it, inserted] =
-      oracle_rule_index_.emplace(key, oracle_rule_log_.size());
-  if (inserted) {
-    oracle_rule_log_.push_back(OracleDelta{is_assert, rule, std::move(key)});
-  } else {
-    oracle_rule_log_[it->second] = OracleDelta{is_assert, rule,
-                                               std::move(key)};
-  }
-}
-
-void GlobalSlsEngine::EnsureOracleBuilt() {
-  if (!OracleApplies()) {
-    // The clause base may have grown out of the oracle's domain (e.g. a
-    // function-symbol clause arrived): a previously built oracle is now
-    // stale and must never seed another memo. Queries fall back to plain
-    // search; the rule log is kept in case applicability returns.
-    oracle_session_.reset();
-    return;
-  }
-  // A program that gained clauses since the oracle was built (AddClause,
-  // then ClearMemo) invalidates the ground model wholesale: rebuild, then
-  // replay the logged rule deltas so they survive the rebuild.
-  if (oracle_session_ != nullptr &&
-      oracle_clause_count_ != program_.clauses().size()) {
-    oracle_session_.reset();
-  }
-  if (oracle_session_ != nullptr) return;
-  GroundingOptions gopts;
-  Result<GroundProgram> ground = GroundRelevant(program_, gopts);
-  if (!ground.ok()) return;  // over budget: fall back to plain search
-  // Levels ride the same SCC schedule as the model (solver/stages.h):
-  // per-component reconstruction, parallel-safe, maintained across any
-  // future deltas — the V_P stage iteration is a test oracle only.
-  SolverOptions sopts = opts_.solver;
-  sopts.compute_levels = opts_.compute_levels;
-  // Attach a token before the first pass so `Cancel()` always has a
-  // channel the solver polls (the caller's token when supplied).
-  if (sopts.cancel == nullptr) sopts.cancel = &cancel_token_;
-  auto solver = std::make_unique<IncrementalSolver>(
-      std::move(ground.value()), sopts);
-  // The oracle is a direct-mode (synchronous, zero extra threads) Session:
-  // rule deltas and point queries go through the same unified facade the
-  // public engines expose.
-  SessionOptions sess_opts;
-  sess_opts.compute_levels = opts_.compute_levels;
-  oracle_session_ = std::make_unique<Session>(
-      Session::Adopt(std::move(solver), std::move(sess_opts)));
-  oracle_clause_count_ = program_.clauses().size();
-  for (const OracleDelta& d : oracle_rule_log_) {
-    ApplyOracleRuleDelta(d.is_assert, d.rule);
-  }
+  return true;
 }
 
 void GlobalSlsEngine::MaybeSeedOracle() {
   if (oracle_attempted_) return;
   oracle_attempted_ = true;
-  EnsureOracleBuilt();
-  IncrementalSolver* oracle = OracleSolver();
-  if (oracle == nullptr) return;
-  // The incremental instance persists across queries and `ClearMemo`:
-  // `Model()` returns the cached solve when the program is unchanged, so
-  // reseeding is one O(atoms) memo fill, not a re-ground and re-solve.
-  const GroundProgram& gp = oracle->program();
-  const WfsModel& wfs = oracle->Model();
+  if (!OracleApplies()) {
+    // The clause base may have grown out of the oracle's domain (e.g. a
+    // function-symbol clause arrived): a previously opened oracle is now
+    // stale and must never seed another memo. Queries fall back to plain
+    // search.
+    oracle_session_.reset();
+    return;
+  }
+  // A program that gained clauses since the oracle was opened (AddClause,
+  // then ClearMemo) invalidates the ground model wholesale: re-open.
+  if (oracle_session_ == nullptr ||
+      oracle_clause_count_ != program_.clauses().size()) {
+    oracle_session_.reset();
+    // Levels ride the same SCC schedule as the model (solver/stages.h).
+    SessionOptions sopts;
+    sopts.solver = opts_.solver;
+    sopts.compute_levels = opts_.compute_levels;
+    Result<Session> opened = Session::Open(program_, std::move(sopts));
+    if (!opened.ok()) {
+      // Over the grounding budget: plain search until the next
+      // `ClearMemo`. Stopped by the caller's cancel, deadline or budget:
+      // plain search now, and the next query retries the open.
+      const StatusCode code = opened.status().code();
+      oracle_attempted_ = code != StatusCode::kCancelled &&
+                          code != StatusCode::kDeadlineExceeded;
+      return;
+    }
+    oracle_session_ = std::make_unique<Session>(std::move(opened.value()));
+    oracle_clause_count_ = program_.clauses().size();
+  }
+  // The session persists across queries and `ClearMemo`: `Model()`
+  // returns the cached solve when the program is unchanged, so reseeding
+  // is one O(atoms) memo fill, not a re-ground and re-solve.
+  IncrementalSolver& oracle = oracle_session_->solver();
+  const GroundProgram& gp = oracle.program();
+  const WfsModel& wfs = oracle.Model();
   if (wfs.outcome != SolveOutcome::kCompleted) {
     // The seed pass was cancelled or hit its deadline: the model is the
     // anytime partial state, not Thm. 4.7's — seeding from it would
@@ -238,40 +147,6 @@ void GlobalSlsEngine::MaybeSeedOracle() {
       out.level_exact = true;
     }
   }
-}
-
-Result<RuleId> GlobalSlsEngine::AssertRule(const Clause& rule) {
-  if (!rule.ground()) {
-    return Status::InvalidArgument("AssertRule requires a ground clause: " +
-                                   rule.ToString(store_));
-  }
-  EnsureOracleBuilt();  // no memo fill — the next query seeds it once
-  if (oracle_session_ == nullptr) {
-    return Status::FailedPrecondition(
-        "bottom-up oracle unavailable for this engine (disabled, "
-        "non-preferential options, non-function-free program, or "
-        "grounding over budget)");
-  }
-  RuleId id = 0;
-  bool changed = ApplyOracleRuleDelta(/*is_assert=*/true, rule, &id);
-  // No-op asserts (identical rule already enabled) need no log entry:
-  // either the rule is in the base grounding, or an earlier assert of the
-  // same content is already logged.
-  if (changed) {
-    LogOracleRuleDelta(true, rule);
-    ClearMemo();  // next query reseeds from the repaired model
-  }
-  return id;
-}
-
-bool GlobalSlsEngine::RetractRule(const Clause& rule) {
-  if (!rule.ground()) return false;
-  EnsureOracleBuilt();
-  if (oracle_session_ == nullptr) return false;
-  if (!ApplyOracleRuleDelta(/*is_assert=*/false, rule)) return false;
-  LogOracleRuleDelta(false, rule);
-  ClearMemo();
-  return true;
 }
 
 size_t GlobalSlsEngine::SelectLiteral(const Goal& goal) const {

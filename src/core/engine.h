@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,8 +12,6 @@
 #include "lang/program.h"
 #include "solver/incremental.h"
 #include "term/substitution.h"
-#include "util/cancel.h"
-#include "util/status.h"
 
 namespace gsls {
 
@@ -91,11 +88,12 @@ struct EngineOptions {
   bool bottom_up_oracle = true;
   /// Compute ordinal levels (Def. 3.3) alongside statuses.
   bool compute_levels = true;
-  /// Tuning of the bottom-up oracle's SCC solver, notably
-  /// `SolverOptions::num_threads`: with more than one thread the oracle's
-  /// initial solve and its per-delta up-cone re-solves schedule components
-  /// on a work-stealing pool. The model (and thus every status served
-  /// from the memo) is identical at any thread count.
+  /// The bottom-up oracle's `Session::Open` options. `num_threads` above
+  /// one schedules its solve on a work-stealing pool; the model (and thus
+  /// every status served from the memo) is identical at any thread count.
+  /// `cancel`, `deadline_ns`, `step_budget` and `fault` stop its grounding
+  /// and solve: a stopped oracle seeds nothing, the search answers alone,
+  /// and the next query retries.
   SolverOptions solver;
 
   size_t max_slp_depth = 512;        ///< Max resolution depth per SLP tree.
@@ -154,70 +152,24 @@ class GlobalSlsEngine {
   GoalStatus StatusOf(const Term* ground_atom);
 
   /// Clears the ground-subgoal memo table (the bottom-up oracle reseeds it
-  /// on the next query when enabled). The oracle's `IncrementalSolver` and
-  /// its solved model are retained, so reseeding costs one memo fill, not
-  /// a re-ground and re-solve.
+  /// on the next query when enabled). The oracle's solver and its solved
+  /// model are retained while the clause count is unchanged, so reseeding
+  /// costs one memo fill, not a re-ground and re-solve. After
+  /// `Program::AddClause`, the next query re-opens the oracle on the grown
+  /// program, so the memo and the search resolve against the same clauses.
   void ClearMemo() {
     memo_.clear();
     oracle_attempted_ = false;
   }
 
-  /// Asserts a *ground* rule through the persistent bottom-up oracle: the
-  /// rule joins the oracle's ground program (or re-enables the identical
-  /// retracted rule), the condensation is repaired locally
-  /// (analysis/dynamic_condensation.h), and the memo is cleared so the
-  /// next query reseeds from the incrementally re-solved model — no
-  /// re-ground, no wholesale oracle rebuild, no memo fill before the next
-  /// query. This is the ground-delta alternative to `Program::AddClause`
-  /// + `ClearMemo`; rule deltas are logged and replayed if the clause
-  /// base later grows and forces an oracle rebuild, so they are never
-  /// silently lost. Builds the oracle on first use; returns
-  /// FailedPrecondition when the oracle does not apply to this engine
-  /// (see `EngineOptions::bottom_up_oracle` and the exactness
-  /// conditions), InvalidArgument for a nonground clause. The returned id
-  /// is valid until the next oracle rebuild — retraction is therefore
-  /// *content*-addressed, see below. (Routes through the internal
-  /// `Session::Assert(Clause)`.)
-  Result<RuleId> AssertRule(const Clause& rule);
-
-  /// Retracts the ground rule identical to `rule` (from `AssertRule` or
-  /// the base grounding). Content-addressed so the handle survives oracle
-  /// rebuilds. Returns true iff such a rule was enabled; clears the memo
-  /// on change.
-  bool RetractRule(const Clause& rule);
-
-  /// Requests cooperative cancellation of the bottom-up oracle's in-flight
-  /// (or next) solve pass — the `TabledEngine::Cancel` counterpart.
-  /// Thread-safe; latches until `ResetCancel`. The top-down search itself
-  /// is bounded by `max_work` and is not interrupted mid-tree; the oracle
-  /// solve (where unbounded cost lives) stops at its next checkpoint with
-  /// the fully-old-or-fully-new abort invariant, and the next query
-  /// resumes the remainder. Cancels the caller's
-  /// `EngineOptions::solver.cancel` token when one was supplied, otherwise
-  /// an engine-owned token attached at oracle build time.
-  void Cancel() { ActiveCancelToken()->Cancel(); }
-
-  /// Clears a previous `Cancel` so the next oracle pass runs to completion.
-  void ResetCancel() { ActiveCancelToken()->Reset(); }
-
-  /// Deadline / step-budget for subsequent oracle solve passes (0 = none);
-  /// see `SolverOptions::deadline_ns` / `step_budget`. Effective for an
-  /// already-built oracle as well as a future one.
-  void SetDeadlineNs(uint64_t deadline_ns);
-  void SetStepBudget(uint64_t step_budget);
-
-  /// The persistent bottom-up oracle instance, if one has been built
-  /// (null before the first query or when the oracle does not apply).
-  const IncrementalSolver* oracle_solver() const;
-
-  /// The session the oracle lives behind (null before the first build) —
-  /// the facade every oracle read/delta now routes through.
+  /// The direct-mode session the bottom-up oracle lives behind (null
+  /// before the first query, or when the oracle does not apply or its
+  /// `Session::Open` stopped). It is read-only here: the engine answers
+  /// queries over the program it was given, so deltas go through
+  /// `Program::AddClause` + `ClearMemo`, or through a `Session` of the
+  /// caller's own. Deadlines, step budgets and cancellation enter through
+  /// `EngineOptions::solver`; the caller keeps the `CancelToken`.
   const Session* session() const { return oracle_session_.get(); }
-
-  /// Telemetry dump of the bottom-up oracle's solver (see
-  /// `IncrementalSolver::DumpTelemetry`); notes the absence when no oracle
-  /// has been built yet.
-  void DumpTelemetry(std::ostream& os) const;
 
   const EngineOptions& options() const { return opts_; }
 
@@ -287,87 +239,25 @@ class GlobalSlsEngine {
   static uint64_t GroundGoalKey(const Goal& goal);
 
   /// True when the bottom-up oracle applies to this engine's options and
-  /// program (preferential rule, memoing, function-free clauses). The
-  /// clause scan is cached by clause count.
-  bool OracleApplies();
-
-  /// Builds (or, after the clause base grew, rebuilds) the persistent
-  /// oracle without touching the memo; rule deltas recorded in
-  /// `oracle_rule_log_` are replayed onto a rebuilt oracle, so they
-  /// survive `Program::AddClause`. No-op when the oracle does not apply
-  /// or grounding exceeds its budget.
-  void EnsureOracleBuilt();
-
-  /// Applies one logged rule delta to the oracle. Returns whether the
-  /// oracle's program changed.
-  bool ApplyOracleRuleDelta(bool is_assert, const Clause& rule,
-                            RuleId* id_out = nullptr);
-
-  /// Records a rule delta in the replay log, replacing any earlier entry
-  /// for the same rule content (the last delta per rule is its net
-  /// state, and deltas of distinct rules commute) — the log stays
-  /// bounded by the number of *distinct* rules ever toggled, not the
-  /// delta count.
-  void LogOracleRuleDelta(bool is_assert, const Clause& rule);
+  /// program (preferential rule, memoing, function-free clauses).
+  bool OracleApplies() const;
 
   /// Seeds the memo from the bottom-up well-founded model on the first
-  /// query, when `bottom_up_oracle` applies (see EngineOptions). No-op on
+  /// query after construction or `ClearMemo`, when `bottom_up_oracle`
+  /// applies (see EngineOptions). Opens the oracle's session first, and
+  /// re-opens it when the program's clause count moved since. No-op on
   /// programs with function symbols or under counterexample rules.
   void MaybeSeedOracle();
 
   const Program& program_;
   TermStore& store_;
   EngineOptions opts_;
-  /// Bottom-up oracle state, built once per engine and reused across
-  /// queries and `ClearMemo` (`MaybeSeedOracle` re-solves nothing when the
-  /// ground program is unchanged; `IncrementalSolver::Model` is cached).
-  /// Rebuilt when the program's clause count moved since the build — the
+  /// Bottom-up oracle state, opened once per engine and reused across
+  /// queries and `ClearMemo` (`IncrementalSolver::Model` is cached).
+  /// Re-opened when the program's clause count moved since the open: the
   /// mutate-then-`ClearMemo` pattern must not answer from a stale model.
-  /// The oracle lives behind a direct-mode `Session` (serve/session.h):
-  /// every delta and point query routes through the unified facade.
   std::unique_ptr<Session> oracle_session_;
-  /// The session's solver (diagnostics/seed path). Null iff no session.
-  IncrementalSolver* OracleSolver() const;
   size_t oracle_clause_count_ = 0;
-  /// Net ground rule deltas applied through `AssertRule`/`RetractRule`
-  /// (one entry per distinct rule content, last delta wins). Clauses hold
-  /// hash-consed terms of `store_`, so the log stays valid across oracle
-  /// rebuilds and is replayed onto each new oracle. `key` is the content
-  /// signature: head, sorted positive atoms, a null separator, sorted
-  /// negative atoms.
-  struct OracleDelta {
-    bool is_assert = true;
-    Clause rule;
-    std::vector<const Term*> key;
-  };
-  struct OracleDeltaKeyHash {
-    size_t operator()(const std::vector<const Term*>& key) const {
-      size_t h = key.size();
-      for (const Term* t : key) {
-        h ^= std::hash<const Term*>()(t) + 0x9e3779b97f4a7c15ULL +
-             (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-  std::vector<OracleDelta> oracle_rule_log_;
-  /// Content signature -> index in `oracle_rule_log_`: last-delta-wins
-  /// replacement is O(1), so an N-delta stream maintains the log in O(N)
-  /// (entries of distinct rules commute, so in-place overwrite preserves
-  /// replay semantics).
-  std::unordered_map<std::vector<const Term*>, size_t, OracleDeltaKeyHash>
-      oracle_rule_index_;
-  /// The token `Cancel` trips: the caller's when supplied, else the
-  /// engine-owned one (which `EnsureOracleBuilt` attaches to the oracle).
-  CancelToken* ActiveCancelToken() {
-    return opts_.solver.cancel != nullptr ? opts_.solver.cancel
-                                          : &cancel_token_;
-  }
-  CancelToken cancel_token_;
-
-  /// `OracleApplies` clause-scan cache (keyed by clause count).
-  size_t applies_checked_count_ = static_cast<size_t>(-1);
-  bool applies_cache_ = false;
   std::unordered_map<const Term*, MemoEntry> memo_;
   size_t work_ = 0;
   size_t negation_nodes_ = 0;

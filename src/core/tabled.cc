@@ -6,56 +6,42 @@
 
 namespace gsls {
 
-/// One path for both modes: the SCC-stratified incremental solver, with
-/// `compute_stages` selecting stage-level reconstruction on top of the
-/// same schedule — never a different algorithm.
-Result<TabledEngine> TabledEngine::FinishCreate(const Program& program,
-                                                GroundProgram gp,
-                                                TabledOptions opts) {
-  SolverOptions sopts = opts.solver;
-  sopts.compute_levels = opts.compute_stages;
-  // `Cancel()` must observe a token the solver already polls, so one is
-  // attached before the first pass: the caller's if supplied, otherwise an
-  // engine-owned one.
-  std::unique_ptr<CancelToken> owned;
-  if (sopts.cancel == nullptr) {
-    owned = std::make_unique<CancelToken>();
-    sopts.cancel = owned.get();
-  }
-  auto solver =
-      std::make_unique<IncrementalSolver>(std::move(gp), sopts);
-  // The engine is a thin adapter over a direct-mode (synchronous,
-  // zero-thread) Session — the unified facade of serve/session.h.
-  SessionOptions sess_opts;
-  sess_opts.compute_levels = opts.compute_stages;
-  TabledEngine engine(program, std::make_unique<Session>(Session::Adopt(
-                                   std::move(solver), std::move(sess_opts))));
-  engine.opts_ = opts;
-  engine.token_ = sopts.cancel;
-  engine.owned_token_ = std::move(owned);
-  return engine;
-}
-
+/// One path for both modes: the SCC-stratified incremental solver behind
+/// a direct-mode `Session`, with `compute_stages` selecting stage-level
+/// reconstruction on top of the same schedule.
 Result<TabledEngine> TabledEngine::Create(const Program& program,
                                           TabledOptions opts) {
-  Result<GroundProgram> gp = GroundRelevant(program, opts.grounding);
-  if (!gp.ok()) return gp.status();
-  return FinishCreate(program, std::move(gp.value()), opts);
+  SessionOptions sopts;
+  sopts.grounding = opts.grounding;
+  sopts.solver = opts.solver;
+  sopts.compute_levels = opts.compute_stages;
+  Result<Session> session = Session::Open(program, std::move(sopts));
+  if (!session.ok()) return session.status();
+  return TabledEngine(program, std::move(session.value()), std::move(opts));
 }
 
 Result<TabledEngine> TabledEngine::CreateForQuery(const Program& program,
                                                   const Goal& query,
                                                   TabledOptions opts) {
-  Result<GroundProgram> gp = GroundRelevant(program, opts.grounding);
+  // The program is restricted before the solver is built, so this path
+  // adopts a solver instead of opening a session; the grounding still
+  // stops on the same conditions as `Session::Open`'s.
+  SolverOptions sopts = opts.solver;
+  sopts.compute_levels = opts.compute_stages;
+  CancelCtx cancel(sopts.cancel, sopts.deadline_ns, sopts.step_budget,
+                   sopts.fault);
+  Result<GroundProgram> gp = GroundRelevant(
+      program, opts.grounding, cancel.active() ? &cancel : nullptr, nullptr);
   if (!gp.ok()) return gp.status();
   std::vector<const Term*> roots;
   roots.reserve(query.size());
   for (const Literal& l : query) roots.push_back(l.atom);
-  return FinishCreate(program, RestrictToRelevant(gp.value(), roots), opts);
-}
-
-bool TabledEngine::RetractRule(RuleId r) {
-  return incremental_->RetractRule(r);
+  auto solver = std::make_unique<IncrementalSolver>(
+      RestrictToRelevant(gp.value(), roots), sopts);
+  SessionOptions sess_opts;
+  sess_opts.compute_levels = opts.compute_stages;
+  Session session = Session::Adopt(std::move(solver), std::move(sess_opts));
+  return TabledEngine(program, std::move(session), std::move(opts));
 }
 
 TruthValue TabledEngine::ValueOf(const Term* ground_atom) const {
@@ -71,12 +57,12 @@ GoalStatus TabledEngine::StatusOf(const Term* ground_atom) const {
 }
 
 std::optional<Ordinal> TabledEngine::LevelOf(const Term* ground_atom) const {
-  std::optional<AtomId> id = ground().FindAtom(ground_atom);
-  if (!id.has_value()) return Ordinal::Finite(1);  // fails at stage 1
-  if (!has_stages()) return std::nullopt;  // levels were not requested
-  const WfsModel& m = wfs();
-  return LevelOfStages(m.model.Value(*id), m.true_stage[*id],
-                       m.false_stage[*id]);
+  const SessionAnswer answer = session_->Query(ground_atom);
+  if (answer.status == GoalStatus::kUnknown) return std::nullopt;
+  // Outside the relevant instantiation: fails at stage 1, with or
+  // without stages.
+  if (!ground().FindAtom(ground_atom).has_value()) return Ordinal::Finite(1);
+  return answer.level;
 }
 
 template <typename Fn>

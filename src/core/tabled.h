@@ -8,7 +8,6 @@
 #include "ground/grounder.h"
 #include "serve/session.h"
 #include "solver/incremental.h"
-#include "util/cancel.h"
 #include "util/status.h"
 #include "wfs/wfs.h"
 
@@ -68,8 +67,8 @@ class TabledEngine {
                                              const Goal& query,
                                              TabledOptions opts = {});
 
-  /// Well-founded truth value of a ground atom in the full model (the
-  /// lazy `Refresh` every whole-model read performs). Atoms outside the
+  /// Well-founded truth value of a ground atom in the full model (read
+  /// after the lazy whole-model solve). Atoms outside the
   /// relevant instantiation are false. A raw model read: it does not apply
   /// the truncation cone, so on a depth-capped grounding the value is only
   /// the bounded fragment's — `StatusOf` reports those atoms `kUnknown`.
@@ -83,8 +82,10 @@ class TabledEngine {
   GoalStatus StatusOf(const Term* ground_atom) const;
 
   /// Level of `<- atom`: the stage of the corresponding literal
-  /// (Cor. 4.6). Empty for undefined atoms (no level exists) and for
-  /// registered atoms when the engine was created without stages.
+  /// (Cor. 4.6). Empty for undefined atoms (no level exists), for
+  /// registered atoms when the engine was created without stages, and
+  /// exactly where `StatusOf` answers `kUnknown` (truncation cone, or a
+  /// pass that did not complete).
   std::optional<Ordinal> LevelOf(const Term* ground_atom) const;
 
   /// Evaluates a (possibly nonground) goal: enumerates every answer
@@ -97,85 +98,31 @@ class TabledEngine {
   /// floundered), never `kFailed`.
   QueryResult Solve(const Goal& goal) const;
 
-  /// Retracts rule `r` — from the base grounding or a previous
-  /// `session().Assert(clause)`. The head's component re-condenses if the
-  /// rule held it together (it may split). Returns true iff the rule was
-  /// enabled.
-  bool RetractRule(RuleId r);
-
-  /// Refreshes the model — the lazy full-or-incremental solve every read
-  /// (`ValueOf`/`StatusOf`/`Solve`) performs implicitly — and reports the
-  /// pass outcome. `kCompleted` means the model is exact. `kCancelled` /
-  /// `kDeadlineExceeded` mean the pass aborted at a checkpoint: the model
-  /// is the *anytime* partial state (every component either fully solved
-  /// or untouched; see docs/serving.md) and the unfinished remainder stays
-  /// queued. Clear the stop condition (`ResetCancel`, or a fresh deadline)
-  /// and call `Refresh` again to resume exactly the remaining work.
-  SolveOutcome Refresh() { return incremental_->Model().outcome; }
-
-  /// Requests cooperative cancellation of the in-flight (or next) solve
-  /// pass. Thread-safe; callable from any thread while another thread is
-  /// inside `Solve`/`StatusOf`/`Refresh`. The pass stops at its next
-  /// checkpoint with the abort invariant above. The request *latches*:
-  /// every later pass also aborts immediately until `ResetCancel`.
-  void Cancel() { token_->Cancel(); }
-
-  /// Clears a previous `Cancel` so the next read resumes solving.
-  void ResetCancel() { token_->Reset(); }
-
-  /// The cancellation token the engine's solver polls — the one `Cancel`
-  /// trips. `TabledOptions::solver.cancel` when the caller supplied one,
-  /// otherwise a token the engine owns (attached at creation, so `Cancel`
-  /// works out of the box).
-  CancelToken* cancel_token() const { return token_; }
-
-  /// Deadline / step-budget for every subsequent solve pass (0 = none);
-  /// see `SolverOptions::deadline_ns` / `step_budget`. Passes re-read
-  /// these at entry, so setting a fresh deadline after a
-  /// `kDeadlineExceeded` pass resumes the remaining work under it.
-  void SetDeadlineNs(uint64_t deadline_ns) {
-    incremental_->SetDeadlineNs(deadline_ns);
-  }
-  void SetStepBudget(uint64_t step_budget) {
-    incremental_->SetStepBudget(step_budget);
-  }
-
   /// The persistent solver behind this engine (delta mask, stats,
-  /// diagnostics).
-  const IncrementalSolver& solver() const { return *incremental_; }
+  /// diagnostics, telemetry): `session().solver()`.
+  const IncrementalSolver& solver() const { return session_->solver(); }
 
-  /// The direct-mode `Session` every delta and goal-directed query of this
-  /// engine routes through — the unified facade (serve/session.h): fact
-  /// and ground-rule deltas (`Assert`/`Retract`) and point `Query`s with
-  /// status, level and cone cost.
+  /// The direct-mode `Session` this engine answers over, and the one
+  /// place its deltas enter: fact and ground-rule `Assert`/`Retract`, and
+  /// point `Query`s with status, level and cone cost. Deadlines, step
+  /// budgets and cancellation come from `TabledOptions::solver`; the
+  /// caller keeps the `CancelToken` and trips or resets it there.
   Session& session() { return *session_; }
   const Session& session() const { return *session_; }
 
-  /// Telemetry dump of the persistent solver: avoided-work stats, pipeline
-  /// diagnostics, condensation-repair stats, and — when the engine was
-  /// created with `TabledOptions::solver.telemetry` — the metrics registry
-  /// table (per-delta latency/cone histograms with percentiles).
-  void DumpTelemetry(std::ostream& os) const {
-    incremental_->DumpTelemetry(os);
-  }
-
-  const GroundProgram& ground() const { return incremental_->program(); }
+  const GroundProgram& ground() const { return solver().program(); }
   const Program& program() const { return *program_; }
 
  private:
-  TabledEngine(const Program& program, std::unique_ptr<Session> session)
+  TabledEngine(const Program& program, Session session, TabledOptions opts)
       : program_(&program),
-        session_(std::move(session)),
-        incremental_(&session_->solver()) {}
-
-  static Result<TabledEngine> FinishCreate(const Program& program,
-                                           GroundProgram gp,
-                                           TabledOptions opts);
+        session_(std::make_unique<Session>(std::move(session))),
+        opts_(std::move(opts)) {}
 
   /// The current well-founded model (lazily delta-refreshed; stage levels
   /// ride along when computed). No copy per delta — the up-cone re-solve
   /// stays the only per-delta cost.
-  const WfsModel& wfs() const { return incremental_->Model(); }
+  const WfsModel& wfs() const { return session_->solver().Model(); }
   const Interpretation& model() const { return wfs().model; }
 
   bool has_stages() const { return opts_.compute_stages; }
@@ -189,14 +136,7 @@ class TabledEngine {
   const Program* program_;
   /// The facade owning the solver. Direct mode: zero extra threads.
   std::unique_ptr<Session> session_;
-  /// Cached view of `session_`'s solver for the inline diagnostics paths
-  /// (stable across engine moves: both live behind unique_ptrs).
-  IncrementalSolver* incremental_ = nullptr;
   TabledOptions opts_;
-  /// Engine-owned token attached when the caller supplied none (behind a
-  /// pointer: `TabledEngine` moves through `Result`, atomics do not).
-  std::unique_ptr<CancelToken> owned_token_;
-  CancelToken* token_ = nullptr;  ///< the attached token (owned or caller's)
 };
 
 }  // namespace gsls

@@ -61,8 +61,12 @@ struct SessionAnswer {
 
 /// The unified entry point to the system: open a program (or adopt a
 /// solver), stream `Assert`/`Retract` deltas, point-`Query` atoms, and
-/// take whole-model `Snapshot`s. Both engines keep their solver behind
-/// one of these (`TabledEngine::session()`, `GlobalSlsEngine::session()`).
+/// take whole-model `Snapshot`s. It is the one place deltas, deadlines,
+/// step budgets and cancel tokens enter. The engines are query procedures
+/// over a session (`TabledEngine::session()`, `GlobalSlsEngine::session()`)
+/// and keep no delta or cancel surface of their own: a caller cancels
+/// through the `SolverOptions::cancel` token it passed in, and changes
+/// the deadline or budget with `SetDeadlineNs`/`SetStepBudget` here.
 ///
 /// Delta vocabulary:
 ///
@@ -152,8 +156,9 @@ class Session {
   /// rebuilt after deltas; null when the grounding never truncated.
   const TruncationCone* DirectTruncation();
 
-  /// Cancellation passthrough (direct mode; see docs/serving.md for the
-  /// serving-mode interaction).
+  /// Deadline / step budget for later solve passes (0 = none; see
+  /// `SolverOptions::deadline_ns` / `step_budget`). Direct mode; see
+  /// docs/serving.md for the serving-mode interaction.
   void SetDeadlineNs(uint64_t deadline_ns);
   void SetStepBudget(uint64_t step_budget);
 

@@ -18,6 +18,7 @@
 #include "util/cancel.h"
 #include "util/strings.h"
 #include "wfs/wfs.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -276,34 +277,67 @@ TEST(IncrementalCancelTest, CancelTelemetryChannels) {
       telemetry.metrics.GetCounter("cancel.deadline_exceeded")->value(), 0u);
 }
 
-TEST(TabledEngineCancelTest, CancelAndResumeOutOfTheBox) {
+TEST(TabledEngineCancelTest, CancelAndResumeThroughTheCallersToken) {
   Fixture f(kProgram);
-  Result<TabledEngine> engine = TabledEngine::Create(f.program);
+  CancelToken token;
+  TabledOptions opts;
+  opts.solver.cancel = &token;
+  Result<TabledEngine> engine = TabledEngine::Create(f.program, opts);
   ASSERT_TRUE(engine.ok());
   TabledEngine& e = engine.value();
-  EXPECT_EQ(e.Refresh(), SolveOutcome::kCompleted);
+  IncrementalSolver& solver = e.session().solver();
+  EXPECT_EQ(solver.Model().outcome, SolveOutcome::kCompleted);
   TruthValue before = e.ValueOf(MustParseTerm(f.store, "b"));
-  // Cancel, then dirty the model so the next refresh has work to abort.
-  e.Cancel();
+  // Cancel, then dirty the model so the next pass has work to abort.
+  token.Cancel();
   e.session().Assert(MustParseTerm(f.store, "d"));
-  EXPECT_EQ(e.Refresh(), SolveOutcome::kCancelled);
-  e.ResetCancel();
-  EXPECT_EQ(e.Refresh(), SolveOutcome::kCompleted);
+  EXPECT_EQ(solver.Model().outcome, SolveOutcome::kCancelled);
+  token.Reset();
+  EXPECT_EQ(solver.Model().outcome, SolveOutcome::kCompleted);
   EXPECT_EQ(e.ValueOf(MustParseTerm(f.store, "b")), before);
   check::AuditReport report = check::AuditSolver(e.solver());
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
-TEST(TabledEngineCancelTest, DeadlineSetterHonoured) {
+TEST(TabledEngineCancelTest, SessionDeadlineSetterHonoured) {
   Fixture f(kProgram);
   Result<TabledEngine> engine = TabledEngine::Create(f.program);
   ASSERT_TRUE(engine.ok());
   TabledEngine& e = engine.value();
-  e.SetDeadlineNs(1);  // long expired
+  e.session().SetDeadlineNs(1);  // long expired
   e.session().Assert(MustParseTerm(f.store, "zz"));
-  EXPECT_EQ(e.Refresh(), SolveOutcome::kDeadlineExceeded);
-  e.SetDeadlineNs(0);
-  EXPECT_EQ(e.Refresh(), SolveOutcome::kCompleted);
+  EXPECT_EQ(e.session().solver().Model().outcome,
+            SolveOutcome::kDeadlineExceeded);
+  e.session().SetDeadlineNs(0);
+  EXPECT_EQ(e.session().solver().Model().outcome, SolveOutcome::kCompleted);
+}
+
+// Engine construction stops on the same conditions as `Session::Open`:
+// an expired deadline or a spent step budget ends the grounding, and no
+// engine (or oracle) is built from a partial program.
+TEST(TabledEngineCancelTest, ConstructionHonoursDeadlineAndStepBudget) {
+  Fixture f(workload::GameChain(2000));
+  const Goal query = MustParseQuery(f.store, "win(n1)");
+  for (const bool by_budget : {false, true}) {
+    TabledOptions opts;
+    (by_budget ? opts.solver.step_budget : opts.solver.deadline_ns) = 1;
+    Result<TabledEngine> created = TabledEngine::Create(f.program, opts);
+    ASSERT_FALSE(created.ok()) << "by_budget " << by_budget;
+    EXPECT_EQ(created.status().code(), StatusCode::kDeadlineExceeded);
+    Result<TabledEngine> for_query =
+        TabledEngine::CreateForQuery(f.program, query, opts);
+    ASSERT_FALSE(for_query.ok()) << "by_budget " << by_budget;
+    EXPECT_EQ(for_query.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  CancelToken token;
+  token.Cancel();
+  TabledOptions opts;
+  opts.solver.cancel = &token;
+  Result<TabledEngine> created = TabledEngine::Create(f.program, opts);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kCancelled);
+  token.Reset();
+  EXPECT_TRUE(TabledEngine::Create(f.program, opts).ok());
 }
 
 TEST(GlobalSlsEngineCancelTest, CancelledOracleReportsUnknownNeverWrong) {
@@ -321,16 +355,42 @@ TEST(GlobalSlsEngineCancelTest, CancelledOracleReportsUnknownNeverWrong) {
   token.Reset();
   EXPECT_EQ(session.value().Query(b).status, GoalStatus::kSuccessful);
 
-  // The engine: a cancelled oracle seeds nothing, so the plain search
-  // answers — never from the partial model.
-  GlobalSlsEngine engine(f.program);
-  engine.Cancel();
+  // The engine, cancelled through the caller's token: the oracle's open
+  // stops, nothing is seeded, and the plain search answers.
+  EngineOptions eopts;
+  eopts.solver.cancel = &token;
+  GlobalSlsEngine engine(f.program, eopts);
+  token.Cancel();
   EXPECT_EQ(engine.StatusOf(b), GoalStatus::kSuccessful);
-  ASSERT_NE(engine.oracle_solver(), nullptr);
-  EXPECT_GT(engine.oracle_solver()->stats().aborted_passes, 0u);
-  engine.ResetCancel();
+  EXPECT_EQ(engine.session(), nullptr);
+  token.Reset();
+  engine.ClearMemo();
   EXPECT_EQ(engine.StatusOf(b), GoalStatus::kSuccessful);
-  EXPECT_EQ(engine.oracle_solver()->stats().resumed_passes, 1u);
+  ASSERT_NE(engine.session(), nullptr);
+
+  // An oracle whose seed pass aborts seeds nothing — the plain search
+  // answers, never the partial model — and once the caller resets the
+  // token, the next query resumes the pass. A fault injected at the first
+  // checkpoint after the grounding's cancels the token there, so it
+  // aborts exactly the oracle's first solve pass.
+  FaultInjector fault;
+  fault.Arm(0);
+  SessionOptions counting;
+  counting.solver.fault = &fault;
+  ASSERT_TRUE(Session::Open(f.program, counting).ok());
+  const uint64_t grounding_checkpoints = fault.checkpoints();
+  EngineOptions fopts;
+  fopts.solver.cancel = &token;
+  fopts.solver.fault = &fault;
+  GlobalSlsEngine faulted(f.program, fopts);
+  fault.Arm(grounding_checkpoints + 1);
+  EXPECT_EQ(faulted.StatusOf(b), GoalStatus::kSuccessful);
+  EXPECT_TRUE(fault.tripped());
+  ASSERT_NE(faulted.session(), nullptr);
+  EXPECT_GT(faulted.session()->solver().stats().aborted_passes, 0u);
+  token.Reset();
+  EXPECT_EQ(faulted.StatusOf(b), GoalStatus::kSuccessful);
+  EXPECT_EQ(faulted.session()->solver().stats().resumed_passes, 1u);
 }
 
 TEST(AuditTest, CleanOnHealthySolverAcrossDeltas) {

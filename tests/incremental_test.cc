@@ -316,8 +316,8 @@ TEST(IncrementalTest, EngineOracleIsReusedAcrossMemoClears) {
   GlobalSlsEngine engine(f.program);
   QueryResult first = engine.Solve(MustParseQuery(f.store, "win(n1)"));
   EXPECT_EQ(first.status, GoalStatus::kSuccessful);
-  ASSERT_NE(engine.oracle_solver(), nullptr);
-  const IncrementalSolver* oracle = engine.oracle_solver();
+  ASSERT_NE(engine.session(), nullptr);
+  const IncrementalSolver* oracle = &engine.session()->solver();
   EXPECT_EQ(oracle->stats().full_solves, 1u);
 
   engine.ClearMemo();
@@ -325,7 +325,7 @@ TEST(IncrementalTest, EngineOracleIsReusedAcrossMemoClears) {
   EXPECT_EQ(second.status, GoalStatus::kSuccessful);
   // Same incremental instance, and no re-solve happened: the cached model
   // was reused to refill the memo.
-  EXPECT_EQ(engine.oracle_solver(), oracle);
+  EXPECT_EQ(&engine.session()->solver(), oracle);
   EXPECT_EQ(oracle->stats().full_solves, 1u);
   EXPECT_EQ(oracle->stats().incremental_solves, 0u);
 }

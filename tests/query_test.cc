@@ -493,7 +493,7 @@ TEST(QueryTest, SessionQueryMatchesGlobalSlsEngine) {
   GlobalSlsEngine fallback(g.program, copts);
   EXPECT_EQ(fallback.StatusOf(MustParseTerm(g.store, "a")),
             GoalStatus::kSuccessful);
-  EXPECT_EQ(fallback.oracle_solver(), nullptr);
+  EXPECT_EQ(fallback.session(), nullptr);
 }
 
 // The cone pass's cost on the query side: after a batch of fact toggles,

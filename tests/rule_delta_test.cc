@@ -1,4 +1,5 @@
-// Rule-level incremental deltas: AssertRule/RetractRule with localized
+// Rule-level incremental deltas: `IncrementalSolver::AssertRule` /
+// `RetractRule` and `Session::Assert`/`Retract(Clause)` with localized
 // recondensation (analysis/dynamic_condensation.h). Structural coverage —
 // a retraction that splits the component holding a negative loop, an
 // assertion that merges previously independent SCCs, undefined flips when
@@ -17,6 +18,7 @@
 #include "check/audit.h"
 #include "core/engine.h"
 #include "core/tabled.h"
+#include "serve/session.h"
 #include "solver/incremental.h"
 #include "solver/solver.h"
 #include "test_support.h"
@@ -467,7 +469,7 @@ TEST(RuleDeltaTest, TabledEngineRuleDeltas) {
 
   // Retract the loop breaker through the engine; levels must follow.
   RuleId r = MustFindRule(e.solver(), f.store, "q", {"r"}, {});
-  ASSERT_TRUE(e.RetractRule(r));
+  ASSERT_TRUE(e.session().solver().RetractRule(r));
   EXPECT_EQ(e.ValueOf(p), TruthValue::kUndefined);
   EXPECT_EQ(e.ValueOf(q), TruthValue::kUndefined);
   EXPECT_FALSE(e.LevelOf(p).has_value());
@@ -481,11 +483,52 @@ TEST(RuleDeltaTest, TabledEngineRuleDeltas) {
   ASSERT_TRUE(e.LevelOf(p).has_value());
   // p rides r's stage: positive edges carry stages unchanged (Def. 2.4).
   EXPECT_EQ(e.LevelOf(p)->FiniteValue(), 1u);
-  ASSERT_TRUE(e.RetractRule(added.value()));
+  ASSERT_TRUE(e.session().solver().RetractRule(added.value()));
   EXPECT_EQ(e.ValueOf(p), TruthValue::kUndefined);
 }
 
-TEST(RuleDeltaTest, GlobalSlsEngineOracleRuleDeltas) {
+// Ground rule deltas enter through the session: asserting a clause that
+// derives p defeats the negative loop, and content-addressed retraction
+// (of an asserted clause or a base rule) undoes it.
+TEST(RuleDeltaTest, SessionClauseDeltasDefeatTheNegativeLoop) {
+  Fixture f("p :- not q. q :- not p. q :- r. r.");
+  Result<Session> opened = Session::Open(f.program);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Session& s = opened.value();
+  const Term* p = MustParseTerm(f.store, "p");
+  const Term* q = MustParseTerm(f.store, "q");
+  EXPECT_EQ(s.Query(q).status, GoalStatus::kSuccessful);
+  EXPECT_EQ(s.Query(p).status, GoalStatus::kFailed);
+
+  // p :- r derives p outright; q keeps its own escape through r, so both
+  // goals now succeed (the negative loop is fully defeated).
+  const Clause p_r = MustParseProgram(f.store, "p :- r.").clauses()[0];
+  bool changed = false;
+  Result<RuleId> added = s.Assert(p_r, &changed);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(s.Query(p).status, GoalStatus::kSuccessful);
+  EXPECT_EQ(s.Query(q).status, GoalStatus::kSuccessful);
+
+  ASSERT_TRUE(s.Retract(p_r));
+  EXPECT_EQ(s.Query(p).status, GoalStatus::kFailed);
+  EXPECT_EQ(s.Query(q).status, GoalStatus::kSuccessful);
+  EXPECT_FALSE(s.Retract(p_r));  // already gone
+
+  // Re-assert p :- r and retract the base rule q :- r: p wins the loop.
+  ASSERT_TRUE(s.Assert(p_r).ok());
+  ASSERT_TRUE(s.Retract(f.program.clauses()[2]));  // q :- r.
+  EXPECT_EQ(s.Query(p).status, GoalStatus::kSuccessful);
+  EXPECT_EQ(s.Query(q).status, GoalStatus::kFailed);
+
+  Program nonground = MustParseProgram(f.store, "s(X) :- t(X).");
+  EXPECT_FALSE(s.Assert(nonground.clauses()[0]).ok());
+}
+
+// The engine answers over the program it was given: a grown clause base
+// (AddClause + ClearMemo) re-opens the oracle, and the next queries see
+// every added clause.
+TEST(RuleDeltaTest, GlobalSlsEngineSeesClauseBaseGrowth) {
   Fixture f("p :- not q. q :- not p. q :- r. r.");
   GlobalSlsEngine engine(f.program);
   const Term* p = MustParseTerm(f.store, "p");
@@ -493,49 +536,45 @@ TEST(RuleDeltaTest, GlobalSlsEngineOracleRuleDeltas) {
   EXPECT_EQ(engine.StatusOf(q), GoalStatus::kSuccessful);
   EXPECT_EQ(engine.StatusOf(p), GoalStatus::kFailed);
 
-  // p :- r derives p outright; q keeps its own escape through r, so both
-  // goals now succeed (the negative loop is fully defeated).
-  Program ground = MustParseProgram(f.store, "p :- r.");
-  Result<RuleId> added = engine.AssertRule(ground.clauses()[0]);
-  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  f.program.AddClause(MustParseProgram(f.store, "p :- r.").clauses()[0]);
+  engine.ClearMemo();
   EXPECT_EQ(engine.StatusOf(p), GoalStatus::kSuccessful);
   EXPECT_EQ(engine.StatusOf(q), GoalStatus::kSuccessful);
 
-  // Retraction is content-addressed (survives oracle rebuilds).
-  ASSERT_TRUE(engine.RetractRule(ground.clauses()[0]));
-  EXPECT_EQ(engine.StatusOf(p), GoalStatus::kFailed);
-  EXPECT_EQ(engine.StatusOf(q), GoalStatus::kSuccessful);
-  EXPECT_FALSE(engine.RetractRule(ground.clauses()[0]));  // already gone
-
-  Program nonground = MustParseProgram(f.store, "s(X) :- t(X).");
-  EXPECT_FALSE(engine.AssertRule(nonground.clauses()[0]).ok());
-}
-
-// Rule deltas survive a wholesale oracle rebuild: growing the clause base
-// (AddClause + ClearMemo) re-grounds the oracle, and the logged deltas
-// replay onto the new instance instead of being silently dropped.
-TEST(RuleDeltaTest, GlobalSlsEngineRuleDeltasSurviveOracleRebuild) {
-  Fixture f("p :- not q. q :- not p. q :- r. r.");
-  GlobalSlsEngine engine(f.program);
-  const Term* p = MustParseTerm(f.store, "p");
-  EXPECT_EQ(engine.StatusOf(p), GoalStatus::kFailed);
-
-  Program deltas = MustParseProgram(f.store, "p :- r.\nq :- r.");
-  ASSERT_TRUE(engine.AssertRule(deltas.clauses()[0]).ok());  // p :- r.
-  EXPECT_EQ(engine.StatusOf(p), GoalStatus::kSuccessful);
-  ASSERT_TRUE(engine.RetractRule(f.program.clauses()[2]));  // q :- r.
-  EXPECT_EQ(engine.StatusOf(MustParseTerm(f.store, "q")),
-            GoalStatus::kFailed);
-
-  // Grow the clause base: the next query rebuilds the oracle and must
-  // replay both the assert and the retract.
   f.program.AddClause(MustParseProgram(f.store, "s :- r.").clauses()[0]);
   engine.ClearMemo();
   EXPECT_EQ(engine.StatusOf(MustParseTerm(f.store, "s")),
             GoalStatus::kSuccessful);
-  EXPECT_EQ(engine.StatusOf(p), GoalStatus::kSuccessful);  // replayed
-  EXPECT_EQ(engine.StatusOf(MustParseTerm(f.store, "q")),
-            GoalStatus::kFailed);  // replayed retract of q :- r
+  EXPECT_EQ(engine.StatusOf(p), GoalStatus::kSuccessful);
+  ASSERT_NE(engine.session(), nullptr);
+  EXPECT_EQ(engine.session()->solver().program().rule_count(), 6u);
+}
+
+// After AddClause + ClearMemo, the enumerating search and the memoized
+// point statuses resolve against the same clause base: `Solve(p(X))`
+// answers exactly the ground instances `StatusOf` calls successful.
+TEST(RuleDeltaTest, GlobalSlsEngineAnswersAgreeWithStatusesAfterAddClause) {
+  Fixture f("t(a). s(b). p(X) :- s(X).");
+  GlobalSlsEngine engine(f.program);
+  const Goal goal = MustParseQuery(f.store, "p(X)");
+  EXPECT_EQ(engine.Solve(goal).answers.size(), 1u);
+
+  f.program.AddClause(
+      MustParseProgram(f.store, "p(a) :- t(a).").clauses()[0]);
+  engine.ClearMemo();
+  QueryResult r = engine.Solve(goal);
+  EXPECT_EQ(r.status, GoalStatus::kSuccessful);
+  std::set<const Term*> answered;
+  for (const Answer& a : r.answers) {
+    answered.insert(a.theta.Apply(f.store, goal[0].atom));
+  }
+  for (const char* c : {"a", "b"}) {
+    const Term* instance = MustParseTerm(f.store, StrCat("p(", c, ")"));
+    EXPECT_EQ(answered.count(instance) == 1,
+              engine.StatusOf(instance) == GoalStatus::kSuccessful)
+        << c;
+  }
+  EXPECT_EQ(answered.size(), 2u);
 }
 
 // A clause-base edit that takes the program out of the oracle's domain

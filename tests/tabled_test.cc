@@ -224,5 +224,41 @@ TEST(TabledTest, SolveAppliesTheTruncationCone) {
             GoalStatus::kFailed);
 }
 
+// `LevelOf` has no level exactly where `StatusOf` has no exact answer:
+// in the truncation cone of a depth-capped grounding (here q(a), whose
+// true answer is successful at level 2 but whose instance was dropped),
+// and after a pass that did not complete. Everywhere else it keeps the
+// level Cor. 4.6 gives.
+TEST(TabledTest, LevelOfIsEmptyExactlyWhereStatusOfIsUnknown) {
+  Fixture f("q(X) :- r(X), not s(f(X)). s(f(X)) :- s(X). r(a).");
+  TabledOptions opts;
+  opts.grounding.max_atom_arg_depth = 1;
+  TabledEngine t = MustCreate(f.program, opts);
+  for (const char* name : {"q(a)", "r(a)", "s(a)", "s(f(a))", "q(b)"}) {
+    const Term* atom = MustParseTerm(f.store, name);
+    const GoalStatus status = t.StatusOf(atom);
+    EXPECT_EQ(t.LevelOf(atom).has_value(), status != GoalStatus::kUnknown)
+        << name << " is " << GoalStatusName(status);
+  }
+  EXPECT_EQ(t.StatusOf(MustParseTerm(f.store, "q(a)")), GoalStatus::kUnknown);
+  EXPECT_EQ(t.LevelOf(MustParseTerm(f.store, "r(a)")), Ordinal::Finite(1));
+  EXPECT_EQ(t.LevelOf(MustParseTerm(f.store, "q(b)")), Ordinal::Finite(1));
+
+  Fixture g("p :- not q. q :- not r. r :- not s. s.");
+  CancelToken token;
+  TabledOptions copts;
+  copts.solver.cancel = &token;
+  TabledEngine c = MustCreate(g.program, copts);
+  const Term* p = MustParseTerm(g.store, "p");
+  EXPECT_EQ(c.LevelOf(p), Ordinal::Finite(4));  // s, r, q, p by stage
+  token.Cancel();
+  ASSERT_TRUE(c.session().Retract(MustParseTerm(g.store, "s")));
+  EXPECT_EQ(c.StatusOf(p), GoalStatus::kUnknown);
+  EXPECT_FALSE(c.LevelOf(p).has_value());
+  token.Reset();
+  EXPECT_EQ(c.StatusOf(p), GoalStatus::kSuccessful);
+  EXPECT_EQ(c.LevelOf(p), Ordinal::Finite(4));
+}
+
 }  // namespace
 }  // namespace gsls
