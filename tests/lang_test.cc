@@ -5,6 +5,7 @@
 #include "lang/lexer.h"
 #include "lang/transforms.h"
 #include "test_support.h"
+#include "workload/generators.h"
 
 namespace gsls {
 namespace {
@@ -50,6 +51,148 @@ TEST(LexerTest, QuotedAtoms) {
 TEST(LexerTest, RejectsGarbage) {
   EXPECT_FALSE(Lex("p :- q @ r.").ok());
   EXPECT_FALSE(Lex("'unterminated").ok());
+}
+
+// The token-level assertions, stated through the parser.
+TEST(ParserTest, TokenizesCoreSyntax) {
+  TermStore store;
+  Program p = MustParseProgram(store, "p(X) :- q, not r(a). % comment\n");
+  ASSERT_EQ(p.size(), 1u);
+  const Clause& c = p.clauses()[0];
+  EXPECT_EQ(store.symbols().FunctorName(c.head->functor()), "p");
+  EXPECT_TRUE(c.head->arg(0)->IsVar());
+  ASSERT_EQ(c.body.size(), 2u);
+  EXPECT_TRUE(c.body[0].positive);
+  EXPECT_EQ(store.ToString(c.body[0].atom), "q");
+  EXPECT_FALSE(c.body[1].positive);
+  EXPECT_EQ(store.ToString(c.body[1].atom), "r(a)");
+  Goal g = MustParseQuery(store, "?- p.");
+  ASSERT_EQ(g.size(), 1u);
+  EXPECT_EQ(store.ToString(g[0].atom), "p");
+  // `?-` after a comment is its own token, which a program rejects.
+  Result<Program> r =
+      ParseProgram(store, "p(X) :- q, not r(a). % comment\n?- p.");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "expected predicate name at line 2 col 1 (got '?-' '?-')");
+}
+
+TEST(ParserTest, TracksPositions) {
+  TermStore store;
+  Result<Program> r = ParseProgram(store, "p.\nq");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "expected '.' at line 2 col 2 (got end of input)");
+}
+
+TEST(ParserTest, BackslashPlusIsNot) {
+  TermStore store;
+  Program p = MustParseProgram(store, "p :- \\+ q.");
+  ASSERT_EQ(p.clauses()[0].body.size(), 1u);
+  EXPECT_FALSE(p.clauses()[0].body[0].positive);
+}
+
+TEST(ParserTest, QuotedAtoms) {
+  TermStore store;
+  Program p = MustParseProgram(store, "'Strange Atom'('it''s').");
+  const Term* head = p.clauses()[0].head;
+  EXPECT_EQ(store.symbols().FunctorName(head->functor()), "Strange Atom");
+  EXPECT_EQ(store.symbols().FunctorName(head->arg(0)->functor()), "it's");
+}
+
+TEST(ParserTest, RejectsGarbage) {
+  TermStore store;
+  EXPECT_FALSE(ParseProgram(store, "p :- q @ r.").ok());
+  EXPECT_FALSE(ParseProgram(store, "'unterminated").ok());
+}
+
+// Every malformed input with its exact message: the lexer's errors win
+// over the parser's (the whole text is lexed before a parse error is
+// reported), columns count bytes (a tab is one), and the end of input
+// after a trailing comment sits where the comment starts.
+TEST(ParserTest, GoldenErrorMessages) {
+  enum class Entry { kProgram, kQuery, kTerm };
+  struct Case {
+    Entry entry;
+    const char* src;
+    const char* message;
+  };
+  const Case cases[] = {
+      {Entry::kProgram, "p('abc).",
+       "unterminated quoted atom at line 1 col 3"},
+      {Entry::kProgram, "p :- q.\n'a\nb'.",
+       "unterminated quoted atom at line 2 col 1"},
+      {Entry::kProgram, "p :- q @ r.",
+       "unexpected character '@' at line 1 col 8"},
+      {Entry::kProgram, "p :- \\ q.",
+       "unexpected character '\\' at line 1 col 6"},
+      {Entry::kProgram, "p :- q.\n\xc3\xa9",
+       "unexpected character '\xc3' at line 2 col 1"},
+      {Entry::kProgram, "p :- . q @",
+       "unexpected character '@' at line 1 col 10"},
+      {Entry::kProgram, "p :- q\nr.",
+       "expected '.' at line 2 col 1 (got name 'r')"},
+      {Entry::kProgram, "p.\r\nq r.",
+       "expected '.' at line 2 col 3 (got name 'r')"},
+      {Entry::kProgram, "p :- 123abc.",
+       "expected '.' at line 1 col 9 (got name 'abc')"},
+      {Entry::kProgram, "p :- q '' .",
+       "expected '.' at line 1 col 8 (got name)"},
+      {Entry::kProgram, "p :- q 'it''s'.",
+       "expected '.' at line 1 col 8 (got name 'it's')"},
+      {Entry::kProgram, "p(a, b :- q.",
+       "expected ')' at line 1 col 8 (got ':-' ':-')"},
+      {Entry::kProgram, "p(a,,b).",
+       "expected term at line 1 col 5 (got ',' ',')"},
+      {Entry::kProgram, "X :- p.",
+       "expected predicate name at line 1 col 1 (got variable 'X')"},
+      {Entry::kProgram, "p :- X.",
+       "expected predicate name at line 1 col 6 (got variable 'X')"},
+      {Entry::kProgram, "p :- not (q.",
+       "expected ')' at line 1 col 12 (got '.' '.')"},
+      {Entry::kProgram, "p :- not (X).",
+       "expected predicate name at line 1 col 11 (got variable 'X')"},
+      {Entry::kProgram, "p :- not not q.",
+       "expected predicate name at line 1 col 10 (got 'not' 'not')"},
+      {Entry::kProgram, "p :- q,",
+       "expected predicate name at line 1 col 8 (got end of input)"},
+      {Entry::kProgram, "p(a", "expected ')' at line 1 col 4 (got end of input)"},
+      {Entry::kProgram, "p :- q % trailing",
+       "expected '.' at line 1 col 8 (got end of input)"},
+      {Entry::kProgram, "% header\np.\nq :- r, s\n",
+       "expected '.' at line 4 col 1 (got end of input)"},
+      {Entry::kProgram, "% c1\n% c2\np.\nq(a).\nr :- s t.",
+       "expected '.' at line 5 col 8 (got name 't')"},
+      {Entry::kProgram, "p.\n\t\tq r.",
+       "expected '.' at line 2 col 5 (got name 'r')"},
+      {Entry::kProgram, "p.\n\tq :- @.",
+       "unexpected character '@' at line 2 col 7"},
+      {Entry::kProgram, "p :- q ?- r.",
+       "expected '.' at line 1 col 8 (got '?-' '?-')"},
+      {Entry::kQuery, "?- p :- q.",
+       "expected end of input at line 1 col 6 (got ':-' ':-')"},
+      {Entry::kQuery, "?- p(X) q.",
+       "expected end of input at line 1 col 9 (got name 'q')"},
+      {Entry::kQuery, "?- X.",
+       "expected predicate name at line 1 col 4 (got variable 'X')"},
+      {Entry::kQuery, "p(X), .",
+       "expected predicate name at line 1 col 7 (got '.' '.')"},
+      {Entry::kTerm, "f(a))",
+       "expected end of input at line 1 col 5 (got ')' ')')"},
+      {Entry::kTerm, "f(", "expected term at line 1 col 3 (got end of input)"},
+      {Entry::kTerm, "", "expected term at line 1 col 1 (got end of input)"},
+  };
+  for (const Case& c : cases) {
+    TermStore store;
+    Status status;
+    switch (c.entry) {
+      case Entry::kProgram: status = ParseProgram(store, c.src).status(); break;
+      case Entry::kQuery: status = ParseQuery(store, c.src).status(); break;
+      case Entry::kTerm: status = ParseTerm(store, c.src).status(); break;
+    }
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << c.src;
+    EXPECT_EQ(status.message(), c.message) << c.src;
+  }
 }
 
 TEST(ParserTest, ParsesFactsRulesAndQueries) {
@@ -145,6 +288,35 @@ TEST(PrinterTest, RoundTripsPrograms) {
     TermStore store2;
     Program p2 = MustParseProgram(store2, printed);
     EXPECT_EQ(printed, p2.ToString()) << "source: " << src;
+  }
+}
+
+// Every workload generator's text survives print -> re-parse: the same
+// clause count, printed to the same text.
+TEST(PrinterTest, RoundTripsEveryGenerator) {
+  Rng rng(23);
+  const std::string sources[] = {
+      workload::VanGelderProgram(),
+      workload::Example32Program(),
+      workload::Example33Program(),
+      workload::GameChain(12),
+      workload::GameCycleWithTail(5, 3),
+      workload::RandomGame(rng, 10, 25),
+      workload::GameForest(rng, 3, 6, 30),
+      workload::GameGrid(4, 3),
+      workload::RandomPropositional(rng, 8, 20, 4),
+      workload::ReachabilityWithNegation(rng, 10, 20),
+  };
+  for (const std::string& src : sources) {
+    TermStore store1;
+    Program p1 = MustParseProgram(store1, src);
+    ASSERT_GT(p1.size(), 0u) << src;
+    std::string printed = p1.ToString();
+    TermStore store2;
+    Result<Program> p2 = ParseProgram(store2, printed);
+    ASSERT_TRUE(p2.ok()) << p2.status().ToString() << "\n" << printed;
+    EXPECT_EQ(p2->size(), p1.size()) << src;
+    EXPECT_EQ(p2->ToString(), printed) << src;
   }
 }
 
