@@ -14,8 +14,7 @@ AtomId GroundProgram::InternAtom(const Term* atom) {
   if (found != IdTable::kNone) return found;
   AtomId id = static_cast<AtomId>(atom_terms_.size());
   atom_terms_.push_back(atom);
-  atom_ids_.Insert(atom->hash(), id,
-                   [&](uint32_t a) { return atom_terms_[a]->hash(); });
+  atom_ids_.Insert(atom->hash(), id);
   return id;
 }
 
@@ -50,7 +49,7 @@ RuleId GroundProgram::FindNormalized(const GroundRule& rule,
                                      uint64_t fp) const {
   return rule_ids_.Find(fp, [&](uint32_t id) {
     const GroundRule& existing = rules_[id];
-    return rule_fps_[id] == fp && existing.head == rule.head &&
+    return existing.head == rule.head &&
            existing.pos == rule.pos && existing.neg == rule.neg;
   });
 }
@@ -61,8 +60,7 @@ RuleId GroundProgram::AddRule(GroundRule rule) {
   const RuleId existing = FindNormalized(rule, fp);
   if (existing != IdTable::kNone) return existing;
   RuleId id = static_cast<RuleId>(rules_.size());
-  rule_fps_.push_back(fp);
-  rule_ids_.Insert(fp, id, [&](uint32_t r) { return rule_fps_[r]; });
+  rule_ids_.Insert(fp, id);
   bool unit = rule.pos.empty() && rule.neg.empty();
   if (unit) {
     if (unit_rule_.size() <= rule.head) {

@@ -139,8 +139,7 @@ class GroundProgram {
   std::vector<const Term*> atom_terms_;
   IdTable atom_ids_;  ///< keyed by `Term::hash`
   std::vector<GroundRule> rules_;
-  std::vector<uint64_t> rule_fps_;  ///< per rule: its dedup fingerprint
-  IdTable rule_ids_;                ///< keyed by `rule_fps_`
+  IdTable rule_ids_;  ///< keyed by each rule's dedup fingerprint
   /// Unit rule per atom (at most one exists: `AddRule` deduplicates), or
   /// `IdTable::kNone`. Maintained eagerly so fact deltas never touch the
   /// lazy index.

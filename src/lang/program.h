@@ -2,12 +2,12 @@
 #define GSLS_LANG_PROGRAM_H_
 
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "lang/clause.h"
 #include "term/term_store.h"
+#include "util/id_table.h"
 
 namespace gsls {
 
@@ -53,15 +53,19 @@ class Program {
   std::string ToString() const;
 
  private:
-  void ScanAtomSymbols(const Term* t,
-                       std::vector<const Term*>* constants,
-                       std::unordered_set<const Term*>* seen_consts,
-                       std::vector<FunctorId>* functions,
-                       std::unordered_set<FunctorId>* seen_funcs) const;
+  /// Constants, then function symbols of arity >= 1, each in
+  /// first-appearance order.
+  std::pair<std::vector<const Term*>, std::vector<FunctorId>> ScanSymbols()
+      const;
+
+  /// Index into `by_predicate_`, or `IdTable::kNone`.
+  uint32_t FindPredicate(FunctorId pred) const;
 
   TermStore* store_;
   std::vector<Clause> clauses_;
-  std::unordered_map<FunctorId, std::vector<size_t>> by_predicate_;
+  /// Clause indexes per head predicate, found through `pred_ids_`.
+  std::vector<std::pair<FunctorId, std::vector<size_t>>> by_predicate_;
+  IdTable pred_ids_;
   std::vector<size_t> empty_;
 };
 

@@ -124,9 +124,7 @@ IncrementalSolver::GaugeSources() {
 CancelCtx* IncrementalSolver::ConfigureCancel() {
   // Re-read the options every time: the Set* mutators (and the engines'
   // per-request deadlines) change them between passes.
-  CancelToken* token = opts_.cancel;
-  if (token == nullptr && opts_.fault != nullptr) token = &owned_token_;
-  cancel_ctx_.set_token(token);
+  cancel_ctx_.set_token(opts_.cancel);
   cancel_ctx_.set_deadline_ns(opts_.deadline_ns);
   cancel_ctx_.set_step_budget(opts_.step_budget);
   cancel_ctx_.set_fault(opts_.fault);

@@ -333,8 +333,8 @@ class IncrementalSolver {
   void DropStaleWarm();
   /// Syncs `cancel_ctx_` from the current options; null when detached
   /// (every checkpoint downstream then stays a pointer test). A fault
-  /// injector with no caller token borrows `owned_token_` so a trip
-  /// persists across pass boundaries like an external Cancel would.
+  /// trip persists across passes only through a caller token; without
+  /// one it aborts just its own pass.
   CancelCtx* ConfigureCancel();
   /// `ConfigureCancel` plus `CancelCtx::BeginPass` — the solve entries.
   CancelCtx* BeginCancelPass();
@@ -424,10 +424,6 @@ class IncrementalSolver {
   /// Persistent checkpoint context, re-synced from `opts_` at every pass
   /// entry (so the Set* mutators above take effect without rebuilds).
   CancelCtx cancel_ctx_;
-  /// Fallback token attached when a fault injector is configured without
-  /// a caller token: an injected trip then persists across passes through
-  /// this token, exactly like an external Cancel.
-  CancelToken owned_token_;
   /// The previous pass aborted — the next completed pass is a resume
   /// (its re-solved-component count is the recovery cost telemetry).
   bool last_pass_aborted_ = false;

@@ -4,32 +4,61 @@
 
 namespace gsls {
 
+namespace {
+
+/// FNV-1a: inline, and as fast as any for the short names of programs.
+uint64_t NameHash(std::string_view name) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : name) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+}  // namespace
+
+uint64_t SymbolTable::FunctorHash(std::string_view name, uint32_t arity) {
+  return NameHash(name) ^ (uint64_t{arity} * 0x9e3779b97f4a7c15ULL);
+}
+
 SymbolId SymbolTable::InternName(std::string_view name) {
-  auto it = name_ids_.find(std::string(name));
-  if (it != name_ids_.end()) return it->second;
-  SymbolId id = static_cast<SymbolId>(names_.size());
+  const uint64_t h = NameHash(name);
+  const uint32_t found =
+      name_ids_.Find(h, [&](uint32_t id) { return names_[id] == name; });
+  if (found != IdTable::kNone) return found;
+  const SymbolId id = static_cast<SymbolId>(names_.size());
+  name_ids_.Insert(h, id);
   names_.emplace_back(name);
-  name_ids_.emplace(names_.back(), id);
   return id;
 }
 
 FunctorId SymbolTable::InternFunctor(std::string_view name, uint32_t arity) {
-  FunctorKey key{InternName(name), arity};
-  auto it = functor_ids_.find(key);
-  if (it != functor_ids_.end()) return it->second;
-  FunctorId id = static_cast<FunctorId>(functors_.size());
-  functors_.push_back(key);
-  functor_ids_.emplace(key, id);
+  const uint64_t h = FunctorHash(name, arity);
+  const FunctorId found = FindFunctor(h, name, arity);
+  if (found != kInvalidFunctor) return found;
+  const FunctorId id = static_cast<FunctorId>(functors_.size());
+  const SymbolId sym = InternName(name);
+  functor_ids_.Insert(h, id);
+  functors_.push_back(FunctorKey{sym, arity});
   return id;
 }
 
 FunctorId SymbolTable::FindFunctor(std::string_view name,
                                    uint32_t arity) const {
-  auto nit = name_ids_.find(std::string(name));
-  if (nit == name_ids_.end()) return kInvalidFunctor;
-  auto fit = functor_ids_.find(FunctorKey{nit->second, arity});
-  if (fit == functor_ids_.end()) return kInvalidFunctor;
-  return fit->second;
+  return FindFunctor(FunctorHash(name, arity), name, arity);
+}
+
+FunctorId SymbolTable::FindFunctor(uint64_t hash, std::string_view name,
+                                   uint32_t arity) const {
+  static_assert(IdTable::kNone == kInvalidFunctor);
+  return functor_ids_.Find(hash, [&](uint32_t f) {
+    return functors_[f].arity == arity && names_[functors_[f].name] == name;
+  });
+}
+
+void SymbolTable::Reserve(size_t more) {
+  names_.reserve(names_.size() + more);
+  name_ids_.Reserve(more);
+  functors_.reserve(functors_.size() + more);
+  functor_ids_.Reserve(more);
 }
 
 std::string SymbolTable::FunctorToString(FunctorId id) const {

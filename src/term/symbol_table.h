@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "util/id_table.h"
 
 namespace gsls {
 
@@ -21,7 +22,9 @@ using FunctorId = uint32_t;
 inline constexpr FunctorId kInvalidFunctor = UINT32_MAX;
 
 /// Interns names and (name, arity) functor pairs, assigning dense ids.
-/// Lookups by id are O(1); interning is amortized O(length).
+/// Lookups by id are O(1); interning is amortized O(length). Both indexes
+/// are flat `IdTable`s probed with the `string_view` itself, so a lookup
+/// allocates nothing; only a new name is copied.
 class SymbolTable {
  public:
   /// Interns `name`, returning its id (stable across calls).
@@ -46,6 +49,9 @@ class SymbolTable {
   /// "name/arity" rendering of a functor.
   std::string FunctorToString(FunctorId id) const;
 
+  /// Makes room for `more` new names and functors without growing.
+  void Reserve(size_t more);
+
   size_t name_count() const { return names_.size(); }
   size_t functor_count() const { return functors_.size(); }
 
@@ -53,18 +59,16 @@ class SymbolTable {
   struct FunctorKey {
     SymbolId name;
     uint32_t arity;
-    bool operator==(const FunctorKey&) const = default;
-  };
-  struct FunctorKeyHash {
-    size_t operator()(const FunctorKey& k) const {
-      return std::hash<uint64_t>()((uint64_t(k.name) << 32) | k.arity);
-    }
   };
 
+  static uint64_t FunctorHash(std::string_view name, uint32_t arity);
+  FunctorId FindFunctor(uint64_t hash, std::string_view name,
+                        uint32_t arity) const;
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, SymbolId> name_ids_;
+  IdTable name_ids_;  ///< over `names_`
   std::vector<FunctorKey> functors_;
-  std::unordered_map<FunctorKey, FunctorId, FunctorKeyHash> functor_ids_;
+  IdTable functor_ids_;  ///< over `functors_`, keyed by name text and arity
 };
 
 }  // namespace gsls

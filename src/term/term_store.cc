@@ -1,5 +1,6 @@
 #include "term/term_store.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/strings.h"
@@ -40,40 +41,52 @@ const Term* TermStore::NewVar(std::string_view name_hint) {
 const Term* TermStore::MakeCompound(FunctorId functor,
                                     std::span<const Term* const> args) {
   assert(symbols_.FunctorArity(functor) == args.size());
-  // Build a probe node on the stack referencing the caller's argument
-  // array; only copy into the arena if the term is new.
-  Term probe;
-  probe.kind_ = Term::Kind::kCompound;
-  probe.id_ = functor;
-  probe.arity_ = static_cast<uint32_t>(args.size());
-  probe.args_ = args.data();
+  // A constant is found by its functor alone, any other compound through
+  // the index; children are already canonical, so equality is shallow.
+  const bool constant = args.empty();
   uint64_t h = HashCombine(0xc0ul, functor);
-  bool ground = true;
-  uint32_t depth = 1;
-  uint32_t var_count = 0;
-  for (const Term* a : args) {
-    h = HashCombine(h, a->hash());
-    ground = ground && a->ground();
-    if (a->depth() + 1 > depth) depth = a->depth() + 1;
-    var_count += a->var_count();
+  if (constant) {
+    if (functor < constants_.size() && constants_[functor] != nullptr) {
+      return constants_[functor];
+    }
+  } else {
+    for (const Term* a : args) h = HashCombine(h, a->hash());
+    const uint32_t found = interned_.Find(h, [&](uint32_t id) {
+      const Term* t = compounds_[id];
+      return t->hash_ == h && t->id_ == functor &&
+             std::equal(args.begin(), args.end(), t->args_);
+    });
+    if (found != IdTable::kNone) return compounds_[found];
   }
-  probe.hash_ = h;
-  probe.ground_ = ground;
-  probe.depth_ = depth;
-  probe.var_count_ = var_count;
 
-  auto it = interned_.find(&probe);
-  if (it != interned_.end()) return *it;
-
-  const Term** arg_copy = nullptr;
-  if (!args.empty()) {
-    arg_copy = arena_.AllocateArray<const Term*>(args.size());
-    for (size_t i = 0; i < args.size(); ++i) arg_copy[i] = args[i];
-  }
   Term* t = new (arena_.Allocate(sizeof(Term), alignof(Term))) Term();
-  *t = probe;
-  t->args_ = arg_copy;
-  interned_.insert(t);
+  t->kind_ = Term::Kind::kCompound;
+  t->ground_ = true;
+  t->id_ = functor;
+  t->arity_ = static_cast<uint32_t>(args.size());
+  t->depth_ = 1;
+  t->var_count_ = 0;
+  t->hash_ = h;
+  t->args_ = nullptr;
+  if (!constant) {
+    const Term** arg_copy = arena_.AllocateArray<const Term*>(args.size());
+    std::copy(args.begin(), args.end(), arg_copy);
+    t->args_ = arg_copy;
+  }
+  for (const Term* a : args) {
+    t->ground_ = t->ground_ && a->ground();
+    t->depth_ = std::max(t->depth_, a->depth() + 1);
+    t->var_count_ += a->var_count();
+  }
+  if (constant) {
+    if (constants_.size() <= functor) {
+      constants_.resize(symbols_.functor_count());
+    }
+    constants_[functor] = t;
+  } else {
+    interned_.Insert(h, static_cast<uint32_t>(compounds_.size()));
+  }
+  compounds_.push_back(t);
   return t;
 }
 
@@ -88,6 +101,12 @@ const Term* TermStore::MakeApp(std::string_view name,
   FunctorId f =
       symbols_.InternFunctor(name, static_cast<uint32_t>(args.size()));
   return MakeCompound(f, args);
+}
+
+void TermStore::Reserve(size_t terms) {
+  compounds_.reserve(compounds_.size() + terms);
+  interned_.Reserve(terms);
+  symbols_.Reserve(terms / 2);
 }
 
 void TermStore::AppendTermString(const Term* t, std::string* out) const {

@@ -4,12 +4,12 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "term/symbol_table.h"
 #include "term/term.h"
 #include "util/arena.h"
+#include "util/id_table.h"
 
 namespace gsls {
 
@@ -17,7 +17,9 @@ namespace gsls {
 ///
 /// All term memory is arena-managed: a `TermStore` must outlive every
 /// `const Term*` it hands out. Hash-consing guarantees that two structurally
-/// equal terms built through the same store are the identical pointer.
+/// equal terms built through the same store are the identical pointer. The
+/// hash-consing index is one flat `IdTable` over the interned compounds:
+/// no node per term.
 class TermStore {
  public:
   TermStore() = default;
@@ -56,39 +58,30 @@ class TermStore {
   /// Convenience: interns the constant `name`.
   const Term* MakeConstant(std::string_view name) { return MakeApp(name, {}); }
 
+  /// Makes room for `terms` more interned compounds and half as many new
+  /// symbols without growing an index (a parse sizes the store from its
+  /// text once).
+  void Reserve(size_t terms);
+
   /// Renders a term using this store's symbol names (variables print by
   /// name, e.g. `X`, `_G12`).
   std::string ToString(const Term* t) const;
 
   /// Number of distinct interned compound terms.
-  size_t interned_count() const { return interned_.size(); }
+  size_t interned_count() const { return compounds_.size(); }
   /// Arena bytes consumed by term nodes.
   size_t arena_bytes() const { return arena_.bytes_allocated(); }
 
  private:
-  struct TermPtrHash {
-    size_t operator()(const Term* t) const { return t->hash(); }
-  };
-  struct TermShallowEq {
-    // Children are already canonical, so equality is shallow.
-    bool operator()(const Term* a, const Term* b) const {
-      if (a->kind() != b->kind() || a->arity() != b->arity()) return false;
-      if (a->IsVar()) return a->var() == b->var();
-      if (a->functor() != b->functor()) return false;
-      for (uint32_t i = 0; i < a->arity(); ++i) {
-        if (a->arg(i) != b->arg(i)) return false;
-      }
-      return true;
-    }
-  };
-
   void AppendTermString(const Term* t, std::string* out) const;
 
   Arena arena_;
   SymbolTable symbols_;
   std::vector<const Term*> vars_;
   std::vector<std::string> var_names_;
-  std::unordered_set<const Term*, TermPtrHash, TermShallowEq> interned_;
+  std::vector<const Term*> compounds_;  ///< interned, by index
+  IdTable interned_;  ///< over the non-constant `compounds_`
+  std::vector<const Term*> constants_;  ///< by functor, or null
 };
 
 }  // namespace gsls

@@ -158,29 +158,27 @@ TEST(FaultInjectionTest, CheckpointCountIsThreadCountInvariant) {
   EXPECT_EQ(n1, CountCheckpoints(4));
 }
 
-// A trip with no caller-supplied token must still persist across pass
-// boundaries (the solver borrows an owned token): the scenario's later
-// passes abort instantly instead of silently re-running.
-TEST(FaultInjectionTest, FaultPersistsWithoutCallerToken) {
-  Fixture f(kScenarioProgram);
+// A trip with no caller-supplied token aborts only its own pass: there is
+// no token to latch it, so once the injector is disarmed the next pass
+// resumes and finishes the model.
+TEST(FaultInjectionTest, FaultWithoutCallerTokenAbortsOnlyItsPass) {
+  Fixture f("a. b :- a. c :- b, not d. d :- not c.");
   SolverOptions opts;
-  opts.compute_levels = true;
   FaultInjector fault;
   opts.fault = &fault;
   IncrementalSolver inc(MustGround(f.program), opts);
   fault.Arm(1);
-  const WfsModel& aborted = inc.Model();
-  ASSERT_TRUE(fault.tripped());
-  EXPECT_EQ(aborted.outcome, SolveOutcome::kCancelled);
-  // Still latched through the owned token: the next pass aborts too.
-  fault.Disarm();
   EXPECT_EQ(inc.Model().outcome, SolveOutcome::kCancelled);
-  // Clearing the injector alone cannot reset the owned token; detaching
-  // the injector detaches the borrowed token with it, which resumes.
+  ASSERT_TRUE(fault.tripped());
+  fault.Disarm();
+  const WfsModel resumed = inc.Model();
+  EXPECT_EQ(resumed.outcome, SolveOutcome::kCompleted);
+  EXPECT_EQ(inc.stats().aborted_passes, 1u);
+  EXPECT_EQ(inc.stats().resumed_passes, 1u);
+  EXPECT_EQ(resumed.model, inc.SolveFresh().model);
+  // Detaching the injector keeps the solver completing.
   inc.SetFaultInjector(nullptr);
   EXPECT_EQ(inc.Model().outcome, SolveOutcome::kCompleted);
-  WfsModel fresh = inc.SolveFresh();
-  EXPECT_EQ(inc.Model().model, fresh.model);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "lang/lexer.h"
 #include "lang/transforms.h"
 #include "test_support.h"
 #include "workload/generators.h"
@@ -11,47 +10,6 @@ namespace gsls {
 namespace {
 
 using testing::Fixture;
-
-TEST(LexerTest, TokenizesCoreSyntax) {
-  Result<std::vector<Token>> r = Lex("p(X) :- q, not r(a). % comment\n?- p.");
-  ASSERT_TRUE(r.ok());
-  std::vector<TokenKind> kinds;
-  for (const Token& t : r.value()) kinds.push_back(t.kind);
-  std::vector<TokenKind> expected = {
-      TokenKind::kName,   TokenKind::kLParen, TokenKind::kVariable,
-      TokenKind::kRParen, TokenKind::kImplies, TokenKind::kName,
-      TokenKind::kComma,  TokenKind::kNot,    TokenKind::kName,
-      TokenKind::kLParen, TokenKind::kName,   TokenKind::kRParen,
-      TokenKind::kDot,    TokenKind::kQuery,  TokenKind::kName,
-      TokenKind::kDot,    TokenKind::kEof};
-  EXPECT_EQ(kinds, expected);
-}
-
-TEST(LexerTest, TracksPositions) {
-  Result<std::vector<Token>> r = Lex("p.\nq.");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value()[0].line, 1);
-  EXPECT_EQ(r.value()[2].line, 2);
-}
-
-TEST(LexerTest, BackslashPlusIsNot) {
-  Result<std::vector<Token>> r = Lex("p :- \\+ q.");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value()[2].kind, TokenKind::kNot);
-}
-
-TEST(LexerTest, QuotedAtoms) {
-  Result<std::vector<Token>> r = Lex("'Strange Atom'('it''s').");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value()[0].kind, TokenKind::kName);
-  EXPECT_EQ(r.value()[0].text, "Strange Atom");
-  EXPECT_EQ(r.value()[2].text, "it's");
-}
-
-TEST(LexerTest, RejectsGarbage) {
-  EXPECT_FALSE(Lex("p :- q @ r.").ok());
-  EXPECT_FALSE(Lex("'unterminated").ok());
-}
 
 // The token-level assertions, stated through the parser.
 TEST(ParserTest, TokenizesCoreSyntax) {
