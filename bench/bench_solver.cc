@@ -1,4 +1,4 @@
-// The solver-layer benchmark rows. CI writes them into ten BENCH_*.json
+// The solver-layer benchmark rows. CI writes them into eleven BENCH_*.json
 // files with one `--benchmark_filter` each, and bench_compare.py compares
 // every row by name against the previous main run:
 //
@@ -12,11 +12,15 @@
 //   BENCH_cancel.json      ^BM_FreshSolve
 //   BENCH_dense.json       ^BM_DenseScc_
 //   BENCH_serving.json     ^BM_Serving
+//   BENCH_front.json       ^BM_(ParseProgram|GroundRelevant)_
 //
 // The global fixpoints (W_P, V_P, alternating) run the same families as
 // the SCC solver rows for comparison; no JSON file holds them. The
 // BM_Condense_ rows time the analysis layer alone: a fresh
 // `AtomDependencyGraph` (one `ForEachScc` pass) over the ground program.
+// The front-half rows time a cold open's first two layers on a fresh
+// store: `ParseProgram` (bytes/s is its MB/s) and `GroundRelevant` of the
+// parsed program (items/s counts emitted rules).
 
 #include <chrono>
 #include <string>
@@ -121,6 +125,60 @@ const SolverRow kSolverRows[] = {
     {"BM_Condense_Chain", Fixpoint::kCondense, Chain, {1024, 4096}},
     {"BM_Condense_RandomGame", Fixpoint::kCondense, RandomGame, {64, 128}},
 };
+
+// --- the front half: text -> Program -> relevant grounding -------------
+
+std::string ReachNeg(const benchmark::State& state) {
+  Rng rng(13);
+  return workload::ReachabilityWithNegation(
+      rng, static_cast<int>(state.range(0)), 10);
+}
+
+void RunParse(benchmark::State& state,
+              std::string (*family)(const benchmark::State&)) {
+  const std::string src = family(state);
+  for (auto _ : state) {
+    TermStore store;
+    benchmark::DoNotOptimize(ParseProgram(store, src).ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(src.size()) *
+                          state.iterations());
+}
+
+void RunGround(benchmark::State& state,
+               std::string (*family)(const benchmark::State&)) {
+  const std::string src = family(state);
+  GroundingOptions gopts;
+  gopts.max_rules = 5'000'000;
+  size_t rules = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    TermStore store;
+    Program program = MustParseProgram(store, src);
+    state.ResumeTiming();
+    rules = GroundRelevant(program, gopts)->rule_count();
+  }
+  state.counters["rules"] = static_cast<double>(rules);
+  state.SetItemsProcessed(static_cast<int64_t>(rules) * state.iterations());
+}
+
+void BM_ParseProgram_Chain(benchmark::State& state) { RunParse(state, Chain); }
+BENCHMARK(BM_ParseProgram_Chain)->Arg(1024)->Arg(8192);
+
+void BM_ParseProgram_ReachNeg(benchmark::State& state) {
+  RunParse(state, ReachNeg);
+}
+BENCHMARK(BM_ParseProgram_ReachNeg)->Arg(32)->Arg(128);
+
+void BM_GroundRelevant_Chain(benchmark::State& state) {
+  RunGround(state, Chain);
+}
+BENCHMARK(BM_GroundRelevant_Chain)->Arg(1024)->Arg(8192);
+
+void BM_GroundRelevant_ReachNeg(benchmark::State& state) {
+  RunGround(state, ReachNeg);
+}
+BENCHMARK(BM_GroundRelevant_ReachNeg)->Arg(16)->Arg(32);
 
 // --- incremental fact deltas ------------------------------------------
 

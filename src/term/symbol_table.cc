@@ -6,10 +6,16 @@ namespace gsls {
 
 namespace {
 
-/// FNV-1a: inline, and as fast as any for the short names of programs.
+/// One multiply per 8 bytes; `IdTable` avalanches the result.
 uint64_t NameHash(std::string_view name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : name) h = (h ^ c) * 0x100000001b3ULL;
+  uint64_t h = name.size();
+  for (size_t i = 0; i < name.size(); i += 8) {
+    uint64_t word = 0;
+    for (size_t j = i; j < name.size() && j < i + 8; ++j) {
+      word |= uint64_t{static_cast<unsigned char>(name[j])} << (8 * (j - i));
+    }
+    h = (h ^ word) * 0x9e3779b97f4a7c15ULL;
+  }
   return h;
 }
 

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "ground/grounder.h"
+#include "lang/parser.h"
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "solver/incremental.h"
@@ -320,6 +322,26 @@ TEST(TraceTest, DisabledRecorderBuffersNothing) {
     GSLS_TRACE_INSTANT("test.disabled", 0);
   }
   EXPECT_EQ(rec.event_count(), before);
+}
+
+// The front half shows in a recorded trace: the parse layer as well as the
+// grounding after it.
+TEST(TraceTest, TraceShowsParseAndGroundLayers) {
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  rec.Clear();
+  rec.Enable();
+  TermStore store;
+  Result<Program> program = ParseProgram(store, workload::GameChain(8));
+  ASSERT_TRUE(program.ok());
+  ASSERT_TRUE(GroundRelevant(*program, {}).ok());
+  rec.Disable();
+  std::ostringstream os;
+  rec.WriteChromeTrace(os);
+  const std::string json = os.str();
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json.substr(0, 400);
+  EXPECT_NE(json.find("\"lang.parse\""), std::string::npos);
+  EXPECT_NE(json.find("\"ground.relevant\""), std::string::npos);
+  rec.Clear();
 }
 
 // ---------------------------------------------------------------------------
