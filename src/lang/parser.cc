@@ -96,17 +96,17 @@ class Lexer {
   Token Next() {
     const size_t n = src_.size();
     if (!error_.ok()) return {TokenKind::kError, {}, n};
-    while (pos_ < n && (Is(src_[pos_], kSpace) || src_[pos_] == '%')) {
-      if (src_[pos_] != '%') {
-        ++pos_;
-        continue;
-      }
-      const size_t comment = pos_;
-      pos_ = src_.find('\n', pos_);
-      // End of input right after a comment is placed where it starts.
-      if (pos_ == std::string_view::npos) {
-        pos_ = n;
-        return {TokenKind::kEof, {}, comment};
+    for (; pos_ < n; ++pos_) {
+      if (src_[pos_] == '%') {
+        const size_t comment = pos_;
+        pos_ = src_.find('\n', pos_);
+        // End of input right after a comment is placed where it starts.
+        if (pos_ == std::string_view::npos) {
+          pos_ = n;
+          return {TokenKind::kEof, {}, comment};
+        }
+      } else if (!Is(src_[pos_], kSpace)) {
+        break;
       }
     }
     const size_t start = pos_;
@@ -234,18 +234,16 @@ class Parser {
                          t.kind != TokenKind::kError;) {
       t = lexer_.Next();
     }
-    if (!lexer_.error().ok()) {
-      error_ = lexer_.error();
-      return false;
-    }
+    error_ = lexer_.error();
+    if (!error_.ok()) return false;
     const auto [line, col] = lexer_.LineCol(tok_.offset);
     std::string buf;
     const std::string_view text = NameText(tok_.text, &buf);
     const char* quote = text.empty() ? "" : "'";
-    error_ = Status::InvalidArgument(
-        StrCat(message, " at line ", line, " col ", col, " (got ",
-               kTokenKindNames[static_cast<int>(tok_.kind)], text.empty() ? "" : " ", quote,
-               text, quote, ")"));
+    error_ = Status::InvalidArgument(StrCat(
+        message, " at line ", line, " col ", col, " (got ",
+        kTokenKindNames[static_cast<int>(tok_.kind)], text.empty() ? "" : " ",
+        quote, text, quote, ")"));
     return false;
   }
 

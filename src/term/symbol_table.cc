@@ -61,9 +61,11 @@ FunctorId SymbolTable::FindFunctor(uint64_t hash, std::string_view name,
 }
 
 void SymbolTable::Reserve(size_t more) {
-  names_.reserve(names_.size() + more);
+  if (names_.capacity() - names_.size() < more) {
+    names_.reserve(2 * names_.size() + more);
+    functors_.reserve(2 * functors_.size() + more);
+  }
   name_ids_.Reserve(more);
-  functors_.reserve(functors_.size() + more);
   functor_ids_.Reserve(more);
 }
 

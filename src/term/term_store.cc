@@ -65,14 +65,7 @@ const Term* TermStore::MakeCompound(FunctorId functor,
   t->id_ = functor;
   t->arity_ = static_cast<uint32_t>(args.size());
   t->depth_ = 1;
-  t->var_count_ = 0;
-  t->hash_ = h;
-  t->args_ = nullptr;
-  if (!constant) {
-    const Term** arg_copy = arena_.AllocateArray<const Term*>(args.size());
-    std::copy(args.begin(), args.end(), arg_copy);
-    t->args_ = arg_copy;
-  }
+  t->hash_ = h;  // `Term()` zeroed `var_count_` and `args_`
   for (const Term* a : args) {
     t->ground_ = t->ground_ && a->ground();
     t->depth_ = std::max(t->depth_, a->depth() + 1);
@@ -84,6 +77,9 @@ const Term* TermStore::MakeCompound(FunctorId functor,
     }
     constants_[functor] = t;
   } else {
+    const Term** arg_copy = arena_.AllocateArray<const Term*>(args.size());
+    std::copy(args.begin(), args.end(), arg_copy);
+    t->args_ = arg_copy;
     interned_.Insert(h, static_cast<uint32_t>(compounds_.size()));
   }
   compounds_.push_back(t);
@@ -104,7 +100,10 @@ const Term* TermStore::MakeApp(std::string_view name,
 }
 
 void TermStore::Reserve(size_t terms) {
-  compounds_.reserve(compounds_.size() + terms);
+  // Vectors grow geometrically here too, so many small parses stay linear.
+  if (compounds_.capacity() - compounds_.size() < terms) {
+    compounds_.reserve(2 * compounds_.size() + terms);
+  }
   interned_.Reserve(terms);
   symbols_.Reserve(terms / 2);
 }
