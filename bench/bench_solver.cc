@@ -157,6 +157,7 @@ void RunGround(benchmark::State& state,
     Program program = MustParseProgram(store, src);
     state.ResumeTiming();
     rules = GroundRelevant(program, gopts)->rule_count();
+    benchmark::DoNotOptimize(rules);
   }
   state.counters["rules"] = static_cast<double>(rules);
   state.SetItemsProcessed(static_cast<int64_t>(rules) * state.iterations());
