@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -32,8 +33,9 @@ enum class TokenKind {
 
 /// Printable token kinds (for diagnostics), indexed by `TokenKind`.
 constexpr const char* kTokenKindNames[] = {
-    "name", "variable", "'('",  "')'", "','",          "'.'",
-    "':-'", "'?-'",     "'not'", "end of input", "error"};
+    "name", "variable", "'('", "')'", "','", "'.'", "':-'", "'?-'", "'not'",
+    "end of input", "error"};
+static_assert(std::size(kTokenKindNames) == size_t(TokenKind::kError) + 1);
 
 /// A token: its kind, a view of its source text and the byte offset it
 /// starts at. End of input has empty text.
@@ -286,11 +288,9 @@ class Parser {
   /// Atoms and terms share one grammar: name, optionally followed by a
   /// parenthesized argument list. An atom cannot be a bare variable.
   const Term* ParseAtom() {
-    if (!Check(TokenKind::kName)) {
-      Fail("expected predicate name");
-      return nullptr;
-    }
-    return ParseTerm();
+    if (Check(TokenKind::kName)) return ParseTerm();
+    Fail("expected predicate name");
+    return nullptr;
   }
 
   const Term* ParseTerm() {
