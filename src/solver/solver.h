@@ -139,6 +139,8 @@ struct SolverOptions {
   uint64_t step_budget = 0;
   /// Deterministic fault injection over the same checkpoints ("trip at
   /// checkpoint k"): the abort-recovery test harness (tests/fault_test.cc).
+  /// A trip cancels `cancel` when one is set, so it persists until
+  /// `CancelToken::Reset`; without a token it aborts only its own pass.
   /// Null in production. Not owned.
   FaultInjector* fault = nullptr;
 };
