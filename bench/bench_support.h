@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -131,7 +132,8 @@ struct ScalingProbe {
     return src;
   }
   ScalingProbe(int chains, unsigned threads)
-      : inc(GroundOf(ChainForest(chains), store), Leveled(threads)) {
+      : chains(chains),
+        inc(GroundOf(ChainForest(chains), store), Leveled(threads)) {
     closing.head = Atom("win(n0_3)");
     closing.neg = {Atom("win(n0_0)")};
     inc.Model();
@@ -139,14 +141,26 @@ struct ScalingProbe {
   AtomId Atom(std::string_view src) {
     return *inc.program().FindAtom(MustParseTerm(store, src));
   }
-  /// assert + query + retract + query.
-  void Pair() {
-    RuleId r = inc.AssertRule(closing);
-    benchmark::DoNotOptimize(inc.QueryAtom(closing.neg[0]).value);
-    inc.RetractRule(r);
-    benchmark::DoNotOptimize(inc.QueryAtom(closing.neg[0]).value);
+  /// A closing rule never asserted before: pair `p` of the first-time
+  /// variant gets `win(nk_h) :- not win(nk_0).` on chain k = p mod K with
+  /// head h = 3 - p / K, so heads and chains differ between pairs.
+  GroundRule NewClosing(int p) {
+    const int k = p % chains;
+    assert(p / chains < 3);
+    return {Atom(StrCat("win(n", k, "_", 3 - p / chains, ")")),
+            {},
+            {Atom(StrCat("win(n", k, "_0)"))}};
   }
+  /// assert + query + retract + query.
+  void Pair(const GroundRule& rule) {
+    RuleId r = inc.AssertRule(rule);
+    benchmark::DoNotOptimize(inc.QueryAtom(rule.neg[0]).value);
+    inc.RetractRule(r);
+    benchmark::DoNotOptimize(inc.QueryAtom(rule.neg[0]).value);
+  }
+  void Pair() { Pair(closing); }
 
+  const int chains;
   TermStore store;
   IncrementalSolver inc;
   GroundRule closing;
@@ -180,14 +194,7 @@ inline GroundProgram DenseProgram() {
     return new GroundProgram(
         GroundOf(workload::RandomGame(rng, 2000, 1), *store));
   }();
-  GroundProgram out(store);
-  for (AtomId a = 0; a < shared->atom_count(); ++a) {
-    out.InternAtom(shared->AtomTerm(a));
-  }
-  for (RuleId r = 0; r < shared->rule_count(); ++r) {
-    out.AddRule(shared->rules()[r]);
-  }
-  return out;
+  return *shared;
 }
 
 // --- serving: a win/move chain long enough that a toggled edge dirties a

@@ -45,10 +45,10 @@ class AtomDependencyGraph {
   /// on a fresh build.
   std::span<const uint32_t> free_ids() const { return free_; }
 
-  /// Number of atoms the graph was built over. A `GroundProgram` that has
-  /// since interned more atoms makes this condensation stale (fact deltas
-  /// never add dependency *edges* — unit rules have no body — so staleness
-  /// is exactly an atom-count mismatch and rebuilds can be lazy).
+  /// Number of atoms the graph covers. A `GroundProgram` that has since
+  /// interned more atoms is ahead of it by exactly those atoms (fact deltas
+  /// never add dependency *edges* — unit rules have no body);
+  /// `DynamicCondensation::AddAtoms` covers them as singleton components.
   size_t atom_count() const { return comp_of_.size(); }
 
   /// Component of `atom`. A fresh build numbers components in dependency

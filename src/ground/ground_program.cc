@@ -1,6 +1,7 @@
 #include "ground/ground_program.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "util/strings.h"
@@ -43,6 +44,10 @@ void NormalizeBody(GroundRule* rule) {
   rule->neg.erase(std::unique(rule->neg.begin(), rule->neg.end()),
                   rule->neg.end());
 }
+
+/// A row of `n` ids owns `bit_ceil(n)` payload slots (none when empty), so
+/// it is full exactly when `n` is zero or a power of two.
+uint32_t Capacity(uint32_t n) { return n == 0 ? 0 : std::bit_ceil(n); }
 }  // namespace
 
 RuleId GroundProgram::FindNormalized(const GroundRule& rule,
@@ -61,44 +66,15 @@ RuleId GroundProgram::AddRule(GroundRule rule) {
   if (existing != IdTable::kNone) return existing;
   RuleId id = static_cast<RuleId>(rules_.size());
   rule_ids_.Insert(fp, id);
-  bool unit = rule.pos.empty() && rule.neg.empty();
-  if (unit) {
-    if (unit_rule_.size() <= rule.head) {
-      unit_rule_.resize(rule.head + 1, IdTable::kNone);
-    }
-    unit_rule_[rule.head] = id;
-  }
-  // AddRule requires exclusive access, so the state transitions are plain
-  // stores. A rule over already-indexed atoms only appends to existing
-  // rows, which queues a cheap merge — the hot path for both
-  // `IncrementalSolver::Assert` of a first-time fact and non-unit
-  // `AssertRule` deltas, neither of which may pay a full O(program)
-  // rebuild. Only a rule mentioning a never-indexed atom goes stale.
-  IndexState state = sync_->state.load(std::memory_order_relaxed);
-  if (state != IndexState::kStale) {
-    bool indexed = rule.head < rules_for_.rows();
-    for (AtomId a : rule.pos) indexed = indexed && a < rules_for_.rows();
-    for (AtomId a : rule.neg) indexed = indexed && a < rules_for_.rows();
-    if (indexed) {
-      pending_rows_.push_back(id);
-      pending_has_body_ = pending_has_body_ || !unit;
-      sync_->state.store(IndexState::kPendingRows,
-                         std::memory_order_relaxed);
-    } else {
-      pending_rows_.clear();
-      pending_has_body_ = false;
-      sync_->state.store(IndexState::kStale, std::memory_order_relaxed);
-    }
-  }
+  rules_for_.Append(rule.head, id);
+  for (AtomId a : rule.pos) pos_occ_.Append(a, id);
+  for (AtomId a : rule.neg) neg_occ_.Append(a, id);
   rules_.push_back(std::move(rule));
   return id;
 }
 
 std::optional<RuleId> GroundProgram::FindUnitRule(AtomId atom) const {
-  if (atom >= unit_rule_.size() || unit_rule_[atom] == IdTable::kNone) {
-    return std::nullopt;
-  }
-  return unit_rule_[atom];
+  return FindRule({atom, {}, {}});
 }
 
 std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
@@ -108,113 +84,38 @@ std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
   return id;
 }
 
-void GroundProgram::RebuildOccurrenceIndex() const {
-  // Two-pass counting build over all rules (util/csr.h): degrees, prefix
-  // sum, fill. Rules are visited in id order both times, so every row
-  // lists its rules in increasing id — the order the nested-vector index
-  // produced, which the solver's deterministic scheduling relies on.
-  uint32_t n = static_cast<uint32_t>(atom_terms_.size());
-  rules_for_.Reset(n);
-  pos_occ_.Reset(n);
-  neg_occ_.Reset(n);
-  for (const GroundRule& r : rules_) {
-    rules_for_.CountAt(r.head);
-    for (AtomId a : r.pos) pos_occ_.CountAt(a);
-    for (AtomId a : r.neg) neg_occ_.CountAt(a);
+void GroundProgram::OccurrenceRows::Append(AtomId atom, RuleId id) {
+  if (atom >= rows_.size()) rows_.resize(atom + 1);
+  Extent& row = rows_[atom];
+  if (row.size == Capacity(row.size)) {
+    const uint32_t grown = row.size == 0 ? 1 : 2 * row.size;
+    if (row.size != 0 && row.begin + row.size == payload_.size()) {
+      payload_.resize(row.begin + grown);  // the last row grows in place
+    } else {
+      const uint32_t begin = static_cast<uint32_t>(payload_.size());
+      payload_.resize(begin + grown);
+      std::copy_n(payload_.begin() + row.begin, row.size,
+                  payload_.begin() + begin);
+      dead_ += row.size;
+      row.begin = begin;
+    }
   }
-  rules_for_.FinishCounting();
-  pos_occ_.FinishCounting();
-  neg_occ_.FinishCounting();
-  for (RuleId id = 0; id < rules_.size(); ++id) {
-    const GroundRule& r = rules_[id];
-    rules_for_.Fill(r.head, id);
-    for (AtomId a : r.pos) pos_occ_.Fill(a, id);
-    for (AtomId a : r.neg) neg_occ_.Fill(a, id);
-  }
-  rules_for_.FinishFilling();
-  pos_occ_.FinishFilling();
-  neg_occ_.FinishFilling();
-  pending_rows_.clear();
-  pending_has_body_ = false;
+  payload_[row.begin + row.size++] = id;
+  if (dead_ > ++stored_) Compact();
 }
 
-namespace {
-
-/// Rebuilds `*index` with the queued appends folded in: one counting pass
-/// over the old payload plus the queue, old items first per row so rows
-/// stay id-sorted (pending ids all exceed indexed ids).
-template <typename PerRule>
-void MergeRows(Csr<RuleId>* index, const std::vector<RuleId>& pending,
-               PerRule&& rows_of) {
-  uint32_t rows = static_cast<uint32_t>(index->rows());
-  Csr<RuleId> merged;
-  merged.Reset(rows);
-  for (uint32_t a = 0; a < rows; ++a) {
-    merged.AddCount(a, static_cast<uint32_t>(index->Row(a).size()));
+void GroundProgram::OccurrenceRows::Compact() {
+  size_t slots = 0;
+  for (const Extent& row : rows_) slots += Capacity(row.size);
+  std::vector<RuleId> packed(slots);
+  uint32_t next = 0;
+  for (Extent& row : rows_) {
+    std::copy_n(payload_.begin() + row.begin, row.size, packed.begin() + next);
+    row.begin = next;
+    next += Capacity(row.size);
   }
-  for (RuleId id : pending) {
-    rows_of(id, [&](AtomId a) { merged.CountAt(a); });
-  }
-  merged.FinishCounting();
-  for (uint32_t a = 0; a < rows; ++a) {
-    for (RuleId id : index->Row(a)) merged.Fill(a, id);
-  }
-  for (RuleId id : pending) {
-    rows_of(id, [&](AtomId a) { merged.Fill(a, id); });
-  }
-  merged.FinishFilling();
-  *index = std::move(merged);
-}
-
-}  // namespace
-
-void GroundProgram::MergePendingRows() const {
-  MergeRows(&rules_for_, pending_rows_, [&](RuleId id, auto&& emit) {
-    emit(rules_[id].head);
-  });
-  // Unit-only queues (fact churn) leave the occurrence indexes untouched.
-  if (pending_has_body_) {
-    MergeRows(&pos_occ_, pending_rows_, [&](RuleId id, auto&& emit) {
-      for (AtomId a : rules_[id].pos) emit(a);
-    });
-    MergeRows(&neg_occ_, pending_rows_, [&](RuleId id, auto&& emit) {
-      for (AtomId a : rules_[id].neg) emit(a);
-    });
-  }
-  pending_rows_.clear();
-  pending_has_body_ = false;
-}
-
-void GroundProgram::EnsureOccurrenceIndex() const {
-  if (sync_->state.load(std::memory_order_acquire) == IndexState::kFresh) {
-    return;
-  }
-  std::lock_guard<std::mutex> lk(sync_->mu);
-  switch (sync_->state.load(std::memory_order_relaxed)) {
-    case IndexState::kFresh: return;  // lost the race to another reader
-    case IndexState::kPendingRows: MergePendingRows(); break;
-    case IndexState::kStale: RebuildOccurrenceIndex(); break;
-  }
-  sync_->state.store(IndexState::kFresh, std::memory_order_release);
-}
-
-std::span<const RuleId> GroundProgram::RulesFor(AtomId atom) const {
-  EnsureOccurrenceIndex();
-  // Atoms interned after the rebuild have no rules yet.
-  if (atom >= rules_for_.rows()) return {};
-  return rules_for_.Row(atom);
-}
-
-std::span<const RuleId> GroundProgram::PositiveOccurrences(AtomId atom) const {
-  EnsureOccurrenceIndex();
-  if (atom >= pos_occ_.rows()) return {};
-  return pos_occ_.Row(atom);
-}
-
-std::span<const RuleId> GroundProgram::NegativeOccurrences(AtomId atom) const {
-  EnsureOccurrenceIndex();
-  if (atom >= neg_occ_.rows()) return {};
-  return neg_occ_.Row(atom);
+  payload_ = std::move(packed);
+  dead_ = 0;
 }
 
 std::string GroundProgram::ToString() const {

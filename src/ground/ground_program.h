@@ -1,9 +1,6 @@
 #ifndef GSLS_GROUND_GROUND_PROGRAM_H_
 #define GSLS_GROUND_GROUND_PROGRAM_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -13,7 +10,6 @@
 
 #include "lang/program.h"
 #include "term/term_store.h"
-#include "util/csr.h"
 #include "util/id_table.h"
 
 namespace gsls {
@@ -77,29 +73,23 @@ class GroundProgram {
 
   /// Ids of the rules whose head is `atom`, in increasing rule id.
   ///
-  /// The three index accessors serve spans into a flat CSR index (one
-  /// offsets + payload pair per index, `util/csr.h`) that is maintained
-  /// lazily: `AddRule` over already-indexed atoms — a first-time fact from
-  /// `IncrementalSolver::Assert`, or a non-unit delta from `AssertRule` —
-  /// queues a cheap row merge (one counting pass per affected index, no
-  /// rule rescan), and only a rule mentioning a never-indexed atom goes
-  /// fully stale; the first lookup afterwards pays the deferred work once.
-  /// Spans are invalidated by the next `AddRule`.
-  /// Concurrent const lookups are safe even when the first one triggers
-  /// the rebuild (it runs under an internal mutex behind an atomic
-  /// freshness check); mutation (`AddRule`/`InternAtom`) still requires
-  /// exclusive access, as before.
-  std::span<const RuleId> RulesFor(AtomId atom) const;
+  /// The three index accessors are plain loads: `AddRule` appends the new
+  /// rule's id to its head row and to each body atom's row, so the indexes
+  /// are always current. Spans are invalidated by the next `AddRule`.
+  /// Concurrent const lookups are safe; mutation (`AddRule`/`InternAtom`)
+  /// requires exclusive access.
+  std::span<const RuleId> RulesFor(AtomId atom) const {
+    return rules_for_.Row(atom);
+  }
 
   /// Ids of the rules where `atom` occurs in a positive body position.
-  std::span<const RuleId> PositiveOccurrences(AtomId atom) const;
+  std::span<const RuleId> PositiveOccurrences(AtomId atom) const {
+    return pos_occ_.Row(atom);
+  }
   /// Ids of the rules where `atom` occurs in a negative body position.
-  std::span<const RuleId> NegativeOccurrences(AtomId atom) const;
-
-  /// Materializes the occurrence index now if it is stale, so subsequent
-  /// index reads are pure loads (the parallel solver calls this before
-  /// fanning out to keep workers from serializing on the rebuild mutex).
-  void EnsureOccurrenceIndex() const;
+  std::span<const RuleId> NegativeOccurrences(AtomId atom) const {
+    return neg_occ_.Row(atom);
+  }
 
   /// One `head :- body.` line per rule.
   std::string ToString() const;
@@ -118,19 +108,33 @@ class GroundProgram {
   const std::vector<const Term*>& truncated() const { return truncated_; }
 
  private:
-  enum class IndexState : uint8_t {
-    kStale,        ///< full two-pass rebuild needed
-    kPendingRows,  ///< valid base + queued per-rule row appends
-    kFresh,        ///< serves reads as-is
-  };
+  /// One occurrence index: per-atom rows of rule ids, each a contiguous,
+  /// id-sorted run of one shared payload with room for `bit_ceil(size)`
+  /// ids. Appends arrive in rule-id order, so rows stay sorted. A full row
+  /// grows in place when it ends the payload and otherwise moves to the
+  /// end with doubled capacity, leaving its old slots dead; the payload is
+  /// compacted once dead slots outnumber stored ids. Both keep `Append`
+  /// amortized O(1).
+  class OccurrenceRows {
+   public:
+    std::span<const RuleId> Row(AtomId atom) const {
+      if (atom >= rows_.size()) return {};
+      return {payload_.data() + rows_[atom].begin, rows_[atom].size};
+    }
+    void Append(AtomId atom, RuleId id);
 
-  /// Applies the queued rule appends as one counting pass per affected
-  /// index (`rules_for_` always; the occurrence indexes only when some
-  /// queued rule has a body). Pending ids all exceed every indexed id and
-  /// arrive in id order, so appending keeps rows id-sorted. Caller holds
-  /// `sync_->mu`.
-  void MergePendingRows() const;
-  void RebuildOccurrenceIndex() const;  ///< caller holds `sync_->mu`
+   private:
+    struct Extent {
+      uint32_t begin = 0;
+      uint32_t size = 0;
+    };
+    void Compact();
+
+    std::vector<Extent> rows_;
+    std::vector<RuleId> payload_;
+    size_t stored_ = 0;  ///< ids in rows
+    size_t dead_ = 0;    ///< payload slots no row owns
+  };
 
   /// The rule identical to normalized `rule`, or `IdTable::kNone`.
   RuleId FindNormalized(const GroundRule& rule, uint64_t fp) const;
@@ -140,26 +144,12 @@ class GroundProgram {
   IdTable atom_ids_;  ///< keyed by `Term::hash`
   std::vector<GroundRule> rules_;
   IdTable rule_ids_;  ///< keyed by each rule's dedup fingerprint
-  /// Unit rule per atom (at most one exists: `AddRule` deduplicates), or
-  /// `IdTable::kNone`. Maintained eagerly so fact deltas never touch the
-  /// lazy index.
-  std::vector<RuleId> unit_rule_;
   std::vector<const Term*> truncated_;
   std::unordered_set<const Term*> truncated_set_;
 
-  // Lazy flat occurrence index (see `RulesFor`). Boxed synchronization
-  // keeps `GroundProgram` movable (a moved-from program is unusable, and
-  // never used).
-  struct IndexSync {
-    std::mutex mu;
-    std::atomic<IndexState> state{IndexState::kStale};
-  };
-  mutable Csr<RuleId> rules_for_;
-  mutable Csr<RuleId> pos_occ_;
-  mutable Csr<RuleId> neg_occ_;
-  mutable std::vector<RuleId> pending_rows_;
-  mutable bool pending_has_body_ = false;
-  mutable std::unique_ptr<IndexSync> sync_ = std::make_unique<IndexSync>();
+  OccurrenceRows rules_for_;
+  OccurrenceRows pos_occ_;
+  OccurrenceRows neg_occ_;
 };
 
 }  // namespace gsls

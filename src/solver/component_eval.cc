@@ -21,7 +21,7 @@ TruthValue EvalNonRecursiveAtom(const GroundProgram& gp, AtomId atom,
                                 uint64_t* rules_visited) {
   TruthValue out = TruthValue::kFalse;
   for (RuleId rid : gp.RulesFor(atom)) {
-    if (disabled != nullptr && (*disabled)[rid]) continue;
+    if (!RuleEnabledIn(disabled, rid)) continue;
     ++*rules_visited;
     const GroundRule& r = gp.rules()[rid];
     TruthValue body = TruthValue::kTrue;

@@ -93,8 +93,6 @@ void RunReadyReleaseSchedule(WorkStealingPool* pool, const GroundProgram& gp,
                              const std::vector<uint8_t>* disabled,
                              uint32_t count, MemberFn&& member,
                              SlotFn&& slot, Process&& process) {
-  // Workers read the lazy occurrence index concurrently: build it first.
-  gp.EnsureOccurrenceIndex();
   std::vector<uint32_t> indegree(count, 0);
   for (uint32_t i = 0; i < count; ++i) {
     ForEachSuccessor(gp, graph, disabled, member(i), [&](uint32_t s) {

@@ -41,7 +41,7 @@ RuleTable::RuleTable(const GroundProgram& gp, const AtomDependencyGraph& graph,
   for (LocalAtom local = 0; local < n; ++local) {
     if (tick.Tick()) { AbortCompile(); return; }
     for (RuleId rid : gp.RulesFor(atoms_[local])) {
-      if (disabled != nullptr && (*disabled)[rid]) continue;
+      if (!RuleEnabledIn(disabled, rid)) continue;
       const GroundRule& r = gp.rules()[rid];
       Probe probe{rid, local, 0, 0, 0};
       bool suppressed = false;
@@ -178,7 +178,7 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
           else if (!global.IsFalse(b)) ++probe.undef_external;
         }
       }
-      if (disabled != nullptr && (*disabled)[rid]) probe.dead = true;
+      if (!RuleEnabledIn(disabled, rid)) probe.dead = true;
       rules_for_.CountAt(local);
       body_total += probe.npos + probe.nneg;
       ext_total += ext;
@@ -212,7 +212,7 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
     compiled.unsat = probe.npos + probe.nneg + probe.undef_external;
     compiled.dead = probe.dead;
     rids_[id] = probe.rid;
-    disabled_snap_[id] = disabled != nullptr ? (*disabled)[probe.rid] : 0;
+    disabled_snap_[id] = !RuleEnabledIn(disabled, probe.rid);
     ExtSpan& ext = ext_spans_[id];
     compiled.pos_begin = cursor;
     ext.pos_begin = ext_cursor;
@@ -288,7 +288,7 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
 void RuleTable::RecomputeRule(LocalRule r, const TruthTape& global,
                               const std::vector<uint8_t>* disabled) {
   CompiledRule& rule = rules_[r];
-  bool dead = disabled != nullptr && (*disabled)[rids_[r]] != 0;
+  bool dead = !RuleEnabledIn(disabled, rids_[r]);
   uint32_t undef_ext = 0;
   for (AtomId b : ExtPos(r)) {
     if (global.IsFalse(b)) dead = true;
@@ -320,7 +320,7 @@ void RuleTable::RefreshSnapshots(const TruthTape& global,
     ext_vals_[i] = Code(global, ext_atoms_[i]);
   }
   for (LocalRule r = 0; r < rids_.size(); ++r) {
-    disabled_snap_[r] = disabled != nullptr ? (*disabled)[rids_[r]] : 0;
+    disabled_snap_[r] = !RuleEnabledIn(disabled, rids_[r]);
   }
 }
 

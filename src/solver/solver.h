@@ -166,9 +166,9 @@ struct SolverOptions {
 /// `IncrementalSolver` (solver/incremental.h) instead of re-running this
 /// per delta: it keeps the condensation and the last model, re-solves only
 /// the change-pruned up-cone of the delta's components through the same
-/// per-SCC pipeline (solver/component_eval.h), and invalidates the
-/// condensation lazily — fact deltas never add dependency edges, so only
-/// an `Assert` interning a brand-new atom forces a rebuild.
+/// per-SCC pipeline (solver/component_eval.h), and repairs the
+/// condensation in place — fact deltas never add dependency edges, and an
+/// atom interned by a delta joins as a singleton component.
 WfsModel SolveWfs(const GroundProgram& gp, SolverDiagnostics* diag = nullptr);
 
 /// As above with explicit options; `opts.num_threads != 1` schedules the

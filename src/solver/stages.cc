@@ -24,7 +24,7 @@ uint32_t TrueStageDirect(const GroundProgram& gp, AtomId a,
                          const TruthTape& values, const StageTape& st) {
   uint32_t out = kInf;
   for (RuleId rid : gp.RulesFor(a)) {
-    if (disabled != nullptr && (*disabled)[rid]) continue;
+    if (!RuleEnabledIn(disabled, rid)) continue;
     const GroundRule& r = gp.rules()[rid];
     uint32_t v = 1;
     bool fires = true;
@@ -56,7 +56,7 @@ uint32_t FalseStageDirect(const GroundProgram& gp, AtomId a,
                           const TruthTape& values, const StageTape& st) {
   uint32_t out = 1;
   for (RuleId rid : gp.RulesFor(a)) {
-    if (disabled != nullptr && (*disabled)[rid]) continue;
+    if (!RuleEnabledIn(disabled, rid)) continue;
     const GroundRule& r = gp.rules()[rid];
     uint32_t w = kInf;
     for (AtomId b : r.pos) {
@@ -203,7 +203,7 @@ class ComponentStageSolver {
       TruthValue v = values_.Value(g);
       if (v == TruthValue::kUndefined) continue;
       for (RuleId rid : gp_.RulesFor(g)) {
-        if (disabled_ != nullptr && (*disabled_)[rid]) continue;
+        if (!RuleEnabledIn(disabled_, rid)) continue;
         const GroundRule& r = gp_.rules()[rid];
         if (v == TruthValue::kTrue) {
           SeedTrueRule(r, static_cast<uint32_t>(i), comp);

@@ -16,7 +16,7 @@ namespace {
 void ExpectedCounters(const RuleTable& t, LocalRule r, const TruthTape& tape,
                       const std::vector<uint8_t>* disabled, bool* dead,
                       uint32_t* undef_ext, uint32_t* unsat) {
-  *dead = disabled != nullptr && (*disabled)[t.GlobalRule(r)] != 0;
+  *dead = !RuleEnabledIn(disabled, t.GlobalRule(r));
   *undef_ext = 0;
   uint32_t internal = 0;
   for (AtomId b : t.ExtPos(r)) {
@@ -138,7 +138,7 @@ bool WarmComponent::Resolve(const std::vector<uint8_t>* disabled,
     recomputed_.push_back(r);
   };
   for (LocalRule r = 0; r < t.rule_count(); ++r) {
-    uint8_t now = disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
+    uint8_t now = !RuleEnabledIn(disabled, t.GlobalRule(r));
     if (t.DisabledSnapshot(r) != now) touch(r);
   }
   for (uint32_t i = 0; i < t.external_count(); ++i) {
@@ -267,9 +267,7 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
       continue;
     }
     for (LocalRule r : t.ExternalOccurrences(i)) {
-      const uint8_t dis =
-          disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
-      if (dis == 0) {
+      if (RuleEnabledIn(disabled, t.GlobalRule(r))) {
         return fail(StrCat("external snapshot stale at atom ",
                            t.ExternalAtom(i),
                            " with enabled occurrence rule ",
@@ -278,7 +276,7 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
     }
   }
   for (LocalRule r = 0; r < t.rule_count(); ++r) {
-    uint8_t now = disabled != nullptr ? (*disabled)[t.GlobalRule(r)] : 0;
+    uint8_t now = !RuleEnabledIn(disabled, t.GlobalRule(r));
     if (t.DisabledSnapshot(r) != now) {
       return fail(
           StrCat("disabled snapshot stale at rule ", t.GlobalRule(r)));

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "legacy_grounder.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "wfs/wfs.h"
 #include "workload/generators.h"
@@ -386,10 +389,9 @@ TEST(GroundProgramTest, OccurrenceIndexes) {
   EXPECT_EQ(gp.NegativeOccurrences(*r).size(), 1u);
 }
 
-TEST(GroundProgramTest, UnitRuleAfterIndexReadMergesIntoRulesFor) {
-  // `r` has rules but no unit rule; reading the index first forces the
-  // lazily built CSR, so the later unit-rule AddRule exercises the
-  // pending-row merge path instead of a full rebuild.
+TEST(GroundProgramTest, UnitRuleAfterIndexReadAppendsToRulesFor) {
+  // `r` has rules but no unit rule. Its row is read before the unit rule
+  // is added, and the next read must show the appended id.
   Fixture f("p :- q, not r. r :- q. q.");
   GroundProgram gp = testing::MustGround(f.program);
   auto r = gp.FindAtom(MustParseTerm(f.store, "r"));
@@ -401,10 +403,100 @@ TEST(GroundProgramTest, UnitRuleAfterIndexReadMergesIntoRulesFor) {
   ASSERT_EQ(gp.RulesFor(*r).size(), 2u);
   EXPECT_EQ(gp.RulesFor(*r).back(), unit);  // largest id stays last
   EXPECT_EQ(gp.FindUnitRule(*r), unit);
-  // The other rows and indexes are untouched by the merge.
+  // The other rows and indexes are untouched by the append.
   auto q = gp.FindAtom(MustParseTerm(f.store, "q"));
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(gp.PositiveOccurrences(*q).size(), 2u);
+}
+
+/// Every row of the three occurrence indexes equals an id-ordered scan of
+/// `rules()`, and `FindUnitRule` equals a scan for the unit rule.
+void ExpectIndexesMatchScan(const GroundProgram& gp, const std::string& ctx) {
+  const size_t n = gp.atom_count();
+  std::vector<std::vector<RuleId>> heads(n), pos(n), neg(n);
+  std::vector<std::optional<RuleId>> unit(n);
+  for (RuleId r = 0; r < gp.rule_count(); ++r) {
+    const GroundRule& rule = gp.rules()[r];
+    heads[rule.head].push_back(r);
+    for (AtomId a : rule.pos) pos[a].push_back(r);
+    for (AtomId a : rule.neg) neg[a].push_back(r);
+    if (rule.pos.empty() && rule.neg.empty()) unit[rule.head] = r;
+  }
+  auto as_vector = [](std::span<const RuleId> row) {
+    return std::vector<RuleId>(row.begin(), row.end());
+  };
+  for (AtomId a = 0; a < n; ++a) {
+    ASSERT_EQ(as_vector(gp.RulesFor(a)), heads[a]) << ctx << " atom " << a;
+    ASSERT_EQ(as_vector(gp.PositiveOccurrences(a)), pos[a])
+        << ctx << " atom " << a;
+    ASSERT_EQ(as_vector(gp.NegativeOccurrences(a)), neg[a])
+        << ctx << " atom " << a;
+    ASSERT_EQ(gp.FindUnitRule(a), unit[a]) << ctx << " atom " << a;
+  }
+}
+
+TEST(GroundProgramTest, IndexesMatchScanUnderRandomInserts) {
+  // Few atoms and many rules, so rows interleave in the payload: full
+  // rows move, dead slots pile up and the payloads compact many times.
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    TermStore store;
+    GroundProgram gp(&store);
+    Rng rng(seed);
+    int next_atom = 0;
+    auto fresh_atom = [&] {
+      return gp.InternAtom(store.MakeConstant(StrCat("a", next_atom++)));
+    };
+    auto some_atom = [&] {
+      return static_cast<AtomId>(rng.Uniform(gp.atom_count()));
+    };
+    for (int i = 0; i < 4; ++i) fresh_atom();
+    for (int step = 0; step < 1500; ++step) {
+      const std::string ctx = StrCat("seed ", seed, " step ", step);
+      const uint64_t op = rng.Uniform(10);
+      if (op == 0 && gp.atom_count() < 48) {
+        fresh_atom();
+      } else if (op == 1 && gp.rule_count() > 0) {
+        // A duplicate, body reversed: deduplicated to the same id.
+        const RuleId r = static_cast<RuleId>(rng.Uniform(gp.rule_count()));
+        GroundRule dup = gp.rules()[r];
+        std::reverse(dup.pos.begin(), dup.pos.end());
+        std::reverse(dup.neg.begin(), dup.neg.end());
+        const size_t before = gp.rule_count();
+        ASSERT_EQ(gp.AddRule(std::move(dup)), r) << ctx;
+        ASSERT_EQ(gp.rule_count(), before) << ctx;
+      } else if (op == 2) {
+        gp.AddRule({some_atom(), {}, {}});
+      } else if (op == 3) {
+        // A rule over brand-new atoms.
+        const AtomId head = fresh_atom();
+        gp.AddRule({head, {fresh_atom()}, {some_atom()}});
+      } else {
+        GroundRule rule{some_atom(), {}, {}};
+        for (int k = rng.UniformInt(0, 3); k > 0; --k) {
+          rule.pos.push_back(some_atom());
+        }
+        for (int k = rng.UniformInt(0, 2); k > 0; --k) {
+          rule.neg.push_back(some_atom());
+        }
+        gp.AddRule(std::move(rule));
+      }
+      // Every row is read after every step.
+      ExpectIndexesMatchScan(gp, ctx);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // A copy serves the same rows, and appending to it leaves the
+    // original untouched.
+    GroundProgram copy = gp;
+    ExpectIndexesMatchScan(copy, StrCat("seed ", seed, " copy"));
+    const std::vector<RuleId> before(gp.RulesFor(0).begin(),
+                                     gp.RulesFor(0).end());
+    const AtomId extra = copy.InternAtom(store.MakeConstant("extra"));
+    copy.AddRule({0, {extra}, {1}});
+    ExpectIndexesMatchScan(copy, StrCat("seed ", seed, " copy after insert"));
+    EXPECT_EQ(std::vector<RuleId>(gp.RulesFor(0).begin(),
+                                  gp.RulesFor(0).end()),
+              before);
+  }
 }
 
 TEST(GroundProgramTest, ToStringRendersRules) {

@@ -20,20 +20,7 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-
-/// Independent reference: a fresh `GroundProgram` holding exactly the
-/// enabled rules, solved by the alternating fixpoint — no incremental or
-/// SCC machinery involved. Atoms are interned in the same order, so ids
-/// (and hence interpretations) are directly comparable.
-GroundProgram RebuildEnabled(const IncrementalSolver& inc, TermStore& store) {
-  const GroundProgram& gp = inc.program();
-  GroundProgram out(&store);
-  for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
-  for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
-  }
-  return out;
-}
+using testing::RebuildEnabled;
 
 /// After-every-delta invariant: the incremental model equals both a fresh
 /// masked solve and the independent alternating-fixpoint reference.

@@ -32,6 +32,7 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
+using testing::RebuildEnabled;
 
 /// win/move game whose move graph is a directed n-cycle plus `chords`
 /// random chords per node: strongly connected by construction, so all n
@@ -51,18 +52,6 @@ std::string OneSccGame(Rng& rng, int n, int chords) {
   }
   src += "win(X) :- move(X,Y), not win(Y).\n";
   return src;
-}
-
-/// Fresh ground program holding exactly the enabled rules, atoms interned
-/// in the same order — the alternating-fixpoint oracle's input.
-GroundProgram RebuildEnabled(const IncrementalSolver& inc, TermStore& store) {
-  const GroundProgram& gp = inc.program();
-  GroundProgram out(&store);
-  for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
-  for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
-  }
-  return out;
 }
 
 std::vector<RuleId> NonUnitRules(const GroundProgram& gp) {

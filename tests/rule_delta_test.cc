@@ -31,18 +31,7 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
-
-/// Independent reference: a fresh `GroundProgram` holding exactly the
-/// enabled rules, with atoms interned in the same order so ids compare.
-GroundProgram RebuildEnabled(const IncrementalSolver& inc, TermStore& store) {
-  const GroundProgram& gp = inc.program();
-  GroundProgram out(&store);
-  for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
-  for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
-  }
-  return out;
-}
+using testing::RebuildEnabled;
 
 /// After-every-delta invariant: values against the fresh masked solve and
 /// the alternating-fixpoint reference; stage levels (when computed)

@@ -25,6 +25,7 @@ namespace {
 
 using testing::Fixture;
 using testing::MustGround;
+using testing::RebuildEnabled;
 
 /// Asserts that a leveled solver model agrees with the V_P iteration on
 /// `gp`: same partial model, same stage for every literal of the model,
@@ -52,18 +53,6 @@ SolverOptions LeveledOptions(unsigned threads = 1) {
   opts.num_threads = threads;
   opts.compute_levels = true;
   return opts;
-}
-
-/// A fresh `GroundProgram` holding exactly the enabled rules of an
-/// incremental solver — the oracle's view of the program after deltas.
-GroundProgram RebuildEnabled(const IncrementalSolver& inc, TermStore& store) {
-  const GroundProgram& gp = inc.program();
-  GroundProgram out(&store);
-  for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
-  for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
-  }
-  return out;
 }
 
 /// The families the level benchmarks time, at their timed sizes.

@@ -7,6 +7,7 @@
 #include "ground/grounder.h"
 #include "lang/parser.h"
 #include "lang/program.h"
+#include "solver/incremental.h"
 #include "term/term_store.h"
 
 namespace gsls::testing {
@@ -32,6 +33,21 @@ inline GroundProgram MustGround(const Program& program,
     abort();
   }
   return std::move(gp.value());
+}
+
+/// Independent reference: a fresh `GroundProgram` holding exactly the
+/// enabled rules of an incremental solver, for the alternating-fixpoint
+/// and V_P oracles. Atoms are interned in the same order, so ids (and
+/// hence interpretations) compare directly.
+inline GroundProgram RebuildEnabled(const IncrementalSolver& inc,
+                                    TermStore& store) {
+  const GroundProgram& gp = inc.program();
+  GroundProgram out(&store);
+  for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
+  for (RuleId r = 0; r < gp.rule_count(); ++r) {
+    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
+  }
+  return out;
 }
 
 }  // namespace gsls::testing
