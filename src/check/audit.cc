@@ -225,6 +225,12 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
                            "'s representative"));
       continue;
     }
+    // Drift reaches an entry only through its component's flag byte.
+    if (c >= s.has_warm_.size() || s.has_warm_[c] == 0) {
+      Fail(&report, StrCat("warm entry of component ", c, " (rep ", key,
+                           ") is not flagged: its drift goes unrecorded"));
+      continue;
+    }
     std::string why;
     if (!entry->AuditInvariants(gp, g, c, &s.disabled_, s.tape_, &why)) {
       Fail(&report, StrCat("warm state of component ", c, " (rep ", key,

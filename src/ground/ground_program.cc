@@ -26,6 +26,13 @@ std::optional<AtomId> GroundProgram::FindAtom(const Term* atom) const {
   return found;
 }
 
+void GroundProgram::Reserve(size_t atoms, size_t rules) {
+  atom_terms_.reserve(atom_terms_.size() + atoms);
+  atom_ids_.Reserve(atoms);
+  rules_.reserve(rules_.size() + rules);
+  rule_ids_.Reserve(rules);
+}
+
 namespace {
 uint64_t RuleFingerprint(const GroundRule& r) {
   uint64_t h = r.head * 0x9e3779b97f4a7c15ULL + 1;

@@ -54,6 +54,12 @@ class GroundProgram {
   const Term* AtomTerm(AtomId id) const { return atom_terms_[id]; }
   size_t atom_count() const { return atom_terms_.size(); }
 
+  /// Makes room for `atoms` further atoms and `rules` further rules, so a
+  /// grounder that knows a lower bound sizes the atom and rule stores and
+  /// their hash indexes once instead of growing them from 16 slots
+  /// (growing an `IdTable` re-places every stored id).
+  void Reserve(size_t atoms, size_t rules);
+
   /// Adds a rule (deduplicated: an identical rule is added once). Returns
   /// the id of the rule — the existing one when `rule` was a duplicate.
   RuleId AddRule(GroundRule rule);

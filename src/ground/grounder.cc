@@ -123,6 +123,12 @@ class RelevantGrounder {
       universe_ = std::move(universe.value());
     }
 
+    // Every distinct ground fact becomes one atom and one unit rule: size
+    // the program's stores for that lower bound once.
+    const size_t facts = static_cast<size_t>(std::count_if(
+        program_.clauses().begin(), program_.clauses().end(), IsGroundFact));
+    ground_.Reserve(facts, facts);
+
     // Seed: clauses without positive literals fire once, in program
     // order; ground facts skip compilation altogether.
     const CompiledClause* next = clauses_.data();

@@ -176,6 +176,7 @@ bool IncrementalSolver::AssertAtom(AtomId atom) {
   if (unit.has_value()) {
     if (RuleEnabled(*unit)) return false;  // already an enabled fact
     disabled_[*unit] = 0;
+    RecordRuleFlip(*unit);
   } else {
     gp_.AddRule(GroundRule{atom, {}, {}});
     disabled_.resize(gp_.rule_count(), 0);
@@ -189,6 +190,7 @@ bool IncrementalSolver::RetractAtom(AtomId atom) {
   std::optional<RuleId> unit = gp_.FindUnitRule(atom);
   if (!unit.has_value() || !RuleEnabled(*unit)) return false;
   disabled_[*unit] = 1;
+  RecordRuleFlip(*unit);
   MarkDirty(atom);
   return true;
 }
@@ -215,6 +217,9 @@ RuleId IncrementalSolver::AssertRule(GroundRule rule, bool* changed) {
   }
   disabled_.resize(gp_.rule_count(), 0);
   disabled_[id] = 0;  // re-enable when it was a retracted duplicate
+  // A new rule fails its component's warm binding; a re-enabled one is a
+  // mask flip the warm entry patches.
+  if (!is_new) RecordRuleFlip(id);
   ++stats_.rule_deltas;
   MarkDirty(gp_.rules()[id].head);
   if (cond_ != nullptr) {
@@ -244,6 +249,7 @@ bool IncrementalSolver::RetractRule(RuleId r) {
   if (rule.pos.empty() && rule.neg.empty()) return RetractAtom(rule.head);
   disabled_.resize(gp_.rule_count(), 0);
   disabled_[r] = 1;
+  RecordRuleFlip(r);
   ++stats_.rule_deltas;
   MarkDirty(rule.head);
   if (cond_ != nullptr) {
@@ -294,6 +300,39 @@ void IncrementalSolver::DropStaleWarm() {
     if (!keep) ++diag_.warm_cold_fallbacks;
     return !keep;
   });
+  // A recondensation may have moved a survivor's component id.
+  has_warm_.assign(g.id_bound(), 0);
+  for (const auto& kv : warm_) has_warm_[g.ComponentOf(kv.first)] = 1;
+}
+
+void IncrementalSolver::ClearWarm() {
+  std::lock_guard<std::mutex> lock(warm_mu_);
+  if (warm_.empty()) return;  // then no flag is set either
+  warm_.clear();
+  std::fill(has_warm_.begin(), has_warm_.end(), 0);
+}
+
+bool IncrementalSolver::HasWarm(uint32_t c) {
+  return c < has_warm_.size() &&
+         std::atomic_ref<uint8_t>(has_warm_[c]).load(
+             std::memory_order_relaxed) != 0;
+}
+
+template <typename Fn>
+void IncrementalSolver::WithWarmEntry(uint32_t c, Fn&& fn) {
+  std::lock_guard<std::mutex> lock(warm_mu_);
+  auto it = warm_.find(cond_->graph().Atoms(c)[0]);
+  if (it != warm_.end()) fn(*it->second);
+}
+
+void IncrementalSolver::RecordRuleFlip(RuleId r) {
+  if (warm_.empty()) return;
+  const AtomDependencyGraph& g = cond_->graph();
+  const AtomId head = gp_.rules()[r].head;
+  if (head >= g.atom_count()) return;  // a new atom: a singleton, never warm
+  const uint32_t c = g.ComponentOf(head);
+  if (!HasWarm(c)) return;
+  WithWarmEntry(c, [r](solver::WarmComponent& w) { w.RecordRuleFlip(r); });
 }
 
 void IncrementalSolver::EnsureGraph() {
@@ -339,13 +378,15 @@ const WfsModel& IncrementalSolver::Model() {
   if (!solved_) {
     GSLS_TRACE_SPAN("solve.full", gp_.atom_count());
     const uint64_t t0 = opts_.telemetry != nullptr ? obs::NowNs() : 0;
+    // The full pass rewrites the tape without reporting drift to warm
+    // entries (which a query pass may have built), so none may survive it.
+    ClearWarm();
     EnsureGraph();
     if (cond_->repaired()) {
       // The full solve walks ids in ascending order, which only a fresh
       // build guarantees to be a dependency order.
       cond_->Rebuild(gp_, &disabled_);
       memo_.Reset(cond_->graph().id_bound());
-      DropStaleWarm();
     }
     CancelCtx* cancel = BeginCancelPass();
     const uint64_t rounds_before = diag_.alternating_rounds;
@@ -528,7 +569,7 @@ bool IncrementalSolver::SolveWarmComponent(uint32_t c,
   // trusted; a fresh entry solves from an all-undefined component.
   std::unique_ptr<solver::WarmComponent> fresh;
   if (warm == nullptr || !warm->BindingValid(gp_, graph, c, tape_)) {
-    if (warm != nullptr) DropWarm(rep, diag);
+    if (warm != nullptr) DropWarm(c, rep, diag);
     fresh = std::make_unique<solver::WarmComponent>();
     warm = fresh.get();
     for (AtomId a : atoms) tape_.SetUndefined(a);
@@ -537,20 +578,24 @@ bool IncrementalSolver::SolveWarmComponent(uint32_t c,
                               cancel, warm)) {
     // An aborted entry is inconsistent (partial undo or flood) and must
     // not be resumed against: the next touch rebuilds from scratch.
-    if (fresh == nullptr) DropWarm(rep, diag);
+    if (fresh == nullptr) DropWarm(c, rep, diag);
     return false;
   }
   if (fresh != nullptr) {
     std::lock_guard<std::mutex> lock(warm_mu_);
     warm_[rep] = std::move(fresh);
+    std::atomic_ref<uint8_t>(has_warm_[c]).store(1,
+                                                 std::memory_order_relaxed);
   }
   return true;
 }
 
-void IncrementalSolver::DropWarm(AtomId rep, SolverDiagnostics* diag) {
+void IncrementalSolver::DropWarm(uint32_t c, AtomId rep,
+                                 SolverDiagnostics* diag) {
   ++diag->warm_cold_fallbacks;
   std::lock_guard<std::mutex> lock(warm_mu_);
   warm_.erase(rep);
+  std::atomic_ref<uint8_t>(has_warm_[c]).store(0, std::memory_order_relaxed);
 }
 
 /// The one copy of the per-component delta step, shared by both executors
@@ -609,16 +654,32 @@ bool IncrementalSolver::ResolveComponentDelta(
 
   bool changed = false;
   for (size_t i = 0; i < atoms.size(); ++i) {
-    bool moved = tape_.Value(atoms[i]) != (*old_vals)[i];
+    const AtomId a = atoms[i];
+    const bool value_moved = tape_.Value(a) != (*old_vals)[i];
+    bool moved = value_moved;
     if (!moved && stages != nullptr) {
-      moved = stages->true_stage[atoms[i]] != (*old_stages)[2 * i] ||
-              stages->false_stage[atoms[i]] != (*old_stages)[2 * i + 1];
+      moved = stages->true_stage[a] != (*old_stages)[2 * i] ||
+              stages->false_stage[a] != (*old_stages)[2 * i + 1];
     }
     if (!moved) continue;
     changed = true;
     // Retracted rules stay in the occurrence index; their heads do not
-    // depend on this atom anymore, so the walk skips them.
-    solver::ForEachDependent(gp_, graph, &disabled_, atoms[i], c, flag);
+    // depend on this atom anymore, so only enabled rules flag. A value
+    // move is recorded into every warm dependent through *every*
+    // occurrence, retracted rules included (see
+    // `WarmComponent::RecordExternalMove`); consecutive occurrences in one
+    // component record once.
+    uint32_t recorded = c;
+    solver::ForEachOccurrence(
+        gp_, graph, &disabled_, a, c, [&](uint32_t hc, bool enabled) {
+          if (enabled) flag(hc);
+          if (value_moved && hc != recorded && HasWarm(hc)) {
+            recorded = hc;
+            WithWarmEntry(hc, [a](solver::WarmComponent& w) {
+              w.RecordExternalMove(a);
+            });
+          }
+        });
   }
   return changed;
 }
@@ -671,6 +732,10 @@ IncrementalSolver::ConePassCounts IncrementalSolver::RunConePass(
   std::vector<uint32_t>& slot = cone_.slot;
   std::vector<uint8_t>& owed = cone_.owed;
   cone_.Fit(graph.id_bound());
+  // Sized here, on the owner: workers store into it.
+  if (has_warm_.size() < graph.id_bound()) {
+    has_warm_.resize(graph.id_bound(), 0);
+  }
   ConePassCounts n;
   std::erase_if(seeds, [&](uint32_t c) { return std::exchange(owed[c], 1); });
   n.seeds = seeds.size();
@@ -945,10 +1010,7 @@ void IncrementalSolver::InvalidateMemo() {
   // from scratch; it would fail `BindingValid` afterwards anyway, so drop
   // it with the memo (this is the cache-drop lever, and the cold-cone
   // benches must measure truly cold solves).
-  {
-    std::lock_guard<std::mutex> lock(warm_mu_);
-    warm_.clear();
-  }
+  ClearWarm();
   // Everything is stale now; the finer-grained pending markers are
   // subsumed (the next `Model()` is a from-scratch solve, the next query
   // a cold cone), so drop them rather than re-solving piecemeal.

@@ -329,8 +329,21 @@ class IncrementalSolver {
   /// evictions, and dirty components (by representative atom).
   void ApplyRepair(const CondensationRepair& rep);
   /// Discards warm entries whose key no longer leads a component of the
-  /// entry's size (after a recondensation or a rebuild).
+  /// entry's size (after a recondensation), and re-flags the survivors'
+  /// components in `has_warm_`.
   void DropStaleWarm();
+  /// Discards every warm entry (a from-scratch solve follows).
+  void ClearWarm();
+  /// True iff component `c` may own a warm entry (`has_warm_`). Safe on
+  /// pool workers.
+  bool HasWarm(uint32_t c);
+  /// Runs `fn` on component `c`'s warm entry, if any, under `warm_mu_` (so
+  /// the entry cannot be discarded meanwhile). Defined in incremental.cc.
+  template <typename Fn>
+  void WithWarmEntry(uint32_t c, Fn&& fn);
+  /// Reports a disabled-mask flip of rule `r` to the warm entry of its
+  /// head's component, if any (`WarmComponent::RecordRuleFlip`).
+  void RecordRuleFlip(RuleId r);
   /// Syncs `cancel_ctx_` from the current options; null when detached
   /// (every checkpoint downstream then stays a pointer test). A fault
   /// trip persists across passes only through a caller token; without
@@ -367,8 +380,9 @@ class IncrementalSolver {
   /// Returns the step's outcome like `SolveComponent`.
   bool SolveWarmComponent(uint32_t c, solver::StageTape* stages,
                           SolverDiagnostics* diag, CancelCtx* cancel);
-  /// Discards the warm entry keyed by `rep`, counting a cold fallback.
-  void DropWarm(AtomId rep, SolverDiagnostics* diag);
+  /// Discards component `c`'s warm entry, keyed by `rep`, counting a cold
+  /// fallback.
+  void DropWarm(uint32_t c, AtomId rep, SolverDiagnostics* diag);
   /// Moves `dirty_` (fact-delta atoms) into memo invalidations + the
   /// pending stale set, so query and model passes see one uniform
   /// "stale components" representation. Requires the graph.
@@ -434,12 +448,21 @@ class IncrementalSolver {
   /// change). Entries are created on a
   /// component's first delta re-solve, reused while `BindingValid`, and
   /// discarded on aborts, invalid bindings, recondensations touching
-  /// them, and `InvalidateMemo`. The mutex guards only the map itself:
-  /// workers of a parallel pass touch disjoint components, so each
-  /// `WarmComponent` stays thread-confined to whichever worker owns its
-  /// component this pass.
+  /// them, full solves, and `InvalidateMemo`. The mutex guards the map
+  /// and the entries' lifetime: workers of a parallel pass re-solve
+  /// disjoint components, so each `WarmComponent` is solved only by
+  /// whichever worker owns its component this pass, while the workers
+  /// re-solving lower components record drift into it under this mutex
+  /// (and the entry's own drift lock).
   std::unordered_map<AtomId, std::unique_ptr<solver::WarmComponent>> warm_;
   std::mutex warm_mu_;
+  /// Per component id: 1 iff it may own a warm entry. A moved atom with no
+  /// warm dependent pays a byte load here instead of a locked map lookup.
+  /// Set by the worker that stores an entry and cleared by the one that
+  /// drops it (relaxed `atomic_ref`: a recorder may read it meanwhile);
+  /// rebuilt by `DropStaleWarm`. A stale 1 costs one lookup; an entry is
+  /// never left unflagged.
+  std::vector<uint8_t> has_warm_;
 
   /// Per-component query memo: which components' tape values are final
   /// for the current program. Sized/repaired alongside the condensation.

@@ -13,26 +13,40 @@
 
 namespace gsls::solver {
 
-/// Calls `fn(head_component)` once per enabled rule occurrence of `atom`
-/// (positive, then negative) whose head lies outside component `c`: the
-/// condensation edges leaving `atom`, with multiplicity. This one walk is
-/// both the cone pass's change-pruning flag source and the ready-release
-/// schedule's successor source, so the two see the same edges.
+/// Calls `fn(head_component, enabled)` once per rule occurrence of `atom`
+/// (positive, then negative) whose head lies outside component `c`,
+/// retracted rules included with `enabled` false. The enabled occurrences
+/// are the condensation edges leaving `atom`, with multiplicity. This one
+/// walk is both the cone pass's change-pruning flag source (which also
+/// records moves into warm dependents through the retracted occurrences)
+/// and, through `ForEachDependent`, the ready-release schedule's successor
+/// source, so the two see the same edges.
+template <typename Fn>
+void ForEachOccurrence(const GroundProgram& gp,
+                       const AtomDependencyGraph& graph,
+                       const std::vector<uint8_t>* disabled, AtomId atom,
+                       uint32_t c, Fn&& fn) {
+  for (RuleId r : gp.PositiveOccurrences(atom)) {
+    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    if (hc != c) fn(hc, RuleEnabledIn(disabled, r));
+  }
+  for (RuleId r : gp.NegativeOccurrences(atom)) {
+    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    if (hc != c) fn(hc, RuleEnabledIn(disabled, r));
+  }
+}
+
+/// `fn(head_component)` for the enabled occurrences of `ForEachOccurrence`:
+/// the condensation edges leaving `atom`.
 template <typename Fn>
 void ForEachDependent(const GroundProgram& gp,
                       const AtomDependencyGraph& graph,
                       const std::vector<uint8_t>* disabled, AtomId atom,
                       uint32_t c, Fn&& fn) {
-  for (RuleId r : gp.PositiveOccurrences(atom)) {
-    if (!RuleEnabledIn(disabled, r)) continue;
-    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
-    if (hc != c) fn(hc);
-  }
-  for (RuleId r : gp.NegativeOccurrences(atom)) {
-    if (!RuleEnabledIn(disabled, r)) continue;
-    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
-    if (hc != c) fn(hc);
-  }
+  ForEachOccurrence(gp, graph, disabled, atom, c,
+                    [&](uint32_t hc, bool enabled) {
+                      if (enabled) fn(hc);
+                    });
 }
 
 /// `ForEachDependent` over every atom of component `c`: its successors in

@@ -135,7 +135,10 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
   // disabled rule or a false external witness only sets `dead`, keeping
   // the record patchable when a later delta revives it. The body scans
   // therefore always run to the end, so the internal/external counts here
-  // match pass 2's fills exactly.
+  // match pass 2's fills exactly. A disabled rule's externals are counted
+  // but not read: no enabled edge orders their components before this one,
+  // so a pool pass may be re-solving them right now (its counters are
+  // recomputed when a flip revives it).
   struct Probe {
     RuleId rid;
     LocalAtom head;
@@ -158,13 +161,15 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
     if (tick.Tick()) { AbortCompile(); return; }
     for (RuleId rid : gp.RulesFor(atoms_[local])) {
       const GroundRule& r = gp.rules()[rid];
-      Probe probe{rid, local, 0, 0, 0, false};
+      const bool enabled = RuleEnabledIn(disabled, rid);
+      Probe probe{rid, local, 0, 0, 0, !enabled};
       uint32_t ext = 0;
       for (AtomId b : r.pos) {
         if (graph.ComponentOf(b) == comp) {
           ++probe.npos;
         } else {
           ++ext;
+          if (!enabled) continue;
           if (global.IsFalse(b)) probe.dead = true;
           else if (!global.IsTrue(b)) ++probe.undef_external;
         }
@@ -174,11 +179,11 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
           ++probe.nneg;
         } else {
           ++ext;
+          if (!enabled) continue;
           if (global.IsTrue(b)) probe.dead = true;
           else if (!global.IsFalse(b)) ++probe.undef_external;
         }
       }
-      if (!RuleEnabledIn(disabled, rid)) probe.dead = true;
       rules_for_.CountAt(local);
       body_total += probe.npos + probe.nneg;
       ext_total += ext;
@@ -252,26 +257,25 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
   pos_occ_.FinishFilling();
   neg_occ_.FinishFilling();
 
-  // External-atom index: sorted distinct atoms, value snapshot, and the
-  // occurrence CSR the drift diff walks.
+  // Global->local rule index: where a recorded mask flip lands.
+  local_of_.resize(rids_.size());
+  for (LocalRule id = 0; id < rids_.size(); ++id) {
+    local_of_[id] = {rids_[id], id};
+  }
+  std::sort(local_of_.begin(), local_of_.end());
+
+  // External-atom index: sorted distinct atoms, the occurrence CSR the
+  // drift reconcile walks, and the value snapshot — `kUnread` for an atom
+  // whose every occurrence is disabled (not read, as in pass 1).
   ext_atoms_.assign(ext_pool_.begin(), ext_pool_.end());
   std::sort(ext_atoms_.begin(), ext_atoms_.end());
   ext_atoms_.erase(std::unique(ext_atoms_.begin(), ext_atoms_.end()),
                    ext_atoms_.end());
-  ext_vals_.resize(ext_atoms_.size());
-  for (uint32_t i = 0; i < ext_atoms_.size(); ++i) {
-    ext_vals_[i] = Code(global, ext_atoms_[i]);
-  }
-  auto ext_index = [this](AtomId a) {
-    return static_cast<uint32_t>(
-        std::lower_bound(ext_atoms_.begin(), ext_atoms_.end(), a) -
-        ext_atoms_.begin());
-  };
   ext_occ_.Reset(ext_atoms_.size());
   for (LocalRule id = 0; id < rules_.size(); ++id) {
     const ExtSpan& e = ext_spans_[id];
     for (uint32_t k = e.pos_begin; k < e.end; ++k) {
-      ext_occ_.CountAt(ext_index(ext_pool_[k]));
+      ext_occ_.CountAt(ExternalIndexOf(ext_pool_[k]));
     }
   }
   ext_occ_.FinishCounting();
@@ -279,16 +283,28 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
     if (tick.Tick()) { AbortCompile(); return; }
     const ExtSpan& e = ext_spans_[id];
     for (uint32_t k = e.pos_begin; k < e.end; ++k) {
-      ext_occ_.Fill(ext_index(ext_pool_[k]), id);
+      ext_occ_.Fill(ExternalIndexOf(ext_pool_[k]), id);
     }
   }
   ext_occ_.FinishFilling();
+  ext_vals_.resize(ext_atoms_.size());
+  for (uint32_t i = 0; i < ext_atoms_.size(); ++i) {
+    ext_vals_[i] = HasEnabledOccurrence(i, disabled)
+                       ? Code(global, ext_atoms_[i])
+                       : kUnread;
+  }
 }
 
 void RuleTable::RecomputeRule(LocalRule r, const TruthTape& global,
                               const std::vector<uint8_t>* disabled) {
   CompiledRule& rule = rules_[r];
-  bool dead = !RuleEnabledIn(disabled, rids_[r]);
+  if (!RuleEnabledIn(disabled, rids_[r])) {
+    // Dead whatever its body holds; its externals are not read (see
+    // `CompileKeepAll`), and the flip that revives it recomputes it.
+    rule.dead = true;
+    return;
+  }
+  bool dead = false;
   uint32_t undef_ext = 0;
   for (AtomId b : ExtPos(r)) {
     if (global.IsFalse(b)) dead = true;
@@ -314,14 +330,43 @@ void RuleTable::RecomputeRule(LocalRule r, const TruthTape& global,
   rule.unsat = unsat + undef_ext;
 }
 
-void RuleTable::RefreshSnapshots(const TruthTape& global,
-                                 const std::vector<uint8_t>* disabled) {
-  for (uint32_t i = 0; i < ext_atoms_.size(); ++i) {
-    ext_vals_[i] = Code(global, ext_atoms_[i]);
+LocalRule RuleTable::LocalRuleOf(RuleId r) const {
+  auto it = std::lower_bound(
+      local_of_.begin(), local_of_.end(), r,
+      [](const std::pair<RuleId, LocalRule>& e, RuleId x) {
+        return e.first < x;
+      });
+  return it != local_of_.end() && it->first == r ? it->second : kNoRule;
+}
+
+uint32_t RuleTable::ExternalIndexOf(AtomId a) const {
+  auto it = std::lower_bound(ext_atoms_.begin(), ext_atoms_.end(), a);
+  return it != ext_atoms_.end() && *it == a
+             ? static_cast<uint32_t>(it - ext_atoms_.begin())
+             : kNoExternal;
+}
+
+bool RuleTable::HasEnabledOccurrence(
+    uint32_t i, const std::vector<uint8_t>* disabled) const {
+  for (LocalRule r : ext_occ_.Row(i)) {
+    if (RuleEnabledIn(disabled, rids_[r])) return true;
   }
-  for (LocalRule r = 0; r < rids_.size(); ++r) {
-    disabled_snap_[r] = !RuleEnabledIn(disabled, rids_[r]);
-  }
+  return false;
+}
+
+bool RuleTable::ReconcileDisabled(LocalRule r,
+                                  const std::vector<uint8_t>* disabled) {
+  const uint8_t now = !RuleEnabledIn(disabled, rids_[r]);
+  if (disabled_snap_[r] == now) return false;
+  disabled_snap_[r] = now;
+  return true;
+}
+
+bool RuleTable::ReconcileExternal(uint32_t i, const TruthTape& global) {
+  const uint8_t now = Code(global, ext_atoms_[i]);
+  if (ext_vals_[i] == now) return false;
+  ext_vals_[i] = now;
+  return true;
 }
 
 void RuleTable::AbortCompile() {
@@ -329,6 +374,7 @@ void RuleTable::AbortCompile() {
   rules_.clear();
   body_.clear();
   rids_.clear();
+  local_of_.clear();
   ext_pool_.clear();
   ext_spans_.clear();
   disabled_snap_.clear();

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "analysis/atom_dependency_graph.h"
@@ -73,11 +74,13 @@ class RuleTable {
   /// disabled and externally-suppressed rules included, carried with
   /// `CompiledRule::dead` set — together with its global `RuleId`, its
   /// external body literals (global ids, in a separate pool), a snapshot
-  /// of the disabled-mask bytes, and a sorted external-atom index with a
-  /// value snapshot and an occurrence CSR. A later delta then *patches*
-  /// this table (`RecomputeRule`) instead of recompiling it: mask flips
-  /// and external drift map to exactly the touched rules. The default
-  /// (false) path is byte-for-byte the historical compile.
+  /// of the disabled-mask bytes, a global->local rule index, and a sorted
+  /// external-atom index with a value snapshot and an occurrence CSR. A
+  /// later delta then *patches* this table (`RecomputeRule`) instead of
+  /// recompiling it: each recorded mask flip and external move is
+  /// reconciled against its snapshot and maps to exactly the touched
+  /// rules. The default (false) path is byte-for-byte the historical
+  /// compile.
   RuleTable(const GroundProgram& gp, const AtomDependencyGraph& graph,
             uint32_t comp, const TruthTape& global,
             const std::vector<uint8_t>* disabled = nullptr,
@@ -128,6 +131,10 @@ class RuleTable {
   /// Global `RuleId` of local rule `r`.
   RuleId GlobalRule(LocalRule r) const { return rids_[r]; }
 
+  /// Local id of global rule `r`, or `kNoRule` when `r` is not a candidate
+  /// of this component (binary search of the global->local index).
+  LocalRule LocalRuleOf(RuleId r) const;
+
   /// External (lower-component) positive / negative body atoms of `r`, as
   /// global ids. Empty spans in default mode (externals are partially
   /// evaluated away there).
@@ -144,14 +151,31 @@ class RuleTable {
 
   /// Sorted distinct external atoms of the component, with the tape-value
   /// snapshot (`TruthValue` as a byte) they were last reconciled against
-  /// and the local rules each occurs in. The warm patcher diffs the
-  /// snapshot against the live tape to find exactly the drifted rules.
+  /// and the local rules each occurs in. The warm patcher reconciles only
+  /// the externals recorded as moved (`ReconcileExternal`); the auditor
+  /// diffs every snapshot against the live tape.
   size_t external_count() const { return ext_atoms_.size(); }
   AtomId ExternalAtom(uint32_t i) const { return ext_atoms_[i]; }
   uint8_t ExternalSnapshot(uint32_t i) const { return ext_vals_[i]; }
   std::span<const LocalRule> ExternalOccurrences(uint32_t i) const {
     return ext_occ_.Row(i);
   }
+
+  /// Index of external atom `a` (binary search of the sorted atoms), or
+  /// `kNoExternal` when `a` occurs in no rule body of this component.
+  static constexpr uint32_t kNoExternal = UINT32_MAX;
+  uint32_t ExternalIndexOf(AtomId a) const;
+
+  /// True iff some occurrence of external `i` is an enabled rule. Only then
+  /// is its tape byte read: an enabled edge orders its component before
+  /// this one, while a pool pass may be re-solving a component that only
+  /// disabled rules connect.
+  bool HasEnabledOccurrence(uint32_t i,
+                            const std::vector<uint8_t>* disabled) const;
+
+  /// Snapshot of an external that was never read (every occurrence was
+  /// disabled at compile): differs from every `TruthValue` code.
+  static constexpr uint8_t kUnread = 0xFF;
 
   /// Disabled-mask byte of `GlobalRule(r)` as of the last reconcile.
   uint8_t DisabledSnapshot(LocalRule r) const { return disabled_snap_[r]; }
@@ -164,15 +188,19 @@ class RuleTable {
   /// Recomputes `rule(r)`'s `dead` / `undef_external` / `unsat` from the
   /// current mask, the live tape values of its external literals, and the
   /// live tape values of its internal literals — the at-rest counter
-  /// values the solve loop's decrements would have produced. Keep-all
-  /// only.
+  /// values the solve loop's decrements would have produced. A disabled
+  /// rule only turns dead: dead rules' counters may be stale, and its
+  /// externals must not be read. Keep-all only.
   void RecomputeRule(LocalRule r, const TruthTape& global,
                      const std::vector<uint8_t>* disabled);
 
-  /// Re-reconciles the external-value and disabled-mask snapshots against
-  /// the live tape and mask (after a patch classified the drift).
-  void RefreshSnapshots(const TruthTape& global,
-                        const std::vector<uint8_t>* disabled);
+  /// Reconciles rule `r`'s disabled-mask snapshot with the live mask;
+  /// true iff it had drifted. Keep-all only.
+  bool ReconcileDisabled(LocalRule r, const std::vector<uint8_t>* disabled);
+
+  /// Reconciles external `i`'s value snapshot with the live tape; true iff
+  /// it had drifted. Keep-all only.
+  bool ReconcileExternal(uint32_t i, const TruthTape& global);
 
  private:
   struct ExtSpan {
@@ -203,6 +231,8 @@ class RuleTable {
 
   // Keep-all metadata (empty in default mode).
   std::vector<RuleId> rids_;          ///< local rule -> global rule
+  /// (global rule, local rule) sorted by global id: `LocalRuleOf`.
+  std::vector<std::pair<RuleId, LocalRule>> local_of_;
   std::vector<AtomId> ext_pool_;      ///< [ext pos | ext neg] per rule
   std::vector<ExtSpan> ext_spans_;    ///< per rule, into ext_pool_
   std::vector<uint8_t> disabled_snap_;  ///< per rule: mask byte snapshot

@@ -79,6 +79,8 @@ constexpr CounterField kCounters[] = {
      &Read<&D::warm_cold_fallbacks>, &Sum<&D::warm_cold_fallbacks>},
     {"warm_undone", "solver.diag.warm_undone_atoms",
      &Read<&D::warm_undone_atoms>, &Sum<&D::warm_undone_atoms>},
+    {"warm_drift", "solver.diag.warm_drift_entries",
+     &Read<&D::warm_drift_entries>, &Sum<&D::warm_drift_entries>},
 };
 
 /// The histogram fields, merged bucket-wise and reported as `<key>_p50`

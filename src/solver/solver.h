@@ -41,6 +41,10 @@ struct SolverDiagnostics {
   /// `unfounded_falsified` — how much of a component a delta actually
   /// touched. Bounded by the seeded flood, not the component size.
   uint64_t warm_undone_atoms = 0;
+  /// Drift-record entries (mask flips and external moves) read across all
+  /// warm re-solves: the footprint a re-solve reconciles, which must track
+  /// the delta, not the component's rules plus externals.
+  uint64_t warm_drift_entries = 0;
   /// Atoms flooded per source-loss flood (candidate-set sizes): the
   /// distribution behind `unfounded_floods`, accumulated without atomics
   /// like every other field and merged bucket-wise at the barrier. The

@@ -52,7 +52,38 @@ bool WarmComponent::Solve(const GroundProgram& gp,
   for (AtomId a : graph.Atoms(comp)) candidate_count_ += gp.RulesFor(a).size();
   rule_stamp_.assign(eval_->table_.rule_count(), 0);
   stamp_ = 0;
+  // The compile read the live mask and tape, except the externals whose
+  // every occurrence is disabled: those start out recorded.
+  const RuleTable& t = eval_->table_;
+  drift_rules_.clear();
+  drift_exts_.clear();
+  rule_recorded_.assign(t.rule_count(), 0);
+  ext_recorded_.assign(t.external_count(), 0);
+  for (uint32_t i = 0; i < t.external_count(); ++i) {
+    if (t.ExternalSnapshot(i) == RuleTable::kUnread) {
+      ext_recorded_[i] = 1;
+      drift_exts_.push_back(i);
+    }
+  }
   return eval_->Solve(values, diag, cancel);
+}
+
+void WarmComponent::RecordRuleFlip(RuleId r) {
+  if (!eval_.has_value()) return;
+  const LocalRule local = eval_->table_.LocalRuleOf(r);
+  if (local == kNoRule) return;
+  std::lock_guard<std::mutex> lock(drift_mu_);
+  if (std::exchange(rule_recorded_[local], 1) == 0) {
+    drift_rules_.push_back(local);
+  }
+}
+
+void WarmComponent::RecordExternalMove(AtomId a) {
+  if (!eval_.has_value()) return;
+  const uint32_t i = eval_->table_.ExternalIndexOf(a);
+  if (i == RuleTable::kNoExternal) return;
+  std::lock_guard<std::mutex> lock(drift_mu_);
+  if (std::exchange(ext_recorded_[i], 1) == 0) drift_exts_.push_back(i);
 }
 
 bool WarmComponent::FalseWitnessed(LocalRule r, const TruthTape& values,
@@ -127,9 +158,15 @@ bool WarmComponent::Resolve(const std::vector<uint8_t>* disabled,
   eval_->true_queue_.clear();
   eval_->false_queue_.clear();
 
-  // Phase 1: classify the drift against the snapshots — an O(rules) byte
-  // scan of the mask plus the drifted externals' occurrence rows. Nothing
-  // else in the component is touched.
+  // Phase 1: reconcile the recorded drift — exactly the mask flips and
+  // external moves reported since the last re-solve, each against its
+  // snapshot (a move that moved back is no drift) — and touch the rules it
+  // reaches: the flipped rules and the drifted externals' occurrence rows.
+  // Nothing else in the component is read. An external whose occurrences
+  // are all disabled stays recorded unread (`HasEnabledOccurrence`): its
+  // rules are dead whatever it holds, and the flip that revives one brings
+  // it back here. Reconciling here rather than after the fixpoint is safe:
+  // an aborted pass discards the entry.
   ++stamp_;
   recomputed_.clear();
   auto touch = [this](LocalRule r) {
@@ -137,14 +174,26 @@ bool WarmComponent::Resolve(const std::vector<uint8_t>* disabled,
     rule_stamp_[r] = stamp_;
     recomputed_.push_back(r);
   };
-  for (LocalRule r = 0; r < t.rule_count(); ++r) {
-    uint8_t now = !RuleEnabledIn(disabled, t.GlobalRule(r));
-    if (t.DisabledSnapshot(r) != now) touch(r);
-  }
-  for (uint32_t i = 0; i < t.external_count(); ++i) {
-    if (t.ExternalSnapshot(i) != RuleTable::Code(*values, t.ExternalAtom(i))) {
-      for (LocalRule r : t.ExternalOccurrences(i)) touch(r);
+  {
+    std::lock_guard<std::mutex> lock(drift_mu_);
+    diag->warm_drift_entries += drift_rules_.size() + drift_exts_.size();
+    for (LocalRule r : drift_rules_) {
+      rule_recorded_[r] = 0;
+      if (t.ReconcileDisabled(r, disabled)) touch(r);
     }
+    drift_rules_.clear();
+    size_t kept = 0;
+    for (uint32_t i : drift_exts_) {
+      if (!t.HasEnabledOccurrence(i, disabled)) {
+        drift_exts_[kept++] = i;
+        continue;
+      }
+      ext_recorded_[i] = 0;
+      if (t.ReconcileExternal(i, *values)) {
+        for (LocalRule r : t.ExternalOccurrences(i)) touch(r);
+      }
+    }
+    drift_exts_.resize(kept);
   }
 
   // Phase 2: patch the touched rules (pre-undo tape) and collect the undo
@@ -225,7 +274,6 @@ bool WarmComponent::Resolve(const std::vector<uint8_t>* disabled,
   // from exactly the undone atoms and the heads whose sources died — the
   // delta's footprint — instead of `InitSources` over the component.
   if (!eval_->RunToFixpoint(values, diag, cancel)) return false;
-  t.RefreshSnapshots(*values, disabled);
   ++diag->warm_hits;
   diag->unfounded_floods += support.floods() - floods_before;
   diag->seeded_flood_sizes.Record(support.flood_sizes().sum -
@@ -259,12 +307,18 @@ bool WarmComponent::AuditInvariants(const GroundProgram& gp,
   // whose every occurrence is mask-disabled: a delta may change such an
   // atom without dirtying this component (disabled rules cannot move its
   // values, so the change-pruned up-cone rightly skips it), and the next
-  // warm re-solve reconciles the drift. An *enabled* occurrence of a
+  // warm re-solve reconciles the drift. That re-solve reads only the drift
+  // record, so the stale slot must be in it. An *enabled* occurrence of a
   // stale external means the component should have re-solved: violation.
+  std::lock_guard<std::mutex> lock(drift_mu_);
   for (uint32_t i = 0; i < t.external_count(); ++i) {
     if (t.ExternalSnapshot(i) ==
         RuleTable::Code(values, t.ExternalAtom(i))) {
       continue;
+    }
+    if (ext_recorded_[i] == 0) {
+      return fail(StrCat("external snapshot stale at atom ",
+                         t.ExternalAtom(i), " but its move is unrecorded"));
     }
     for (LocalRule r : t.ExternalOccurrences(i)) {
       if (RuleEnabledIn(disabled, t.GlobalRule(r))) {

@@ -2,6 +2,7 @@
 #define GSLS_SOLVER_WARM_COMPONENT_H_
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,17 +24,21 @@ namespace gsls::solver {
 ///
 ///   * the component's keep-all `RuleTable` (every candidate retained, so
 ///     mask flips and external drift are counter patches, not recompiles),
-///   * the `SourceTracker` with its live source pointers, and
+///   * the `SourceTracker` with its live source pointers,
 ///   * a decision trail: every decided atom in decision order, with a
-///     monotone batch stamp and, for true atoms, the rule that fired it.
+///     monotone batch stamp and, for true atoms, the rule that fired it, and
+///   * a drift record: the mask flips and external moves the owner
+///     reported since the last re-solve (`RecordRuleFlip`,
+///     `RecordExternalMove`).
 ///
-/// A delta then re-solves the component by *patching*: classify the drift
-/// against the table's snapshots, undo the smallest trail suffix whose
-/// justifications the drift invalidated, seed the unfounded flood from
-/// exactly the undone atoms and killed rules, and resume the alternating
-/// fixpoint — instead of a cold compile + `InitSources` over the whole
-/// component. `SolveComponent` runs both the first solve and the re-solves
-/// as its component step.
+/// A delta then re-solves the component by *patching*: reconcile the
+/// recorded drift against the table's snapshots (the delta's footprint,
+/// never a scan of every rule or external), undo the smallest trail
+/// suffix whose justifications the drift invalidated, seed the unfounded
+/// flood from exactly the undone atoms and killed rules, and resume the
+/// alternating fixpoint — instead of a cold compile + `InitSources` over
+/// the whole component. `SolveComponent` runs both the first solve and
+/// the re-solves as its component step.
 ///
 /// Soundness rests on two invariants, both audited (`AuditInvariants`,
 /// called from `check::SolverAuditor`):
@@ -84,6 +89,21 @@ class WarmComponent {
   bool BindingValid(const GroundProgram& gp, const AtomDependencyGraph& graph,
                     uint32_t comp, const TruthTape& values) const;
 
+  /// Drift recording, the owner's half of the footprint contract: every
+  /// event that can move a rule's counters between two re-solves must be
+  /// reported here — a disabled-mask flip of one of the component's rules
+  /// (`RecordRuleFlip`) and a tape move of one of its external atoms
+  /// (`RecordExternalMove`, for every occurrence, disabled rules included:
+  /// a move under a disabled rule that is later re-enabled and then moved
+  /// back would otherwise match its snapshot again while the rule's
+  /// counters are stale). The record is a set keyed by local index, so it
+  /// stays bounded by rules + externals however long the entry waits.
+  /// Rules and atoms this table does not hold are ignored (a new rule
+  /// fails `BindingValid` anyway). Thread-safe: pool workers re-solving
+  /// several lower components may record into one entry at once.
+  void RecordRuleFlip(RuleId r);
+  void RecordExternalMove(AtomId a);
+
   /// Warm re-solve: patch, undo, seed, resume (see class comment). On
   /// entry the tape holds the previous quiescent model for this component
   /// and final post-delta values for every lower component; `disabled` is
@@ -95,8 +115,9 @@ class WarmComponent {
   /// Deep consistency check of the persisted state against the live tape
   /// and mask, for `check::SolverAuditor`: tracker/tape agreement, source
   /// pointers live and acyclic, live-rule counters equal to a from-scratch
-  /// recount, snapshots reconciled, trail batches monotone with every
-  /// decision justified (a false atom's rules by `FalseWitnessed`).
+  /// recount, snapshots reconciled or their drift recorded, trail batches
+  /// monotone with every decision justified (a false atom's rules by
+  /// `FalseWitnessed`).
   /// Returns false and sets `*why` (when non-null) to a one-line reason on
   /// the first violation.
   bool AuditInvariants(const GroundProgram& gp,
@@ -122,6 +143,14 @@ class WarmComponent {
   std::vector<LocalRule> recomputed_;  ///< rules patched this resolve
   std::vector<uint32_t> rule_stamp_;   ///< dedup epoch per rule
   uint32_t stamp_ = 0;
+
+  // The drift record: pending local rules and external indexes, each
+  // listed once (the per-index bytes dedupe). Guarded by `drift_mu_`.
+  mutable std::mutex drift_mu_;
+  std::vector<LocalRule> drift_rules_;
+  std::vector<uint32_t> drift_exts_;
+  std::vector<uint8_t> rule_recorded_;  ///< per local rule
+  std::vector<uint8_t> ext_recorded_;   ///< per external index
 };
 
 }  // namespace gsls::solver

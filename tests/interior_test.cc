@@ -21,6 +21,7 @@
 #include "check/audit.h"
 #include "solver/incremental.h"
 #include "solver/solver.h"
+#include "solver/warm_component.h"
 #include "test_support.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -314,6 +315,247 @@ TEST(InteriorTest, UnitToggleFloodsFarLessThanTenKAtomScc) {
   WfsModel fresh = inc.SolveFresh();
   ASSERT_EQ(got.model, fresh.model)
       << DescribeModelDifference(inc.program(), got.model, fresh.model);
+}
+
+/// `inc.Model()` must equal a fresh leveled solve (values and both stage
+/// tapes) and pass the full solver audit, which checks every warm entry's
+/// snapshots against its drift record.
+void ExpectFreshAndClean(IncrementalSolver& inc, const std::string& context) {
+  const WfsModel& got = inc.Model();
+  WfsModel fresh = inc.SolveFresh();
+  ASSERT_EQ(got.model, fresh.model)
+      << context << "\nincremental vs fresh SolveWfs diff:\n"
+      << DescribeModelDifference(inc.program(), got.model, fresh.model);
+  ASSERT_EQ(got.true_stage, fresh.true_stage) << context;
+  ASSERT_EQ(got.false_stage, fresh.false_stage) << context;
+  check::AuditReport report = check::AuditSolver(inc);
+  ASSERT_TRUE(report.ok()) << context << "\n" << report.ToString();
+}
+
+/// The one sequence a footprint that skips retracted occurrences gets
+/// wrong: an external moves under a retracted rule (the component is not
+/// re-solved, so only the drift record remembers the move), the rule is
+/// re-enabled, and the external moves back. Without the record the last
+/// move would match the stale snapshot again while the rule's counters
+/// still count the middle value. The rule `win(n0) :- g.` has no body atom
+/// inside the SCC, so retracting it keeps the condensation and the entry.
+TEST(InteriorTest, FootprintSeesExternalsOfDisabledRules) {
+  Rng gen(21);
+  Fixture f(OneSccGame(gen, 40, 2) + "g.\nwin(n0) :- g.\n");
+  SolverOptions opts;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const GroundProgram& gp = inc.program();
+  const AtomId g = *gp.FindAtom(MustParseTerm(f.store, "g"));
+  ASSERT_EQ(gp.PositiveOccurrences(g).size(), 1u);
+  const RuleId rule = gp.PositiveOccurrences(g)[0];
+  const RuleId other = *gp.FindUnitRule(
+      *gp.FindAtom(MustParseTerm(f.store, "move(n5, n6)")));
+
+  // Two deltas elsewhere build the warm entry and take its warm path.
+  for (int i = 0; i < 2; ++i) {
+    ToggleRule(inc, other);
+    ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, StrCat("warm-up ", i)));
+  }
+  const uint64_t hits = inc.diagnostics().warm_hits;
+  const uint64_t fallbacks = inc.diagnostics().warm_cold_fallbacks;
+  ASSERT_GT(hits, 0u);
+
+  ASSERT_TRUE(inc.RetractRule(rule));
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "rule retracted"));
+  ASSERT_TRUE(inc.RetractAtom(g));  // moves under the retracted rule only
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "g retracted"));
+  ToggleRule(inc, rule);  // re-enables the retracted duplicate
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "rule re-enabled"));
+  ASSERT_TRUE(inc.AssertAtom(g));  // moves back
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "g re-asserted"));
+  // One entry patched every step but the move under the retracted rule,
+  // which re-solved nothing.
+  EXPECT_EQ(inc.diagnostics().warm_hits, hits + 3);
+  EXPECT_EQ(inc.diagnostics().warm_cold_fallbacks, fallbacks);
+}
+
+/// A move-fact toggle on the dense game(2000, 1%) drifts one external of
+/// the giant SCC: the warm re-solve must read exactly that record entry,
+/// not the component's ~40k rules and externals.
+TEST(InteriorTest, WarmResolveReadsOnlyItsFootprint) {
+  Rng gen(0xD5CC);
+  Fixture f(workload::RandomGame(gen, 2000, 1));
+  SolverOptions opts;
+  opts.compute_levels = true;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const AtomDependencyGraph& graph = *inc.graph();
+  uint32_t warm = UINT32_MAX;
+  for (uint32_t c = 0; c < graph.id_bound(); ++c) {
+    if (solver::WarmComponent::Eligible(graph, c, opts.warm_min_atoms)) {
+      ASSERT_EQ(warm, UINT32_MAX) << "expected one warm-eligible component";
+      warm = c;
+    }
+  }
+  ASSERT_NE(warm, UINT32_MAX);
+  const std::vector<RuleId> units = UnitRules(inc.program());
+  Rng rng(0xF007);
+  ToggleRule(inc, units[rng.Uniform(units.size())]);  // builds the entry
+  inc.Model();
+
+  int in_scc = 0;
+  for (int d = 0; d < 40; ++d) {
+    const RuleId u = units[rng.Uniform(units.size())];
+    const AtomId fact = inc.program().rules()[u].head;
+    // The move atom reaches the SCC through one rule at most, so the
+    // footprint is one external, or nothing when the edge leaves it.
+    uint64_t expected = 0;
+    for (RuleId r : inc.program().PositiveOccurrences(fact)) {
+      if (graph.ComponentOf(inc.program().rules()[r].head) == warm) {
+        expected = 1;
+      }
+    }
+    in_scc += static_cast<int>(expected);
+    const uint64_t before = inc.diagnostics().warm_drift_entries;
+    const uint64_t hits = inc.diagnostics().warm_hits;
+    ToggleRule(inc, u);
+    inc.Model();
+    EXPECT_EQ(inc.diagnostics().warm_drift_entries - before, expected)
+        << "toggle " << d;
+    EXPECT_EQ(inc.diagnostics().warm_hits - hits, expected) << "toggle " << d;
+  }
+  EXPECT_GT(in_scc, 20);
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "after the toggles"));
+}
+
+/// OneSccGame plus internal unit facts on `win` atoms and a row of small
+/// lower 2-cycles `s(i)`/`t(i)` (warm too at `warm_min_atoms = 2`) that
+/// feed the game through extra rules: the drift record then hears from
+/// move facts, internal fact flips, game-rule flips and warm lower
+/// components alike.
+std::string FootprintChurnProgram(Rng& rng, int n) {
+  std::string src = OneSccGame(rng, n, 2);
+  for (int i = 0; i < n; i += 7) src += StrCat("win(n", i, ").\n");
+  for (int i = 0; i < 6; ++i) {
+    src += StrCat("e(", i, ").\n");
+    src += StrCat("s(", i, ") :- e(", i, "), not t(", i, ").\n");
+    src += StrCat("t(", i, ") :- not s(", i, ").\n");
+    src += StrCat("win(n", 3 * i + 1, ") :- s(", i, "), not win(n",
+                  3 * i + 2, ").\n");
+  }
+  return src;
+}
+
+/// Randomized churn through every drift source at one thread count: one
+/// to three deltas per `Model()` (so several fold into one pass), each a
+/// move-fact toggle, an internal `win` fact toggle, an `e` fact toggle
+/// under a lower warm component, or a game-rule retraction or re-enable
+/// of the retracted duplicate. After every pass: fresh agreement (values
+/// and stages) and a clean audit.
+void RunFootprintChurn(uint64_t seed, unsigned threads) {
+  Rng gen(seed);
+  Fixture f(FootprintChurnProgram(gen, 60));
+  SolverOptions opts;
+  opts.num_threads = threads;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const GroundProgram& gp = inc.program();
+  auto head = [&](RuleId r) {
+    return f.store.ToString(gp.AtomTerm(gp.rules()[r].head));
+  };
+  std::vector<RuleId> moves, wins, gates, rules;
+  for (RuleId r : UnitRules(gp)) {
+    const std::string name = head(r);
+    (name.starts_with("move") ? moves
+     : name.starts_with("win") ? wins
+                               : gates).push_back(r);
+  }
+  for (RuleId r : NonUnitRules(gp)) {
+    if (head(r).starts_with("win")) rules.push_back(r);
+  }
+  ASSERT_FALSE(moves.empty());
+  ASSERT_FALSE(wins.empty());
+  ASSERT_FALSE(gates.empty());
+  ASSERT_FALSE(rules.empty());
+
+  Rng rng(seed * 131 + threads);
+  for (int pass = 0; pass < 40; ++pass) {
+    const int deltas = 1 + static_cast<int>(rng.Uniform(3));
+    for (int d = 0; d < deltas; ++d) {
+      const uint64_t kind = rng.Uniform(8);
+      const std::vector<RuleId>& pool = kind < 4   ? moves
+                                        : kind < 5 ? wins
+                                        : kind < 6 ? gates
+                                                   : rules;
+      ToggleRule(inc, pool[rng.Uniform(pool.size())]);
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(
+        inc, StrCat("seed ", seed, " threads ", threads, " pass ", pass)));
+  }
+  EXPECT_GT(inc.diagnostics().warm_hits, 0u);
+  EXPECT_GT(inc.diagnostics().warm_drift_entries, 0u);
+}
+
+TEST(InteriorTest, FootprintChurnAgreesSequential) { RunFootprintChurn(31, 1); }
+
+TEST(InteriorTest, FootprintChurnAgreesTwoThreads) { RunFootprintChurn(32, 2); }
+
+TEST(InteriorTest, FootprintChurnAgreesFourThreads) {
+  RunFootprintChurn(33, 4);
+}
+
+/// A query before the first `Model()` builds warm entries through its cone
+/// pass; the first `Model()` is then a full solve that rewrites the tape
+/// without recording drift, so it must discard them. A delta in between
+/// moves an external the entry would otherwise never hear of.
+TEST(InteriorTest, FullSolveDiscardsQueryBuiltWarmEntries) {
+  Rng gen(51);
+  Fixture f(OneSccGame(gen, 40, 2));
+  SolverOptions opts;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.QueryAtom(MustParseTerm(f.store, "win(n3)"));
+  ASSERT_GT(check::AuditSolver(inc).warm_entries_checked, 0u);
+  ASSERT_TRUE(inc.Retract(MustParseTerm(f.store, "move(n0, n1)")));
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "first Model()"));
+  EXPECT_EQ(inc.stats().full_solves, 1u);
+  ASSERT_TRUE(inc.Assert(MustParseTerm(f.store, "move(n0, n1)")));
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "delta after it"));
+}
+
+/// The pool executor's concurrent recording: two move facts toggled before
+/// one `Model()` at 4 threads seed two singleton components, which the
+/// pool re-solves on different workers, and both record into the giant
+/// SCC's warm entry before it runs. TSan checks the record's locking; the
+/// counter checks that both entries arrived.
+TEST(InteriorTest, PoolPredecessorsRecordIntoOneWarmEntry) {
+  Rng gen(41);
+  Fixture f(OneSccGame(gen, 200, 2));
+  SolverOptions opts;
+  opts.num_threads = 4;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const std::vector<RuleId> units = UnitRules(inc.program());
+  Rng rng(42);
+  ToggleRule(inc, units[0]);  // builds the entry
+  ToggleRule(inc, units[1]);
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "warm-up"));
+  for (int pass = 0; pass < 20; ++pass) {
+    const size_t i = rng.Uniform(units.size());
+    const size_t j = (i + 1 + rng.Uniform(units.size() - 1)) % units.size();
+    const uint64_t before = inc.diagnostics().warm_drift_entries;
+    const uint64_t hits = inc.diagnostics().warm_hits;
+    ToggleRule(inc, units[i]);
+    ToggleRule(inc, units[j]);
+    ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, StrCat("pass ", pass)));
+    // Each move atom occurs in exactly one game rule, inside the SCC.
+    EXPECT_EQ(inc.diagnostics().warm_hits - hits, 1u) << "pass " << pass;
+    EXPECT_EQ(inc.diagnostics().warm_drift_entries - before, 2u)
+        << "pass " << pass;
+  }
 }
 
 }  // namespace
