@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "test_support.h"
+#include "util/rng.h"
 #include "workload/generators.h"
 
 namespace gsls {
@@ -312,6 +316,283 @@ TEST(EngineTest, LevelsMatchStagesOnChain) {
   EXPECT_EQ(won.answers[0].level, Ordinal::Finite(2));
   QueryResult lost1 = engine.SolveAtom(MustParseTerm(f.store, "win(n1)"));
   EXPECT_EQ(lost1.level, Ordinal::Finite(3));
+}
+
+
+// --- Golden outputs: answers with their levels, `work` and
+// `negation_nodes` under every selection mode and both negation rules.
+
+/// A program whose `p(X)` has three derivations of `p(a)` at different
+/// levels, for answer deduplication.
+const char* kDuplicateAnswers =
+    "q(a). r(a). r(b). t(b).\n"
+    "p(X) :- q(X).\n"
+    "p(X) :- r(X), not t(X).\n"
+    "p(X) :- r(X).\n";
+
+/// Solves `queries` in order on one engine per computation rule and
+/// renders every result (test_support.h).
+std::string EngineGolden(const std::string& src,
+                         const std::vector<const char*>& queries) {
+  struct Rule {
+    const char* name;
+    SelectionMode selection;
+    bool negatively_parallel;
+    bool bottom_up_oracle;
+  };
+  const Rule rules[] = {
+      {"positivistic", SelectionMode::kPositivistic, true, true},
+      {"positivistic search", SelectionMode::kPositivistic, true, false},
+      {"positivistic sequential", SelectionMode::kPositivistic, false, true},
+      {"negatives-first", SelectionMode::kNegativesFirst, true, true},
+      {"negatives-first sequential", SelectionMode::kNegativesFirst, false,
+       true},
+      {"leftmost", SelectionMode::kLeftmost, true, true},
+      {"leftmost sequential", SelectionMode::kLeftmost, false, true}};
+  std::string out;
+  for (const Rule& rule : rules) {
+    Fixture f(src);
+    EngineOptions opts;
+    opts.selection = rule.selection;
+    opts.negatively_parallel = rule.negatively_parallel;
+    opts.bottom_up_oracle = rule.bottom_up_oracle;
+    opts.max_negation_depth = 24;
+    opts.max_work = 20000;
+    GlobalSlsEngine engine(f.program, opts);
+    out += StrCat(rule.name, ":\n");
+    for (const char* q : queries) {
+      out += StrCat("<- ", q, ": ",
+                    testing::RenderQueryResult(
+                        f.store, engine.Solve(MustParseQuery(f.store, q))));
+    }
+  }
+  return out;
+}
+
+TEST(EngineGoldenTest, Example32) {
+  EXPECT_EQ(EngineGolden(workload::Example32Program(), {"s", "p", "q"}),
+            R"(positivistic:
+<- s: successful level 2 work 1 neg 0
+  {} @2
+<- p: failed level 1 work 0 neg 0
+<- q: failed level 1 work 0 neg 0
+positivistic search:
+<- s: successful level 2? work 12 neg 3
+  {} @2?
+<- p: failed level 1 work 0 neg 0
+<- q: failed level 1? work 0 neg 0
+positivistic sequential:
+<- s: successful level 2? work 12 neg 3
+  {} @2?
+<- p: failed level 1 work 0 neg 0
+<- q: failed level 1? work 0 neg 0
+negatives-first:
+<- s: indeterminate level 0? work 8 neg 4
+<- p: indeterminate level 0? work 6 neg 3
+<- q: indeterminate level 0? work 2 neg 1
+negatives-first sequential:
+<- s: indeterminate level 0? work 8 neg 4
+<- p: indeterminate level 0? work 6 neg 3
+<- q: indeterminate level 0? work 2 neg 1
+leftmost:
+<- s: successful level 1? work 15 neg 3
+  {} @1
+<- p: failed level 1 work 0 neg 0
+<- q: failed level 1? work 0 neg 0
+leftmost sequential:
+<- s: successful level 1? work 15 neg 3
+  {} @1
+<- p: failed level 1 work 0 neg 0
+<- q: failed level 1? work 0 neg 0
+)");
+}
+
+TEST(EngineGoldenTest, Example33) {
+  EXPECT_EQ(EngineGolden(workload::Example33Program(), {"q", "p(a)"}),
+            R"(positivistic:
+<- q: failed level 2? work 52 neg 26
+<- p(a): unknown level 0? work 50 neg 25
+positivistic search:
+<- q: failed level 2? work 52 neg 26
+<- p(a): unknown level 0? work 50 neg 25
+positivistic sequential:
+<- q: unknown level 0? work 50 neg 25
+<- p(a): unknown level 0? work 50 neg 25
+negatives-first:
+<- q: unknown level 0? work 50 neg 25
+<- p(a): unknown level 0? work 50 neg 25
+negatives-first sequential:
+<- q: unknown level 0? work 50 neg 25
+<- p(a): unknown level 0? work 50 neg 25
+leftmost:
+<- q: unknown level 0? work 50 neg 25
+<- p(a): unknown level 0? work 50 neg 25
+leftmost sequential:
+<- q: unknown level 0? work 50 neg 25
+<- p(a): unknown level 0? work 50 neg 25
+)");
+}
+
+TEST(EngineGoldenTest, GameCycleWithTail) {
+  EXPECT_EQ(
+      EngineGolden(workload::GameCycleWithTail(3, 3), {"win(X)", "win(c0)"}),
+      R"(positivistic:
+<- win(X): successful level 2 work 8 neg 6
+  {X -> c1} @6
+  {X -> c0} @4
+  {X -> t2} @2
+<- win(c0): successful level 4 work 1 neg 0
+  {} @4
+positivistic search:
+<- win(X): successful level 2? work 26 neg 12
+  {X -> c1} @6?
+  {X -> c0} @4
+  {X -> t2} @2
+<- win(c0): successful level 4? work 1 neg 0
+  {} @4?
+positivistic sequential:
+<- win(X): successful level 2? work 26 neg 12
+  {X -> c1} @6?
+  {X -> c0} @4
+  {X -> t2} @2
+<- win(c0): successful level 4? work 1 neg 0
+  {} @4?
+negatives-first:
+<- win(X): floundered level 0? fl work 1 neg 0
+<- win(c0): floundered level 0? fl work 1 neg 0
+negatives-first sequential:
+<- win(X): floundered level 0? fl work 1 neg 0
+<- win(c0): floundered level 0? fl work 1 neg 0
+leftmost:
+<- win(X): successful level 1? work 32 neg 12
+  {X -> c1} @1
+  {X -> c0} @1
+  {X -> t2} @1
+<- win(c0): successful level 1? work 1 neg 0
+  {} @1?
+leftmost sequential:
+<- win(X): successful level 1? work 32 neg 12
+  {X -> c1} @1
+  {X -> c0} @1
+  {X -> t2} @1
+<- win(c0): successful level 1? work 1 neg 0
+  {} @1?
+)");
+}
+
+TEST(EngineGoldenTest, RandomGame) {
+  Rng rng(7);
+  EXPECT_EQ(EngineGolden(workload::RandomGame(rng, 6, 25), {"win(X)"}),
+            R"(positivistic:
+<- win(X): indeterminate level 0? work 11 neg 9
+positivistic search:
+<- win(X): indeterminate level 0? work 68 neg 34
+positivistic sequential:
+<- win(X): indeterminate level 0? work 68 neg 34
+negatives-first:
+<- win(X): floundered level 0? fl work 1 neg 0
+negatives-first sequential:
+<- win(X): floundered level 0? fl work 1 neg 0
+leftmost:
+<- win(X): indeterminate level 0? work 68 neg 34
+leftmost sequential:
+<- win(X): indeterminate level 0? work 68 neg 34
+)");
+}
+
+TEST(EngineGoldenTest, VanGelder) {
+  EXPECT_EQ(EngineGolden(workload::VanGelderProgram(),
+                         {"w(s(s(0)))", "u(s(0))", "w(X)"}),
+            R"(positivistic:
+<- w(s(s(0))): successful level 4 work 10 neg 3
+  {} @4
+<- u(s(0)): failed level 1 work 0 neg 0
+<- w(X): floundered level 0? fl work 2 neg 0
+positivistic search:
+<- w(s(s(0))): successful level 4 work 10 neg 3
+  {} @4
+<- u(s(0)): failed level 1 work 0 neg 0
+<- w(X): floundered level 0? fl work 2 neg 0
+positivistic sequential:
+<- w(s(s(0))): successful level 4 work 10 neg 3
+  {} @4
+<- u(s(0)): failed level 1 work 0 neg 0
+<- w(X): floundered level 0? fl work 2 neg 0
+negatives-first:
+<- w(s(s(0))): floundered level 0? fl work 3 neg 1
+<- u(s(0)): floundered level 0? fl work 1 neg 0
+<- w(X): floundered level 0? fl work 1 neg 0
+negatives-first sequential:
+<- w(s(s(0))): floundered level 0? fl work 3 neg 1
+<- u(s(0)): floundered level 0? fl work 1 neg 0
+<- w(X): floundered level 0? fl work 1 neg 0
+leftmost:
+<- w(s(s(0))): successful level 1? work 12 neg 3
+  {} @1
+<- u(s(0)): failed level 1 work 0 neg 0
+<- w(X): floundered level 0? fl work 1 neg 0
+leftmost sequential:
+<- w(s(s(0))): successful level 1? work 12 neg 3
+  {} @1
+<- u(s(0)): failed level 1 work 0 neg 0
+<- w(X): floundered level 0? fl work 1 neg 0
+)");
+}
+
+TEST(EngineGoldenTest, DuplicateAnswers) {
+  EXPECT_EQ(EngineGolden(kDuplicateAnswers,
+                         {"p(X)", "r(X), not t(X)", "not t(X), r(X)"}),
+            R"(positivistic:
+<- p(X): successful level 1 work 9 neg 2
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+<- not t(X), r(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+positivistic search:
+<- p(X): successful level 1 work 12 neg 2
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+<- not t(X), r(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+positivistic sequential:
+<- p(X): successful level 1 work 12 neg 2
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+<- not t(X), r(X): successful level 2 work 3 neg 2
+  {X -> a} @2
+negatives-first:
+<- p(X): successful level 1? fl work 6 neg 0
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): floundered level 0? fl work 0 neg 0
+<- not t(X), r(X): floundered level 0? fl work 0 neg 0
+negatives-first sequential:
+<- p(X): successful level 1? fl work 6 neg 0
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): floundered level 0? fl work 0 neg 0
+<- not t(X), r(X): floundered level 0? fl work 0 neg 0
+leftmost:
+<- p(X): successful level 1? work 13 neg 2
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 1? work 4 neg 2
+  {X -> a} @1
+<- not t(X), r(X): floundered level 0? fl work 0 neg 0
+leftmost sequential:
+<- p(X): successful level 1? work 13 neg 2
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 1? work 4 neg 2
+  {X -> a} @1
+<- not t(X), r(X): floundered level 0? fl work 0 neg 0
+)");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/tabled.h"
 #include "test_support.h"
 #include "workload/generators.h"
@@ -134,6 +137,100 @@ TEST(SldnfTest, WorkCountsReported) {
   QueryResult r = engine.Solve(MustParseQuery(f.store, "p"));
   EXPECT_EQ(r.status, GoalStatus::kSuccessful);
   EXPECT_GT(r.work, 2u);
+}
+
+
+// --- Golden outputs: answers in order and `work`.
+
+/// A program whose `p(X)` has three derivations of `p(a)` at different
+/// levels, for answer deduplication.
+const char* kDuplicateAnswers =
+    "q(a). r(a). r(b). t(b).\n"
+    "p(X) :- q(X).\n"
+    "p(X) :- r(X), not t(X).\n"
+    "p(X) :- r(X).\n";
+
+/// `s(X)` selected behind a nonground `not t(X)`: the resolvent's layout
+/// decides which literal the safe rule picks next.
+const char* kResolventOrder =
+    "t(b). r(c).\n"
+    "s(a) :- r(a).\n"
+    "s(b) :- r(c).\n"
+    "s(c) :- r(c), not t(c).\n";
+
+std::string SldnfGolden(const std::string& src,
+                        const std::vector<const char*>& queries) {
+  Fixture f(src);
+  SldnfOptions opts;
+  opts.max_depth = 64;
+  opts.max_work = 20000;
+  SldnfEngine engine(f.program, opts);
+  std::string out;
+  for (const char* q : queries) {
+    out += StrCat("<- ", q, ": ",
+                  testing::RenderQueryResult(
+                      f.store, engine.Solve(MustParseQuery(f.store, q))));
+  }
+  return out;
+}
+
+TEST(SldnfGoldenTest, GameChain) {
+  EXPECT_EQ(SldnfGolden(workload::GameChain(6), {"win(n1)", "win(X)"}),
+            R"(<- win(n1): successful level 0? work 20 neg 0
+  {} @0?
+<- win(X): successful level 0? work 56 neg 0
+  {X -> n1} @0?
+  {X -> n3} @0?
+  {X -> n5} @0?
+)");
+}
+
+TEST(SldnfGoldenTest, DuplicateAnswersAreKept) {
+  EXPECT_EQ(SldnfGolden(kDuplicateAnswers,
+                        {"p(X)", "r(X), not t(X)", "not t(X), r(X)"}),
+            R"(<- p(X): successful level 0? work 13 neg 0
+  {X -> a} @0?
+  {X -> a} @0?
+  {X -> a} @0?
+  {X -> b} @0?
+<- r(X), not t(X): successful level 0? work 7 neg 0
+  {X -> a} @0?
+<- not t(X), r(X): successful level 0? work 7 neg 0
+  {X -> a} @0?
+)");
+}
+
+TEST(SldnfGoldenTest, TransitiveClosure) {
+  EXPECT_EQ(SldnfGolden("e(a, b). e(b, c). e(c, d).\n"
+                        "t(X, Y) :- e(X, Y).\n"
+                        "t(X, Y) :- e(X, Z), t(Z, Y).\n",
+                        {"t(a, X)", "t(b, c)"}),
+            R"(<- t(a, X): successful level 0? work 15 neg 0
+  {X -> b} @0?
+  {X -> c} @0?
+  {X -> d} @0?
+<- t(b, c): successful level 0? work 10 neg 0
+  {} @0?
+)");
+}
+
+TEST(SldnfGoldenTest, ResolventOrder) {
+  EXPECT_EQ(
+      SldnfGolden(kResolventOrder, {"not t(X), s(X)", "s(X), not t(X)"}),
+      R"(<- not t(X), s(X): successful level 0? work 12 neg 0
+  {X -> c} @0?
+<- s(X), not t(X): successful level 0? work 12 neg 0
+  {X -> c} @0?
+)");
+}
+
+TEST(SldnfGoldenTest, VanGelder) {
+  EXPECT_EQ(
+      SldnfGolden(workload::VanGelderProgram(), {"w(s(s(0)))", "u(s(0))"}),
+      R"(<- w(s(s(0))): successful level 0? work 12 neg 0
+  {} @0?
+<- u(s(0)): failed level 0? work 2 neg 0
+)");
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 
 #include "analysis/atom_dependency_graph.h"
 #include "scc_reference.h"
+#include "solver/incremental.h"
+#include "solver/rule_table.h"
 #include "test_support.h"
+#include "util/rng.h"
 #include "wfs/wfs.h"
 #include "workload/generators.h"
 
@@ -311,6 +314,94 @@ TEST(AtomDependencyGraphTest, StratificationFlagsMatchGroundProgram) {
     EXPECT_EQ(graph.IsLocallyStratified(), stratified) << src;
     EXPECT_EQ(graph.IsAcyclic(), acyclic) << src;
   }
+}
+
+
+/// The keep-all table (the warm path's, which retains every candidate
+/// rule) and the default table compile one component from the same mask
+/// and solved tape. With its dead rules (disabled, or suppressed by a
+/// false external) left out, the keep-all table must be the default table:
+/// the same rules in the same order and the same occurrence rows.
+TEST(RuleTableTest, KeepAllLiveRulesEqualTheDefaultCompile) {
+  size_t disabled_dead = 0;
+  size_t witness_dead = 0;
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng gen(seed);
+    Fixture f(seed % 2 == 1 ? workload::RandomGame(gen, 40, 8)
+                            : workload::RandomPropositional(gen, 30, 90, 3));
+    IncrementalSolver inc(MustGround(f.program));
+    Rng rng(seed * 7919);
+    for (RuleId r = 0; r < inc.program().rule_count(); ++r) {
+      if (rng.Chance(1, 6)) inc.RetractRule(r);
+    }
+    inc.Model();
+    const GroundProgram& gp = inc.program();
+    const AtomDependencyGraph& graph = *inc.graph();
+    const std::vector<uint8_t>* mask = &inc.disabled_mask();
+    for (uint32_t c = 0; c < graph.id_bound(); ++c) {
+      if (graph.Atoms(c).empty()) continue;
+      const std::string context = StrCat("seed ", seed, " component ", c);
+      solver::RuleTable cold(gp, graph, c, inc.tape(), mask);
+      solver::RuleTable keep(gp, graph, c, inc.tape(), mask, nullptr,
+                             /*keep_all=*/true);
+      size_t candidates = 0;
+      for (AtomId a : graph.Atoms(c)) candidates += gp.RulesFor(a).size();
+      ASSERT_EQ(keep.rule_count(), candidates) << context;
+
+      // Keep-all rule -> its index among the live rules (or kNoRule).
+      std::vector<solver::LocalRule> live(keep.rule_count(), solver::kNoRule);
+      solver::LocalRule next = 0;
+      for (solver::LocalRule r = 0; r < keep.rule_count(); ++r) {
+        if (!keep.rule(r).dead) {
+          live[r] = next++;
+        } else if (RuleEnabledIn(mask, keep.GlobalRule(r))) {
+          ++witness_dead;
+        } else {
+          ++disabled_dead;
+        }
+      }
+      ASSERT_EQ(next, cold.rule_count()) << context;
+      for (solver::LocalRule r = 0; r < keep.rule_count(); ++r) {
+        if (live[r] == solver::kNoRule) continue;
+        const solver::CompiledRule& k = keep.rule(r);
+        const solver::CompiledRule& d = cold.rule(live[r]);
+        EXPECT_FALSE(d.dead) << context;
+        EXPECT_EQ(k.head, d.head) << context << " rule " << r;
+        EXPECT_EQ(k.unsat, d.unsat) << context << " rule " << r;
+        EXPECT_EQ(k.undef_external, d.undef_external)
+            << context << " rule " << r;
+        EXPECT_TRUE(std::ranges::equal(keep.PosBody(r), cold.PosBody(live[r])))
+            << context << " rule " << r;
+        EXPECT_TRUE(std::ranges::equal(keep.NegBody(r), cold.NegBody(live[r])))
+            << context << " rule " << r;
+      }
+      auto live_row = [&](std::span<const solver::LocalRule> row) {
+        std::vector<solver::LocalRule> out;
+        for (solver::LocalRule r : row) {
+          if (live[r] != solver::kNoRule) out.push_back(live[r]);
+        }
+        return out;
+      };
+      auto row = [](std::span<const solver::LocalRule> r) {
+        return std::vector<solver::LocalRule>(r.begin(), r.end());
+      };
+      for (solver::LocalAtom a = 0; a < keep.atom_count(); ++a) {
+        EXPECT_EQ(live_row(keep.RulesFor(a)), row(cold.RulesFor(a)))
+            << context << " atom " << a;
+        EXPECT_EQ(live_row(keep.PositiveOccurrences(a)),
+                  row(cold.PositiveOccurrences(a)))
+            << context << " atom " << a;
+        EXPECT_EQ(live_row(keep.NegativeOccurrences(a)),
+                  row(cold.NegativeOccurrences(a)))
+            << context << " atom " << a;
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(disabled_dead, 0u);
+  EXPECT_GT(witness_dead, 0u);
 }
 
 }  // namespace

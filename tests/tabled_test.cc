@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "workload/generators.h"
 
@@ -258,6 +259,75 @@ TEST(TabledTest, LevelOfIsEmptyExactlyWhereStatusOfIsUnknown) {
   token.Reset();
   EXPECT_EQ(c.StatusOf(p), GoalStatus::kSuccessful);
   EXPECT_EQ(c.LevelOf(p), Ordinal::Finite(4));
+}
+
+
+// --- Golden outputs: answers in order with their levels.
+
+/// A program whose `p(X)` has three derivations of `p(a)` at different
+/// levels, for answer deduplication.
+const char* kDuplicateAnswers =
+    "q(a). r(a). r(b). t(b).\n"
+    "p(X) :- q(X).\n"
+    "p(X) :- r(X), not t(X).\n"
+    "p(X) :- r(X).\n";
+
+std::string TabledGolden(const std::string& src,
+                         const std::vector<const char*>& queries) {
+  Fixture f(src);
+  TabledEngine engine = MustCreate(f.program);
+  std::string out;
+  for (const char* q : queries) {
+    out += StrCat("<- ", q, ": ",
+                  testing::RenderQueryResult(
+                      f.store, engine.Solve(MustParseQuery(f.store, q))));
+  }
+  return out;
+}
+
+TEST(TabledGoldenTest, RandomGame) {
+  Rng rng(7);
+  EXPECT_EQ(TabledGolden(workload::RandomGame(rng, 8, 25),
+                         {"win(X)", "move(X, Y), not win(Y)"}),
+            R"(<- win(X): successful level 2 work 0 neg 0
+  {X -> n4} @2
+  {X -> n5} @2
+  {X -> n3} @4
+<- move(X, Y), not win(Y): successful level 1 work 0 neg 0
+  {X -> n3, Y -> n1} @3
+  {X -> n4, Y -> n7} @1
+  {X -> n5, Y -> n7} @1
+)");
+}
+
+TEST(TabledGoldenTest, GameCycleWithTail) {
+  EXPECT_EQ(TabledGolden(workload::GameCycleWithTail(3, 3),
+                         {"win(X)", "move(X, Y), not win(Y)"}),
+            R"(<- win(X): successful level 2 work 0 neg 0
+  {X -> c0} @4
+  {X -> c1} @6
+  {X -> t2} @2
+<- move(X, Y), not win(Y): successful level 1 work 0 neg 0
+  {X -> c1, Y -> c2} @5
+  {X -> c0, Y -> t1} @3
+  {X -> t2, Y -> t3} @1
+)");
+}
+
+TEST(TabledGoldenTest, DuplicateAnswers) {
+  EXPECT_EQ(TabledGolden(kDuplicateAnswers,
+                         {"p(X)", "r(X), not t(X)", "p(X), p(Y)"}),
+            R"(<- p(X): successful level 1 work 0 neg 0
+  {X -> a} @1
+  {X -> b} @1
+<- r(X), not t(X): successful level 1 work 0 neg 0
+  {X -> a} @1
+<- p(X), p(Y): successful level 1 work 0 neg 0
+  {X -> a, Y -> a} @1
+  {X -> a, Y -> b} @1
+  {X -> b, Y -> a} @1
+  {X -> b, Y -> b} @1
+)");
 }
 
 }  // namespace

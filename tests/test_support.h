@@ -4,11 +4,13 @@
 #include <string>
 #include <string_view>
 
+#include "core/engine.h"
 #include "ground/grounder.h"
 #include "lang/parser.h"
 #include "lang/program.h"
 #include "solver/incremental.h"
 #include "term/term_store.h"
+#include "util/strings.h"
 
 namespace gsls::testing {
 
@@ -46,6 +48,23 @@ inline GroundProgram RebuildEnabled(const IncrementalSolver& inc,
   for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
     if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
+  }
+  return out;
+}
+
+/// A `QueryResult` as text: status, root level (`?` when inexact), the
+/// floundered flag and the `work` / `negation_nodes` counts on one line,
+/// then one line per answer in order, with its level. The golden tests of
+/// the top-down procedures compare these strings.
+inline std::string RenderQueryResult(const TermStore& store,
+                                     const QueryResult& r) {
+  std::string out =
+      StrCat(GoalStatusName(r.status), " level ", r.level.ToString(),
+             r.level_exact ? "" : "?", r.floundered_somewhere ? " fl" : "",
+             " work ", r.work, " neg ", r.negation_nodes, "\n");
+  for (const Answer& a : r.answers) {
+    out += StrCat("  ", a.theta.ToString(store), " @", a.level.ToString(),
+                  a.level_exact ? "" : "?", "\n");
   }
   return out;
 }

@@ -269,5 +269,111 @@ TEST(GlobalTreeTest, RenderingMentionsStatusesAndLevels) {
   EXPECT_NE(s.find("level"), std::string::npos);
 }
 
+
+// --- Golden renders of the materialized trees.
+
+TEST(TreeGoldenTest, SlpTreesOfVanGelder) {
+  Fixture f(kVanGelder);
+  SlpTreeOptions opts;
+  opts.max_depth = 6;
+  auto render = [&](const std::string& goal) {
+    return SlpTree::Build(f.program, MustParseQuery(f.store, goal), opts)
+        .ToString(f.store);
+  };
+  EXPECT_EQ(render("w(" + Int(2) + ")"),
+            R"(w(s(s(0)))
+  not u(s(s(0)))   [active leaf]
+)");
+  EXPECT_EQ(render("u(" + Int(0) + ")"),
+            R"(u(0)
+  e(Y,0), not w(Y)
+    not w(s(0))   [active leaf]
+    e(X,0), not w(s(X))
+      not w(s(s(0)))   [active leaf]
+      e(X,0), not w(s(s(X)))
+        not w(s(s(s(0))))   [active leaf]
+        e(X,0), not w(s(s(s(X))))
+          not w(s(s(s(s(0)))))   [active leaf]
+          e(X,0), not w(s(s(s(s(X)))))
+            not w(s(s(s(s(s(0))))))   [active leaf]
+            e(X,0), not w(s(s(s(s(s(X))))))   [...truncated]
+)");
+  EXPECT_EQ(render("u(" + Int(1) + ")"),
+            R"(u(s(0))
+  e(Y,s(0)), not w(Y)   [dead leaf]
+)");
+  EXPECT_EQ(render("u(" + Int(2) + ")"),
+            R"(u(s(s(0)))
+  e(Y,s(s(0))), not w(Y)
+    not w(s(0))   [active leaf]
+    e(X,s(0)), not w(s(X))   [dead leaf]
+)");
+  EXPECT_EQ(render("u(" + Int(3) + ")"),
+            R"(u(s(s(s(0))))
+  e(Y,s(s(s(0)))), not w(Y)
+    e(X,s(s(0))), not w(s(X))
+      not w(s(s(0)))   [active leaf]
+      e(X,s(0)), not w(s(s(X)))   [dead leaf]
+)");
+}
+
+TEST(TreeGoldenTest, GlobalTreesOfVanGelderAndAGameCycle) {
+  Fixture f(kVanGelder);
+  auto render = [&](int n) {
+    GlobalTreeOptions opts;
+    opts.max_negation_depth = 2 * static_cast<size_t>(n) + 4;
+    return GlobalTree::Build(f.program,
+                             MustParseQuery(f.store, "w(" + Int(n) + ")"),
+                             opts)
+        .ToString(f.store);
+  };
+  EXPECT_EQ(render(1),
+            R"(<- w(s(0))   [successful, level 2]
+  (neg) not u(s(0))   [successful, level 1]
+    <- u(s(0))   [failed, level 1]
+)");
+  EXPECT_EQ(render(2),
+            R"(<- w(s(s(0)))   [successful, level 4]
+  (neg) not u(s(s(0)))   [successful, level 3]
+    <- u(s(s(0)))   [failed, level 3]
+      (neg) not w(s(0))   [failed, level 2]
+        <- w(s(0))   [successful, level 2]
+          (neg) not u(s(0))   [successful, level 1]
+            <- u(s(0))   [failed, level 1]
+)");
+  Fixture game(workload::GameCycleWithTail(2, 2));
+  EXPECT_EQ(
+      GlobalTree::Build(game.program, MustParseQuery(game.store, "win(X)"))
+          .ToString(game.store),
+      R"(<- win(X)   [successful, level 2]
+  (neg) not win(c1)   [indeterminate]
+    <- win(c1)   [indeterminate]
+      (neg) not win(c0)   [indeterminate]
+        <- win(c0)   [indeterminate]
+          (neg) not win(c1)   [indeterminate]
+            <- win(c1)   [indeterminate]
+          (neg) not win(t1)   [failed, level 2]
+            <- win(t1)   [successful, level 2]
+              (neg) not win(t2)   [successful, level 1]
+                <- win(t2)   [failed, level 1]
+  (neg) not win(c0)   [indeterminate]
+    <- win(c0)   [indeterminate]
+      (neg) not win(c1)   [indeterminate]
+        <- win(c1)   [indeterminate]
+          (neg) not win(c0)   [indeterminate]
+            <- win(c0)   [indeterminate]
+      (neg) not win(t1)   [failed, level 2]
+        <- win(t1)   [successful, level 2]
+          (neg) not win(t2)   [successful, level 1]
+            <- win(t2)   [failed, level 1]
+  (neg) not win(t1)   [failed, level 2]
+    <- win(t1)   [successful, level 2]
+      (neg) not win(t2)   [successful, level 1]
+        <- win(t2)   [failed, level 1]
+  (neg) not win(t2)   [successful, level 1]
+    <- win(t2)   [failed, level 1]
+)");
+}
+
 }  // namespace
 }  // namespace gsls
