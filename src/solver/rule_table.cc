@@ -4,141 +4,27 @@
 
 namespace gsls::solver {
 
-RuleTable::RuleTable(const GroundProgram& gp, const AtomDependencyGraph& graph,
-                     uint32_t comp, const TruthTape& global,
-                     const std::vector<uint8_t>* disabled, CancelCtx* cancel,
-                     bool keep_all) {
+template <bool kKeepAll>
+void RuleTable::Compile(const GroundProgram& gp,
+                        const AtomDependencyGraph& graph, uint32_t comp,
+                        const TruthTape& global,
+                        const std::vector<uint8_t>* disabled,
+                        CancelCtx* cancel) {
   StridedCheckpoint tick(cancel);
-  std::span<const AtomId> members = graph.Atoms(comp);
-  atoms_.assign(members.begin(), members.end());
-  if (keep_all) {
-    keep_all_ = true;
-    CompileKeepAll(gp, graph, comp, global, disabled, cancel);
-    return;
-  }
-  uint32_t n = static_cast<uint32_t>(atoms_.size());
+  const uint32_t n = static_cast<uint32_t>(atoms_.size());
 
   // Pass 1: partially evaluate every candidate rule against the final
   // lower-component values, recording which survive and how many internal
   // literals each keeps. Nothing is stored per-rule yet except the
   // fixed-size records — all degree counts land in the CSR builders.
-  struct Probe {
-    RuleId rid;
-    LocalAtom head;
-    uint32_t npos;
-    uint32_t nneg;
-    uint32_t undef_external;
-  };
-  std::vector<Probe> kept;
-  size_t candidates = 0;
-  for (LocalAtom local = 0; local < n; ++local) {
-    candidates += gp.RulesFor(atoms_[local]).size();
-  }
-  kept.reserve(candidates);
-
-  rules_for_.Reset(n);
-  uint32_t body_total = 0;
-  for (LocalAtom local = 0; local < n; ++local) {
-    if (tick.Tick()) { AbortCompile(); return; }
-    for (RuleId rid : gp.RulesFor(atoms_[local])) {
-      if (!RuleEnabledIn(disabled, rid)) continue;
-      const GroundRule& r = gp.rules()[rid];
-      Probe probe{rid, local, 0, 0, 0};
-      bool suppressed = false;
-      for (AtomId b : r.pos) {
-        if (graph.ComponentOf(b) == comp) {
-          ++probe.npos;
-        } else if (global.IsFalse(b)) {
-          suppressed = true;  // false witness: the rule can never matter
-          break;
-        } else if (!global.IsTrue(b)) {
-          ++probe.undef_external;
-        }
-      }
-      if (!suppressed) {
-        for (AtomId b : r.neg) {
-          if (graph.ComponentOf(b) == comp) {
-            ++probe.nneg;
-          } else if (global.IsTrue(b)) {
-            suppressed = true;
-            break;
-          } else if (!global.IsFalse(b)) {
-            ++probe.undef_external;
-          }
-        }
-      }
-      if (suppressed) continue;
-      rules_for_.CountAt(local);
-      body_total += probe.npos + probe.nneg;
-      kept.push_back(probe);
-    }
-  }
-
-  // Sizes are now exact: lay out the rule records and the body pool, then
-  // fill the pool in a second scan of the kept bodies (suppression is
-  // already decided, so this scan only classifies internal vs external).
-  rules_.resize(kept.size());
-  body_.resize(body_total);
-  rules_for_.FinishCounting();
-  pos_occ_.Reset(n);
-  neg_occ_.Reset(n);
-  uint32_t cursor = 0;
-  for (LocalRule id = 0; id < kept.size(); ++id) {
-    if (tick.Tick()) { AbortCompile(); return; }
-    const Probe& probe = kept[id];
-    const GroundRule& r = gp.rules()[probe.rid];
-    CompiledRule& compiled = rules_[id];
-    compiled.head = probe.head;
-    compiled.undef_external = probe.undef_external;
-    compiled.unsat = probe.npos + probe.nneg + probe.undef_external;
-    compiled.pos_begin = cursor;
-    for (AtomId b : r.pos) {
-      if (graph.ComponentOf(b) != comp) continue;
-      LocalAtom lb = graph.LocalIndexOf(b);
-      body_[cursor++] = lb;
-      pos_occ_.CountAt(lb);
-    }
-    compiled.neg_begin = cursor;
-    for (AtomId b : r.neg) {
-      if (graph.ComponentOf(b) != comp) continue;
-      LocalAtom lb = graph.LocalIndexOf(b);
-      body_[cursor++] = lb;
-      neg_occ_.CountAt(lb);
-    }
-    compiled.body_end = cursor;
-    rules_for_.Fill(probe.head, id);
-  }
-  rules_for_.FinishFilling();
-
-  // Occurrence payloads come straight off the flat pool — no third body
-  // scan of the ground program.
-  pos_occ_.FinishCounting();
-  neg_occ_.FinishCounting();
-  for (LocalRule id = 0; id < rules_.size(); ++id) {
-    if (tick.Tick()) { AbortCompile(); return; }
-    for (LocalAtom b : PosBody(id)) pos_occ_.Fill(b, id);
-    for (LocalAtom b : NegBody(id)) neg_occ_.Fill(b, id);
-  }
-  pos_occ_.FinishFilling();
-  neg_occ_.FinishFilling();
-}
-
-void RuleTable::CompileKeepAll(const GroundProgram& gp,
-                               const AtomDependencyGraph& graph, uint32_t comp,
-                               const TruthTape& global,
-                               const std::vector<uint8_t>* disabled,
-                               CancelCtx* cancel) {
-  StridedCheckpoint tick(cancel);
-  const uint32_t n = static_cast<uint32_t>(atoms_.size());
-
-  // Pass 1 over every candidate — nothing is suppressed or skipped; a
-  // disabled rule or a false external witness only sets `dead`, keeping
-  // the record patchable when a later delta revives it. The body scans
-  // therefore always run to the end, so the internal/external counts here
-  // match pass 2's fills exactly. A disabled rule's externals are counted
-  // but not read: no enabled edge orders their components before this one,
-  // so a pool pass may be re-solving them right now (its counters are
-  // recomputed when a flip revives it).
+  // The default table drops a disabled rule unread and a suppressed one at
+  // its first false witness. The keep-all table drops nothing: a disabled
+  // rule or a false witness only sets `dead`, keeping the record patchable
+  // when a later delta revives it, so its body scans run to the end and
+  // the internal/external counts match pass 2's fills exactly. A disabled
+  // rule's externals are counted but not read: no enabled edge orders
+  // their components before this one, so a pool pass may be re-solving
+  // them right now (its counters are recomputed when a flip revives it).
   struct Probe {
     RuleId rid;
     LocalAtom head;
@@ -160,30 +46,36 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
   for (LocalAtom local = 0; local < n; ++local) {
     if (tick.Tick()) { AbortCompile(); return; }
     for (RuleId rid : gp.RulesFor(atoms_[local])) {
-      const GroundRule& r = gp.rules()[rid];
       const bool enabled = RuleEnabledIn(disabled, rid);
+      if (!kKeepAll && !enabled) continue;
+      const GroundRule& r = gp.rules()[rid];
       Probe probe{rid, local, 0, 0, 0, !enabled};
       uint32_t ext = 0;
-      for (AtomId b : r.pos) {
-        if (graph.ComponentOf(b) == comp) {
-          ++probe.npos;
-        } else {
-          ++ext;
-          if (!enabled) continue;
-          if (global.IsFalse(b)) probe.dead = true;
-          else if (!global.IsTrue(b)) ++probe.undef_external;
+      // One body half; an external whose value is `witness` falsifies it
+      // (the rule can never matter).
+      auto scan = [&](const std::vector<AtomId>& body, TruthValue witness,
+                      uint32_t* internal) {
+        for (AtomId b : body) {
+          if (graph.ComponentOf(b) == comp) {
+            ++*internal;
+            continue;
+          }
+          if constexpr (kKeepAll) {
+            ++ext;
+            if (!enabled) continue;
+          }
+          const TruthValue v = global.Value(b);
+          if (v == witness) {
+            probe.dead = true;
+            if constexpr (!kKeepAll) return;
+          } else if (v == TruthValue::kUndefined) {
+            ++probe.undef_external;
+          }
         }
-      }
-      for (AtomId b : r.neg) {
-        if (graph.ComponentOf(b) == comp) {
-          ++probe.nneg;
-        } else {
-          ++ext;
-          if (!enabled) continue;
-          if (global.IsTrue(b)) probe.dead = true;
-          else if (!global.IsFalse(b)) ++probe.undef_external;
-        }
-      }
+      };
+      scan(r.pos, TruthValue::kFalse, &probe.npos);
+      if (kKeepAll || !probe.dead) scan(r.neg, TruthValue::kTrue, &probe.nneg);
+      if (!kKeepAll && probe.dead) continue;
       rules_for_.CountAt(local);
       body_total += probe.npos + probe.nneg;
       ext_total += ext;
@@ -191,12 +83,17 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
     }
   }
 
+  // Sizes are now exact: lay out the rule records and the body pool, then
+  // fill the pool in a second scan of the kept bodies (suppression is
+  // already decided, so this scan only classifies internal vs external).
   rules_.resize(kept.size());
-  rids_.resize(kept.size());
-  ext_spans_.resize(kept.size());
-  disabled_snap_.assign(kept.size(), 0);
   body_.resize(body_total);
-  ext_pool_.resize(ext_total);
+  if constexpr (kKeepAll) {
+    rids_.resize(kept.size());
+    ext_spans_.resize(kept.size());
+    disabled_snap_.assign(kept.size(), 0);
+    ext_pool_.resize(ext_total);
+  }
   rules_for_.FinishCounting();
   pos_occ_.Reset(n);
   neg_occ_.Reset(n);
@@ -210,43 +107,40 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
     compiled.head = probe.head;
     compiled.undef_external = probe.undef_external;
     // At-rest counters: every internal literal is undefined at the start
-    // of a component solve, so this is the same value the default compile
-    // produces for a live rule. Dead rules keep the at-rest value too —
-    // a revival recomputes them (`RecomputeRule`) before they re-enter
+    // of a component solve. Dead keep-all rules keep the at-rest value too
+    // — a revival recomputes them (`RecomputeRule`) before they re-enter
     // the game, because the propagation loop never decrements dead rules.
     compiled.unsat = probe.npos + probe.nneg + probe.undef_external;
     compiled.dead = probe.dead;
-    rids_[id] = probe.rid;
-    disabled_snap_[id] = !RuleEnabledIn(disabled, probe.rid);
-    ExtSpan& ext = ext_spans_[id];
+    auto fill = [&](const std::vector<AtomId>& body, Csr<LocalRule>* occ) {
+      for (AtomId b : body) {
+        if (graph.ComponentOf(b) == comp) {
+          LocalAtom lb = graph.LocalIndexOf(b);
+          body_[cursor++] = lb;
+          occ->CountAt(lb);
+        } else if constexpr (kKeepAll) {
+          ext_pool_[ext_cursor++] = b;
+        }
+      }
+    };
     compiled.pos_begin = cursor;
-    ext.pos_begin = ext_cursor;
-    for (AtomId b : r.pos) {
-      if (graph.ComponentOf(b) == comp) {
-        LocalAtom lb = graph.LocalIndexOf(b);
-        body_[cursor++] = lb;
-        pos_occ_.CountAt(lb);
-      } else {
-        ext_pool_[ext_cursor++] = b;
-      }
+    if constexpr (kKeepAll) {
+      rids_[id] = probe.rid;
+      disabled_snap_[id] = !RuleEnabledIn(disabled, probe.rid);
+      ext_spans_[id].pos_begin = ext_cursor;
     }
+    fill(r.pos, &pos_occ_);
     compiled.neg_begin = cursor;
-    ext.neg_begin = ext_cursor;
-    for (AtomId b : r.neg) {
-      if (graph.ComponentOf(b) == comp) {
-        LocalAtom lb = graph.LocalIndexOf(b);
-        body_[cursor++] = lb;
-        neg_occ_.CountAt(lb);
-      } else {
-        ext_pool_[ext_cursor++] = b;
-      }
-    }
+    if constexpr (kKeepAll) ext_spans_[id].neg_begin = ext_cursor;
+    fill(r.neg, &neg_occ_);
     compiled.body_end = cursor;
-    ext.end = ext_cursor;
+    if constexpr (kKeepAll) ext_spans_[id].end = ext_cursor;
     rules_for_.Fill(probe.head, id);
   }
   rules_for_.FinishFilling();
 
+  // Occurrence payloads come straight off the flat pool — no third body
+  // scan of the ground program.
   pos_occ_.FinishCounting();
   neg_occ_.FinishCounting();
   for (LocalRule id = 0; id < rules_.size(); ++id) {
@@ -256,6 +150,7 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
   }
   pos_occ_.FinishFilling();
   neg_occ_.FinishFilling();
+  if constexpr (!kKeepAll) return;
 
   // Global->local rule index: where a recorded mask flip lands.
   local_of_.resize(rids_.size());
@@ -295,12 +190,25 @@ void RuleTable::CompileKeepAll(const GroundProgram& gp,
   }
 }
 
+RuleTable::RuleTable(const GroundProgram& gp, const AtomDependencyGraph& graph,
+                     uint32_t comp, const TruthTape& global,
+                     const std::vector<uint8_t>* disabled, CancelCtx* cancel,
+                     bool keep_all) {
+  std::span<const AtomId> members = graph.Atoms(comp);
+  atoms_.assign(members.begin(), members.end());
+  if (keep_all) {
+    Compile<true>(gp, graph, comp, global, disabled, cancel);
+  } else {
+    Compile<false>(gp, graph, comp, global, disabled, cancel);
+  }
+}
+
 void RuleTable::RecomputeRule(LocalRule r, const TruthTape& global,
                               const std::vector<uint8_t>* disabled) {
   CompiledRule& rule = rules_[r];
   if (!RuleEnabledIn(disabled, rids_[r])) {
     // Dead whatever its body holds; its externals are not read (see
-    // `CompileKeepAll`), and the flip that revives it recomputes it.
+    // `Compile`), and the flip that revives it recomputes it.
     rule.dead = true;
     return;
   }

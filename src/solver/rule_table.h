@@ -79,8 +79,7 @@ class RuleTable {
   /// later delta then *patches* this table (`RecomputeRule`) instead of
   /// recompiling it: each recorded mask flip and external move is
   /// reconciled against its snapshot and maps to exactly the touched
-  /// rules. The default (false) path is byte-for-byte the historical
-  /// compile.
+  /// rules. Its live rules, in order, are the default table's rules.
   RuleTable(const GroundProgram& gp, const AtomDependencyGraph& graph,
             uint32_t comp, const TruthTape& global,
             const std::vector<uint8_t>* disabled = nullptr,
@@ -125,8 +124,6 @@ class RuleTable {
   }
 
   // --- keep-all extensions (valid only when compiled with keep_all) ---
-
-  bool keep_all() const { return keep_all_; }
 
   /// Global `RuleId` of local rule `r`.
   RuleId GlobalRule(LocalRule r) const { return rids_[r]; }
@@ -209,19 +206,18 @@ class RuleTable {
     uint32_t end = 0;
   };
 
-  /// The keep-all compile (see the constructor comment). Same two-pass
-  /// CSR layout as the default path, plus the retained-rule metadata.
-  void CompileKeepAll(const GroundProgram& gp,
-                      const AtomDependencyGraph& graph, uint32_t comp,
-                      const TruthTape& global,
-                      const std::vector<uint8_t>* disabled, CancelCtx* cancel);
+  /// The two-pass compile (see the constructor comment), instantiated
+  /// once per table kind; `kKeepAll` adds the retained-rule metadata.
+  template <bool kKeepAll>
+  void Compile(const GroundProgram& gp, const AtomDependencyGraph& graph,
+               uint32_t comp, const TruthTape& global,
+               const std::vector<uint8_t>* disabled, CancelCtx* cancel);
 
   /// Resets to a coherent empty table (no rules, empty CSR rows) after a
   /// mid-compile cancellation trip.
   void AbortCompile();
 
   bool aborted_ = false;
-  bool keep_all_ = false;
   std::vector<AtomId> atoms_;  ///< local id -> global id
   std::vector<CompiledRule> rules_;
   std::vector<LocalAtom> body_;  ///< shared pool: [pos | neg] per rule

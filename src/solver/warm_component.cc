@@ -48,8 +48,6 @@ bool WarmComponent::Solve(const GroundProgram& gp,
                           TruthTape* values, SolverDiagnostics* diag,
                           CancelCtx* cancel) {
   eval_.emplace(gp, graph, comp, *values, disabled, cancel);
-  candidate_count_ = 0;
-  for (AtomId a : graph.Atoms(comp)) candidate_count_ += gp.RulesFor(a).size();
   rule_stamp_.assign(eval_->table_.rule_count(), 0);
   stamp_ = 0;
   // The compile read the live mask and tape, except the externals whose
@@ -122,11 +120,12 @@ bool WarmComponent::BindingValid(const GroundProgram& gp,
     if (members[a] != t.GlobalAtom(a)) return false;
   }
   // Rules are only appended to a `GroundProgram`, never removed, so a
-  // candidate-count match means no new rule targets this component; mask
-  // flips of retained rules are what `Resolve` patches.
+  // candidate-count match (the keep-all table retains every candidate)
+  // means no new rule targets this component; mask flips of retained
+  // rules are what `Resolve` patches.
   size_t candidates = 0;
   for (AtomId a : members) candidates += gp.RulesFor(a).size();
-  if (candidates != candidate_count_) return false;
+  if (candidates != t.rule_count()) return false;
   // Tape consistency: an out-of-band pass (a fresh full solve, a cold
   // re-solve that bypassed this entry) may have rewritten the component's
   // bytes; the tracker is then stale and the state must be discarded.

@@ -137,7 +137,6 @@ class WarmComponent {
                       const std::vector<uint8_t>* disabled) const;
 
   std::optional<ComponentEvaluator<true>> eval_;
-  size_t candidate_count_ = 0;  ///< binding: gp rule count at `Solve`
 
   // Patch scratch, reused across calls.
   std::vector<LocalRule> recomputed_;  ///< rules patched this resolve
