@@ -9,17 +9,6 @@
 
 namespace gsls {
 
-const char* GoalStatusName(GoalStatus s) {
-  switch (s) {
-    case GoalStatus::kSuccessful: return "successful";
-    case GoalStatus::kFailed: return "failed";
-    case GoalStatus::kFloundered: return "floundered";
-    case GoalStatus::kIndeterminate: return "indeterminate";
-    case GoalStatus::kUnknown: return "unknown";
-  }
-  return "?";
-}
-
 GoalStatus StatusOfValue(TruthValue v) {
   switch (v) {
     case TruthValue::kTrue: return GoalStatus::kSuccessful;
@@ -37,27 +26,6 @@ std::optional<Ordinal> LevelOfStages(TruthValue v, uint32_t true_stage,
   if (stage == 0) return std::nullopt;
   return Ordinal::Finite(stage);
 }
-
-namespace {
-
-/// Goals are literal sets (queries are sets, Def. 1.3): drop duplicates,
-/// preserving first-occurrence order so selection rules see a stable order.
-Goal NormalizeGoal(const Goal& goal) {
-  Goal out;
-  out.reserve(goal.size());
-  for (const Literal& l : goal) {
-    if (std::find(out.begin(), out.end(), l) == out.end()) out.push_back(l);
-  }
-  return out;
-}
-
-uint64_t MixKey(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  return h ^ (h >> 29);
-}
-
-}  // namespace
 
 GlobalSlsEngine::GlobalSlsEngine(const Program& program, EngineOptions opts)
     : program_(program), store_(program.store()), opts_(opts) {}
@@ -149,38 +117,6 @@ void GlobalSlsEngine::MaybeSeedOracle() {
   }
 }
 
-size_t GlobalSlsEngine::SelectLiteral(const Goal& goal) const {
-  if (goal.empty()) return SIZE_MAX;
-  switch (opts_.selection) {
-    case SelectionMode::kPositivistic:
-      for (size_t i = 0; i < goal.size(); ++i) {
-        if (goal[i].positive) return i;
-      }
-      return SIZE_MAX;
-    case SelectionMode::kNegativesFirst:
-      for (size_t i = 0; i < goal.size(); ++i) {
-        if (!goal[i].positive) return i;
-      }
-      return 0;
-    case SelectionMode::kLeftmost:
-      return 0;
-  }
-  return SIZE_MAX;
-}
-
-uint64_t GlobalSlsEngine::GroundGoalKey(const Goal& goal) {
-  std::vector<uint64_t> keys;
-  keys.reserve(goal.size());
-  for (const Literal& l : goal) {
-    if (!l.atom->ground()) return 0;
-    keys.push_back(l.atom->hash() * 2 + (l.positive ? 1 : 0));
-  }
-  std::sort(keys.begin(), keys.end());
-  uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (uint64_t k : keys) h = MixKey(h, k);
-  return h == 0 ? 1 : h;
-}
-
 GlobalSlsEngine::SubgoalOutcome GlobalSlsEngine::EvalGroundSubgoal(
     const Term* q, size_t neg_depth, Taint* taint) {
   auto it = memo_.find(q);
@@ -250,92 +186,49 @@ void GlobalSlsEngine::HandleActiveLeaf(const Goal& leaf,
                                        const Ordinal& carry_lub,
                                        bool carry_exact, Taint* taint,
                                        TreeOutcome* out) {
-  bool any_success_child = false;
-  Ordinal min_success_child;
-  bool min_success_exact = true;
-  bool have_min_success = false;
-  bool child_unknown = false;
-  bool child_floundered = false;
-  bool child_indeterminate = false;
+  // Preferential rule: all ground negative literals of the leaf are
+  // expanded together (their statuses combine symmetrically, so simple
+  // iteration implements the paper's parallelism). Sequential
+  // counterexample mode (Example 3.3): literals are expanded left to right;
+  // the first undetermined one wedges the whole leaf even if a later
+  // literal would decide it.
+  const bool parallel = opts_.negatively_parallel;
+  ChildStatusFold fold;
   bool any_nonground = false;
-  Ordinal lub_fail;
-  bool fail_exact = true;
-
-  auto absorb = [&](const SubgoalOutcome& so) {
+  for (const Literal& l : leaf) {
+    assert(!l.positive);
+    if (!l.atom->ground()) {
+      any_nonground = true;  // nonground node child: floundered
+      if (parallel) continue;
+      break;
+    }
+    ++negation_nodes_;
+    SubgoalOutcome so = EvalGroundSubgoal(l.atom, neg_depth + 1, taint);
     if (so.floundered_somewhere) out->any_floundered = true;
-    switch (so.status) {
-      case GoalStatus::kSuccessful:
-        if (!have_min_success || so.level < min_success_child) {
-          min_success_child = so.level;
-          min_success_exact = so.level_exact;
-        }
-        have_min_success = true;
-        any_success_child = true;
-        break;
-      case GoalStatus::kFailed:
-        lub_fail = Ordinal::Lub(lub_fail, so.level);
-        fail_exact = fail_exact && so.level_exact;
-        break;
-      case GoalStatus::kFloundered:
-        child_floundered = true;
-        break;
-      case GoalStatus::kIndeterminate:
-        child_indeterminate = true;
-        break;
-      case GoalStatus::kUnknown:
-        child_unknown = true;
-        break;
-    }
-  };
-
-  if (opts_.negatively_parallel) {
-    // Preferential rule: all ground negative literals of the leaf are
-    // expanded together (their statuses combine symmetrically, so simple
-    // iteration implements the paper's parallelism).
-    for (const Literal& l : leaf) {
-      assert(!l.positive);
-      if (!l.atom->ground()) {
-        any_nonground = true;  // nonground node child: floundered
-        continue;
-      }
-      ++negation_nodes_;
-      absorb(EvalGroundSubgoal(l.atom, neg_depth + 1, taint));
-    }
-  } else {
-    // Sequential counterexample mode (Example 3.3): literals are expanded
-    // left to right; the first undetermined one wedges the whole leaf even
-    // if a later literal would decide it.
-    for (const Literal& l : leaf) {
-      assert(!l.positive);
-      if (!l.atom->ground()) {
-        any_nonground = true;
-        break;
-      }
-      ++negation_nodes_;
-      SubgoalOutcome so = EvalGroundSubgoal(l.atom, neg_depth + 1, taint);
-      absorb(so);
-      if (so.status != GoalStatus::kFailed) break;
-    }
+    fold.Add(so.status, so.level, so.level_exact);
+    if (!parallel && so.status != GoalStatus::kFailed) break;
   }
 
   // Negation-node status calculus (Def. 3.3 rule 2).
-  if (any_success_child) {
+  if (fold.any_success) {
     // J is failed; its level is the minimum level of its successful
     // children. The enclosing tree node's failure level takes the lub.
-    out->fail_lub = Ordinal::Lub(out->fail_lub, min_success_child);
-    if (!min_success_exact || child_unknown) out->level_exact = false;
+    out->fail_lub = Ordinal::Lub(out->fail_lub, fold.min_success);
+    if (!fold.min_success_exact || fold.any_unknown) {
+      out->level_exact = false;
+    }
     return;
   }
-  if (child_unknown) {
+  if (fold.any_unknown) {
     out->any_unknown = true;
     out->level_exact = false;
     return;
   }
-  if (any_nonground || child_floundered) {
+  if (any_nonground || fold.any_floundered) {
     out->any_floundered = true;
     return;
   }
-  if (child_indeterminate) {
+  if (fold.any_indeterminate) {
     out->any_indeterminate = true;
     out->level_exact = false;
     return;
@@ -345,8 +238,9 @@ void GlobalSlsEngine::HandleActiveLeaf(const Goal& leaf,
   // Deleted (memo-simplified) positive literals contribute their own
   // negation-node levels through the carry.
   out->any_success = true;
-  fail_exact = fail_exact && carry_exact;
-  Ordinal leaf_level = Ordinal::Lub(lub_fail, carry_lub) + Ordinal::Finite(1);
+  const bool fail_exact = fold.fail_exact && carry_exact;
+  Ordinal leaf_level =
+      Ordinal::Lub(fold.fail_lub, carry_lub) + Ordinal::Finite(1);
   if (!out->has_min_success || leaf_level < out->min_success) {
     out->min_success = leaf_level;
     out->has_min_success = true;
@@ -354,14 +248,8 @@ void GlobalSlsEngine::HandleActiveLeaf(const Goal& leaf,
   if (!fail_exact) out->level_exact = false;
   if (collect_answers && out->answers.size() < opts_.max_answers) {
     Answer ans;
-    // Restrict the composed mgu to the variables of the original goal
-    // (Def. 3.4's computed answer substitution, projected for readability).
-    std::vector<VarId> root_vars;
-    for (const Literal& l : root_goal) CollectVars(l.atom, &root_vars);
-    for (VarId v : root_vars) {
-      const Term* image = theta.Apply(store_, store_.Var(v));
-      if (!(image->IsVar() && image->var() == v)) ans.theta.Bind(v, image);
-    }
+    // Def. 3.4's computed answer substitution, projected onto the goal.
+    ans.theta = ProjectAnswer(store_, theta, root_goal);
     ans.level = leaf_level;
     ans.level_exact = fail_exact;
     out->answers.push_back(std::move(ans));
@@ -441,7 +329,7 @@ void GlobalSlsEngine::Expand(const Goal& goal_in, const Substitution& theta,
     if (changed) goal = std::move(kept);
   }
 
-  size_t sel = SelectLiteral(goal);
+  size_t sel = SelectLiteral(goal, opts_.selection);
   if (sel == SIZE_MAX) {
     ++work_;
     HandleActiveLeaf(goal, theta, neg_depth, root_goal, collect_answers,
@@ -516,25 +404,11 @@ void GlobalSlsEngine::Expand(const Goal& goal_in, const Substitution& theta,
       out->level_exact = false;
       break;
     }
-    Clause variant = RenameApart(store_, program_.clauses()[ci]);
-    Substitution mgu;
-    if (!Unify(selected.atom, variant.head, &mgu)) continue;
-    Goal child;
-    child.reserve(goal.size() - 1 + variant.body.size());
-    for (size_t i = 0; i < sel; ++i) {
-      child.push_back(Literal{mgu.Apply(store_, goal[i].atom),
-                              goal[i].positive});
-    }
-    for (const Literal& b : variant.body) {
-      child.push_back(Literal{mgu.Apply(store_, b.atom), b.positive});
-    }
-    for (size_t i = sel + 1; i < goal.size(); ++i) {
-      child.push_back(Literal{mgu.Apply(store_, goal[i].atom),
-                              goal[i].positive});
-    }
-    Expand(NormalizeGoal(child), theta.ComposeWith(store_, mgu), depth + 1,
-           neg_depth, path_keys, root_goal, collect_answers, carry, carry_ok,
-           taint, out);
+    std::optional<Resolvent> child =
+        Resolve(store_, program_.clauses()[ci], goal, sel, theta);
+    if (!child.has_value()) continue;
+    Expand(NormalizeGoal(child->goal), child->theta, depth + 1, neg_depth,
+           path_keys, root_goal, collect_answers, carry, carry_ok, taint, out);
   }
   if (key != 0) path_keys->pop_back();
 }
@@ -585,31 +459,7 @@ QueryResult GlobalSlsEngine::Solve(const Goal& goal) {
   result.level_exact = so.level_exact && opts_.compute_levels;
   result.floundered_somewhere = so.floundered_somewhere;
   result.answers = std::move(tree.answers);
-  // Deduplicate answers by their effect on the goal. Several successful
-  // leaves can carry the same substitution; the root's level with respect
-  // to that answer is one more than the *minimum* child level (Def. 3.3
-  // rule 3(b)), so keep the smallest.
-  {
-    std::unordered_map<uint64_t, size_t> seen;
-    std::vector<Answer> unique;
-    for (Answer& a : result.answers) {
-      uint64_t h = 0x12345;
-      for (const Literal& l : root) {
-        h = MixKey(h, a.theta.Apply(store_, l.atom)->hash());
-      }
-      auto [it, inserted] = seen.emplace(h, unique.size());
-      if (inserted) {
-        unique.push_back(std::move(a));
-      } else {
-        Answer& kept = unique[it->second];
-        if (a.level < kept.level) {
-          kept.level = a.level;
-          kept.level_exact = a.level_exact;
-        }
-      }
-    }
-    result.answers = std::move(unique);
-  }
+  DeduplicateAnswers(store_, root, &result.answers);
   result.work = work_ - work_before;
   result.negation_nodes = negation_nodes_ - neg_before;
   if (result.status == GoalStatus::kUnknown) {

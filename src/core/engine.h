@@ -8,30 +8,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/derivation.h"
 #include "core/ordinal.h"
 #include "lang/program.h"
 #include "solver/incremental.h"
 #include "term/substitution.h"
 
 namespace gsls {
-
-/// Status of a goal in a global tree (Def. 3.3 rule 4, plus `kUnknown`).
-///
-/// `kIndeterminate` is reported when the engine *proves* the evaluation
-/// recurses through negation (a negative loop over ground subgoals), the
-/// situation the paper calls indeterminate. `kUnknown` is reported when a
-/// resource budget was exhausted first; the paper's procedure would simply
-/// not have terminated yet. Global SLS-resolution is not effective
-/// (Sec. 7), so a faithful implementation must have both escape hatches.
-enum class GoalStatus : uint8_t {
-  kSuccessful,
-  kFailed,
-  kFloundered,
-  kIndeterminate,
-  kUnknown,
-};
-
-const char* GoalStatusName(GoalStatus s);
 
 /// Thm. 4.7: the status of a ground atom under global SLS-resolution is its
 /// well-founded value — true is successful, false is failed, undefined is
@@ -43,18 +26,6 @@ GoalStatus StatusOfValue(TruthValue v);
 /// no level, and neither has a stage recorded as 0 (levels not computed).
 std::optional<Ordinal> LevelOfStages(TruthValue v, uint32_t true_stage,
                                      uint32_t false_stage);
-
-/// Literal-selection component of the computation rule (Def. 3.1).
-enum class SelectionMode : uint8_t {
-  /// Positivistic: positive literals strictly ahead of negative ones
-  /// (required for completeness; part of the preferential rule).
-  kPositivistic,
-  /// Counterexample mode for Example 3.2: selects the leftmost negative
-  /// literal ahead of positive ones. Not safe for completeness.
-  kNegativesFirst,
-  /// Strict leftmost literal of either sign (SLDNF-style order).
-  kLeftmost,
-};
 
 /// Engine configuration: computation rule plus resource budgets (the paper's
 /// procedure is ideal/non-effective; budgets make the search an anytime
@@ -100,15 +71,6 @@ struct EngineOptions {
   size_t max_negation_depth = 96;    ///< Max nesting through negation nodes.
   size_t max_work = 2'000'000;       ///< Total resolution steps budget.
   size_t max_answers = 100'000;      ///< Stop collecting answers after this.
-};
-
-/// One computed answer for a goal: the composed most general unifier along
-/// a successful branch (Def. 3.4) and the level of the root tree node with
-/// respect to it (Def. 3.3 rule 3(b)).
-struct Answer {
-  Substitution theta;
-  Ordinal level;
-  bool level_exact = false;
 };
 
 /// Result of evaluating one goal.
@@ -228,15 +190,6 @@ class GlobalSlsEngine {
 
   /// Aggregates a finished TreeOutcome into a SubgoalOutcome status.
   static SubgoalOutcome Aggregate(const TreeOutcome& t);
-
-  /// Selection per the configured computation rule. Returns the index of
-  /// the selected literal or SIZE_MAX when the goal is an active leaf
-  /// (no literal may be selected before the negative-leaf stage).
-  size_t SelectLiteral(const Goal& goal) const;
-
-  /// Canonical key of a ground goal for repeated-goal pruning; 0 when the
-  /// goal is nonground (pruning disabled for it).
-  static uint64_t GroundGoalKey(const Goal& goal);
 
   /// True when the bottom-up oracle applies to this engine's options and
   /// program (preferential rule, memoing, function-free clauses).

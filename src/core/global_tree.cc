@@ -26,72 +26,52 @@ class Builder {
     }
     node->slp = std::make_unique<SlpTree>(
         SlpTree::Build(program_, goal, opts_.slp));
-    bool any_unknown = node->slp->truncated();
-    bool any_success = false, any_floundered = false, any_indet = false;
-    Ordinal min_success;
-    bool have_min = false;
-    bool min_exact = true;
-    Ordinal lub;
-    bool lub_exact = true;
+    ChildStatusFold fold;
+    fold.any_unknown = node->slp->truncated();
     for (const SlpNode* leaf : node->slp->ActiveLeaves()) {
       auto child = BuildNegationNode(leaf->goal, neg_depth);
-      switch (child->status) {
-        case GoalStatus::kSuccessful:
-          any_success = true;
-          if (!have_min || child->level < min_success) {
-            min_success = child->level;
-            min_exact = child->level_exact;
-          }
-          have_min = true;
-          break;
-        case GoalStatus::kFailed:
-          lub = Ordinal::Lub(lub, child->level);
-          lub_exact = lub_exact && child->level_exact;
-          break;
-        case GoalStatus::kFloundered:
-          any_floundered = true;
-          break;
-        case GoalStatus::kIndeterminate:
-          any_indet = true;
-          break;
-        case GoalStatus::kUnknown:
-          any_unknown = true;
-          break;
-      }
+      fold.Add(child->status, child->level, child->level_exact);
       node->children.push_back(std::move(child));
     }
     // Tree-node status calculus (Def. 3.3 rule 3).
-    if (any_success) {
-      node->status = GoalStatus::kSuccessful;
-      node->level = min_success + Ordinal::Finite(1);
-      node->level_exact = min_exact && !any_unknown;
-    } else if (any_unknown) {
-      node->status = GoalStatus::kUnknown;
-    } else if (any_floundered) {
-      node->status = GoalStatus::kFloundered;
-    } else if (any_indet) {
-      node->status = GoalStatus::kIndeterminate;
-    } else {
-      node->status = GoalStatus::kFailed;
-      node->level = lub + Ordinal::Finite(1);
-      node->level_exact = lub_exact;
-    }
+    Conclude(fold, GoalStatus::kSuccessful,
+             fold.min_success + Ordinal::Finite(1), GoalStatus::kFailed,
+             fold.fail_lub + Ordinal::Finite(1), node.get());
     return node;
   }
 
  private:
+  /// Rules 2 and 3 share their shape: a successful child decides the node
+  /// (`if_success` at `success_level`, exact unless a sibling is unknown);
+  /// then unknown, floundered and indeterminate children win in that
+  /// order; otherwise every child failed (`if_all_failed` at `fail_level`).
+  static void Conclude(const ChildStatusFold& fold, GoalStatus if_success,
+                       const Ordinal& success_level, GoalStatus if_all_failed,
+                       const Ordinal& fail_level, GlobalNode* node) {
+    if (fold.any_success) {
+      node->status = if_success;
+      node->level = success_level;
+      node->level_exact = fold.min_success_exact && !fold.any_unknown;
+    } else if (fold.any_unknown) {
+      node->status = GoalStatus::kUnknown;
+    } else if (fold.any_floundered) {
+      node->status = GoalStatus::kFloundered;
+    } else if (fold.any_indeterminate) {
+      node->status = GoalStatus::kIndeterminate;
+    } else {
+      node->status = if_all_failed;
+      node->level = fail_level;
+      node->level_exact = fold.fail_exact;
+    }
+  }
+
   std::unique_ptr<GlobalNode> BuildNegationNode(const Goal& leaf,
                                                 size_t neg_depth) {
     auto node = std::make_unique<GlobalNode>();
     node->kind = GlobalNodeKind::kNegation;
     node->goal = leaf;
     ++node_count_;
-    bool any_success = false, any_floundered = false, any_indet = false,
-         any_unknown = false;
-    Ordinal min_success;
-    bool have_min = false, min_exact = true;
-    Ordinal lub;
-    bool lub_exact = true;
+    ChildStatusFold fold;
     for (const Literal& l : leaf) {
       if (!l.atom->ground()) {
         auto ng = std::make_unique<GlobalNode>();
@@ -99,7 +79,7 @@ class Builder {
         ng->goal = Goal{l};
         ng->status = GoalStatus::kFloundered;
         ++node_count_;
-        any_floundered = true;
+        fold.any_floundered = true;
         node->children.push_back(std::move(ng));
         continue;
       }
@@ -117,47 +97,12 @@ class Builder {
         child = BuildTreeNode(Goal{Literal::Pos(l.atom)}, neg_depth + 1);
         path_.erase(l.atom);
       }
-      switch (child->status) {
-        case GoalStatus::kSuccessful:
-          any_success = true;
-          if (!have_min || child->level < min_success) {
-            min_success = child->level;
-            min_exact = child->level_exact;
-          }
-          have_min = true;
-          break;
-        case GoalStatus::kFailed:
-          lub = Ordinal::Lub(lub, child->level);
-          lub_exact = lub_exact && child->level_exact;
-          break;
-        case GoalStatus::kFloundered:
-          any_floundered = true;
-          break;
-        case GoalStatus::kIndeterminate:
-          any_indet = true;
-          break;
-        case GoalStatus::kUnknown:
-          any_unknown = true;
-          break;
-      }
+      fold.Add(child->status, child->level, child->level_exact);
       node->children.push_back(std::move(child));
     }
     // Negation-node status calculus (Def. 3.3 rule 2).
-    if (any_success) {
-      node->status = GoalStatus::kFailed;
-      node->level = min_success;
-      node->level_exact = min_exact && !any_unknown;
-    } else if (any_unknown) {
-      node->status = GoalStatus::kUnknown;
-    } else if (any_floundered) {
-      node->status = GoalStatus::kFloundered;
-    } else if (any_indet) {
-      node->status = GoalStatus::kIndeterminate;
-    } else {
-      node->status = GoalStatus::kSuccessful;
-      node->level = lub;
-      node->level_exact = lub_exact;
-    }
+    Conclude(fold, GoalStatus::kFailed, fold.min_success,
+             GoalStatus::kSuccessful, fold.fail_lub, node.get());
     return node;
   }
 

@@ -10,29 +10,6 @@ namespace gsls {
 
 namespace {
 
-uint64_t GroundGoalKey(const Goal& goal) {
-  std::vector<uint64_t> keys;
-  keys.reserve(goal.size());
-  for (const Literal& l : goal) {
-    if (!l.atom->ground()) return 0;
-    keys.push_back(l.atom->hash() * 2 + (l.positive ? 1 : 0));
-  }
-  std::sort(keys.begin(), keys.end());
-  uint64_t h = 0x9ae16a3b2f90404fULL;
-  for (uint64_t k : keys) {
-    h ^= k + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    h *= 0xc4ceb9fe1a85ec53ULL;
-  }
-  return h == 0 ? 1 : h;
-}
-
-size_t SelectPositive(const Goal& goal) {
-  for (size_t i = 0; i < goal.size(); ++i) {
-    if (goal[i].positive) return i;
-  }
-  return SIZE_MAX;
-}
-
 void CollectActiveLeaves(const SlpNode* node,
                          std::vector<const SlpNode*>* out) {
   if (node->kind == SlpNodeKind::kActiveLeaf) out->push_back(node);
@@ -85,7 +62,7 @@ SlpTree SlpTree::Build(const Program& program, const Goal& root,
     frontier.pop_front();
     std::vector<uint64_t> path = std::move(paths[node]);
     paths.erase(node);
-    size_t sel = SelectPositive(node->goal);
+    size_t sel = SelectLiteral(node->goal, SelectionMode::kPositivistic);
     if (sel == SIZE_MAX) {
       node->kind = SlpNodeKind::kActiveLeaf;
       continue;
@@ -105,42 +82,20 @@ SlpTree SlpTree::Build(const Program& program, const Goal& root,
       continue;
     }
     if (key != 0) path.push_back(key);
-    const Literal selected = node->goal[sel];
     bool any_child = false;
-    for (size_t ci : program.ClausesFor(selected.atom->functor())) {
+    for (size_t ci : program.ClausesFor(node->goal[sel].atom->functor())) {
       if (tree.node_count_ >= opts.max_nodes) {
         tree.truncated_ = true;
         break;
       }
-      Clause variant = RenameApart(store, program.clauses()[ci]);
-      Substitution mgu;
-      if (!Unify(selected.atom, variant.head, &mgu)) continue;
+      std::optional<Resolvent> resolvent = Resolve(
+          store, program.clauses()[ci], node->goal, sel, node->computed_mgu);
+      if (!resolvent.has_value()) continue;
       auto child = std::make_unique<SlpNode>();
       child->depth = node->depth + 1;
       child->clause_index = ci;
-      child->goal.reserve(node->goal.size() - 1 + variant.body.size());
-      for (size_t i = 0; i < sel; ++i) {
-        child->goal.push_back(Literal{mgu.Apply(store, node->goal[i].atom),
-                                      node->goal[i].positive});
-      }
-      for (const Literal& b : variant.body) {
-        child->goal.push_back(Literal{mgu.Apply(store, b.atom), b.positive});
-      }
-      for (size_t i = sel + 1; i < node->goal.size(); ++i) {
-        child->goal.push_back(Literal{mgu.Apply(store, node->goal[i].atom),
-                                      node->goal[i].positive});
-      }
-      // Queries are literal sets (Def. 1.3): drop duplicate literals so
-      // repeated-goal detection sees set equality.
-      Goal dedup;
-      dedup.reserve(child->goal.size());
-      for (const Literal& l : child->goal) {
-        if (std::find(dedup.begin(), dedup.end(), l) == dedup.end()) {
-          dedup.push_back(l);
-        }
-      }
-      child->goal = std::move(dedup);
-      child->computed_mgu = node->computed_mgu.ComposeWith(store, mgu);
+      child->goal = NormalizeGoal(resolvent->goal);
+      child->computed_mgu = std::move(resolvent->theta);
       paths[child.get()] = path;
       frontier.push_back(child.get());
       node->children.push_back(std::move(child));

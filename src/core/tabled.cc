@@ -92,8 +92,6 @@ void TabledEngine::MatchPositives(const Goal& goal, size_t index,
 QueryResult TabledEngine::Solve(const Goal& goal) const {
   QueryResult result;
   TermStore& store = program_->store();
-  std::vector<VarId> goal_vars;
-  for (const Literal& l : goal) CollectVars(l.atom, &goal_vars);
 
   bool any_success = false;
   bool any_undefined = false;
@@ -177,10 +175,7 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
     any_success = true;
     if (result.answers.size() >= opts_.max_answers) return;
     Answer ans;
-    for (VarId v : goal_vars) {
-      const Term* image = subst.Apply(store, store.Var(v));
-      if (!(image->IsVar() && image->var() == v)) ans.theta.Bind(v, image);
-    }
+    ans.theta = ProjectAnswer(store, subst, goal);
     ans.level = level;
     ans.level_exact = has_stages();
     if (!have_min || ans.level < min_success) {
@@ -190,20 +185,8 @@ QueryResult TabledEngine::Solve(const Goal& goal) const {
     result.answers.push_back(std::move(ans));
   });
 
-  // Deduplicate answers (different matchings can induce the same grounding
-  // of the goal variables).
-  {
-    std::unordered_set<uint64_t> seen;
-    std::vector<Answer> unique;
-    for (Answer& a : result.answers) {
-      uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (const Literal& l : goal) {
-        h = h * 0xff51afd7ed558ccdULL + a.theta.Apply(store, l.atom)->hash();
-      }
-      if (seen.insert(h).second) unique.push_back(std::move(a));
-    }
-    result.answers = std::move(unique);
-  }
+  // Different matchings can induce the same grounding of the goal.
+  DeduplicateAnswers(store, goal, &result.answers);
 
   if (any_success) {
     result.status = GoalStatus::kSuccessful;

@@ -19,12 +19,7 @@ void SldnfEngine::Expand(const Goal& goal, const Substitution& theta,
     out->any_success = true;
     if (collect_answers && out->answers.size() < opts_.max_answers) {
       Answer ans;
-      std::vector<VarId> root_vars;
-      for (const Literal& l : root_goal) CollectVars(l.atom, &root_vars);
-      for (VarId v : root_vars) {
-        const Term* image = theta.Apply(store_, store_.Var(v));
-        if (!(image->IsVar() && image->var() == v)) ans.theta.Bind(v, image);
-      }
+      ans.theta = ProjectAnswer(store_, theta, root_goal);
       out->answers.push_back(std::move(ans));
     }
     return;
@@ -43,11 +38,6 @@ void SldnfEngine::Expand(const Goal& goal, const Substitution& theta,
     return;
   }
   const Literal selected = goal[sel];
-  Goal rest;
-  rest.reserve(goal.size() - 1);
-  for (size_t i = 0; i < goal.size(); ++i) {
-    if (i != sel) rest.push_back(goal[i]);
-  }
 
   if (!selected.positive) {
     // Negation as failure: subsidiary SLDNF tree for the complement.
@@ -64,24 +54,23 @@ void SldnfEngine::Expand(const Goal& goal, const Substitution& theta,
       return;
     }
     // Finitely failed: `not q` succeeds.
+    Goal rest = goal;
+    rest.erase(rest.begin() + static_cast<ptrdiff_t>(sel));
     Expand(rest, theta, depth + 1, root_goal, collect_answers, out);
     return;
   }
 
+  // The clause body goes ahead of the goal's other literals: resolve with
+  // the selected literal rotated to the front.
+  Goal rotated = goal;
+  std::rotate(rotated.begin(), rotated.begin() + static_cast<ptrdiff_t>(sel),
+              rotated.begin() + static_cast<ptrdiff_t>(sel) + 1);
   for (size_t ci : program_.ClausesFor(selected.atom->functor())) {
-    Clause variant = RenameApart(store_, program_.clauses()[ci]);
-    Substitution mgu;
-    if (!Unify(selected.atom, variant.head, &mgu)) continue;
-    Goal child;
-    child.reserve(rest.size() + variant.body.size());
-    for (const Literal& b : variant.body) {
-      child.push_back(Literal{mgu.Apply(store_, b.atom), b.positive});
-    }
-    for (const Literal& r : rest) {
-      child.push_back(Literal{mgu.Apply(store_, r.atom), r.positive});
-    }
-    Expand(child, theta.ComposeWith(store_, mgu), depth + 1, root_goal,
-           collect_answers, out);
+    std::optional<Resolvent> child =
+        Resolve(store_, program_.clauses()[ci], rotated, 0, theta);
+    if (!child.has_value()) continue;
+    Expand(child->goal, child->theta, depth + 1, root_goal, collect_answers,
+           out);
     if (out->answers.size() >= opts_.max_answers) {
       out->any_unknown = true;
       break;

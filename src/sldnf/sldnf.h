@@ -35,8 +35,6 @@ class SldnfEngine {
   QueryResult SolveAtom(const Term* atom);
 
  private:
-  enum class LeafState : uint8_t { kNone, kSuccess };
-
   struct Outcome {
     bool any_success = false;
     bool any_floundered = false;
