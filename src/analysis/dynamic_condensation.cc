@@ -186,7 +186,6 @@ void DynamicCondensation::SplitComponent(
   GSLS_TRACE_SPAN("condense.window", w);
   const uint64_t t0 = obs::NowNs();
 
-  out->recondensed = true;
   ++stats_.windows;
   stats_.window_atoms += w;
 
@@ -231,13 +230,24 @@ void DynamicCondensation::SplitComponent(
       },
       [&] { (void)tick.Tick(); });
 
+  const uint32_t pieces = static_cast<uint32_t>(new_offsets_.size() - 1);
+  if (pieces == 1) {
+    // The component survived whole. Tarjan may have re-emitted its members
+    // in another order, but its slice, local indexes and label stand:
+    // rewriting them would invalidate every local id a warm entry is keyed
+    // by. Only the flags can change.
+    g.RecomputeFlags(gp, disabled, c);
+    stats_.window_ns += obs::NowNs() - t0;
+    return;
+  }
+  out->recondensed = true;
+
   // Labels: the first piece keeps Label(c); the others go evenly into
   // the gap up to the next live label. Every external body component of
   // the pieces is labelled below Label(c) and every external head
   // component at or above that next label, so the pieces are
   // order-correct, and no other label lies in the gap.
-  const uint32_t pieces = static_cast<uint32_t>(new_offsets_.size() - 1);
-  const uint64_t step = pieces > 1 ? MakeRoom(c, pieces - 1) : 0;
+  const uint64_t step = MakeRoom(c, pieces - 1);
   const uint64_t base = g.label_[c];
 
   // Write the pieces back into the old slice; the first keeps id `c`.
@@ -256,13 +266,11 @@ void DynamicCondensation::SplitComponent(
       g.comp_of_[a] = id;
       g.local_of_[a] = rank++;
     }
-    if (pieces > 1) out->dirty.push_back(id);
+    out->dirty.push_back(id);
   }
   out->written = pieces;
-  if (pieces > 1) {
-    ++stats_.splits;
-    repaired_ = true;
-  }
+  ++stats_.splits;
+  repaired_ = true;
 
   // Exact flags once every piece's membership is final. The pieces are
   // consecutive in the label-order list, starting at `c`.

@@ -154,7 +154,9 @@ class DynamicCondensation {
  private:
   /// Re-runs `ForEachScc` over component `c` (enabled rules only, edges
   /// leaving it ignored) after a retraction removed one of its internal edges.
-  /// One piece: flags are recomputed in place. Several: the pieces are
+  /// One piece: only the flags are recomputed, and the repair is not
+  /// reported as `recondensed` (the slice, local ids and label stand, so
+  /// warm state keyed by them survives). Several: the pieces are
   /// written back into `c`'s slice in callee-first order, the first keeps
   /// id `c` and its label, and the rest take evenly spaced labels in the
   /// gap up to the next live label (`MakeRoom`).

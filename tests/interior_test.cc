@@ -377,6 +377,44 @@ TEST(InteriorTest, FootprintSeesExternalsOfDisabledRules) {
   EXPECT_EQ(inc.diagnostics().warm_cold_fallbacks, fallbacks);
 }
 
+/// Retracting a rule inside a warm SCC that leaves it strongly connected
+/// repairs only the component's flags: its member order and local ids
+/// stand, so the warm entry survives and the next re-solve patches it
+/// instead of recompiling the keep-all table cold.
+TEST(InteriorTest, RetractionThatKeepsTheSccWholeKeepsItsWarmEntry) {
+  Rng gen(21);
+  Fixture f(OneSccGame(gen, 40, 2));
+  SolverOptions opts;
+  opts.compute_levels = true;
+  opts.warm_min_atoms = 2;
+  IncrementalSolver inc(MustGround(f.program), opts);
+  inc.Model();
+  const GroundProgram& gp = inc.program();
+  const RuleId other = *gp.FindUnitRule(
+      *gp.FindAtom(MustParseTerm(f.store, "move(n5, n6)")));
+  for (int i = 0; i < 2; ++i) {
+    ToggleRule(inc, other);
+    ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, StrCat("warm-up ", i)));
+  }
+  // win(n0) :- move(n0, n1), not win(n1).
+  const AtomId win0 = *gp.FindAtom(MustParseTerm(f.store, "win(n0)"));
+  const AtomId win1 = *gp.FindAtom(MustParseTerm(f.store, "win(n1)"));
+  RuleId rule = gp.rule_count();
+  for (RuleId r : gp.RulesFor(win0)) {
+    if (gp.rules()[r].neg == std::vector<AtomId>{win1}) rule = r;
+  }
+  ASSERT_LT(rule, gp.rule_count());
+  const uint32_t components = inc.graph()->component_count();
+  const uint64_t hits = inc.diagnostics().warm_hits;
+  const uint64_t fallbacks = inc.diagnostics().warm_cold_fallbacks;
+
+  ASSERT_TRUE(inc.RetractRule(rule));
+  ASSERT_NO_FATAL_FAILURE(ExpectFreshAndClean(inc, "rule retracted"));
+  EXPECT_EQ(inc.graph()->component_count(), components);
+  EXPECT_EQ(inc.diagnostics().warm_cold_fallbacks, fallbacks);
+  EXPECT_EQ(inc.diagnostics().warm_hits, hits + 1);
+}
+
 /// A move-fact toggle on the dense game(2000, 1%) drifts one external of
 /// the giant SCC: the warm re-solve must read exactly that record entry,
 /// not the component's ~40k rules and externals.
