@@ -7,14 +7,14 @@
 namespace gsls {
 
 /// One path for both modes: the SCC-stratified incremental solver behind
-/// a direct-mode `Session`, with `compute_stages` selecting stage-level
-/// reconstruction on top of the same schedule.
+/// a direct-mode `Session`, with `solver.compute_levels` selecting
+/// stage-level reconstruction on top of the same schedule.
 Result<TabledEngine> TabledEngine::Create(const Program& program,
                                           TabledOptions opts) {
   SessionOptions sopts;
   sopts.grounding = opts.grounding;
   sopts.solver = opts.solver;
-  sopts.compute_levels = opts.compute_stages;
+  sopts.compute_levels = opts.solver.compute_levels;
   Result<Session> session = Session::Open(program, std::move(sopts));
   if (!session.ok()) return session.status();
   return TabledEngine(program, std::move(session.value()), std::move(opts));
@@ -26,8 +26,7 @@ Result<TabledEngine> TabledEngine::CreateForQuery(const Program& program,
   // The program is restricted before the solver is built, so this path
   // adopts a solver instead of opening a session; the grounding still
   // stops on the same conditions as `Session::Open`'s.
-  SolverOptions sopts = opts.solver;
-  sopts.compute_levels = opts.compute_stages;
+  const SolverOptions& sopts = opts.solver;
   CancelCtx cancel(sopts.cancel, sopts.deadline_ns, sopts.step_budget,
                    sopts.fault);
   Result<GroundProgram> gp = GroundRelevant(
@@ -39,7 +38,7 @@ Result<TabledEngine> TabledEngine::CreateForQuery(const Program& program,
   auto solver = std::make_unique<IncrementalSolver>(
       RestrictToRelevant(gp.value(), roots), sopts);
   SessionOptions sess_opts;
-  sess_opts.compute_levels = opts.compute_stages;
+  sess_opts.compute_levels = sopts.compute_levels;
   Session session = Session::Adopt(std::move(solver), std::move(sess_opts));
   return TabledEngine(program, std::move(session), std::move(opts));
 }

@@ -17,19 +17,17 @@ namespace gsls {
 struct TabledOptions {
   GroundingOptions grounding;
   size_t max_answers = 1'000'000;
-  /// Compute the V_P stage levels (Def. 2.4) alongside the model,
+  /// Tuning of the SCC solver, notably `SolverOptions::num_threads`
+  /// (work-stealing parallel per-SCC scheduling; model *and* levels are
+  /// thread-count invariant). `solver.compute_levels`, on by default here,
+  /// computes the V_P stage levels (Def. 2.4) alongside the model,
   /// reconstructed from the SCC schedule (solver/stages.h) as each
   /// component is solved — not via the quadratic V_P iteration, which no
   /// production path runs anymore. Levels parallelize and survive
-  /// `session()` deltas like the model itself. When off,
-  /// `LevelOf` has no level to report for registered atoms and answers
-  /// carry `level_exact == false`; the solve skips every levels cost.
-  bool compute_stages = true;
-  /// Tuning of the SCC solver, notably `SolverOptions::num_threads`
-  /// (work-stealing parallel per-SCC scheduling; model *and* levels are
-  /// thread-count invariant). `compute_levels` is derived from
-  /// `compute_stages` above.
-  SolverOptions solver;
+  /// `session()` deltas like the model itself. When off, `LevelOf` has no
+  /// level to report for registered atoms and answers carry
+  /// `level_exact == false`; the solve skips every levels cost.
+  SolverOptions solver{.compute_levels = true};
 };
 
 /// The effective variant of global SLS-resolution for function-free
@@ -42,7 +40,7 @@ struct TabledOptions {
 /// goal equals the maximum stage of its literals (Thm. 4.5 / Cor. 4.6).
 ///
 /// Every engine runs on one persistent `IncrementalSolver`: the model (and,
-/// with `compute_stages`, the exact levels) comes from the near-linear
+/// with `solver.compute_levels`, the exact levels) comes from the near-linear
 /// SCC-stratified pipeline, and ground deltas through `session()` re-solve
 /// only the affected up-cone between queries — there is no separate
 /// "staged" engine mode anymore.
@@ -56,7 +54,7 @@ class TabledEngine {
  public:
   /// Grounds `program` and computes its well-founded model via the
   /// SCC-stratified incremental solver — with exact stage levels when
-  /// `opts.compute_stages`.
+  /// `opts.solver.compute_levels`.
   static Result<TabledEngine> Create(const Program& program,
                                      TabledOptions opts = {});
 
@@ -125,7 +123,7 @@ class TabledEngine {
   const WfsModel& wfs() const { return session_->solver().Model(); }
   const Interpretation& model() const { return wfs().model; }
 
-  bool has_stages() const { return opts_.compute_stages; }
+  bool has_stages() const { return opts_.solver.compute_levels; }
 
   /// Backtracking matcher over the atom registry for the positive part of
   /// a goal; `on_complete` is invoked once per grounding substitution.

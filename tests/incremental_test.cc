@@ -244,7 +244,7 @@ TEST(IncrementalTest, TabledEngineWithoutStagesMatchesStagedEngine) {
     std::string src = workload::RandomGame(rng, 7, 30);
     Fixture f(src);
     TabledOptions fast;
-    fast.compute_stages = false;
+    fast.solver.compute_levels = false;
     Result<TabledEngine> staged = TabledEngine::Create(f.program);
     Result<TabledEngine> modelonly = TabledEngine::Create(f.program, fast);
     ASSERT_TRUE(staged.ok());
@@ -267,7 +267,7 @@ TEST(IncrementalTest, TabledEngineWithoutStagesMatchesStagedEngine) {
 TEST(IncrementalTest, TabledEngineFactDeltas) {
   Fixture f("win(X) :- move(X, Y), not win(Y). move(a, b). move(b, c).");
   TabledOptions fast;
-  fast.compute_stages = false;
+  fast.solver.compute_levels = false;
   Result<TabledEngine> engine = TabledEngine::Create(f.program, fast);
   ASSERT_TRUE(engine.ok());
   const Term* win_a = MustParseTerm(f.store, "win(a)");

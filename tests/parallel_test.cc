@@ -236,12 +236,12 @@ TEST(ParallelTest, EngineOracleAndTabledHonorThreadOption) {
   EXPECT_EQ(threaded_engine.StatusOf(goal), plain_engine.StatusOf(goal));
 
   TabledOptions topts;
-  topts.compute_stages = false;
+  topts.solver.compute_levels = false;
   topts.solver.num_threads = 8;
   Result<TabledEngine> threaded_tabled = TabledEngine::Create(f.program, topts);
   ASSERT_TRUE(threaded_tabled.ok());
   TabledOptions seq_topts;
-  seq_topts.compute_stages = false;
+  seq_topts.solver.compute_levels = false;
   Result<TabledEngine> seq_tabled = TabledEngine::Create(f.program, seq_topts);
   ASSERT_TRUE(seq_tabled.ok());
   for (AtomId a = 0; a < threaded_tabled.value().ground().atom_count(); ++a) {

@@ -312,7 +312,7 @@ TEST(StagesTest, AssertRetractStageShiftRecomputesDependents) {
 
 TEST(StagesTest, TabledEngineFactDeltasWorkWithStages) {
   // Regression for the retired staged/incremental split: an engine created
-  // with compute_stages (the default) used to silently refuse fact deltas,
+  // with levels on (the default) used to silently refuse fact deltas,
   // returning false. Now every engine takes them, returns the changed-bit
   // symmetrically, and keeps serving exact levels afterwards.
   Fixture f("win(X) :- move(X, Y), not win(Y). move(a, b). move(b, c).");
