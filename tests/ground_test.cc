@@ -409,6 +409,11 @@ TEST(GroundProgramTest, UnitRuleAfterIndexReadAppendsToRulesFor) {
   EXPECT_EQ(gp.PositiveOccurrences(*q).size(), 2u);
 }
 
+/// A stored rule as an owning value: its head and its normalized body.
+GroundRule StoredRule(const GroundProgram& gp, RuleId r) {
+  return gp.rules()[r];
+}
+
 /// Every row of the three occurrence indexes equals an id-ordered scan of
 /// `rules()`, and `FindUnitRule` equals a scan for the unit rule.
 void ExpectIndexesMatchScan(const GroundProgram& gp, const std::string& ctx) {
@@ -449,6 +454,29 @@ TEST(GroundProgramTest, IndexesMatchScanUnderRandomInserts) {
     auto some_atom = [&] {
       return static_cast<AtomId>(rng.Uniform(gp.atom_count()));
     };
+    // The normalized rule inserted under each id: an insert returns a
+    // fresh id exactly when its normalized body is new.
+    std::vector<GroundRule> inserted;
+    auto add = [&](GroundRule rule, const std::string& ctx) {
+      GroundRule normal = rule;
+      for (std::vector<AtomId>* half : {&normal.pos, &normal.neg}) {
+        std::sort(half->begin(), half->end());
+        half->erase(std::unique(half->begin(), half->end()), half->end());
+      }
+      auto it = std::find_if(inserted.begin(), inserted.end(),
+                             [&](const GroundRule& r) {
+                               return r.head == normal.head &&
+                                      r.pos == normal.pos &&
+                                      r.neg == normal.neg;
+                             });
+      const RuleId id = gp.AddRule(std::move(rule));
+      if (it == inserted.end()) {
+        ASSERT_EQ(id, inserted.size()) << ctx;
+        inserted.push_back(std::move(normal));
+      } else {
+        ASSERT_EQ(id, static_cast<RuleId>(it - inserted.begin())) << ctx;
+      }
+    };
     for (int i = 0; i < 4; ++i) fresh_atom();
     for (int step = 0; step < 1500; ++step) {
       const std::string ctx = StrCat("seed ", seed, " step ", step);
@@ -458,18 +486,19 @@ TEST(GroundProgramTest, IndexesMatchScanUnderRandomInserts) {
       } else if (op == 1 && gp.rule_count() > 0) {
         // A duplicate, body reversed: deduplicated to the same id.
         const RuleId r = static_cast<RuleId>(rng.Uniform(gp.rule_count()));
-        GroundRule dup = gp.rules()[r];
+        GroundRule dup = StoredRule(gp, r);
         std::reverse(dup.pos.begin(), dup.pos.end());
         std::reverse(dup.neg.begin(), dup.neg.end());
         const size_t before = gp.rule_count();
         ASSERT_EQ(gp.AddRule(std::move(dup)), r) << ctx;
         ASSERT_EQ(gp.rule_count(), before) << ctx;
       } else if (op == 2) {
-        gp.AddRule({some_atom(), {}, {}});
+        add({some_atom(), {}, {}}, ctx);
       } else if (op == 3) {
         // A rule over brand-new atoms.
         const AtomId head = fresh_atom();
-        gp.AddRule({head, {fresh_atom()}, {some_atom()}});
+        const AtomId body = fresh_atom();
+        add({head, {body}, {some_atom()}}, ctx);
       } else {
         GroundRule rule{some_atom(), {}, {}};
         for (int k = rng.UniformInt(0, 3); k > 0; --k) {
@@ -478,11 +507,20 @@ TEST(GroundProgramTest, IndexesMatchScanUnderRandomInserts) {
         for (int k = rng.UniformInt(0, 2); k > 0; --k) {
           rule.neg.push_back(some_atom());
         }
-        gp.AddRule(std::move(rule));
+        add(std::move(rule), ctx);
       }
-      // Every row is read after every step.
+      if (::testing::Test::HasFatalFailure()) return;
+      // Every row is read after every step, and every stored body equals
+      // the normalized body inserted under its id.
       ExpectIndexesMatchScan(gp, ctx);
       if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(gp.rule_count(), inserted.size()) << ctx;
+      for (RuleId r = 0; r < gp.rule_count(); ++r) {
+        const GroundRule stored = StoredRule(gp, r);
+        ASSERT_EQ(stored.head, inserted[r].head) << ctx << " rule " << r;
+        ASSERT_EQ(stored.pos, inserted[r].pos) << ctx << " rule " << r;
+        ASSERT_EQ(stored.neg, inserted[r].neg) << ctx << " rule " << r;
+      }
     }
     // A copy serves the same rows, and appending to it leaves the
     // original untouched.
@@ -496,6 +534,145 @@ TEST(GroundProgramTest, IndexesMatchScanUnderRandomInserts) {
     EXPECT_EQ(std::vector<RuleId>(gp.RulesFor(0).begin(),
                                   gp.RulesFor(0).end()),
               before);
+  }
+}
+
+TEST(GroundProgramTest, PermutedAndDuplicatedBodiesFindTheStoredRule) {
+  TermStore store;
+  GroundProgram gp(&store);
+  std::vector<AtomId> a;
+  for (int i = 0; i < 5; ++i) {
+    a.push_back(gp.InternAtom(store.MakeConstant(StrCat("a", i))));
+  }
+  const RuleId first = gp.AddRule({a[0], {a[3], a[1], a[3]}, {a[4], a[2]}});
+  const RuleId unit = gp.AddRule({a[1], {}, {}});
+  const RuleId other = gp.AddRule({a[0], {a[1]}, {a[2], a[4], a[3]}});
+  EXPECT_NE(first, other);
+  ASSERT_EQ(gp.rule_count(), 3u);
+  // Every permutation, with repeats, returns the existing id and adds
+  // nothing.
+  EXPECT_EQ(gp.AddRule({a[0], {a[1], a[3]}, {a[2], a[4], a[2]}}), first);
+  EXPECT_EQ(gp.AddRule({a[0], {a[1], a[1], a[3], a[1]}, {a[4], a[4], a[2]}}),
+            first);
+  EXPECT_EQ(gp.AddRule({a[1], {}, {}}), unit);
+  EXPECT_EQ(gp.AddRule({a[0], {a[1], a[1]}, {a[3], a[2], a[4], a[3]}}),
+            other);
+  EXPECT_EQ(gp.rule_count(), 3u);
+  EXPECT_EQ(gp.FindRule({a[0], {a[3], a[3], a[1]}, {a[2], a[4]}}), first);
+  EXPECT_EQ(gp.FindRule({a[0], {a[1]}, {a[4], a[3], a[2], a[2]}}), other);
+  EXPECT_EQ(gp.FindUnitRule(a[1]), unit);
+  // A body that differs only in sign, or a head that differs, is new.
+  EXPECT_FALSE(gp.FindRule({a[0], {a[1], a[3], a[2]}, {a[4]}}).has_value());
+  EXPECT_FALSE(gp.FindRule({a[2], {a[1], a[3]}, {a[2], a[4]}}).has_value());
+  EXPECT_FALSE(gp.FindUnitRule(a[0]).has_value());
+  // The stored bodies are sorted and duplicate-free.
+  const GroundRule stored = StoredRule(gp, first);
+  EXPECT_EQ(stored.head, a[0]);
+  EXPECT_EQ(stored.pos, (std::vector<AtomId>{a[1], a[3]}));
+  EXPECT_EQ(stored.neg, (std::vector<AtomId>{a[2], a[4]}));
+  EXPECT_EQ(gp.ToString(),
+            "a0 :- a1, a3, not a2, not a4.\n"
+            "a1.\n"
+            "a0 :- a1, not a2, not a3, not a4.\n");
+  // A duplicate added after a fresh rule still finds its first copy.
+  const RuleId last = gp.AddRule({a[2], {a[0]}, {}});
+  EXPECT_EQ(gp.AddRule({a[0], {a[3], a[1]}, {a[2], a[4]}}), first);
+  EXPECT_EQ(gp.AddRule({a[2], {a[0], a[0]}, {}}), last);
+  EXPECT_EQ(gp.rule_count(), 4u);
+}
+
+// --- goldens of the relevant grounding ---
+
+/// 64-bit FNV-1a: a digest that does not depend on the standard library.
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+/// A grounding's rules in id order (`ToString()`), its atoms in id order
+/// and its truncated heads in recording order, summarized as counts plus
+/// one digest of the three renderings.
+std::string GroundingDigest(const GroundProgram& gp) {
+  std::string text = gp.ToString();
+  text += "--- atoms\n";
+  for (AtomId a = 0; a < gp.atom_count(); ++a) {
+    text += StrCat(a, " ", gp.store().ToString(gp.AtomTerm(a)), "\n");
+  }
+  text += "--- truncated\n";
+  for (const Term* head : gp.truncated()) {
+    text += gp.store().ToString(head);
+    text += "\n";
+  }
+  return StrCat("rules ", gp.rule_count(), " atoms ", gp.atom_count(),
+                " truncated ", gp.truncated().size(), " fnv ",
+                Fnv1a(text));
+}
+
+struct GoldenCase {
+  std::string name;
+  std::string src;
+  uint32_t term_depth = 1;
+  uint32_t cap = 0;                  ///< `max_atom_arg_depth`
+  std::vector<std::string> roots;    ///< non-empty: `RestrictToRelevant`
+  std::string want;
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  Rng forest(7), reach(11), game(13), prop(17), prop_big(19);
+  return {
+      {"chain", workload::GameChain(60), 1, 0, {},
+       "rules 118 atoms 119 truncated 0 fnv 8612655587192302886"},
+      {"grid", workload::GameGrid(9, 7), 1, 0, {},
+       "rules 220 atoms 173 truncated 0 fnv 17792457024132454263"},
+      {"forest", workload::GameForest(forest, 4, 12, 20), 1, 0, {},
+       "rules 192 atoms 144 truncated 0 fnv 16435101520491261721"},
+      {"reach_neg", workload::ReachabilityWithNegation(reach, 18, 20), 1, 0,
+       {},
+       "rules 1700 atoms 731 truncated 0 fnv 112787600129090102"},
+      {"random_game", workload::RandomGame(game, 48, 8), 1, 0, {},
+       "rules 338 atoms 217 truncated 0 fnv 1754177039958809772"},
+      {"propositional", workload::RandomPropositional(prop, 40, 120, 4), 1,
+       0, {},
+       "rules 104 atoms 39 truncated 0 fnv 11763896958128792131"},
+      {"propositional_wide",
+       workload::RandomPropositional(prop_big, 120, 480, 6), 1, 0, {},
+       "rules 428 atoms 120 truncated 0 fnv 11033172158607467743"},
+      {"van_gelder_cap4", workload::VanGelderProgram(), 4, 0, {},
+       "rules 14 atoms 13 truncated 2 fnv 11182691770975597289"},
+      {"example33_cap3", workload::Example33Program(), 3, 0, {},
+       "rules 4 atoms 5 truncated 1 fnv 9284346491810792480"},
+      {"function_cap2",
+       "p(f(X)) :- p(X). q(X) :- p(f(f(X))). r(X) :- p(X), not q(X). p(a).",
+       1, 2, {},
+       "rules 4 atoms 6 truncated 1 fnv 17184671933704641714"},
+      {"restrict_grid", workload::GameGrid(9, 7), 1, 0, {"win(g3_2)"},
+       "rules 98 atoms 79 truncated 0 fnv 17752291635339938472"},
+      {"restrict_van_gelder", workload::VanGelderProgram(), 4, 0,
+       {"u(s(s(0)))"},
+       "rules 3 atoms 4 truncated 2 fnv 16454290466420323635"},
+  };
+}
+
+TEST(GroundingGoldenTest, RelevantGroundingIsUnchanged) {
+  for (const GoldenCase& c : GoldenCases()) {
+    Fixture f(c.src);
+    GroundingOptions opts;
+    opts.universe.max_term_depth = c.term_depth;
+    opts.max_atom_arg_depth = c.cap;
+    Result<GroundProgram> gp = GroundRelevant(f.program, opts);
+    ASSERT_TRUE(gp.ok()) << c.name << ": " << gp.status().ToString();
+    std::string got;
+    if (c.roots.empty()) {
+      got = GroundingDigest(*gp);
+    } else {
+      std::vector<const Term*> roots;
+      for (const std::string& r : c.roots) {
+        roots.push_back(MustParseTerm(f.store, r));
+      }
+      got = GroundingDigest(RestrictToRelevant(*gp, roots));
+    }
+    EXPECT_EQ(got, c.want) << c.name;
   }
 }
 
