@@ -67,7 +67,7 @@ inline std::vector<AtomId> FactAtoms(const GroundProgram& gp) {
 inline std::vector<RuleId> RulesOf(const GroundProgram& gp, bool unit) {
   std::vector<RuleId> out;
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    const GroundRule& rule = gp.rules()[r];
+    const RuleView rule = gp.rule(r);
     if ((rule.pos.empty() && rule.neg.empty()) == unit) out.push_back(r);
   }
   return out;
@@ -85,7 +85,7 @@ inline void ToggleRule(IncrementalSolver& inc, RuleId r) {
   if (inc.RuleEnabled(r)) {
     inc.RetractRule(r);
   } else {
-    inc.AssertRule(inc.program().rules()[r]);
+    inc.AssertRule(inc.program().rule(r));
   }
 }
 
@@ -96,7 +96,7 @@ inline void ToggleRule(IncrementalSolver& inc, RuleId r) {
 inline AtomId PickSmallConeAtom(IncrementalSolver& inc, Rng& rng) {
   std::vector<AtomId> heads;
   for (RuleId r : RulesOf(inc.program(), /*unit=*/false)) {
-    heads.push_back(inc.program().rules()[r].head);
+    heads.push_back(inc.program().rule(r).head);
   }
   if (heads.empty()) heads.push_back(0);
   AtomId best = heads[0], best_deep = heads[0];

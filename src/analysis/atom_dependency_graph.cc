@@ -17,13 +17,13 @@ AtomDependencyGraph::AtomDependencyGraph(
   adj.Reset(n);
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
+    const RuleView r = gp.rule(id);
     adj.AddCount(r.head, static_cast<uint32_t>(r.pos.size() + r.neg.size()));
   }
   adj.FinishCounting();
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
+    const RuleView r = gp.rule(id);
     for (AtomId a : r.pos) adj.Fill(r.head, a);
     for (AtomId a : r.neg) adj.Fill(r.head, a);
   }
@@ -49,11 +49,11 @@ AtomDependencyGraph::AtomDependencyGraph(
     internal_neg_.push_back(0);
   });
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
-    if (RuleEnabledIn(disabled, id)) ApplyFlagRule(gp.rules()[id]);
+    if (RuleEnabledIn(disabled, id)) ApplyFlagRule(gp.rule(id));
   }
 }
 
-void AtomDependencyGraph::ApplyFlagRule(const GroundRule& r) {
+void AtomDependencyGraph::ApplyFlagRule(const RuleView& r) {
   const uint32_t c = comp_of_[r.head];
   for (AtomId a : r.pos) {
     if (comp_of_[a] == c) recursive_[c] = 1;
@@ -73,7 +73,7 @@ void AtomDependencyGraph::RecomputeFlags(const GroundProgram& gp,
   recursive_[c] = size_[c] > 1;
   for (AtomId a : Atoms(c)) {
     for (RuleId rid : gp.RulesFor(a)) {
-      if (RuleEnabledIn(disabled, rid)) ApplyFlagRule(gp.rules()[rid]);
+      if (RuleEnabledIn(disabled, rid)) ApplyFlagRule(gp.rule(rid));
     }
   }
 }

@@ -106,7 +106,7 @@ class AtomDependencyGraph {
   /// The flag rule, applied to one enabled rule `r` whose head lies in
   /// component c: a body atom also in c makes c recursive, and a negative
   /// such atom also gives c internal negation. Flags only ever tighten.
-  void ApplyFlagRule(const GroundRule& r);
+  void ApplyFlagRule(const RuleView& r);
 
   /// Recomputes both flags of component `c` from scratch: recursive when it
   /// has more than one atom, then `ApplyFlagRule` over the enabled rules of

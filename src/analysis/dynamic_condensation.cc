@@ -199,7 +199,7 @@ void DynamicCondensation::SplitComponent(
     (void)tick.Tick();
     for (RuleId rid : gp.RulesFor(old_window_atoms_[i])) {
       if (!RuleEnabledIn(disabled, rid)) continue;
-      const GroundRule& r = gp.rules()[rid];
+      const RuleView r = gp.rule(rid);
       for (AtomId b : r.pos) {
         if (g.comp_of_[b] == c) edge(g.local_of_[b]);
       }
@@ -306,7 +306,7 @@ void DynamicCondensation::NarrowedInsertRepair(
   if (pk_f_.size() < g.id_bound()) pk_f_.resize(g.id_bound(), 0);
   if (pk_b_.size() < g.id_bound()) pk_b_.resize(g.id_bound(), 0);
 
-  const GroundRule& rule = gp.rules()[r];
+  const RuleView rule = gp.rule(r);
 
   // Forward frontier F: components reachable from `ch` through enabled
   // rules other than `r`, restricted to labels <= Label(cmax). Labels only
@@ -318,7 +318,7 @@ void DynamicCondensation::NarrowedInsertRepair(
     for (AtomId a : g.Atoms(pk_seq_f_[i])) {
       auto visit_head = [&](RuleId rid) {
         if (rid == r || !RuleEnabledIn(disabled, rid)) return;
-        const uint32_t hc = g.comp_of_[gp.rules()[rid].head];
+        const uint32_t hc = g.comp_of_[gp.rule(rid).head];
         if (g.label_[hc] <= hi && pk_f_[hc] != epoch) {
           pk_f_[hc] = epoch;
           pk_seq_f_.push_back(hc);
@@ -348,7 +348,7 @@ void DynamicCondensation::NarrowedInsertRepair(
     for (AtomId a : g.Atoms(pk_seq_b_[i])) {
       for (RuleId rid : gp.RulesFor(a)) {
         if (rid == r || !RuleEnabledIn(disabled, rid)) continue;
-        const GroundRule& rr = gp.rules()[rid];
+        const RuleView rr = gp.rule(rid);
         for (AtomId b : rr.pos) visit_body(b, lo);
         for (AtomId b : rr.neg) visit_body(b, lo);
       }
@@ -478,7 +478,7 @@ CondensationRepair DynamicCondensation::InsertRule(
     CancelCtx* cancel) {
   ++stats_.inserts;
   CondensationRepair out;
-  const GroundRule& rule = gp.rules()[r];
+  const RuleView rule = gp.rule(r);
   AtomDependencyGraph& g = graph_;
   assert(rule.head < g.comp_of_.size());
   const uint32_t ch = g.comp_of_[rule.head];
@@ -510,7 +510,7 @@ CondensationRepair DynamicCondensation::RemoveRule(
     CancelCtx* cancel) {
   ++stats_.removals;
   CondensationRepair out;
-  const GroundRule& rule = gp.rules()[r];
+  const RuleView rule = gp.rule(r);
   AtomDependencyGraph& g = graph_;
   assert(!RuleEnabledIn(disabled, r));
   const uint32_t ch = g.comp_of_[rule.head];

@@ -165,10 +165,10 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
     // Maintained labels must be *a* dependency order (not necessarily the
     // fresh one): every enabled cross-component edge runs from a lower
     // label to a higher one.
-    const std::vector<GroundRule>& rules = gp.rules();
-    for (RuleId r = 0; r < rules.size(); ++r) {
+    for (RuleId r = 0; r < gp.rule_count(); ++r) {
       if (!RuleEnabledIn(&s.disabled_, r)) continue;
-      const uint32_t hc = g.ComponentOf(rules[r].head);
+      const RuleView rule = gp.rule(r);
+      const uint32_t hc = g.ComponentOf(rule.head);
       auto check = [&](AtomId b, const char* sign) {
         const uint32_t bc = g.ComponentOf(b);
         if (bc != hc && g.Label(bc) >= g.Label(hc)) {
@@ -178,8 +178,8 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
                                g.Label(hc), ")"));
         }
       };
-      for (AtomId b : rules[r].pos) check(b, "positive");
-      for (AtomId b : rules[r].neg) check(b, "negative");
+      for (AtomId b : rule.pos) check(b, "positive");
+      for (AtomId b : rule.neg) check(b, "negative");
     }
   }
 
@@ -309,7 +309,7 @@ AuditReport SolverAuditor::Audit(const IncrementalSolver& s) {
     for (AtomId a : atoms) {
       for (RuleId r : gp.RulesFor(a)) {
         if (!RuleEnabledIn(&s.disabled_, r)) continue;
-        const GroundRule& rule = gp.rules()[r];
+        const RuleView rule = gp.rule(r);
         for (AtomId b : rule.pos) {
           const uint32_t bc = g.ComponentOf(b);
           if (bc != c && !effectively_valid(bc)) inputs_clean = false;

@@ -34,7 +34,7 @@ void GroundProgram::Reserve(size_t atoms, size_t rules) {
 }
 
 namespace {
-uint64_t RuleFingerprint(const GroundRule& r) {
+uint64_t RuleFingerprint(const RuleView& r) {
   uint64_t h = r.head * 0x9e3779b97f4a7c15ULL + 1;
   for (AtomId a : r.pos) h = h * 0xff51afd7ed558ccdULL + a + 0x100;
   for (AtomId a : r.neg) h = h * 0xc4ceb9fe1a85ec53ULL + a + 0x200;
@@ -42,14 +42,17 @@ uint64_t RuleFingerprint(const GroundRule& r) {
 }
 
 /// Body order is semantically irrelevant in a ground rule; `AddRule` and
-/// `FindRule` normalize before hashing/comparing.
-void NormalizeBody(GroundRule* rule) {
-  std::sort(rule->pos.begin(), rule->pos.end());
-  rule->pos.erase(std::unique(rule->pos.begin(), rule->pos.end()),
-                  rule->pos.end());
-  std::sort(rule->neg.begin(), rule->neg.end());
-  rule->neg.erase(std::unique(rule->neg.begin(), rule->neg.end()),
-                  rule->neg.end());
+/// `FindRule` sort and deduplicate each half before hashing/comparing.
+/// Returns the normalized half's new end.
+template <typename It>
+It NormalizeHalf(It begin, It end) {
+  std::sort(begin, end);
+  return std::unique(begin, end);
+}
+
+bool SameRule(const RuleView& a, const RuleView& b) {
+  return a.head == b.head && std::ranges::equal(a.pos, b.pos) &&
+         std::ranges::equal(a.neg, b.neg);
 }
 
 /// A row of `n` ids owns `bit_ceil(n)` payload slots (none when empty), so
@@ -57,36 +60,61 @@ void NormalizeBody(GroundRule* rule) {
 uint32_t Capacity(uint32_t n) { return n == 0 ? 0 : std::bit_ceil(n); }
 }  // namespace
 
-RuleId GroundProgram::FindNormalized(const GroundRule& rule,
-                                     uint64_t fp) const {
+RuleId GroundProgram::FindNormalized(const RuleView& candidate, uint64_t fp,
+                                     size_t pool_end) const {
   return rule_ids_.Find(fp, [&](uint32_t id) {
-    const GroundRule& existing = rules_[id];
-    return existing.head == rule.head &&
-           existing.pos == rule.pos && existing.neg == rule.neg;
+    return SameRule(View(id, pool_end), candidate);
   });
 }
 
-RuleId GroundProgram::AddRule(GroundRule rule) {
-  NormalizeBody(&rule);
-  const uint64_t fp = RuleFingerprint(rule);
-  const RuleId existing = FindNormalized(rule, fp);
-  if (existing != IdTable::kNone) return existing;
-  RuleId id = static_cast<RuleId>(rules_.size());
+RuleId GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
+                              std::span<const AtomId> neg) {
+  // The body is normalized in the pool's tail and truncated back off if
+  // the rule is a duplicate.
+  const size_t begin = body_.size();
+  assert(begin + pos.size() + neg.size() <= UINT32_MAX);
+  body_.insert(body_.end(), pos.begin(), pos.end());
+  body_.erase(NormalizeHalf(body_.begin() + begin, body_.end()), body_.end());
+  const size_t npos = body_.size() - begin;
+  body_.insert(body_.end(), neg.begin(), neg.end());
+  body_.erase(NormalizeHalf(body_.begin() + begin + npos, body_.end()),
+              body_.end());
+  const RuleView candidate{
+      head, {body_.data() + begin, npos},
+      {body_.data() + begin + npos, body_.size() - begin - npos}};
+  const uint64_t fp = RuleFingerprint(candidate);
+  const RuleId existing = FindNormalized(candidate, fp, begin);
+  if (existing != IdTable::kNone) {
+    body_.resize(begin);
+    return existing;
+  }
+  const RuleId id = static_cast<RuleId>(rules_.size());
+  rules_.push_back(RuleRecord{head, static_cast<uint32_t>(begin),
+                              static_cast<uint32_t>(npos)});
   rule_ids_.Insert(fp, id);
-  rules_for_.Append(rule.head, id);
-  for (AtomId a : rule.pos) pos_occ_.Append(a, id);
-  for (AtomId a : rule.neg) neg_occ_.Append(a, id);
-  rules_.push_back(std::move(rule));
+  rules_for_.Append(head, id);
+  const RuleView stored = rule(id);
+  for (AtomId a : stored.pos) pos_occ_.Append(a, id);
+  for (AtomId a : stored.neg) neg_occ_.Append(a, id);
   return id;
 }
 
 std::optional<RuleId> GroundProgram::FindUnitRule(AtomId atom) const {
-  return FindRule({atom, {}, {}});
+  const RuleView unit{atom, {}, {}};
+  const RuleId id =
+      FindNormalized(unit, RuleFingerprint(unit), body_.size());
+  if (id == IdTable::kNone) return std::nullopt;
+  return id;
 }
 
 std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
-  NormalizeBody(&rule);
-  const RuleId id = FindNormalized(rule, RuleFingerprint(rule));
+  rule.pos.erase(NormalizeHalf(rule.pos.begin(), rule.pos.end()),
+                 rule.pos.end());
+  rule.neg.erase(NormalizeHalf(rule.neg.begin(), rule.neg.end()),
+                 rule.neg.end());
+  const RuleView candidate{rule.head, rule.pos, rule.neg};
+  const RuleId id =
+      FindNormalized(candidate, RuleFingerprint(candidate), body_.size());
   if (id == IdTable::kNone) return std::nullopt;
   return id;
 }
@@ -108,7 +136,7 @@ void GroundProgram::OccurrenceRows::Append(AtomId atom, RuleId id) {
     }
   }
   payload_[row.begin + row.size++] = id;
-  if (dead_ > ++stored_) Compact();
+  if (2 * dead_ >= ++stored_) Compact();
 }
 
 void GroundProgram::OccurrenceRows::Compact() {
@@ -127,7 +155,8 @@ void GroundProgram::OccurrenceRows::Compact() {
 
 std::string GroundProgram::ToString() const {
   std::string out;
-  for (const GroundRule& r : rules_) {
+  for (RuleId id = 0; id < rules_.size(); ++id) {
+    const RuleView r = rule(id);
     out += store_->ToString(atom_terms_[r.head]);
     if (!r.pos.empty() || !r.neg.empty()) {
       out += " :- ";

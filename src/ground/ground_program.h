@@ -20,11 +20,27 @@ using AtomId = uint32_t;
 /// Dense id of a ground rule within one `GroundProgram`.
 using RuleId = uint32_t;
 
-/// A ground (instantiated) rule with body split by sign.
+/// A ground (instantiated) rule with body split by sign, as an owning
+/// value: what delta callers pass to `AddRule`, `FindRule` and
+/// `IncrementalSolver::AssertRule`. Stored rules are read as `RuleView`s.
 struct GroundRule {
   AtomId head;
   std::vector<AtomId> pos;
   std::vector<AtomId> neg;
+};
+
+/// A stored rule: its head and its normalized (sorted, duplicate-free) body
+/// halves, viewed in the program's body pool. A view dies at the next
+/// `AddRule`, like the occurrence rows.
+struct RuleView {
+  AtomId head;
+  std::span<const AtomId> pos;
+  std::span<const AtomId> neg;
+
+  /// An owning copy, for a caller that re-submits a stored rule as a delta.
+  operator GroundRule() const {
+    return {head, {pos.begin(), pos.end()}, {neg.begin(), neg.end()}};
+  }
 };
 
 /// True iff rule `r` is enabled under an optional per-`RuleId` disabled
@@ -60,9 +76,15 @@ class GroundProgram {
   /// (growing an `IdTable` re-places every stored id).
   void Reserve(size_t atoms, size_t rules);
 
-  /// Adds a rule (deduplicated: an identical rule is added once). Returns
-  /// the id of the rule — the existing one when `rule` was a duplicate.
-  RuleId AddRule(GroundRule rule);
+  /// Adds the rule `head :- pos, not neg` (deduplicated: an identical rule
+  /// is added once; body order and repeats are irrelevant). Returns the id
+  /// of the rule — the existing one when it was a duplicate. `pos` and
+  /// `neg` must not view this program's body pool.
+  RuleId AddRule(AtomId head, std::span<const AtomId> pos,
+                 std::span<const AtomId> neg);
+  RuleId AddRule(const GroundRule& rule) {
+    return AddRule(rule.head, rule.pos, rule.neg);
+  }
 
   /// The id of the unit rule `atom.` (empty body) if one exists. A fact
   /// delta (`IncrementalSolver::Assert`/`Retract`) toggles exactly this
@@ -74,7 +96,8 @@ class GroundProgram {
   /// re-target rule deltas after a re-ground.
   std::optional<RuleId> FindRule(GroundRule rule) const;
 
-  const std::vector<GroundRule>& rules() const { return rules_; }
+  /// Rule `id`: a view into the body pool, dead at the next `AddRule`.
+  RuleView rule(RuleId id) const { return View(id, body_.size()); }
   size_t rule_count() const { return rules_.size(); }
 
   /// Ids of the rules whose head is `atom`, in increasing rule id.
@@ -119,8 +142,8 @@ class GroundProgram {
   /// ids. Appends arrive in rule-id order, so rows stay sorted. A full row
   /// grows in place when it ends the payload and otherwise moves to the
   /// end with doubled capacity, leaving its old slots dead; the payload is
-  /// compacted once dead slots outnumber stored ids. Both keep `Append`
-  /// amortized O(1).
+  /// compacted once dead slots reach half the stored ids. Both keep
+  /// `Append` amortized O(1).
   class OccurrenceRows {
    public:
     std::span<const RuleId> Row(AtomId atom) const {
@@ -142,13 +165,34 @@ class GroundProgram {
     size_t dead_ = 0;    ///< payload slots no row owns
   };
 
-  /// The rule identical to normalized `rule`, or `IdTable::kNone`.
-  RuleId FindNormalized(const GroundRule& rule, uint64_t fp) const;
+  /// A stored rule: its head, and its body at `body_[begin, end)` with the
+  /// `npos` positive atoms first; `end` is the next rule's `begin`.
+  struct RuleRecord {
+    AtomId head;
+    uint32_t begin;
+    uint32_t npos;
+  };
+
+  /// Rule `id`, whose body ends at `pool_end` if it is the last rule.
+  RuleView View(RuleId id, size_t pool_end) const {
+    const RuleRecord& r = rules_[id];
+    const size_t end = id + 1 < rules_.size() ? rules_[id + 1].begin
+                                              : pool_end;
+    const AtomId* body = body_.data() + r.begin;
+    return {r.head, {body, r.npos}, {body + r.npos, end - r.begin - r.npos}};
+  }
+
+  /// The rule identical to the normalized `candidate` (fingerprint `fp`),
+  /// or `IdTable::kNone`; a candidate in the pool's tail starts at
+  /// `pool_end`.
+  RuleId FindNormalized(const RuleView& candidate, uint64_t fp,
+                        size_t pool_end) const;
 
   TermStore* store_;
   std::vector<const Term*> atom_terms_;
   IdTable atom_ids_;  ///< keyed by `Term::hash`
-  std::vector<GroundRule> rules_;
+  std::vector<RuleRecord> rules_;
+  std::vector<AtomId> body_;  ///< every rule's body, in rule id order
   IdTable rule_ids_;  ///< keyed by each rule's dedup fingerprint
   std::vector<const Term*> truncated_;
   std::unordered_set<const Term*> truncated_set_;

@@ -1,7 +1,8 @@
 #include "ground/grounder.h"
 
 #include <algorithm>
-#include <memory>
+#include <cassert>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -70,9 +71,45 @@ bool IsGroundFact(const Clause& clause) {
   return clause.body.empty() && clause.head->ground();
 }
 
-/// value -> positions (into `PredAtoms::atoms`, increasing) of the derived
-/// atoms carrying that value at one argument position.
-using ArgIndex = std::unordered_map<const Term*, std::vector<uint32_t>>;
+/// The derived atoms of one predicate grouped by their value at one
+/// argument position. `keys` holds the distinct values, found through
+/// `ids` by address (terms are hash-consed); the positions (into
+/// `PredAtoms::atoms`) of key k form a list threaded through `next` in
+/// increasing position, from `first[k]` to `last[k]`. Flat arrays only: no
+/// allocation per key or per atom.
+struct ArgIndex {
+  bool built = false;
+  IdTable ids;
+  std::vector<const Term*> keys;
+  std::vector<uint32_t> first;
+  std::vector<uint32_t> last;
+  std::vector<uint32_t> next;  ///< by position; `kNone` ends a list
+
+  /// The first position whose value is `key`, or `IdTable::kNone`.
+  uint32_t First(const Term* key) const {
+    const uint32_t k = ids.Find(AddressHash(key),
+                                [&](uint32_t id) { return keys[id] == key; });
+    return k == IdTable::kNone ? IdTable::kNone : first[k];
+  }
+
+  /// Appends position `at`, one past every position added so far.
+  void Add(const Term* key, uint32_t at) {
+    assert(at == next.size());
+    next.push_back(IdTable::kNone);
+    const uint64_t h = AddressHash(key);
+    const uint32_t k =
+        ids.Find(h, [&](uint32_t id) { return keys[id] == key; });
+    if (k == IdTable::kNone) {
+      ids.Insert(h, static_cast<uint32_t>(keys.size()));
+      keys.push_back(key);
+      first.push_back(at);
+      last.push_back(at);
+      return;
+    }
+    next[last[k]] = at;
+    last[k] = at;
+  }
+};
 
 /// Per-predicate state: the derived atoms in derivation order, their ids
 /// and global derivation sequence numbers, the lazily built argument
@@ -81,7 +118,7 @@ struct PredAtoms {
   std::vector<const Term*> atoms;
   std::vector<AtomId> ids;
   std::vector<uint32_t> seqs;
-  std::vector<std::unique_ptr<ArgIndex>> by_arg;  ///< per argument position
+  std::vector<ArgIndex> by_arg;  ///< per argument position
   std::vector<Trigger> triggers;
 };
 
@@ -348,10 +385,17 @@ class RelevantGrounder {
   const Term* BuildNested(const CompiledClause& c, const Term* pattern) {
     if (pattern->ground()) return pattern;
     if (pattern->IsVar()) return bind_[c.SlotOf(pattern->var())];
-    std::vector<const Term*> args;
-    args.reserve(pattern->arity());
-    for (const Term* a : pattern->args()) args.push_back(BuildNested(c, a));
-    return store_.MakeCompound(pattern->functor(), args);
+    // `nested_args_` is a stack: each level pushes its arguments above the
+    // levels below it and pops them once built.
+    const size_t mark = nested_args_.size();
+    for (const Term* a : pattern->args()) {
+      const Term* arg = BuildNested(c, a);
+      nested_args_.push_back(arg);
+    }
+    const Term* out = store_.MakeCompound(
+        pattern->functor(), std::span(nested_args_).subspan(mark));
+    nested_args_.resize(mark);
+    return out;
   }
 
   /// The code's atom under the current (complete) bindings.
@@ -394,15 +438,15 @@ class RelevantGrounder {
     return false;
   }
 
-  ArgIndex& IndexOf(PredAtoms& pa, uint32_t arg) {
-    std::unique_ptr<ArgIndex>& index = pa.by_arg[arg];
-    if (index == nullptr) {
-      index = std::make_unique<ArgIndex>();
+  const ArgIndex& IndexOf(PredAtoms& pa, uint32_t arg) {
+    ArgIndex& index = pa.by_arg[arg];
+    if (!index.built) {
+      index.built = true;
       for (uint32_t p = 0; p < pa.atoms.size(); ++p) {
-        (*index)[pa.atoms[p]->arg(arg)].push_back(p);
+        index.Add(pa.atoms[p]->arg(arg), p);
       }
     }
-    return *index;
+    return index;
   }
 
   bool Candidate(const CompiledClause& c, const std::vector<JoinStep>& plan,
@@ -420,8 +464,9 @@ class RelevantGrounder {
 
   /// Runs plan steps `k..` under the current bindings, emitting every
   /// completion. Indexing by position throughout: emission may append to
-  /// the very atom lists and buckets being iterated (never within the
-  /// limits, which only admit atoms derived no later than the pinned one).
+  /// the very atom lists and argument indexes being iterated (never within
+  /// the limits, which only admit atoms derived no later than the pinned
+  /// one).
   bool Join(const CompiledClause& c, const std::vector<JoinStep>& plan,
             size_t k) {
     if (k == plan.size()) return Emit(c);
@@ -438,11 +483,9 @@ class RelevantGrounder {
     const ArgCode& a = code.args[static_cast<size_t>(step.probe_arg)];
     const Term* key = a.kind == ArgCode::Kind::kGround ? a.term : bind_[a.slot];
     const ArgIndex& index = IndexOf(pa, static_cast<uint32_t>(step.probe_arg));
-    auto it = index.find(key);
-    if (it == index.end()) return true;
-    const std::vector<uint32_t>& bucket = it->second;
-    for (size_t i = 0; i < bucket.size() && bucket[i] < limit; ++i) {
-      if (!Candidate(c, plan, k, pa, bucket[i])) return false;
+    for (uint32_t at = index.First(key); at != IdTable::kNone && at < limit;
+         at = index.next[at]) {
+      if (!Candidate(c, plan, k, pa, at)) return false;
     }
     return true;
   }
@@ -453,7 +496,8 @@ class RelevantGrounder {
   /// slots (non-range-restricted variables) range over the universe.
   bool Emit(const CompiledClause& c) {
     if (c.free_slots.empty()) return AddInstance(c);
-    std::vector<size_t> idx(c.free_slots.size(), 0);
+    std::vector<size_t>& idx = free_idx_;
+    idx.assign(c.free_slots.size(), 0);
     bool ok = true;
     while (ok) {
       for (size_t i = 0; i < c.free_slots.size(); ++i) {
@@ -510,14 +554,12 @@ class RelevantGrounder {
           StrCat("grounding exceeds max_rules=", opts_.max_rules));
       return false;
     }
-    GroundRule rule;
-    rule.head = ground_.InternAtom(head);
-    rule.pos.assign(matched_.begin(), matched_.begin() + npos);
-    for (const Term* n : neg_terms_) rule.neg.push_back(ground_.InternAtom(n));
+    const AtomId head_id = ground_.InternAtom(head);
+    neg_ids_.clear();
+    for (const Term* n : neg_terms_) neg_ids_.push_back(ground_.InternAtom(n));
     if (!AtomsWithinCap()) return false;
-    const AtomId head_id = rule.head;
     ++stats_.emitted;
-    ground_.AddRule(std::move(rule));
+    ground_.AddRule(head_id, std::span(matched_.data(), npos), neg_ids_);
     Derive(pred, head, head_id);
     return true;
   }
@@ -541,7 +583,7 @@ class RelevantGrounder {
     pa.ids.push_back(id);
     pa.seqs.push_back(static_cast<uint32_t>(queue_.size()));
     for (uint32_t k = 0; k < pa.by_arg.size(); ++k) {
-      if (pa.by_arg[k] != nullptr) (*pa.by_arg[k])[atom->arg(k)].push_back(at);
+      if (pa.by_arg[k].built) pa.by_arg[k].Add(atom->arg(k), at);
     }
     queue_.emplace_back(pred, at);
   }
@@ -578,8 +620,14 @@ class RelevantGrounder {
   std::vector<uint32_t> trail_;
   std::vector<AtomId> matched_;
   std::vector<uint32_t> limits_;
+  // Emission scratch, reused by every instance: argument lists of the
+  // atoms being built, the negative body as terms and as ids, and the
+  // universe odometer of the free slots.
   std::vector<const Term*> build_args_;
+  std::vector<const Term*> nested_args_;
   std::vector<const Term*> neg_terms_;
+  std::vector<AtomId> neg_ids_;
+  std::vector<size_t> free_idx_;
 };
 
 }  // namespace
@@ -665,7 +713,7 @@ GroundProgram RestrictToRelevant(const GroundProgram& gp,
     AtomId a = work.back();
     work.pop_back();
     for (RuleId rid : gp.RulesFor(a)) {
-      const GroundRule& r = gp.rules()[rid];
+      const RuleView r = gp.rule(rid);
       for (AtomId b : r.pos) mark(b);
       for (AtomId b : r.neg) mark(b);
     }
@@ -676,13 +724,17 @@ GroundProgram RestrictToRelevant(const GroundProgram& gp,
   for (AtomId id = 0; id < gp.atom_count(); ++id) {
     if (relevant[id]) out.InternAtom(gp.AtomTerm(id));
   }
-  for (const GroundRule& r : gp.rules()) {
+  std::vector<AtomId> pos;
+  std::vector<AtomId> neg;
+  for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
+    const RuleView r = gp.rule(rid);
     if (!relevant[r.head]) continue;
-    GroundRule nr;
-    nr.head = out.InternAtom(gp.AtomTerm(r.head));
-    for (AtomId b : r.pos) nr.pos.push_back(out.InternAtom(gp.AtomTerm(b)));
-    for (AtomId b : r.neg) nr.neg.push_back(out.InternAtom(gp.AtomTerm(b)));
-    out.AddRule(std::move(nr));
+    const AtomId head = out.InternAtom(gp.AtomTerm(r.head));
+    pos.clear();
+    neg.clear();
+    for (AtomId b : r.pos) pos.push_back(out.InternAtom(gp.AtomTerm(b)));
+    for (AtomId b : r.neg) neg.push_back(out.InternAtom(gp.AtomTerm(b)));
+    out.AddRule(head, pos, neg);
   }
   // Truncation marks travel with their atoms; heads beyond the cap were
   // never registered, so they are kept as they are.

@@ -31,7 +31,7 @@ std::shared_ptr<const TruncationCone> TruncationCone::Build(
     for (auto occurrences :
          {gp.PositiveOccurrences(a), gp.NegativeOccurrences(a)}) {
       for (RuleId r : occurrences) {
-        if (RuleEnabledIn(disabled, r)) mark(gp.rules()[r].head);
+        if (RuleEnabledIn(disabled, r)) mark(gp.rule(r).head);
       }
     }
   }

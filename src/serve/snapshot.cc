@@ -87,11 +87,11 @@ std::shared_ptr<const Snapshot> SnapshotBuilder::Build(
     const GroundProgram& gp = solver.program();
     auto index = std::make_shared<AtomIndex>();
     index->terms.resize(atom_count);
-    index->ids.reserve(atom_count);
+    index->ids.Reserve(atom_count);
     for (AtomId a = 0; a < atom_count; ++a) {
       const Term* t = gp.AtomTerm(a);
       index->terms[a] = t;
-      index->ids.emplace(t, a);
+      index->ids.Insert(AddressHash(t), a);
     }
     index_ = std::move(index);
     ++stats_.index_rebuilds;

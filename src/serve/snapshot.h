@@ -4,11 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "ground/truncation.h"
 #include "solver/incremental.h"
+#include "util/id_table.h"
 #include "wfs/interpretation.h"
 
 namespace gsls {
@@ -35,18 +35,21 @@ struct Page {
 };
 
 /// Immutable term → atom-id index carried by every snapshot so readers
-/// never touch the writer-mutated `GroundProgram` registry (its
-/// `unordered_map` is not safe to probe while the writer interns).
-/// Copy-on-intern: rebuilt only by a publish whose batch registered new
-/// atoms, shared by every other publish.
+/// never touch the writer-mutated `GroundProgram` registry (its tables are
+/// not safe to probe while the writer interns). Two flat arrays: `terms`
+/// and an `IdTable` over them keyed on each hash-consed term's address, so
+/// a read compares pointers and never touches a term. Copy-on-intern:
+/// rebuilt only by a publish whose batch registered new atoms, shared by
+/// every other publish.
 struct AtomIndex {
-  std::unordered_map<const Term*, AtomId> ids;
+  IdTable ids;
   std::vector<const Term*> terms;  ///< id → hash-consed term
 
   std::optional<AtomId> Find(const Term* t) const {
-    auto it = ids.find(t);
-    if (it == ids.end()) return std::nullopt;
-    return it->second;
+    const uint32_t id = ids.Find(AddressHash(t),
+                                 [&](uint32_t a) { return terms[a] == t; });
+    if (id == IdTable::kNone) return std::nullopt;
+    return id;
   }
 };
 

@@ -23,7 +23,7 @@ TruthValue EvalNonRecursiveAtom(const GroundProgram& gp, AtomId atom,
   for (RuleId rid : gp.RulesFor(atom)) {
     if (!RuleEnabledIn(disabled, rid)) continue;
     ++*rules_visited;
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     TruthValue body = TruthValue::kTrue;
     for (AtomId b : r.pos) {
       if (values.IsFalse(b)) {

@@ -221,7 +221,7 @@ RuleId IncrementalSolver::AssertRule(GroundRule rule, bool* changed) {
   // mask flip the warm entry patches.
   if (!is_new) RecordRuleFlip(id);
   ++stats_.rule_deltas;
-  MarkDirty(gp_.rules()[id].head);
+  MarkDirty(gp_.rule(id).head);
   if (cond_ != nullptr) {
     EnsureGraph();  // cover atoms interned since the last repair
     ApplyRepair(cond_->InsertRule(gp_, &disabled_, id, ConfigureCancel()));
@@ -245,7 +245,7 @@ RuleId IncrementalSolver::AssertRule(const Term* head,
 
 bool IncrementalSolver::RetractRule(RuleId r) {
   if (r >= gp_.rule_count() || !RuleEnabled(r)) return false;
-  const GroundRule& rule = gp_.rules()[r];
+  const RuleView rule = gp_.rule(r);
   if (rule.pos.empty() && rule.neg.empty()) return RetractAtom(rule.head);
   disabled_.resize(gp_.rule_count(), 0);
   disabled_[r] = 1;
@@ -328,7 +328,7 @@ void IncrementalSolver::WithWarmEntry(uint32_t c, Fn&& fn) {
 void IncrementalSolver::RecordRuleFlip(RuleId r) {
   if (warm_.empty()) return;
   const AtomDependencyGraph& g = cond_->graph();
-  const AtomId head = gp_.rules()[r].head;
+  const AtomId head = gp_.rule(r).head;
   if (head >= g.atom_count()) return;  // a new atom: a singleton, never warm
   const uint32_t c = g.ComponentOf(head);
   if (!HasWarm(c)) return;
@@ -899,7 +899,7 @@ void IncrementalSolver::SolveDownCone(AtomId atom, QueryAnswer* out,
     for (AtomId a : graph.Atoms(cone[i])) {
       for (RuleId r : gp_.RulesFor(a)) {
         if (!RuleEnabled(r)) continue;
-        const GroundRule& rule = gp_.rules()[r];
+        const RuleView rule = gp_.rule(r);
         auto visit = [&](AtomId b) {
           uint32_t bc = graph.ComponentOf(b);
           if (slot[bc] == 0) {

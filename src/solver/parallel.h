@@ -27,11 +27,11 @@ void ForEachOccurrence(const GroundProgram& gp,
                        const std::vector<uint8_t>* disabled, AtomId atom,
                        uint32_t c, Fn&& fn) {
   for (RuleId r : gp.PositiveOccurrences(atom)) {
-    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    const uint32_t hc = graph.ComponentOf(gp.rule(r).head);
     if (hc != c) fn(hc, RuleEnabledIn(disabled, r));
   }
   for (RuleId r : gp.NegativeOccurrences(atom)) {
-    const uint32_t hc = graph.ComponentOf(gp.rules()[r].head);
+    const uint32_t hc = graph.ComponentOf(gp.rule(r).head);
     if (hc != c) fn(hc, RuleEnabledIn(disabled, r));
   }
 }

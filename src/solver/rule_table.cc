@@ -48,12 +48,12 @@ void RuleTable::Compile(const GroundProgram& gp,
     for (RuleId rid : gp.RulesFor(atoms_[local])) {
       const bool enabled = RuleEnabledIn(disabled, rid);
       if (!kKeepAll && !enabled) continue;
-      const GroundRule& r = gp.rules()[rid];
+      const RuleView r = gp.rule(rid);
       Probe probe{rid, local, 0, 0, 0, !enabled};
       uint32_t ext = 0;
       // One body half; an external whose value is `witness` falsifies it
       // (the rule can never matter).
-      auto scan = [&](const std::vector<AtomId>& body, TruthValue witness,
+      auto scan = [&](std::span<const AtomId> body, TruthValue witness,
                       uint32_t* internal) {
         for (AtomId b : body) {
           if (graph.ComponentOf(b) == comp) {
@@ -102,7 +102,7 @@ void RuleTable::Compile(const GroundProgram& gp,
   for (LocalRule id = 0; id < kept.size(); ++id) {
     if (tick.Tick()) { AbortCompile(); return; }
     const Probe& probe = kept[id];
-    const GroundRule& r = gp.rules()[probe.rid];
+    const RuleView r = gp.rule(probe.rid);
     CompiledRule& compiled = rules_[id];
     compiled.head = probe.head;
     compiled.undef_external = probe.undef_external;
@@ -112,7 +112,7 @@ void RuleTable::Compile(const GroundProgram& gp,
     // the game, because the propagation loop never decrements dead rules.
     compiled.unsat = probe.npos + probe.nneg + probe.undef_external;
     compiled.dead = probe.dead;
-    auto fill = [&](const std::vector<AtomId>& body, Csr<LocalRule>* occ) {
+    auto fill = [&](std::span<const AtomId> body, Csr<LocalRule>* occ) {
       for (AtomId b : body) {
         if (graph.ComponentOf(b) == comp) {
           LocalAtom lb = graph.LocalIndexOf(b);

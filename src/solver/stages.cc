@@ -25,7 +25,7 @@ uint32_t TrueStageDirect(const GroundProgram& gp, AtomId a,
   uint32_t out = kInf;
   for (RuleId rid : gp.RulesFor(a)) {
     if (!RuleEnabledIn(disabled, rid)) continue;
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     uint32_t v = 1;
     bool fires = true;
     for (AtomId b : r.pos) {
@@ -57,7 +57,7 @@ uint32_t FalseStageDirect(const GroundProgram& gp, AtomId a,
   uint32_t out = 1;
   for (RuleId rid : gp.RulesFor(a)) {
     if (!RuleEnabledIn(disabled, rid)) continue;
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     uint32_t w = kInf;
     for (AtomId b : r.pos) {
       if (values.IsFalse(b)) w = std::min(w, st.false_stage[b]);
@@ -204,7 +204,7 @@ class ComponentStageSolver {
       if (v == TruthValue::kUndefined) continue;
       for (RuleId rid : gp_.RulesFor(g)) {
         if (!RuleEnabledIn(disabled_, rid)) continue;
-        const GroundRule& r = gp_.rules()[rid];
+        const RuleView r = gp_.rule(rid);
         if (v == TruthValue::kTrue) {
           SeedTrueRule(r, static_cast<uint32_t>(i), comp);
         } else {
@@ -216,7 +216,7 @@ class ComponentStageSolver {
     }
   }
 
-  void SeedTrueRule(const GroundRule& r, uint32_t head, uint32_t comp) {
+  void SeedTrueRule(const RuleView& r, uint32_t head, uint32_t comp) {
     uint32_t cur = 1;
     uint32_t pending = 0;
     for (AtomId b : r.pos) {
@@ -246,7 +246,7 @@ class ComponentStageSolver {
     if (pending == 0) Push(cur, idx);
   }
 
-  void SeedFalseRule(const GroundRule& r, uint32_t head, uint32_t comp) {
+  void SeedFalseRule(const RuleView& r, uint32_t head, uint32_t comp) {
     uint32_t idx = static_cast<uint32_t>(false_rules_.size());
     uint32_t npos_local = 0;
     uint32_t static_kill = kInf;

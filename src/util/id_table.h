@@ -9,6 +9,13 @@
 
 namespace gsls {
 
+/// The hash of a key that is compared by address, such as a hash-consed
+/// term: its pointer bits. `IdTable` mixes every hash before use, so the
+/// aligned low bits do not cluster, and a lookup never reads the key.
+inline uint64_t AddressHash(const void* key) {
+  return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(key));
+}
+
 /// Open-addressing hash index over dense `uint32_t` ids whose keys live
 /// elsewhere (the term, symbol, atom and rule arrays): linear probing over
 /// a power-of-two slot array kept at most half full. Lookups pass the key's

@@ -6,7 +6,8 @@ namespace gsls {
 
 DenseBitset TpStep(const GroundProgram& gp, const Interpretation& interp) {
   DenseBitset out(gp.atom_count());
-  for (const GroundRule& r : gp.rules()) {
+  for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
+    const RuleView r = gp.rule(rid);
     bool fires = true;
     for (AtomId a : r.pos) {
       if (!interp.IsTrue(a)) {
@@ -44,7 +45,7 @@ DenseBitset TpStar(const GroundProgram& gp, const Interpretation& interp) {
   };
 
   for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     bool enabled = true;
     for (AtomId a : r.neg) {
       if (!interp.IsFalse(a)) {
@@ -80,7 +81,7 @@ DenseBitset TpStar(const GroundProgram& gp, const Interpretation& interp) {
       // A rule may mention `a` several times positively, but bodies are
       // deduplicated by AddRule, so one decrement per occurrence list entry
       // is exact.
-      if (--unmet[rid] == 0) derive(gp.rules()[rid].head);
+      if (--unmet[rid] == 0) derive(gp.rule(rid).head);
     }
   }
   return derived;
@@ -104,7 +105,7 @@ DenseBitset GreatestUnfoundedSet(const GroundProgram& gp,
   };
 
   for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     bool enabled = true;
     // (a) no witness of type 1: complement of a body literal in I.
     for (AtomId a : r.pos) {
@@ -133,7 +134,7 @@ DenseBitset GreatestUnfoundedSet(const GroundProgram& gp,
     AtomId a = queue[qi++];
     for (RuleId rid : gp.PositiveOccurrences(a)) {
       if (unmet[rid] == UINT32_MAX || unmet[rid] == 0) continue;
-      if (--unmet[rid] == 0) support(gp.rules()[rid].head);
+      if (--unmet[rid] == 0) support(gp.rule(rid).head);
     }
   }
   DenseBitset unfounded(n);
@@ -157,7 +158,7 @@ bool IsUnfoundedSet(const GroundProgram& gp, const Interpretation& interp,
   for (AtomId p = 0; p < gp.atom_count(); ++p) {
     if (!candidate.Test(p)) continue;
     for (RuleId rid : gp.RulesFor(p)) {
-      const GroundRule& r = gp.rules()[rid];
+      const RuleView r = gp.rule(rid);
       bool has_witness = false;
       for (AtomId a : r.pos) {
         if (interp.IsFalse(a) || candidate.Test(a)) {

@@ -34,7 +34,7 @@ Result<Interpretation> ComputePerfectModel(const GroundProgram& gp,
       }
     };
     for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
-      const GroundRule& r = gp.rules()[rid];
+      const RuleView r = gp.rule(rid);
       if (atom_stratum[r.head] != s) continue;
       bool enabled = true;
       for (AtomId a : r.neg) {
@@ -64,7 +64,7 @@ Result<Interpretation> ComputePerfectModel(const GroundProgram& gp,
       AtomId a = queue[qi++];
       for (RuleId rid : gp.PositiveOccurrences(a)) {
         if (unmet[rid] == UINT32_MAX || unmet[rid] == 0) continue;
-        if (--unmet[rid] == 0) derive(gp.rules()[rid].head);
+        if (--unmet[rid] == 0) derive(gp.rule(rid).head);
       }
     }
     // Close the stratum: derived atoms true, the rest of the stratum false.

@@ -71,7 +71,7 @@ DenseBitset PositiveClosureAssuming(const GroundProgram& gp,
     }
   };
   for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
-    const GroundRule& r = gp.rules()[rid];
+    const RuleView r = gp.rule(rid);
     bool enabled = true;
     for (AtomId a : r.neg) {
       if (assumed_true.Test(a)) {
@@ -91,7 +91,7 @@ DenseBitset PositiveClosureAssuming(const GroundProgram& gp,
     AtomId a = queue[qi++];
     for (RuleId rid : gp.PositiveOccurrences(a)) {
       if (unmet[rid] == UINT32_MAX || unmet[rid] == 0) continue;
-      if (--unmet[rid] == 0) derive(gp.rules()[rid].head);
+      if (--unmet[rid] == 0) derive(gp.rule(rid).head);
     }
   }
   return derived;
@@ -136,7 +136,8 @@ std::string DescribeModelDifference(const GroundProgram& gp,
 }
 
 bool IsTwoValuedModel(const GroundProgram& gp, const Interpretation& total) {
-  for (const GroundRule& r : gp.rules()) {
+  for (RuleId rid = 0; rid < gp.rule_count(); ++rid) {
+    const RuleView r = gp.rule(rid);
     if (total.IsTrue(r.head)) continue;
     bool body_true = true;
     for (AtomId a : r.pos) {

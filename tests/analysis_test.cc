@@ -276,7 +276,7 @@ void ExpectCondensationMatchesReference(const GroundProgram& gp,
   }
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
+    const RuleView r = gp.rule(id);
     const uint64_t head = g.Label(g.ComponentOf(r.head));
     for (AtomId b : r.pos) EXPECT_LE(g.Label(g.ComponentOf(b)), head);
     for (AtomId b : r.neg) EXPECT_LE(g.Label(g.ComponentOf(b)), head);

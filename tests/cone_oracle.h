@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "solver/incremental.h"
@@ -45,7 +46,7 @@ inline std::set<uint32_t> OwedComponents(const IncrementalSolver& inc,
          {gp.PositiveOccurrences(a), gp.NegativeOccurrences(a)}) {
       for (RuleId r : occ) {
         if (!inc.RuleEnabled(r)) continue;
-        const uint32_t hc = g.ComponentOf(gp.rules()[r].head);
+        const uint32_t hc = g.ComponentOf(gp.rule(r).head);
         if (hc != g.ComponentOf(a)) owed.insert(hc);
       }
     }
@@ -67,9 +68,9 @@ inline std::set<uint32_t> DownCone(const IncrementalSolver& inc,
     for (AtomId a : g.Atoms(c)) {
       for (RuleId r : gp.RulesFor(a)) {
         if (!inc.RuleEnabled(r)) continue;
-        for (const std::vector<AtomId>* body :
-             {&gp.rules()[r].pos, &gp.rules()[r].neg}) {
-          for (AtomId b : *body) {
+        const RuleView rule = gp.rule(r);
+        for (std::span<const AtomId> body : {rule.pos, rule.neg}) {
+          for (AtomId b : body) {
             if (cone.insert(g.ComponentOf(b)).second) {
               work.push_back(g.ComponentOf(b));
             }

@@ -146,14 +146,15 @@ struct CanonicalGrounding {
   std::set<const Term*> truncated;
 
   explicit CanonicalGrounding(const GroundProgram& gp) {
-    auto terms = [&](const std::vector<AtomId>& ids) {
+    auto terms = [&](std::span<const AtomId> ids) {
       std::vector<const Term*> out;
       for (AtomId a : ids) out.push_back(gp.AtomTerm(a));
       std::sort(out.begin(), out.end());
       out.erase(std::unique(out.begin(), out.end()), out.end());
       return out;
     };
-    for (const GroundRule& r : gp.rules()) {
+    for (RuleId id = 0; id < gp.rule_count(); ++id) {
+      const RuleView r = gp.rule(id);
       rules.emplace(gp.AtomTerm(r.head), terms(r.pos), terms(r.neg));
     }
     for (AtomId a = 0; a < gp.atom_count(); ++a) atoms.insert(gp.AtomTerm(a));
@@ -329,7 +330,8 @@ TEST(GrounderTest, RuleDeduplication) {
 TEST(GrounderTest, BodyLiteralDeduplication) {
   Fixture f("p :- q, q, not r, not r. q.");
   GroundProgram gp = testing::MustGround(f.program);
-  for (const GroundRule& r : gp.rules()) {
+  for (RuleId id = 0; id < gp.rule_count(); ++id) {
+    const RuleView r = gp.rule(id);
     if (r.pos.size() + r.neg.size() > 0 && !r.neg.empty()) {
       EXPECT_EQ(r.pos.size(), 1u);
       EXPECT_EQ(r.neg.size(), 1u);
@@ -411,17 +413,17 @@ TEST(GroundProgramTest, UnitRuleAfterIndexReadAppendsToRulesFor) {
 
 /// A stored rule as an owning value: its head and its normalized body.
 GroundRule StoredRule(const GroundProgram& gp, RuleId r) {
-  return gp.rules()[r];
+  return gp.rule(r);
 }
 
 /// Every row of the three occurrence indexes equals an id-ordered scan of
-/// `rules()`, and `FindUnitRule` equals a scan for the unit rule.
+/// the stored rules, and `FindUnitRule` equals a scan for the unit rule.
 void ExpectIndexesMatchScan(const GroundProgram& gp, const std::string& ctx) {
   const size_t n = gp.atom_count();
   std::vector<std::vector<RuleId>> heads(n), pos(n), neg(n);
   std::vector<std::optional<RuleId>> unit(n);
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    const GroundRule& rule = gp.rules()[r];
+    const RuleView rule = gp.rule(r);
     heads[rule.head].push_back(r);
     for (AtomId a : rule.pos) pos[a].push_back(r);
     for (AtomId a : rule.neg) neg[a].push_back(r);

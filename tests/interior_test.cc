@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,7 +59,7 @@ std::string OneSccGame(Rng& rng, int n, int chords) {
 std::vector<RuleId> NonUnitRules(const GroundProgram& gp) {
   std::vector<RuleId> out;
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    const GroundRule& rule = gp.rules()[r];
+    const RuleView rule = gp.rule(r);
     if (!rule.pos.empty() || !rule.neg.empty()) out.push_back(r);
   }
   return out;
@@ -67,7 +68,7 @@ std::vector<RuleId> NonUnitRules(const GroundProgram& gp) {
 std::vector<RuleId> UnitRules(const GroundProgram& gp) {
   std::vector<RuleId> out;
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    const GroundRule& rule = gp.rules()[r];
+    const RuleView rule = gp.rule(r);
     if (rule.pos.empty() && rule.neg.empty()) out.push_back(r);
   }
   return out;
@@ -77,7 +78,7 @@ void ToggleRule(IncrementalSolver& inc, RuleId r) {
   if (inc.RuleEnabled(r)) {
     inc.RetractRule(r);
   } else {
-    inc.AssertRule(inc.program().rules()[r]);
+    inc.AssertRule(inc.program().rule(r));
   }
 }
 
@@ -401,7 +402,9 @@ TEST(InteriorTest, RetractionThatKeepsTheSccWholeKeepsItsWarmEntry) {
   const AtomId win1 = *gp.FindAtom(MustParseTerm(f.store, "win(n1)"));
   RuleId rule = gp.rule_count();
   for (RuleId r : gp.RulesFor(win0)) {
-    if (gp.rules()[r].neg == std::vector<AtomId>{win1}) rule = r;
+    if (std::ranges::equal(gp.rule(r).neg, std::vector<AtomId>{win1})) {
+      rule = r;
+    }
   }
   ASSERT_LT(rule, gp.rule_count());
   const uint32_t components = inc.graph()->component_count();
@@ -442,12 +445,12 @@ TEST(InteriorTest, WarmResolveReadsOnlyItsFootprint) {
   int in_scc = 0;
   for (int d = 0; d < 40; ++d) {
     const RuleId u = units[rng.Uniform(units.size())];
-    const AtomId fact = inc.program().rules()[u].head;
+    const AtomId fact = inc.program().rule(u).head;
     // The move atom reaches the SCC through one rule at most, so the
     // footprint is one external, or nothing when the edge leaves it.
     uint64_t expected = 0;
     for (RuleId r : inc.program().PositiveOccurrences(fact)) {
-      if (graph.ComponentOf(inc.program().rules()[r].head) == warm) {
+      if (graph.ComponentOf(inc.program().rule(r).head) == warm) {
         expected = 1;
       }
     }
@@ -499,7 +502,7 @@ void RunFootprintChurn(uint64_t seed, unsigned threads) {
   inc.Model();
   const GroundProgram& gp = inc.program();
   auto head = [&](RuleId r) {
-    return f.store.ToString(gp.AtomTerm(gp.rules()[r].head));
+    return f.store.ToString(gp.AtomTerm(gp.rule(r).head));
   };
   std::vector<RuleId> moves, wins, gates, rules;
   for (RuleId r : UnitRules(gp)) {

@@ -63,7 +63,7 @@ void ExpectQueriesMatchFresh(IncrementalSolver& inc,
 void ToggleRandomRule(IncrementalSolver& inc, Rng& rng) {
   std::vector<RuleId> rules;
   for (RuleId r = 0; r < inc.program().rule_count(); ++r) {
-    const GroundRule& rule = inc.program().rules()[r];
+    const RuleView rule = inc.program().rule(r);
     if (!rule.pos.empty() || !rule.neg.empty()) rules.push_back(r);
   }
   if (rules.empty()) return;
@@ -71,7 +71,7 @@ void ToggleRandomRule(IncrementalSolver& inc, Rng& rng) {
   if (inc.RuleEnabled(r)) {
     inc.RetractRule(r);
   } else {
-    inc.AssertRule(inc.program().rules()[r]);
+    inc.AssertRule(inc.program().rule(r));
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -87,9 +88,9 @@ RuleId MustFindRule(const IncrementalSolver& inc, TermStore& store,
   std::sort(want.pos.begin(), want.pos.end());
   std::sort(want.neg.begin(), want.neg.end());
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    const GroundRule& rule = gp.rules()[r];
-    if (rule.head == want.head && rule.pos == want.pos &&
-        rule.neg == want.neg) {
+    const RuleView rule = gp.rule(r);
+    if (rule.head == want.head && std::ranges::equal(rule.pos, want.pos) &&
+        std::ranges::equal(rule.neg, want.neg)) {
       return r;
     }
   }
@@ -184,7 +185,7 @@ TEST(RuleDeltaTest, CycleRuleRetractSplitsAssertMergesComponents) {
   // Re-asserting the rule merges the previously independent SCCs back
   // into one cycle component; the positions flip back to undefined.
   bool changed = false;
-  EXPECT_EQ(inc.AssertRule(inc.program().rules()[r], &changed), r);
+  EXPECT_EQ(inc.AssertRule(inc.program().rule(r), &changed), r);
   EXPECT_TRUE(changed);
   EXPECT_EQ(ValueOf(inc, f.store, "win(c1)"), TruthValue::kUndefined);
   EXPECT_EQ(ValueOf(inc, f.store, "win(c2)"), TruthValue::kUndefined);
@@ -211,7 +212,7 @@ TEST(RuleDeltaTest, RetractingSoleLoopBreakerFlipsToUndefined) {
   EXPECT_EQ(ValueOf(inc, f.store, "r"), TruthValue::kTrue);
   ExpectAgreesEverywhere(inc, f.store, "loop breaker retracted");
 
-  ASSERT_TRUE(inc.AssertRule(inc.program().rules()[r]) == r);
+  ASSERT_TRUE(inc.AssertRule(inc.program().rule(r)) == r);
   EXPECT_EQ(ValueOf(inc, f.store, "q"), TruthValue::kTrue);
   ExpectAgreesEverywhere(inc, f.store, "loop breaker restored");
 }
@@ -303,7 +304,7 @@ void RunChurnSequence(uint64_t seed, unsigned threads) {
         inc.RetractRule(r);
         context = StrCat("seed ", seed, " delta ", d, ": retract rule ", r);
       } else {
-        inc.AssertRule(inc.program().rules()[r]);
+        inc.AssertRule(inc.program().rule(r));
         context = StrCat("seed ", seed, " delta ", d, ": re-assert rule ", r);
       }
     } else {
@@ -345,7 +346,7 @@ void RunFamilyRuleChurn(const std::string& src, unsigned threads,
   inc.Model();
   std::vector<RuleId> rules;
   for (RuleId r = 0; r < inc.program().rule_count(); ++r) {
-    const GroundRule& rule = inc.program().rules()[r];
+    const RuleView rule = inc.program().rule(r);
     if (!rule.pos.empty() || !rule.neg.empty()) rules.push_back(r);
   }
   Rng rng(seed);
@@ -354,7 +355,7 @@ void RunFamilyRuleChurn(const std::string& src, unsigned threads,
     if (inc.RuleEnabled(r)) {
       inc.RetractRule(r);
     } else {
-      inc.AssertRule(inc.program().rules()[r]);
+      inc.AssertRule(inc.program().rule(r));
     }
     ExpectAgreesEverywhere(inc, f.store,
                            StrCat("threads ", threads, " delta ", d, "\n",
@@ -419,8 +420,8 @@ TEST(RuleDeltaTest, ThreadedChurnMatchesSequentialDeltaForDelta) {
           seq.RetractRule(r);
           par.RetractRule(r);
         } else {
-          seq.AssertRule(seq.program().rules()[r]);
-          par.AssertRule(seq.program().rules()[r]);
+          seq.AssertRule(seq.program().rule(r));
+          par.AssertRule(seq.program().rule(r));
         }
       } else {
         GroundRule r;
@@ -596,7 +597,7 @@ TEST(RuleDeltaTest, DescendingDeltasSkipRecondensation) {
                           {"win(n11)"});
   ASSERT_TRUE(inc.RetractRule(r));
   ExpectAgreesEverywhere(inc, f.store, "chain rule retract");
-  ASSERT_TRUE(inc.AssertRule(inc.program().rules()[r]) == r);
+  ASSERT_TRUE(inc.AssertRule(inc.program().rule(r)) == r);
   ExpectAgreesEverywhere(inc, f.store, "chain rule re-assert");
   ASSERT_NE(inc.condensation_stats(), nullptr);
   EXPECT_EQ(inc.condensation_stats()->windows, 0u);

@@ -61,7 +61,7 @@ inline std::vector<std::vector<uint32_t>> AtomSuccessors(
   std::vector<std::vector<uint32_t>> succ(gp.atom_count());
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
+    const RuleView r = gp.rule(id);
     for (AtomId b : r.pos) succ[r.head].push_back(b);
     for (AtomId b : r.neg) succ[r.head].push_back(b);
   }
@@ -91,7 +91,7 @@ inline ReferenceCondensation ReferenceCondense(
   }
   for (RuleId id = 0; id < gp.rule_count(); ++id) {
     if (!RuleEnabledIn(disabled, id)) continue;
-    const GroundRule& r = gp.rules()[id];
+    const RuleView r = gp.rule(id);
     const uint32_t c = out.component[r.head];
     for (AtomId b : r.pos) {
       if (out.component[b] == c) rec[c] = 1;

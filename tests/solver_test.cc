@@ -267,7 +267,8 @@ TEST(AtomDependencyGraphTest, ComponentsAreInDependencyOrder) {
     Fixture f(src);
     GroundProgram gp = MustGround(f.program);
     AtomDependencyGraph graph(gp);
-    for (const GroundRule& r : gp.rules()) {
+    for (RuleId id = 0; id < gp.rule_count(); ++id) {
+      const RuleView r = gp.rule(id);
       for (AtomId b : r.pos) {
         EXPECT_LE(graph.ComponentOf(b), graph.ComponentOf(r.head)) << src;
       }

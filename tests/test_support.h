@@ -47,7 +47,7 @@ inline GroundProgram RebuildEnabled(const IncrementalSolver& inc,
   GroundProgram out(&store);
   for (AtomId a = 0; a < gp.atom_count(); ++a) out.InternAtom(gp.AtomTerm(a));
   for (RuleId r = 0; r < gp.rule_count(); ++r) {
-    if (inc.RuleEnabled(r)) out.AddRule(gp.rules()[r]);
+    if (inc.RuleEnabled(r)) out.AddRule(gp.rule(r));
   }
   return out;
 }
