@@ -181,6 +181,18 @@ void BM_GroundRelevant_ReachNeg(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundRelevant_ReachNeg)->Arg(16)->Arg(32);
 
+void BM_GroundRelevant_Grid(benchmark::State& state) {
+  RunGround(state, Grid);
+}
+BENCHMARK(BM_GroundRelevant_Grid)->Arg(24)->Arg(64);
+
+// The costliest family per rule: every clause is already ground, so each
+// rule is a clause of its own, compiled once and fired once.
+void BM_GroundRelevant_Propositional(benchmark::State& state) {
+  RunGround(state, Propositional);
+}
+BENCHMARK(BM_GroundRelevant_Propositional)->Arg(256)->Arg(1024);
+
 // --- incremental fact deltas ------------------------------------------
 
 /// Toggles random fact atoms of `src` and reads the model after each:
