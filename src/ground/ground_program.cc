@@ -60,11 +60,10 @@ bool SameRule(const RuleView& a, const RuleView& b) {
 uint32_t Capacity(uint32_t n) { return n == 0 ? 0 : std::bit_ceil(n); }
 }  // namespace
 
-RuleId GroundProgram::FindNormalized(const RuleView& candidate, uint64_t fp,
-                                     size_t pool_end) const {
-  return rule_ids_.Find(fp, [&](uint32_t id) {
-    return SameRule(View(id, pool_end), candidate);
-  });
+RuleId GroundProgram::FindNormalized(const RuleView& candidate,
+                                     uint64_t fp) const {
+  return rule_ids_.Find(
+      fp, [&](uint32_t id) { return SameRule(rule(id), candidate); });
 }
 
 RuleId GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
@@ -83,14 +82,17 @@ RuleId GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
       head, {body_.data() + begin, npos},
       {body_.data() + begin + npos, body_.size() - begin - npos}};
   const uint64_t fp = RuleFingerprint(candidate);
-  const RuleId existing = FindNormalized(candidate, fp, begin);
+  const RuleId existing = FindNormalized(candidate, fp);
   if (existing != IdTable::kNone) {
     body_.resize(begin);
     return existing;
   }
-  const RuleId id = static_cast<RuleId>(rules_.size());
-  rules_.push_back(RuleRecord{head, static_cast<uint32_t>(begin),
-                              static_cast<uint32_t>(npos)});
+  // The sentinel becomes the new rule's record, and a new sentinel ends
+  // its body.
+  const RuleId id = static_cast<RuleId>(rule_count());
+  rules_.back() = RuleRecord{head, static_cast<uint32_t>(begin),
+                             static_cast<uint32_t>(npos)};
+  rules_.push_back(RuleRecord{0, static_cast<uint32_t>(body_.size()), 0});
   rule_ids_.Insert(fp, id);
   rules_for_.Append(head, id);
   const RuleView stored = rule(id);
@@ -101,8 +103,7 @@ RuleId GroundProgram::AddRule(AtomId head, std::span<const AtomId> pos,
 
 std::optional<RuleId> GroundProgram::FindUnitRule(AtomId atom) const {
   const RuleView unit{atom, {}, {}};
-  const RuleId id =
-      FindNormalized(unit, RuleFingerprint(unit), body_.size());
+  const RuleId id = FindNormalized(unit, RuleFingerprint(unit));
   if (id == IdTable::kNone) return std::nullopt;
   return id;
 }
@@ -113,8 +114,7 @@ std::optional<RuleId> GroundProgram::FindRule(GroundRule rule) const {
   rule.neg.erase(NormalizeHalf(rule.neg.begin(), rule.neg.end()),
                  rule.neg.end());
   const RuleView candidate{rule.head, rule.pos, rule.neg};
-  const RuleId id =
-      FindNormalized(candidate, RuleFingerprint(candidate), body_.size());
+  const RuleId id = FindNormalized(candidate, RuleFingerprint(candidate));
   if (id == IdTable::kNone) return std::nullopt;
   return id;
 }
@@ -155,7 +155,7 @@ void GroundProgram::OccurrenceRows::Compact() {
 
 std::string GroundProgram::ToString() const {
   std::string out;
-  for (RuleId id = 0; id < rules_.size(); ++id) {
+  for (RuleId id = 0; id < rule_count(); ++id) {
     const RuleView r = rule(id);
     out += store_->ToString(atom_terms_[r.head]);
     if (!r.pos.empty() || !r.neg.empty()) {

@@ -97,8 +97,14 @@ class GroundProgram {
   std::optional<RuleId> FindRule(GroundRule rule) const;
 
   /// Rule `id`: a view into the body pool, dead at the next `AddRule`.
-  RuleView rule(RuleId id) const { return View(id, body_.size()); }
-  size_t rule_count() const { return rules_.size(); }
+  RuleView rule(RuleId id) const {
+    const RuleRecord& r = rules_[id];
+    const AtomId* body = body_.data() + r.begin;
+    return {r.head,
+            {body, r.npos},
+            {body + r.npos, rules_[id + 1].begin - r.begin - r.npos}};
+  }
+  size_t rule_count() const { return rules_.size() - 1; }
 
   /// Ids of the rules whose head is `atom`, in increasing rule id.
   ///
@@ -166,32 +172,24 @@ class GroundProgram {
   };
 
   /// A stored rule: its head, and its body at `body_[begin, end)` with the
-  /// `npos` positive atoms first; `end` is the next rule's `begin`.
+  /// `npos` positive atoms first; `end` is the next record's `begin`.
   struct RuleRecord {
     AtomId head;
     uint32_t begin;
     uint32_t npos;
   };
 
-  /// Rule `id`, whose body ends at `pool_end` if it is the last rule.
-  RuleView View(RuleId id, size_t pool_end) const {
-    const RuleRecord& r = rules_[id];
-    const size_t end = id + 1 < rules_.size() ? rules_[id + 1].begin
-                                              : pool_end;
-    const AtomId* body = body_.data() + r.begin;
-    return {r.head, {body, r.npos}, {body + r.npos, end - r.begin - r.npos}};
-  }
-
   /// The rule identical to the normalized `candidate` (fingerprint `fp`),
-  /// or `IdTable::kNone`; a candidate in the pool's tail starts at
-  /// `pool_end`.
-  RuleId FindNormalized(const RuleView& candidate, uint64_t fp,
-                        size_t pool_end) const;
+  /// or `IdTable::kNone`.
+  RuleId FindNormalized(const RuleView& candidate, uint64_t fp) const;
 
   TermStore* store_;
   std::vector<const Term*> atom_terms_;
   IdTable atom_ids_;  ///< keyed by `Term::hash`
-  std::vector<RuleRecord> rules_;
+  /// One record per rule plus a sentinel whose `begin` ends the last
+  /// rule's body, so `rule` reads no branch; a candidate body sits in the
+  /// pool beyond it until `AddRule` keeps or drops it.
+  std::vector<RuleRecord> rules_{RuleRecord{0, 0, 0}};
   std::vector<AtomId> body_;  ///< every rule's body, in rule id order
   IdTable rule_ids_;  ///< keyed by each rule's dedup fingerprint
   std::vector<const Term*> truncated_;

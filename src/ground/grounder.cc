@@ -85,10 +85,15 @@ struct ArgIndex {
   std::vector<uint32_t> last;
   std::vector<uint32_t> next;  ///< by position; `kNone` ends a list
 
+  /// The index of `key` in `keys`, or `IdTable::kNone`.
+  uint32_t Key(const Term* key) const {
+    return ids.Find(AddressHash(key),
+                    [&](uint32_t k) { return keys[k] == key; });
+  }
+
   /// The first position whose value is `key`, or `IdTable::kNone`.
   uint32_t First(const Term* key) const {
-    const uint32_t k = ids.Find(AddressHash(key),
-                                [&](uint32_t id) { return keys[id] == key; });
+    const uint32_t k = Key(key);
     return k == IdTable::kNone ? IdTable::kNone : first[k];
   }
 
@@ -96,11 +101,9 @@ struct ArgIndex {
   void Add(const Term* key, uint32_t at) {
     assert(at == next.size());
     next.push_back(IdTable::kNone);
-    const uint64_t h = AddressHash(key);
-    const uint32_t k =
-        ids.Find(h, [&](uint32_t id) { return keys[id] == key; });
+    const uint32_t k = Key(key);
     if (k == IdTable::kNone) {
-      ids.Insert(h, static_cast<uint32_t>(keys.size()));
+      ids.Insert(AddressHash(key), static_cast<uint32_t>(keys.size()));
       keys.push_back(key);
       first.push_back(at);
       last.push_back(at);
@@ -385,17 +388,10 @@ class RelevantGrounder {
   const Term* BuildNested(const CompiledClause& c, const Term* pattern) {
     if (pattern->ground()) return pattern;
     if (pattern->IsVar()) return bind_[c.SlotOf(pattern->var())];
-    // `nested_args_` is a stack: each level pushes its arguments above the
-    // levels below it and pops them once built.
-    const size_t mark = nested_args_.size();
-    for (const Term* a : pattern->args()) {
-      const Term* arg = BuildNested(c, a);
-      nested_args_.push_back(arg);
-    }
-    const Term* out = store_.MakeCompound(
-        pattern->functor(), std::span(nested_args_).subspan(mark));
-    nested_args_.resize(mark);
-    return out;
+    std::vector<const Term*> args;
+    args.reserve(pattern->arity());
+    for (const Term* a : pattern->args()) args.push_back(BuildNested(c, a));
+    return store_.MakeCompound(pattern->functor(), args);
   }
 
   /// The code's atom under the current (complete) bindings.
@@ -496,8 +492,7 @@ class RelevantGrounder {
   /// slots (non-range-restricted variables) range over the universe.
   bool Emit(const CompiledClause& c) {
     if (c.free_slots.empty()) return AddInstance(c);
-    std::vector<size_t>& idx = free_idx_;
-    idx.assign(c.free_slots.size(), 0);
+    std::vector<size_t> idx(c.free_slots.size(), 0);
     bool ok = true;
     while (ok) {
       for (size_t i = 0; i < c.free_slots.size(); ++i) {
@@ -620,14 +615,11 @@ class RelevantGrounder {
   std::vector<uint32_t> trail_;
   std::vector<AtomId> matched_;
   std::vector<uint32_t> limits_;
-  // Emission scratch, reused by every instance: argument lists of the
-  // atoms being built, the negative body as terms and as ids, and the
-  // universe odometer of the free slots.
+  // Emission scratch, reused by every instance: the argument list of the
+  // atom being built and the negative body as terms and as ids.
   std::vector<const Term*> build_args_;
-  std::vector<const Term*> nested_args_;
   std::vector<const Term*> neg_terms_;
   std::vector<AtomId> neg_ids_;
-  std::vector<size_t> free_idx_;
 };
 
 }  // namespace
